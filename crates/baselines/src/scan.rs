@@ -38,7 +38,9 @@ impl Scan {
     }
 
     /// Exact dependent points by scanning all higher-density points (exposed
-    /// for phase benchmarks). Returns `(dependent, delta)`.
+    /// for phase benchmarks). Equal distances go to the smallest id, the tie
+    /// rule Ex-DPC's nearest-denser query follows. Returns
+    /// `(dependent, delta)`.
     pub fn dependent_points(&self, data: &Dataset, rho: &[f64]) -> (Vec<usize>, Vec<f64>) {
         let n = data.len();
         let executor = Executor::new(self.params.threads);
@@ -55,7 +57,7 @@ impl Scan {
             // this is the early termination of §2.2.
             for &j in &order[..rank[i]] {
                 let d = dist(pi, data.point(j));
-                if best.is_none_or(|(_, bd)| d < bd) {
+                if best.is_none_or(|(bj, bd)| d < bd || (d == bd && j < bj)) {
                     best = Some((j, d));
                 }
             }

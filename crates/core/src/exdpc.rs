@@ -5,25 +5,27 @@
 //!   loop is embarrassingly parallel and is scheduled dynamically so that
 //!   points in dense regions (whose range searches return more results) do not
 //!   serialise behind a static split.
-//! * **Dependent points** — the key idea of the paper: destroy the tree, sort
-//!   the points by decreasing local density, and re-insert them one at a time
-//!   into an [`IncrementalKdTree`]; when point `p_i` is about to be inserted,
-//!   the tree contains exactly the points with higher density, so a
-//!   nearest-neighbour query returns the exact dependent point (Lemma 2). This
-//!   phase is inherently sequential — the stated limitation of Ex-DPC that
-//!   motivates Approx-DPC — and is why the mutable arena tree survives as a
-//!   separate type next to the packed one.
+//! * **Dependent points** — the paper destroys the tree and re-inserts the
+//!   points one at a time in decreasing density order, so that a
+//!   nearest-neighbour query made just before `p_i` is inserted sees exactly
+//!   the denser points (Lemma 2); that phase is sequential. Here the ρ-phase
+//!   tree is kept instead, and a max-ρ array over its nodes lets one
+//!   nearest-denser query per point
+//!   ([`PackedParts::nearest_denser`](dpc_index::PackedParts::nearest_denser))
+//!   return the same exact dependent point, with equal distances going to the
+//!   smallest id. The `n` queries are independent, so the phase runs on every
+//!   worker thread.
 
 use std::time::Instant;
 
 use dpc_geometry::Dataset;
 use dpc_index::batchq::{self, BatchRangeCount};
-use dpc_index::{Grid, IncrementalKdTree, KdTree};
+use dpc_index::{Grid, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    descending_density_order, jittered_density, jittered_density_keyed, validate_dataset,
+    jittered_density, jittered_density_keyed, resolve_dependents, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -214,44 +216,33 @@ impl ExDpc {
             jittered_density_keyed(count, keys[i], seed)
         });
         timings.rho_secs = start.elapsed().as_secs_f64();
-        let index_bytes = tree.mem_usage();
-        drop(tree);
 
         let start = Instant::now();
-        let (dependent, delta) = self.dependent_points(data, &rho);
+        let (dependent, delta) = dependents(&tree, &rho, &executor);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
-        DpcModel::from_parts(self.name(), dcut, rho, delta, dependent, timings, index_bytes)
+        DpcModel::from_parts(self.name(), dcut, rho, delta, dependent, timings, tree.mem_usage())
     }
 
     /// Computes dependent points and distances given the local densities (the
     /// `δ` phase on its own). Returns `(dependent, delta)`.
     ///
-    /// This phase is sequential: the kd-tree is rebuilt incrementally in
-    /// decreasing-density order, which is exactly what makes each
-    /// nearest-neighbour query exact.
+    /// Builds the packed kd-tree over `data`, then answers one nearest-denser
+    /// query per point; `fit` runs the same queries on its ρ-phase tree.
     pub fn dependent_points(&self, data: &Dataset, rho: &[f64]) -> (Vec<usize>, Vec<f64>) {
-        let n = data.len();
-        let mut dependent: Vec<usize> = (0..n).collect();
-        let mut delta = vec![f64::INFINITY; n];
-        if n == 0 {
-            return (dependent, delta);
-        }
-        let order = descending_density_order(rho);
-        // Step 1 & 3 of the §3 procedure: the densest point keeps δ = ∞ and
-        // becomes the first tree entry.
-        let mut tree = IncrementalKdTree::new(data.dim());
-        tree.insert(order[0], data.point(order[0]));
-        for &i in order.iter().skip(1) {
-            let (nn, dist) = tree
-                .nearest_neighbor(data.point(i), None)
-                .expect("tree is non-empty after the first insertion");
-            dependent[i] = nn;
-            delta[i] = dist;
-            tree.insert(i, data.point(i));
-        }
-        (dependent, delta)
+        let executor = Executor::new(self.params.threads);
+        dependents(&KdTree::build_parallel(data, &executor), rho, &executor)
     }
+}
+
+/// The δ phase over `tree`: every point's nearest denser point. The densest
+/// point keeps `δ = ∞` and depends on itself.
+fn dependents(tree: &KdTree<'_>, rho: &[f64], executor: &Executor) -> (Vec<usize>, Vec<f64>) {
+    let all: Vec<usize> = (0..rho.len()).collect();
+    let mut dependent = all.clone();
+    let mut delta = vec![f64::INFINITY; rho.len()];
+    resolve_dependents(tree, rho, &all, executor, &mut dependent, &mut delta);
+    (dependent, delta)
 }
 
 impl DpcAlgorithm for ExDpc {
@@ -265,14 +256,13 @@ impl DpcAlgorithm for ExDpc {
         let mut timings = Timings::default();
 
         let start = Instant::now();
-        let tree = KdTree::build_parallel(data, &Executor::new(self.params.threads));
+        let executor = Executor::new(self.params.threads);
+        let tree = KdTree::build_parallel(data, &executor);
         let rho = self.local_densities(data, &tree);
         timings.rho_secs = start.elapsed().as_secs_f64();
-        let index_bytes = tree.mem_usage();
-        drop(tree); // §3: "Destroy K" before the dependent phase.
 
         let start = Instant::now();
-        let (dependent, delta) = self.dependent_points(data, &rho);
+        let (dependent, delta) = dependents(&tree, &rho, &executor);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         DpcModel::from_parts(
@@ -282,7 +272,7 @@ impl DpcAlgorithm for ExDpc {
             delta,
             dependent,
             timings,
-            index_bytes,
+            tree.mem_usage(),
         )
     }
 }
@@ -321,24 +311,34 @@ mod tests {
         (rho, delta, dependent)
     }
 
+    /// Fits `data` at threads 1 and 4 and demands the brute-force model bit
+    /// for bit: ρ, δ and the dependent point, which on equal distances is the
+    /// smallest id (the reference scans ids upwards and keeps strict
+    /// improvements only).
+    fn assert_matches_brute_force(data: &Dataset, params: DpcParams, ctx: &str) {
+        let (rho, delta, dependent) = brute_force(data, &params);
+        for threads in [1usize, 4] {
+            let model = ExDpc::new(params.with_threads(threads)).fit(data).unwrap();
+            for i in 0..data.len() {
+                let got =
+                    (model.rho()[i].to_bits(), model.delta()[i].to_bits(), model.dependent()[i]);
+                let want = (rho[i].to_bits(), delta[i].to_bits(), dependent[i]);
+                assert_eq!(got, want, "{ctx}, threads {threads}, point {i}");
+            }
+        }
+    }
+
     #[test]
     fn matches_brute_force_on_random_data() {
-        let data = uniform(400, 2, 100.0, 3);
-        let params = DpcParams::new(8.0);
-        let model = ExDpc::new(params).fit(&data).unwrap();
-        let (rho, delta, _) = brute_force(&data, &params);
-        for i in 0..data.len() {
-            assert!((model.rho()[i] - rho[i]).abs() < 1e-9, "ρ mismatch at {i}");
-            if delta[i].is_finite() {
-                assert!(
-                    (model.delta()[i] - delta[i]).abs() < 1e-9,
-                    "δ mismatch at {i}: {} vs {}",
-                    model.delta()[i],
-                    delta[i]
-                );
-            } else {
-                assert!(model.delta()[i].is_infinite());
-            }
+        assert_matches_brute_force(&uniform(400, 2, 100.0, 3), DpcParams::new(8.0), "uniform");
+        // Lattice-snapped points (cell 10, d_cut 12): many duplicates and
+        // equidistant denser points, so the smallest-id tie rule decides
+        // most dependents.
+        for seed in 0..40 {
+            let points = uniform(300, 2, 100.0, 100 + seed);
+            let snapped = points.flat().iter().map(|c| (c / 10.0).floor() * 10.0).collect();
+            let data = Dataset::from_flat(2, snapped);
+            assert_matches_brute_force(&data, DpcParams::new(12.0), &format!("lattice {seed}"));
         }
     }
 

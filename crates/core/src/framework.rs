@@ -6,6 +6,8 @@ use crate::error::DpcError;
 use crate::params::Thresholds;
 use crate::result::NOISE;
 use dpc_geometry::Dataset;
+use dpc_index::{KdTree, MaxKeys};
+use dpc_parallel::Executor;
 
 /// Validates a dataset for fitting: rejects an empty dataset
 /// ([`DpcError::EmptyDataset`]) and any NaN/±∞ coordinate
@@ -72,12 +74,33 @@ pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Point identifiers sorted by increasing local density (total, like
-/// [`descending_density_order`]).
-pub fn ascending_density_order(rho: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..rho.len()).collect();
-    order.sort_unstable_by(|&a, &b| rho[a].total_cmp(&rho[b]));
-    order
+/// Sets `dependent[p]`/`delta[p]` of every `p` in `queries` to its exact
+/// dependent point (Definition 2): the nearest point of `tree` whose key
+/// (`keys[id]`: ρ, or `-∞` to hide a point) is strictly greater than `p`'s,
+/// ties to the smallest id. A query no key exceeds keeps its entries. The
+/// independent queries fan out with `map_dynamic`, so the result does not
+/// depend on the thread count.
+pub(crate) fn resolve_dependents(
+    tree: &KdTree<'_>,
+    keys: &[f64],
+    queries: &[usize],
+    executor: &Executor,
+    dependent: &mut [usize],
+    delta: &mut [f64],
+) {
+    let parts = tree.packed_parts();
+    let max_keys = MaxKeys::new(&parts, keys);
+    let data = tree.dataset();
+    let found = executor.map_dynamic(queries.len(), |k| {
+        let p = queries[k];
+        parts.nearest_denser(&max_keys, data.point(p), keys[p])
+    });
+    for (&p, found) in queries.iter().zip(found) {
+        if let Some((q, d)) = found {
+            dependent[p] = q;
+            delta[p] = d;
+        }
+    }
 }
 
 /// Selects noise points and cluster centres and propagates cluster labels.
@@ -200,25 +223,9 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(desc, descending_density_order(&rho), "must be deterministic");
-        let asc = ascending_density_order(&rho);
-        assert_eq!(asc, ascending_density_order(&rho), "must be deterministic");
         let mut top: Vec<usize> = desc[..2].to_vec();
         top.sort_unstable();
         assert_eq!(top, vec![1, 3], "NaNs sort above every finite density");
-        let mut bottom: Vec<usize> = asc[3..].to_vec();
-        bottom.sort_unstable();
-        assert_eq!(bottom, vec![1, 3], "ascending order mirrors the NaN placement");
-    }
-
-    #[test]
-    fn density_orders_are_inverse_of_each_other() {
-        let rho = vec![3.2, 1.1, 9.9, 0.5, 7.7];
-        let desc = descending_density_order(&rho);
-        let mut asc = ascending_density_order(&rho);
-        asc.reverse();
-        assert_eq!(desc, asc);
-        assert_eq!(desc[0], 2);
-        assert_eq!(desc[4], 3);
     }
 
     /// A small hand-built scenario: two centres, a chain of followers, one

@@ -1,20 +1,18 @@
 //! The pointer-arena kd-tree with **incremental insertion and deletion**.
 //!
-//! This is the tree Ex-DPC rebuilds one point at a time during its
-//! dependent-point phase (§3): points are inserted in descending local-density
-//! order so that, when point `p_i` is about to be inserted, the tree contains
-//! exactly the points with higher local density, and a nearest-neighbour query
-//! retrieves the exact dependent point. The streaming maintenance engine
-//! (`StreamingDpc` in `dpc-core`) additionally removes points as a sliding
-//! window advances, so the tree supports `remove` via tombstones with a
-//! compaction threshold: a removed node stays in place (its subtree links are
-//! still needed for traversal) until tombstones reach a sixteenth of the live
-//! points, at which point the live set is re-bulk-loaded into a balanced tree.
+//! This is the mutable index of the streaming maintenance engine
+//! (`StreamingDpc` in `dpc-core`), which inserts arrivals and removes points
+//! as a sliding window advances. The tree supports `remove` via tombstones
+//! with a compaction threshold: a removed node stays in place (its subtree
+//! links are still needed for traversal) until tombstones reach a sixteenth
+//! of the live points, at which point the live set is re-bulk-loaded into a
+//! balanced tree. The seed's Ex-DPC dependent-point phase (§3: insert in
+//! descending density order, query before each insertion) is replayed on it
+//! by the property tests as the reference the packed fit must match.
 //!
 //! The tree owns a copy of each inserted point's coordinates, keyed by a
 //! caller-chosen `usize` identifier. Identifiers are expected to be dense
-//! (they index an internal id → node map), which matches both consumers:
-//! Ex-DPC uses dataset indices, `StreamingDpc` uses slot numbers.
+//! (they index an internal id → node map): `StreamingDpc` uses slot numbers.
 //!
 //! Two maintenance policies keep long-lived mutable trees (the streaming
 //! sliding window) query-efficient: tombstones are compacted away once they
@@ -209,8 +207,8 @@ impl IncrementalKdTree {
     ///
     /// Insertion follows the usual kd-tree rule: at a node splitting on `axis`,
     /// descend left when the new point's coordinate is strictly smaller than the
-    /// node's coordinate and right otherwise. Ex-DPC inserts points in
-    /// local-density order, which is essentially random with respect to the
+    /// node's coordinate and right otherwise. Insertion in local-density order
+    /// (the seed Ex-DPC pipeline) is essentially random with respect to the
     /// coordinates, so the expected depth stays `O(log n)` as the paper's
     /// analysis assumes. Skewed insertion orders (a drifting stream, or the
     /// outright sorted adversarial case) are caught scapegoat-style: when an
@@ -268,7 +266,7 @@ impl IncrementalKdTree {
 
     /// Insertion paths longer than this trigger a rebalancing rebuild: a
     /// generous multiple of the balanced depth, so random-order insertion
-    /// (the Ex-DPC fit path) essentially never rebuilds, while sustained
+    /// (density order) essentially never rebuilds, while sustained
     /// skew (streaming drift) is repaired after `O(log n)` extra levels.
     fn depth_limit(live: usize) -> usize {
         2 * (usize::BITS - live.leading_zeros()) as usize + 16

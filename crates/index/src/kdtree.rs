@@ -47,10 +47,16 @@
 //!   pre-reserved slice — the resulting tree is **bit-identical** to the
 //!   serial build at every thread count.
 //!
-//! The tree is immutable. Ex-DPC's dependent-point phase, which needs
-//! incremental insertion in density order, uses the separate
-//! [`IncrementalKdTree`](crate::IncrementalKdTree) arena tree; keeping mutation
-//! out of this type is what allows the packed layout.
+//! * **Nearest-denser queries.** Every algorithm's dependent point
+//!   (Definition 2) is the nearest point of strictly higher density:
+//!   [`PackedParts::nearest_denser`] prunes on the per-node maximum density
+//!   held by [`MaxKeys`] — the priority-search kd-tree of Huang, Yu & Shun
+//!   (*Faster Parallel Exact Density Peaks Clustering*, ACDA 2023). Equal
+//!   distances go to the smallest id, so the answer is unique.
+//!
+//! The tree is immutable; the streaming engine's mutable index is the
+//! separate [`IncrementalKdTree`](crate::IncrementalKdTree) arena tree.
+//! Keeping mutation out of this type is what allows the packed layout.
 
 use dpc_geometry::batch;
 use dpc_geometry::distance::{dist_sq, max_dist_sq_to_rect, min_dist_sq_to_rect};
@@ -124,9 +130,9 @@ pub struct KdTree<'a> {
     /// buffer sequentially.
     coords: Vec<f64>,
     /// `pos[id]` = packed position of dataset point `id`, or `NONE` when the
-    /// point is not indexed. Only materialised by [`KdTree::build`] (it would
-    /// cost `O(data.len())` per subset tree otherwise); used for the `O(1)`
-    /// "is the excluded point inside this subtree" test.
+    /// point is not indexed. Materialised by every build; a decoded tree may
+    /// lack it (see [`KdTree::from_packed_parts`]). Used for the `O(1)` "is
+    /// the excluded point inside this subtree" test.
     pos: Option<Vec<u32>>,
     nodes: Vec<PackedNode>,
     /// Per-node bounding boxes: `dim` lows then `dim` highs per node.
@@ -150,63 +156,36 @@ impl<'a> KdTree<'a> {
     /// fills, with the same deterministic median selection. Datasets smaller
     /// than a fork threshold build inline with zero spawns.
     pub fn build_parallel(data: &'a Dataset, executor: &Executor) -> Self {
-        let ids: Vec<u32> = (0..data.len() as u32).collect();
-        let mut tree = Self::build_from_ids(data, ids, executor);
-        let mut pos = vec![NONE; data.len()];
-        for (p, &id) in tree.ids.iter().enumerate() {
-            pos[id as usize] = p as u32;
-        }
-        tree.pos = Some(pos);
-        tree
-    }
-
-    /// Builds the packed tree over a subset of point identifiers.
-    ///
-    /// Used by Approx-DPC's exact dependent-point fallback, which partitions
-    /// `P` into `s` subsets ordered by local density and indexes each one —
-    /// the subset trees are built concurrently (one task per subset), so each
-    /// individual build stays serial.
-    pub fn build_subset(data: &'a Dataset, ids: &[usize]) -> Self {
-        let ids: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
-        Self::build_from_ids(data, ids, &Executor::single())
-    }
-
-    fn build_from_ids(data: &'a Dataset, mut ids: Vec<u32>, executor: &Executor) -> Self {
         let dim = data.dim();
-        let n = ids.len();
-        if n == 0 {
-            return Self {
-                data,
-                dim,
-                ids,
-                coords: Vec::new(),
-                pos: None,
-                nodes: Vec::new(),
-                bounds: Vec::new(),
-            };
-        }
+        let n = data.len();
+        let mut ids: Vec<u32> = (0..n as u32).collect();
         // The preorder layout of every subtree is determined by its size, so
         // all storage can be reserved exactly and written in place — which is
         // what lets independent subtrees be built by different workers.
-        let total_nodes = subtree_nodes(n);
+        let total_nodes = packed_node_count(n);
         let mut nodes = vec![PackedNode { start: 0, end: 0, right: NONE }; total_nodes];
         let mut bounds = vec![0.0f64; total_nodes * 2 * dim];
         let mut coords = vec![0.0f64; n * dim];
-        let fork_levels = fork_levels(executor.threads(), n);
-        let written = build_rec(
-            &BuildCtx { data, dim, executor },
-            Subtree {
-                ids: &mut ids,
-                coords: &mut coords,
-                nodes: &mut nodes,
-                bounds: &mut bounds,
-                offset: 0,
-                node_base: 0,
-            },
-            fork_levels,
-        );
-        debug_assert_eq!(written, total_nodes, "preorder node count must be exact");
-        Self { data, dim, ids, coords, pos: None, nodes, bounds }
+        if n > 0 {
+            let written = build_rec(
+                &BuildCtx { data, dim, executor },
+                Subtree {
+                    ids: &mut ids,
+                    coords: &mut coords,
+                    nodes: &mut nodes,
+                    bounds: &mut bounds,
+                    offset: 0,
+                    node_base: 0,
+                },
+                fork_levels(executor.threads(), n),
+            );
+            debug_assert_eq!(written, total_nodes, "preorder node count must be exact");
+        }
+        let mut pos = vec![NONE; n];
+        for (p, &id) in ids.iter().enumerate() {
+            pos[id as usize] = p as u32;
+        }
+        Self { data, dim, ids, coords, pos: Some(pos), nodes, bounds }
     }
 
     /// Number of points in the tree.
@@ -217,17 +196,6 @@ impl<'a> KdTree<'a> {
     /// Whether the tree holds no points.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// The root bounding box `(lows, highs)` over every indexed point, or
-    /// `None` for an empty tree. Callers use it to bound expanding-radius
-    /// search loops: any ball centred at `q` with radius at least the
-    /// distance from `q` to the farthest box corner covers the whole tree.
-    pub fn root_bounds(&self) -> Option<(&[f64], &[f64])> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        Some(self.bounds[..2 * self.dim].split_at(self.dim))
     }
 
     /// Borrowed view of the packed storage: everything a query needs, nothing
@@ -416,7 +384,7 @@ impl<'a> KdTree<'a> {
 }
 
 /// A borrowed view of a packed kd-tree's storage — the five flat buffers plus
-/// the dimensionality, with no owning allocation in sight. All three query
+/// the dimensionality, with no owning allocation in sight. All four query
 /// algorithms live here; [`KdTree`] delegates to its own view, and the
 /// zero-copy decoded views of `dpc-persist` construct one directly over
 /// artifact bytes to answer queries without materialising a tree.
@@ -436,7 +404,7 @@ pub struct PackedParts<'t> {
     /// Coordinates of `ids` in the same order, row-major.
     pub coords: &'t [f64],
     /// `pos[id]` = packed position of point `id`, [`PackedNode::NO_CHILD`]
-    /// when unindexed; `None` on subset trees.
+    /// when unindexed; `None` on a decoded tree stored without one.
     pub pos: Option<&'t [u32]>,
     /// Preorder node array.
     pub nodes: &'t [PackedNode],
@@ -453,9 +421,8 @@ impl PackedParts<'_> {
     }
 
     /// Packed position of the excluded point (by identifier) if it lies in
-    /// positions `start..end`. `O(1)` on full trees; subset trees fall back to
-    /// scanning the range (the exclude path is unused on subset trees in
-    /// practice).
+    /// positions `start..end`. `O(1)` with a position map; without one it
+    /// falls back to scanning the range.
     #[inline]
     pub(crate) fn excluded_row(&self, start: usize, end: usize, excl_id: u32) -> Option<usize> {
         if excl_id == NONE {
@@ -620,6 +587,109 @@ impl PackedParts<'_> {
         } else {
             Some((best_id as usize, best_d.sqrt()))
         }
+    }
+
+    /// Finds the nearest indexed point whose key is **strictly greater** than
+    /// `key` — the dependent-point query of Definition 2 when the keys are
+    /// local densities; `keys` must have been built from this tree. Equal
+    /// distances go to the smallest id, so the answer is unique. Returns
+    /// `(point id, distance)`, or `None` when no indexed key exceeds `key`.
+    ///
+    /// Depth-first, nearer child first; a subtree is skipped when its box is
+    /// farther than the best candidate so far or its largest key is not above
+    /// `key`. A box at exactly the best distance is still searched, as it may
+    /// hold a tie with a smaller id. Each node is visited at most once.
+    pub fn nearest_denser(&self, keys: &MaxKeys, query: &[f64], key: f64) -> Option<(usize, f64)> {
+        self.nearest_denser_counted(keys, query, key).0
+    }
+
+    /// [`PackedParts::nearest_denser`] plus the number of nodes it visited.
+    fn nearest_denser_counted(
+        &self,
+        keys: &MaxKeys,
+        query: &[f64],
+        key: f64,
+    ) -> (Option<(usize, f64)>, usize) {
+        debug_assert_eq!(keys.node_max.len(), self.nodes.len(), "keys built from another tree");
+        if self.nodes.is_empty() {
+            return (None, 0);
+        }
+        let dim = self.dim;
+        let (mut best_id, mut best_d, mut visits) = (NONE, f64::INFINITY, 0usize);
+        let mut stack = [(0u32, 0.0f64); STACK_CAP];
+        let mut top = 1usize;
+        while top > 0 {
+            top -= 1;
+            visits += 1;
+            let (node_idx, min_d) = stack[top];
+            if min_d > best_d || keys.node_max[node_idx as usize] <= key {
+                continue;
+            }
+            let node = &self.nodes[node_idx as usize];
+            if node.is_leaf() {
+                for k in node.start as usize..node.end as usize {
+                    if keys.keys[k] > key {
+                        let d = dist_sq(query, &self.coords[k * dim..(k + 1) * dim]);
+                        if d < best_d || (d == best_d && self.ids[k] < best_id) {
+                            (best_d, best_id) = (d, self.ids[k]);
+                        }
+                    }
+                }
+            } else {
+                let child = |c: u32| {
+                    let (lo, hi) = self.node_bounds(c as usize);
+                    (c, min_dist_sq_to_rect(query, lo, hi))
+                };
+                let (left, right) = (child(node_idx + 1), child(node.right));
+                // Push the farther child first so the nearer one is explored
+                // first, tightening `best_d` before the far box is reconsidered.
+                let (near, far) = if left.1 <= right.1 { (left, right) } else { (right, left) };
+                stack[top] = far;
+                stack[top + 1] = near;
+                top += 2;
+            }
+        }
+        ((best_id != NONE).then(|| (best_id as usize, best_d.sqrt())), visits)
+    }
+}
+
+/// The per-point keys of a packed kd-tree in packed order, plus the largest
+/// key under every node: the pruning data of [`PackedParts::nearest_denser`],
+/// valid only for the tree it was built from.
+#[derive(Clone, Debug)]
+pub struct MaxKeys {
+    /// `keys[k]` is the key of the point at packed position `k`.
+    keys: Vec<f64>,
+    /// `node_max[i]` is the largest key in node `i`'s packed range.
+    node_max: Vec<f64>,
+}
+
+impl MaxKeys {
+    /// Builds the array in `O(n)` from `key_by_id` (`key_by_id[id]` keys
+    /// point `id`). A key of `-∞` hides a point from every query.
+    ///
+    /// # Panics
+    /// Panics if an indexed id is out of range of `key_by_id`.
+    pub fn new(tree: &PackedParts<'_>, key_by_id: &[f64]) -> Self {
+        let keys: Vec<f64> = tree.ids.iter().map(|&id| key_by_id[id as usize]).collect();
+        let mut node_max = vec![f64::NEG_INFINITY; tree.nodes.len()];
+        // Children follow their parent in preorder, so a reverse sweep folds
+        // both children before it reaches the parent.
+        for (idx, node) in tree.nodes.iter().enumerate().rev() {
+            node_max[idx] = if node.is_leaf() {
+                keys[node.start as usize..node.end as usize]
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |m, &k| m.max(k))
+            } else {
+                node_max[idx + 1].max(node_max[node.right as usize])
+            };
+        }
+        Self { keys, node_max }
+    }
+
+    /// Heap bytes of the two arrays.
+    pub fn mem_usage(&self) -> usize {
+        (self.keys.capacity() + self.node_max.capacity()) * std::mem::size_of::<f64>()
     }
 }
 
@@ -970,36 +1040,106 @@ mod tests {
     }
 
     #[test]
-    fn build_subset_only_indexes_subset() {
-        let ds = random_dataset(120, 2, 31);
-        let ids: Vec<usize> = (0..120).step_by(3).collect();
-        let tree = KdTree::build_subset(&ds, &ids);
-        assert_eq!(tree.len(), ids.len());
-        let found = tree.range_search(&[50.0, 50.0], 1000.0);
-        assert_eq!(found.len(), ids.len());
-        for id in found {
-            assert!(ids.contains(&id));
+    fn exclusion_is_exact_without_a_position_map() {
+        // A decoded tree may lack the position map: the fully-inside branch
+        // then takes the slow membership fallback. Exclusion must still be
+        // exact, and excluding a point that is not in the tree is a no-op.
+        let ds = random_dataset(90, 2, 8);
+        let (ids, coords, _, nodes, bounds) = parts_of(&KdTree::build(&ds));
+        let tree = KdTree::from_packed_parts(&ds, ids, coords, None, nodes, bounds).unwrap();
+        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, None), 90);
+        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, Some(0)), 89);
+        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, Some(90)), 90);
+        for id in 0..10 {
+            let q = ds.point(id);
+            let want = brute_range_count(&ds, q, 20.0, None);
+            assert_eq!(tree.range_count(q, 20.0, None), want);
+            assert_eq!(tree.range_count(q, 20.0, Some(id)), want - 1);
         }
     }
 
+    /// `O(n)` reference for [`PackedParts::nearest_denser`]: the smallest
+    /// `(squared distance, id)` among points whose key exceeds `key`.
+    fn brute_nearest_denser(
+        ds: &Dataset,
+        keys: &[f64],
+        q: &[f64],
+        key: f64,
+    ) -> Option<(usize, f64)> {
+        ds.iter()
+            .filter(|&(id, _)| keys[id] > key)
+            .map(|(id, p)| (dist_sq(q, p), id))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(d, id)| (id, d.sqrt()))
+    }
+
     #[test]
-    fn build_subset_honours_exclusion() {
-        // Subset trees take the slow membership fallback on the fully-inside
-        // branch; exclusion must still be exact, and excluding a point that is
-        // not in the subset must be a no-op.
-        let ds = random_dataset(90, 2, 8);
-        let ids: Vec<usize> = (0..90).step_by(2).collect();
-        let tree = KdTree::build_subset(&ds, &ids);
-        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, None), ids.len());
-        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, Some(0)), ids.len() - 1);
-        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, Some(1)), ids.len());
-        let sub = ds.select(&ids);
-        for id in ids.iter().take(10) {
-            let q = ds.point(*id);
-            let want = sub.iter().filter(|(_, p)| dist(q, p) <= 20.0).count();
-            assert_eq!(tree.range_count(q, 20.0, None), want);
-            assert_eq!(tree.range_count(q, 20.0, Some(*id)), want - 1);
+    fn nearest_denser_matches_brute_force_with_smallest_id_ties() {
+        for dim in [2usize, 3, 8] {
+            for snapped in [false, true] {
+                let mut rng = StdRng::seed_from_u64(500 + dim as u64 + snapped as u64);
+                let mut ds = random_dataset(300, dim, 60 + dim as u64);
+                // Lattice-snapped coordinates and integer keys: many duplicate
+                // points, equal distances and equal keys.
+                if snapped {
+                    let coords = ds.flat().iter().map(|c| (c / 10.0).floor() * 10.0).collect();
+                    ds = Dataset::from_flat(dim, coords);
+                }
+                let key = |rng: &mut StdRng| {
+                    if snapped {
+                        rng.gen_range(0..20) as f64
+                    } else {
+                        rng.gen_f64()
+                    }
+                };
+                // Every 7th key masked: those points are never an answer.
+                let keys: Vec<f64> = (0..ds.len())
+                    .map(|i| if i % 7 == 0 { f64::NEG_INFINITY } else { key(&mut rng) })
+                    .collect();
+                let tree = KdTree::build(&ds);
+                let parts = tree.packed_parts();
+                let max_keys = MaxKeys::new(&parts, &keys);
+                let top = keys.iter().fold(f64::NEG_INFINITY, |m, &k| m.max(k));
+                // Every point against its own key (the dependent-point use),
+                // off-dataset queries with random keys, and a key above all.
+                let mut queries: Vec<(Vec<f64>, f64)> =
+                    (0..ds.len()).map(|i| (ds.point(i).to_vec(), keys[i])).collect();
+                for _ in 0..100 {
+                    let q = (0..dim).map(|_| 120.0 * rng.gen_f64() - 10.0).collect();
+                    queries.push((q, key(&mut rng)));
+                }
+                queries.push((ds.point(0).to_vec(), top));
+                for (q, key) in &queries {
+                    let (got, visits) = parts.nearest_denser_counted(&max_keys, q, *key);
+                    let want = brute_nearest_denser(&ds, &keys, q, *key);
+                    assert_eq!(got, want, "dim {dim}, snapped {snapped}, {q:?} above {key}");
+                    assert!(visits <= packed_node_count(ds.len()), "{visits} visits");
+                }
+                assert_eq!(parts.nearest_denser(&max_keys, ds.point(0), top), None);
+            }
         }
+        let empty = Dataset::new(2);
+        let tree = KdTree::build(&empty);
+        let keys = MaxKeys::new(&tree.packed_parts(), &[]);
+        assert_eq!(tree.packed_parts().nearest_denser(&keys, &[1.0, 2.0], 0.0), None);
+    }
+
+    #[test]
+    fn nearest_denser_visits_each_node_at_most_once() {
+        // The worst case: every point coincides, so every box lies at exactly
+        // the best distance and nothing can be pruned by distance. The search
+        // still visits each node once, and the tie goes to the smallest id.
+        let n = 1_000;
+        let ds = Dataset::from_flat(2, [3.0, 4.0].repeat(n));
+        let keys: Vec<f64> = (0..n).map(|i| ((i * 7919) % n) as f64).collect();
+        let tree = KdTree::build(&ds);
+        let parts = tree.packed_parts();
+        let max_keys = MaxKeys::new(&parts, &keys);
+        let (found, visits) = parts.nearest_denser_counted(&max_keys, &[0.0, 0.0], -1.0);
+        assert_eq!((found, visits), (Some((0, 5.0)), packed_node_count(n)));
+        let want = (0..n).find(|&i| keys[i] > 500.0);
+        let (found, _) = parts.nearest_denser_counted(&max_keys, &[0.0, 0.0], 500.0);
+        assert_eq!(found, want.map(|i| (i, 5.0)));
     }
 
     #[test]
@@ -1176,10 +1316,10 @@ mod tests {
             let rebuilt = KdTree::from_packed_parts(&ds, ids, coords, pos, nodes, bounds).unwrap();
             assert!(rebuilt.layout_eq(&tree), "n = {n}, dim = {dim}");
         }
-        // Subset trees (no position map) round-trip too.
+        // Trees without a position map round-trip too.
         let ds = random_dataset(120, 2, 9);
-        let subset: Vec<usize> = (0..120).step_by(3).collect();
-        let tree = KdTree::build_subset(&ds, &subset);
+        let (ids, coords, _, nodes, bounds) = parts_of(&KdTree::build(&ds));
+        let tree = KdTree::from_packed_parts(&ds, ids, coords, None, nodes, bounds).unwrap();
         let (ids, coords, pos, nodes, bounds) = parts_of(&tree);
         assert!(pos.is_none());
         let rebuilt = KdTree::from_packed_parts(&ds, ids, coords, pos, nodes, bounds).unwrap();

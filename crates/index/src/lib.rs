@@ -7,13 +7,15 @@
 //!   entirely inside the query ball contributes its size without visiting a
 //!   point — and all query paths are allocation-free. Construction fans out
 //!   across worker threads ([`KdTree::build_parallel`]) with a bit-identical
-//!   result at every thread count. See the module docs of [`kdtree`] for the
-//!   layout.
+//!   result at every thread count. With a [`MaxKeys`] array it also answers
+//!   the one dependent-point query every algorithm uses: the nearest point
+//!   whose key (local density) is strictly greater than the query's, ties to
+//!   the smallest id ([`PackedParts::nearest_denser`]). See the module docs
+//!   of [`kdtree`] for the layout.
 //! * [`IncrementalKdTree`] — the one-point-per-node arena tree supporting
-//!   **incremental insertion**: Ex-DPC builds the optimal tree for
-//!   dependent-point retrieval one point at a time (§3). Also retains the
-//!   seed's bulk construction so benches and property tests can compare the
-//!   packed tree against the original layout.
+//!   **insertion and removal**: the mutable index of `StreamingDpc`. It also
+//!   keeps the seed's bulk construction, so property tests can replay the
+//!   seed pipeline against the packed tree.
 //! * [`RTree`] — an STR bulk-loaded R-tree used by the `R-tree + Scan` baseline
 //!   of the paper's evaluation (Table 6).
 //! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Approx-DPC) or
@@ -38,7 +40,9 @@ pub mod rtree;
 pub use batchq::{BatchRangeCount, BatchRangeSearch};
 pub use grid::{CellId, Grid, QueryBuckets};
 pub use incremental::IncrementalKdTree;
-pub use kdtree::{canonical_node_layout, packed_node_count, KdTree, PackedNode, PackedParts};
+pub use kdtree::{
+    canonical_node_layout, packed_node_count, KdTree, MaxKeys, PackedNode, PackedParts,
+};
 pub use rtree::RTree;
 
 /// Brute-force reference implementations shared by the kd-tree test modules.

@@ -171,13 +171,16 @@ fn adversarial_groupings_do_not_change_results() {
 }
 
 #[test]
-fn subset_trees_answer_batched_queries_identically() {
-    // `KdTree::build_subset` trees index a subset of ids (the exclusion
-    // lookup falls back to scanning the packed range): batched results must
-    // match the single-query traversals there too.
+fn trees_without_a_position_map_answer_batched_queries_identically() {
+    // A decoded tree may lack the position map (the exclusion lookup then
+    // falls back to scanning the packed range): batched results must match
+    // the single-query traversals there too.
     let data = random_dataset(400, 2, 301);
-    let ids: Vec<usize> = (0..data.len()).filter(|i| i % 3 != 0).collect();
-    let tree = KdTree::build_subset(&data, &ids);
+    let built = KdTree::build(&data);
+    let p = built.packed_parts();
+    let (ids, coords, nodes, bounds) =
+        (p.ids.to_vec(), p.coords.to_vec(), p.nodes.to_vec(), p.bounds.to_vec());
+    let tree = KdTree::from_packed_parts(&data, ids, coords, None, nodes, bounds).unwrap();
     let queries: Vec<usize> = (0..data.len()).step_by(4).collect();
     let radii: Vec<f64> = queries.iter().map(|&i| 2.0 + (i % 9) as f64).collect();
     let exclude: Vec<u32> = queries.iter().map(|&i| i as u32).collect();

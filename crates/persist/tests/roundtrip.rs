@@ -1,7 +1,7 @@
 //! Round-trip property tests: `from_bytes ∘ to_bytes == id`, **bitwise**
 //! (`layout_eq`), across dimensionalities, duplicates, subnormals, signed
-//! zeros, empty and subset trees — plus the misaligned-slice decode that
-//! exercises the documented copy fallback.
+//! zeros, empty trees and trees without a position map — plus the
+//! misaligned-slice decode that exercises the documented copy fallback.
 
 use dpc_core::{DpcModel, Thresholds, Timings};
 use dpc_geometry::Dataset;
@@ -113,15 +113,19 @@ fn trees_with_duplicates_signed_zeros_and_subnormals_round_trip() {
 }
 
 #[test]
-fn subset_trees_round_trip_without_a_position_map() {
+fn trees_round_trip_without_a_position_map() {
     let data = random_dataset(120, 3, 77);
-    let ids: Vec<usize> = (0..data.len()).step_by(3).collect();
-    let tree = KdTree::build_subset(&data, &ids);
+    let built = KdTree::build(&data);
+    let p = built.packed_parts();
+    let (ids, coords, nodes, bounds) =
+        (p.ids.to_vec(), p.coords.to_vec(), p.nodes.to_vec(), p.bounds.to_vec());
+    let tree = KdTree::from_packed_parts(&data, ids, coords, None, nodes, bounds).unwrap();
     let bytes = tree.to_bytes();
     let back = KdTree::from_bytes(&data, &bytes).unwrap();
     assert!(back.layout_eq(&tree));
     let view = KdTree::view(&bytes).unwrap();
-    assert_eq!(view.len(), ids.len());
+    assert_eq!(view.len(), data.len());
+    assert!(view.nearest_neighbor(data.point(5), Some(5)).is_some());
 }
 
 #[test]

@@ -12,14 +12,12 @@
 //!    fitted point (nearest neighbour at distance exactly `0`) short-circuits
 //!    to that point's own fitted `ρ`/`δ`/dependent/label, making assignment
 //!    of in-dataset points exact by construction.
-//! 2. **Dependent point.** The nearest snapshot point with `ρ > ρ_q`, found
-//!    by an expanding-radius search: start at
-//!    `max(nearest-neighbour distance, d_cut)` and double until a
-//!    higher-density point falls inside the ball (any qualifying point at
-//!    distance `d ≤ r` proves the global nearest qualifier is also inside the
-//!    ball) or the ball swallows the whole dataset — in which case the query
-//!    out-ranks every fitted point and gets `δ = ∞`, exactly like the
-//!    globally densest fitted point.
+//! 2. **Dependent point.** The nearest snapshot point with `ρ > ρ_q`, equal
+//!    distances going to the smallest id: one nearest-denser search of the
+//!    snapshot's kd-tree, pruned by its max-ρ array — the query the fits use,
+//!    so it visits each tree node at most once. A query that out-ranks every
+//!    fitted point gets `δ = ∞`, exactly like the globally densest fitted
+//!    point.
 //! 3. **Label.** The dependent point's label under the snapshot's default
 //!    thresholds, read from the cached [`Clustering`](dpc_core::Clustering)
 //!    in `O(1)` — label propagation follows dependency chains, so one hop
@@ -51,10 +49,10 @@ pub fn classify(snapshot: &Snapshot, point: &[f64]) -> Result<AssignResponse, Dp
 }
 
 /// [`classify`] under a per-request time budget: the deadline is checked once
-/// up front and then at the top of every expanding-radius round — the
-/// phase boundaries where abandoning the search costs nothing. A request that
-/// trips the deadline returns [`ServeError::DeadlineExceeded`] and **no**
-/// partial answer.
+/// up front and again just before the dependent-point search — the phase
+/// boundaries where abandoning costs nothing. A request that trips the
+/// deadline returns [`ServeError::DeadlineExceeded`] and **no** partial
+/// answer.
 ///
 /// # Errors
 /// The [`classify`] validation errors (wrapped in [`ServeError::Dpc`]), plus
@@ -84,19 +82,6 @@ pub(crate) fn classify_prepared(
     deadline: &Deadline,
     precomputed_rho: Option<f64>,
 ) -> Result<AssignResponse, ServeError> {
-    classify_instrumented(snapshot, point, deadline, precomputed_rho).map(|(r, _)| r)
-}
-
-/// [`classify_prepared`] that also reports how many expanding-radius rounds
-/// the dependent search ran. Exposed to the tests pinning the radius clamp:
-/// a far-outlier query must converge in a constant number of rounds, not
-/// double its way through dozens of futile traversals.
-pub(crate) fn classify_instrumented(
-    snapshot: &Snapshot,
-    point: &[f64],
-    deadline: &Deadline,
-    precomputed_rho: Option<f64>,
-) -> Result<(AssignResponse, usize), ServeError> {
     deadline.check()?;
     if point.len() != snapshot.dim() {
         return Err(DpcError::DimensionMismatch {
@@ -126,90 +111,37 @@ pub(crate) fn classify_instrumented(
         let rho = model.rho_at(nn);
         let delta = model.delta_at(nn);
         let dependent = model.dependent_at(nn);
-        return Ok((
-            AssignResponse {
-                epoch: snapshot.epoch(),
-                n,
-                rho,
-                delta,
-                dependent: if dependent == nn { None } else { Some(dependent) },
-                label: clustering.assignment[nn],
-                would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
-            },
-            0,
-        ));
+        return Ok(AssignResponse {
+            epoch: snapshot.epoch(),
+            n,
+            rho,
+            delta,
+            dependent: if dependent == nn { None } else { Some(dependent) },
+            label: clustering.assignment[nn],
+            would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
+        });
     }
 
     let rho = precomputed_rho
         .unwrap_or_else(|| tree.range_count(point, snapshot.dcut(), None) as f64 + 0.5);
 
-    // Any radius reaching the farthest corner of the root bounding box covers
-    // every fitted point, so doubling past `r_max` is pure waste: a far
-    // outlier's first ball already contains the whole dataset, but the
-    // unclamped doubling would have to walk the radius all the way from
-    // `nn_dist` to past the data diameter (or worse, to ∞) in futile rounds.
-    // The tiny relative bump keeps the cover property under the rounding of
-    // the distance computation itself.
-    let bounds = tree.root_bounds().expect("snapshot datasets are never empty");
-    let r_max = {
-        let (lo, hi) = bounds;
-        let far_sq: f64 = point
-            .iter()
-            .zip(lo.iter().zip(hi.iter()))
-            .map(|(&c, (&l, &h))| {
-                let d = (c - l).abs().max((h - c).abs());
-                d * d
-            })
-            .sum();
-        far_sq.sqrt() * (1.0 + 1e-9)
-    };
-
-    // Expanding-radius search for the nearest fitted point denser than the
-    // query. Any qualifier inside the current ball bounds the answer inside
-    // the same ball, so the first non-empty round is conclusive; the round
-    // running at the clamp is provably total (its ball holds all `n` points).
-    let mut radius = nn_dist.max(snapshot.dcut()).min(r_max);
-    let mut rounds = 0usize;
-    let mut ball = Vec::new();
-    let (dependent, delta) = loop {
-        // Each round multiplies the searched volume, so checking here bounds
-        // the wasted work to one round past the budget.
-        deadline.check()?;
-        rounds += 1;
-        ball.clear();
-        tree.range_search_into(point, radius, &mut ball);
-        let best = ball
-            .iter()
-            .filter(|&&j| model.rho_at(j) > rho)
-            .map(|&j| (j, dpc_geometry::dist(point, snapshot.data().point(j))))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        if let Some((j, d)) = best {
-            break (Some(j), d);
-        }
-        if ball.len() == n {
-            // The ball swallowed the dataset and nobody out-ranks the query:
-            // it would have been the globally densest point.
-            break (None, f64::INFINITY);
-        }
-        radius = (radius * 2.0).min(r_max);
-    };
+    deadline.check()?;
+    let found = tree.packed_parts().nearest_denser(&snapshot.max_rho, point, rho);
+    let (dependent, delta) = (found.map(|(j, _)| j), found.map_or(f64::INFINITY, |(_, d)| d));
 
     let label = match dependent {
         Some(j) if rho >= thresholds.rho_min => clustering.assignment[j],
         _ => NOISE,
     };
-    Ok((
-        AssignResponse {
-            epoch: snapshot.epoch(),
-            n,
-            rho,
-            delta,
-            dependent,
-            label,
-            would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
-        },
-        rounds,
-    ))
+    Ok(AssignResponse {
+        epoch: snapshot.epoch(),
+        n,
+        rho,
+        delta,
+        dependent,
+        label,
+        would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
+    })
 }
 
 #[cfg(test)]
@@ -217,6 +149,7 @@ mod tests {
     use super::*;
     use dpc_core::{DpcAlgorithm, DpcParams, ExDpc, Thresholds};
     use dpc_data::generators::gaussian_blobs;
+    use dpc_geometry::dist;
     use dpc_parallel::Executor;
     use std::sync::Arc;
 
@@ -262,29 +195,78 @@ mod tests {
         assert!(!r.would_be_center);
     }
 
-    #[test]
-    fn a_far_outlier_converges_in_a_bounded_number_of_rounds() {
-        let snap = snapshot();
-        let deadline = Deadline::none();
-        // Far outside the root bounding box on every axis. The clamp pins the
-        // expanding radius at the box's far corner, so the search needs at
-        // most "nearest point" + "whole dataset" rounds; the unclamped
-        // doubling had no such cap and its round count scaled with
-        // log(query distance / d_cut).
-        let q = [-1.0e6, 1.0e6];
-        let (r, rounds) = classify_instrumented(&snap, &q, &deadline, None).unwrap();
-        assert_eq!(r.rho, 0.5);
-        assert_eq!(r.label, NOISE);
-        assert!(r.delta.is_finite(), "some fitted point out-ranks ρ = 0.5");
-        assert!(rounds <= 2, "far outlier took {rounds} rounds");
+    /// Demands the brute-force answer over every snapshot point: `ρ_q =
+    /// count + 0.5` (unless given), the nearest point denser than `ρ_q` with
+    /// the smallest id on equal distances, and that point's label.
+    fn assert_brute_force(snap: &Snapshot, q: &[f64], given_rho: Option<f64>) {
+        let point = |j: usize| snap.data().point(j);
+        let rho = given_rho.unwrap_or_else(|| {
+            (0..snap.n()).filter(|&j| dist(q, point(j)) <= snap.dcut()).count() as f64 + 0.5
+        });
+        let best = (0..snap.n())
+            .filter(|&j| snap.model().rho_at(j) > rho)
+            .map(|j| (dist(q, point(j)), j))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (th, delta) = (snap.thresholds(), best.map_or(f64::INFINITY, |b| b.0));
+        let want = AssignResponse {
+            epoch: snap.epoch(),
+            n: snap.n(),
+            rho,
+            delta,
+            dependent: best.map(|b| b.1),
+            label: match best {
+                Some((_, j)) if rho >= th.rho_min => snap.clustering().assignment[j],
+                _ => NOISE,
+            },
+            would_be_center: rho >= th.rho_min && delta >= th.delta_min,
+        };
+        let got = classify_prepared(snap, q, &Deadline::none(), given_rho).unwrap();
+        assert_eq!(got, want, "at {q:?}");
+    }
 
-        // Same far query pretending to out-rank the whole dataset: the search
-        // must conclude "globally densest" right after covering the box
-        // instead of doubling onward toward infinity.
-        let (r, rounds) = classify_instrumented(&snap, &q, &deadline, Some(1.0e9)).unwrap();
-        assert!(r.delta.is_infinite());
-        assert_eq!(r.dependent, None);
-        assert!(rounds <= 3, "densest far outlier took {rounds} rounds");
+    #[test]
+    fn off_dataset_queries_match_brute_force() {
+        let snap = snapshot();
+        let mut rng = dpc_rng::StdRng::seed_from_u64(31);
+        for _ in 0..200 {
+            // Near a fitted point (within d_cut/2 per axis), and sparse:
+            // anywhere around and far outside the blobs.
+            let base = snap.data().point(rng.gen_range(0..snap.n()));
+            let near: Vec<f64> = base.iter().map(|&c| c + rng.gen_range(-2.0..2.0)).collect();
+            assert_brute_force(&snap, &near, None);
+            assert_brute_force(
+                &snap,
+                &[rng.gen_range(-300.0..400.0), rng.gen_range(-300.0..400.0)],
+                None,
+            );
+        }
+        // A lattice with duplicates: queries at cell centres are equidistant
+        // from four lattice points, so the smallest-id rule decides.
+        let coords: Vec<f64> = (0..400).flat_map(|i| [(i % 7) as f64, (i % 5) as f64]).collect();
+        let data = Arc::new(dpc_geometry::Dataset::from_flat(2, coords));
+        let model = ExDpc::new(DpcParams::new(1.5)).fit(&data).unwrap();
+        let lattice =
+            Snapshot::new(data, model, Thresholds::new(2.0, 3.0).unwrap(), &Executor::single());
+        for (x, y) in (0..7).flat_map(|x| (0..5).map(move |y| (x as f64, y as f64))) {
+            assert_brute_force(&lattice, &[x + 0.5, y + 0.5], None);
+        }
+    }
+
+    #[test]
+    fn a_far_outlier_is_answered_exactly() {
+        let snap = snapshot();
+        // Far outside the root bounding box on every axis: some fitted point
+        // out-ranks ρ = 0.5, and the nearest of them is the answer.
+        let q = [-1.0e6, 1.0e6];
+        let r = classify(&snap, &q).unwrap();
+        assert_eq!((r.rho, r.label), (0.5, NOISE));
+        assert!(r.delta.is_finite());
+        assert_brute_force(&snap, &q, None);
+        // The same far query pretending to out-rank the whole dataset is the
+        // globally densest point.
+        let r = classify_prepared(&snap, &q, &Deadline::none(), Some(1.0e9)).unwrap();
+        assert_eq!((r.delta, r.dependent), (f64::INFINITY, None));
+        assert_brute_force(&snap, &q, Some(1.0e9));
     }
 
     #[test]
@@ -297,6 +279,7 @@ mod tests {
         let snap =
             Snapshot::new(data, model, Thresholds::new(0.0, 10.0).unwrap(), &Executor::single());
         let r = classify(&snap, &[1.0, 1.0]).unwrap();
+        assert_brute_force(&snap, &[1.0, 1.0], None);
         assert_eq!(r.rho, 1.5);
         assert!(r.delta.is_infinite());
         assert_eq!(r.dependent, None);

@@ -8,8 +8,8 @@
 //! `Result` type and a client can match on exactly what happened.
 //!
 //! [`Deadline`] is the per-request time budget: started at admission, checked
-//! at phase boundaries of the expensive handlers (each expanding-radius round
-//! of `Assign`'s classification), and reported in
+//! at phase boundaries of the expensive handlers (before `Assign`'s single
+//! nearest-denser search), and reported in
 //! [`ServeError::DeadlineExceeded`] when it expires. A request that misses its
 //! deadline returns *no* partial answer — the contract is all-or-error.
 

@@ -16,8 +16,8 @@
 //!    would push the in-flight count past the cap is shed immediately with
 //!    [`ServeError::Overloaded`] — no snapshot pinned, no work started.
 //! 2. **Deadline.** With [`ServeConfig::deadline`] set, the clock starts at
-//!    admission; handlers check it at phase boundaries (each
-//!    expanding-radius round of `Assign`) and abandon with
+//!    admission; handlers check it at phase boundaries (for `Assign`, before
+//!    its single nearest-denser search) and abandon with
 //!    [`ServeError::DeadlineExceeded`], never a partial answer.
 //! 3. **Panic isolation.** Dispatch runs inside
 //!    [`std::panic::catch_unwind`]: a panicking handler becomes
@@ -218,19 +218,29 @@ impl DpcServer {
     /// `batch` once the overshoot reaches one batch.
     ///
     /// # Errors
-    /// Propagates the engine's [`DpcError`]s: invalid `params`, or a seed
-    /// snapshot whose points the engine rejects.
-    ///
-    /// # Panics
-    /// Panics if `publish_every == 0` or a provided `window` has a zero
-    /// capacity or batch.
+    /// [`DpcError::InvalidParams`] when `publish_every` is zero or a provided
+    /// `window` has a zero capacity or batch; otherwise the engine's
+    /// [`DpcError`]s: invalid `params`, or a seed snapshot whose points the
+    /// engine rejects.
     pub fn with_streaming(
         mut self,
         params: DpcParams,
         window: Option<(usize, usize)>,
         publish_every: usize,
     ) -> Result<Self, DpcError> {
-        assert!(publish_every >= 1, "publish_every must be at least 1");
+        let zero = match (publish_every, window) {
+            (0, _) => Some("publish_every"),
+            (_, Some((0, _))) => Some("window capacity"),
+            (_, Some((_, 0))) => Some("window batch"),
+            _ => None,
+        };
+        if let Some(param) = zero {
+            return Err(DpcError::InvalidParams {
+                param,
+                value: 0.0,
+                requirement: "must be at least 1",
+            });
+        }
         let snapshot = self.store.snapshot();
         let mut engine = StreamingDpc::new(params, snapshot.dim())?;
         if let Some((capacity, batch)) = window {
@@ -836,6 +846,24 @@ mod tests {
         }
         assert!(total_expired > 0, "a capped window under load must expire");
         assert_eq!(srv.epoch(), 1, "publish_every not reached: no epoch installed");
+    }
+
+    #[test]
+    fn streaming_with_zero_publish_every_is_an_error() {
+        let err = server().with_streaming(DpcParams::new(4.0), None, 0).err();
+        assert!(matches!(err, Some(DpcError::InvalidParams { param: "publish_every", .. })));
+    }
+
+    #[test]
+    fn streaming_with_a_zero_capacity_window_is_an_error() {
+        let err = server().with_streaming(DpcParams::new(4.0), Some((0, 10)), 5).err();
+        assert!(matches!(err, Some(DpcError::InvalidParams { param: "window capacity", .. })));
+    }
+
+    #[test]
+    fn streaming_with_a_zero_expiry_batch_is_an_error() {
+        let err = server().with_streaming(DpcParams::new(4.0), Some((100, 0)), 5).err();
+        assert!(matches!(err, Some(DpcError::InvalidParams { param: "window batch", .. })));
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! A [`Snapshot`] bundles everything a request needs to be answered without
 //! touching shared mutable state: the dataset the model was fitted on, the
-//! fitted [`DpcModel`], a packed [`KdTree`] over the same data (for the
-//! point-assignment queries), the snapshot's default [`Thresholds`] and the
-//! [`Clustering`] cached for them, and the epoch number the store stamped at
-//! install time. Readers hold a snapshot through an `Arc`, so an epoch that
-//! has been replaced in the [`ModelStore`](crate::ModelStore) stays fully
-//! usable until its last reader drops it — old epochs drain naturally, and no
-//! request can observe half of one epoch and half of another.
+//! fitted [`DpcModel`], a packed [`KdTree`] over the same data with the max-ρ
+//! array of its nodes (for the point-assignment queries), the snapshot's
+//! default [`Thresholds`] and the [`Clustering`] cached for them, and the
+//! epoch number the store stamped at install time. Readers hold a snapshot
+//! through an `Arc`, so an epoch that has been replaced in the
+//! [`ModelStore`](crate::ModelStore) stays fully usable until its last reader
+//! drops it — old epochs drain naturally, and no request can observe half of
+//! one epoch and half of another.
 //!
 //! # Why there is `unsafe` here
 //!
@@ -34,7 +35,7 @@ use std::sync::Arc;
 
 use dpc_core::{Clustering, DpcError, DpcModel, Thresholds, Timings};
 use dpc_geometry::Dataset;
-use dpc_index::KdTree;
+use dpc_index::{KdTree, MaxKeys};
 use dpc_parallel::Executor;
 use dpc_persist::SnapshotArtifact;
 
@@ -46,6 +47,9 @@ pub struct Snapshot {
     /// order). The tree's drop never dereferences the dataset, but keeping
     /// the borrower ahead of its owner makes the invariant locally obvious.
     tree: KdTree<'static>,
+    /// The fitted ρ over `tree`'s nodes: the pruning data of `Assign`'s
+    /// nearest-denser search.
+    pub(crate) max_rho: MaxKeys,
     data: Arc<Dataset>,
     model: DpcModel,
     /// The clustering extracted at `thresholds`, cached so `Assign` can walk
@@ -60,8 +64,8 @@ pub struct Snapshot {
 impl Snapshot {
     /// Assembles a snapshot from a fitted model and the dataset it was fitted
     /// on: builds the packed kd-tree over the data (fanning construction out
-    /// across `executor`'s workers) and caches the clustering for
-    /// `thresholds`. The epoch is `0` until
+    /// across `executor`'s workers) with its max-ρ array, and caches the
+    /// clustering for `thresholds`. The epoch is `0` until
     /// [`ModelStore::install`](crate::ModelStore) stamps it.
     ///
     /// # Panics
@@ -88,8 +92,9 @@ impl Snapshot {
         // [`Snapshot::tree`]). See the module docs for the full argument.
         let data_ref: &'static Dataset = unsafe { &*Arc::as_ptr(&data) };
         let tree = KdTree::build_parallel(data_ref, executor);
+        let max_rho = MaxKeys::new(&tree.packed_parts(), model.rho());
         let clustering = model.extract(&thresholds);
-        Self { tree, data, model, clustering, thresholds, epoch: 0 }
+        Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 }
     }
 
     /// Serialises this epoch into a single snapshot artifact buffer
@@ -105,8 +110,8 @@ impl Snapshot {
     /// refitting and without rebuilding the kd-tree**: the packed tree
     /// storage is decoded (and exhaustively validated against the decoded
     /// dataset) instead of being reconstructed, which is what makes cold
-    /// starts cheap. Only the `O(n)` label propagation for the persisted
-    /// thresholds runs at load time. The epoch is `0` until
+    /// starts cheap. Only the `O(n)` max-ρ array and label propagation for
+    /// the persisted thresholds are derived at load time. The epoch is `0` until
     /// [`ModelStore::install`](crate::ModelStore) stamps it.
     ///
     /// The result is indistinguishable from the snapshot that was saved:
@@ -127,8 +132,9 @@ impl Snapshot {
         // fabricated `'static` never escapes (see the module docs).
         let data_ref: &'static Dataset = unsafe { &*Arc::as_ptr(&data) };
         let tree = artifact.tree().to_tree(data_ref)?;
+        let max_rho = MaxKeys::new(&tree.packed_parts(), model.rho());
         let clustering = model.extract(&thresholds);
-        Ok(Self { tree, data, model, clustering, thresholds, epoch: 0 })
+        Ok(Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 })
     }
 
     /// The epoch this snapshot was installed as (unique and monotonically
@@ -193,9 +199,9 @@ impl Snapshot {
 
     /// Approximate heap bytes of the index structures this snapshot pins in
     /// memory: the fit-time indexes accounted in the model plus the serving
-    /// kd-tree.
+    /// kd-tree and its max-ρ array.
     pub fn index_bytes(&self) -> usize {
-        self.model.index_bytes() + self.tree.mem_usage()
+        self.model.index_bytes() + self.tree.mem_usage() + self.max_rho.mem_usage()
     }
 }
 
