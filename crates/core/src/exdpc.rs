@@ -19,24 +19,17 @@
 use std::time::Instant;
 
 use dpc_geometry::Dataset;
-use dpc_index::batchq::{self, BatchRangeCount};
 use dpc_index::{Grid, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    jittered_density, jittered_density_keyed, resolve_dependents, validate_dataset,
+    jittered_density, jittered_density_keyed, leading_counts, resolve_dependents, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
 use crate::DpcAlgorithm;
-
-/// Upper bound on the number of query balls handed to one batched traversal.
-/// A degenerate grid (every point in one cell) would otherwise make the
-/// per-node active sets — and the traversal scratch — grow with `n`; counts
-/// are query-independent, so chunking is behaviour-neutral.
-const BATCH_CHUNK: usize = 512;
 
 /// The exact DPC algorithm of §3.
 #[derive(Clone, Copy, Debug)]
@@ -67,20 +60,9 @@ impl ExDpc {
     /// counts equal single-query counts exactly, and the bucket order is
     /// fixed by the grid's CSR layout, which is itself thread-invariant.
     pub fn local_densities(&self, data: &Dataset, tree: &KdTree<'_>) -> Vec<f64> {
-        let executor = Executor::new(self.params.threads);
-        let n = data.len();
-        let dim = data.dim();
-        if n == 0 || dim == 0 {
-            return vec![0.0; n];
-        }
-        let side = self.params.dcut / (dim as f64).sqrt();
-        if !(side.is_finite() && side > 0.0) {
-            // A degenerate d_cut (`fit` rejects it; direct callers may not)
-            // cannot seed a grid — the per-point loop has the same semantics.
-            return self.local_densities_per_point(data, tree);
-        }
-        let grid = Grid::build_parallel(data, side, &executor);
-        self.local_densities_with_grid(data, tree, &grid)
+        let seed = self.params.jitter_seed;
+        let counts = self.neighbor_counts(data, tree);
+        counts.into_iter().enumerate().map(|(p, count)| jittered_density(count, p, seed)).collect()
     }
 
     /// [`ExDpc::local_densities`] against a caller-built grid (cell side
@@ -94,79 +76,11 @@ impl ExDpc {
         tree: &KdTree<'_>,
         grid: &Grid,
     ) -> Vec<f64> {
+        debug_assert_eq!(data.len(), tree.len());
         let executor = Executor::new(self.params.threads);
-        let n = data.len();
-        let dim = data.dim();
-        let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
-        let buckets = grid.query_buckets();
-
-        // Flat output slots in bucket order (bucket → cells → CSR point
-        // order): a prefix sum over per-bucket point counts gives each worker
-        // range a disjoint contiguous slice to fill.
-        let mut prefix = Vec::with_capacity(buckets.len() + 1);
-        prefix.push(0usize);
-        for bucket in buckets.iter() {
-            let pts: usize = bucket.iter().map(|&c| grid.points(c).len()).sum();
-            prefix.push(prefix.last().unwrap() + pts);
-        }
-        let mut counts = vec![0usize; n];
-        {
-            let bounds = batchq::balanced_ranges(&prefix, executor.threads());
-            let parts = tree.packed_parts();
-            let grid = &grid;
-            let buckets = &buckets;
-            let mut tasks = Vec::with_capacity(bounds.len() - 1);
-            let mut rest: &mut [usize] = &mut counts;
-            for w in 0..bounds.len() - 1 {
-                let (blo, bhi) = (bounds[w], bounds[w + 1]);
-                let span = prefix[bhi] - prefix[blo];
-                let (mine, tail) = rest.split_at_mut(span);
-                rest = tail;
-                tasks.push(move || {
-                    let mut engine = BatchRangeCount::new();
-                    let mut rows: Vec<f64> = Vec::new();
-                    let mut excl: Vec<u32> = Vec::new();
-                    let mut chunk_counts: Vec<usize> = Vec::new();
-                    let mut cursor = 0usize;
-                    for b in blo..bhi {
-                        rows.clear();
-                        excl.clear();
-                        for &cell in buckets.bucket(b) {
-                            rows.extend_from_slice(grid.coords(cell));
-                            excl.extend(grid.points(cell).iter().map(|&p| p as u32));
-                        }
-                        let k = excl.len();
-                        let mut done = 0usize;
-                        while done < k {
-                            let take = (k - done).min(BATCH_CHUNK);
-                            engine.run_uniform(
-                                &parts,
-                                &rows[done * dim..(done + take) * dim],
-                                dcut,
-                                &excl[done..done + take],
-                                &mut chunk_counts,
-                            );
-                            mine[cursor..cursor + take].copy_from_slice(&chunk_counts);
-                            cursor += take;
-                            done += take;
-                        }
-                    }
-                });
-            }
-            executor.fan_out(tasks);
-        }
-        // Scatter the bucket-ordered counts back to point order, jittering on
-        // the point id (order-independent, so identical to the per-point loop).
-        let mut rho = vec![0.0f64; n];
-        let mut slot = 0usize;
-        for &cell in buckets.flat_cells() {
-            for &p in grid.points(cell) {
-                rho[p] = jittered_density(counts[slot], p, seed);
-                slot += 1;
-            }
-        }
-        rho
+        let counts = leading_counts(tree, grid, self.params.dcut, usize::MAX, &executor);
+        counts.into_iter().enumerate().map(|(p, count)| jittered_density(count, p, seed)).collect()
     }
 
     /// The per-point reference ρ loop: one `range_count` traversal per point,
@@ -181,6 +95,23 @@ impl ExDpc {
             let count = tree.range_count(data.point(i), dcut, Some(i));
             jittered_density(count, i, seed)
         })
+    }
+
+    /// Every point's `d_cut` neighbour count, the ρ path of
+    /// [`ExDpc::local_densities`] (hence `fit`) and [`ExDpc::fit_keyed`]:
+    /// batched over a grid of side `d_cut/√d`, or one `range_count` per point
+    /// when `d_cut` is too degenerate to seed a grid (`fit` rejects such a
+    /// value; direct callers may not).
+    fn neighbor_counts(&self, data: &Dataset, tree: &KdTree<'_>) -> Vec<usize> {
+        let executor = Executor::new(self.params.threads);
+        let dcut = self.params.dcut;
+        let side = dcut / (data.dim() as f64).sqrt();
+        if !(side.is_finite() && side > 0.0) {
+            return executor
+                .map_dynamic(data.len(), |i| tree.range_count(data.point(i), dcut, Some(i)));
+        }
+        let grid = Grid::build_parallel(data, side, &executor);
+        leading_counts(tree, &grid, dcut, usize::MAX, &executor)
     }
 
     /// [`DpcAlgorithm::fit`] with the jitter keyed on caller-supplied stable
@@ -209,12 +140,12 @@ impl ExDpc {
         let tree = KdTree::build_parallel(data, &executor);
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
-        // Per-point loop (not the batched grid path): map_dynamic writes
-        // result `i` to slot `i`, so the keyed jitter is thread-invariant.
-        let rho = executor.map_dynamic(data.len(), |i| {
-            let count = tree.range_count(data.point(i), dcut, Some(i));
-            jittered_density_keyed(count, keys[i], seed)
-        });
+        let counts = self.neighbor_counts(data, &tree);
+        let rho: Vec<f64> = counts
+            .into_iter()
+            .zip(keys)
+            .map(|(count, &key)| jittered_density_keyed(count, key, seed))
+            .collect();
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();

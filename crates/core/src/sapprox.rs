@@ -4,38 +4,58 @@
 //! The observation behind the algorithm: points that are very close to each
 //! other have almost the same local density, hence the same (or nearly the
 //! same) dependent point. S-Approx-DPC therefore builds a finer grid `G'`
-//! (cell side `ε·d_cut/√d`), **picks a single point per cell**, runs the
-//! expensive steps (range search, dependent-point retrieval) only for picked
-//! points, and lets every other point simply depend on the picked point of its
-//! cell. Conceptually this turns point clustering into cell clustering: the
-//! number of range searches drops from `n` to `|G'|`, which is what produces
-//! the near-linear scaling of Figure 7 and the `ε` ↔ time trade-off of Table 5.
+//! (cell side `ε·d_cut/√d`), **picks a single point per cell** (its first,
+//! i.e. smallest-id, point), runs the expensive steps (range count,
+//! dependent-point retrieval) only for picked points, and lets every other
+//! point simply depend on the picked point of its cell. Conceptually this
+//! turns point clustering into cell clustering: the number of range queries
+//! drops from `n` to `|G'|`, which is what produces the near-linear scaling of
+//! Figure 7 and the `ε` ↔ time trade-off of Table 5. The picked points' counts
+//! are batched over the grid's query buckets by the helper Ex-DPC's ρ phase
+//! uses.
 //!
-//! Dependent points of picked points are resolved in two phases (§5):
+//! Dependent points of a picked point `p` of cell `c` follow the two phases of
+//! §5:
 //!
-//! 1. a picked point adopts any higher-density picked point in a neighbouring
-//!    cell (`N(c)`), giving an approximate dependent distance bounded by
-//!    `(1 + ε)·d_cut`;
-//! 2. each remaining picked point (`P'_pick`, the density peaks of their
-//!    neighbourhood) gets its exact nearest higher-density picked point. The
-//!    paper finds it with *temporary clusters* pruned by the triangle
-//!    inequality; here it is one nearest-denser query on the ρ-phase kd-tree
-//!    (the query Ex-DPC uses), with every non-picked point keyed `−∞` so that
-//!    only picked points can answer.
+//! 1. `p` adopts the nearest higher-density picked point among the cells
+//!    `N(c)` holding a point within `d_cut` of `p` (equal distances to the
+//!    smaller cell id), an approximate dependent at most `(1 + ε)·d_cut` away;
+//! 2. a picked point with no such cell gets its exact nearest higher-density
+//!    picked point. The paper finds it with *temporary clusters* pruned by the
+//!    triangle inequality.
+//!
+//! Both phases start from one nearest-denser query per picked point on the
+//! ρ-phase kd-tree (the query Ex-DPC uses), with every non-picked point keyed
+//! `−∞` so that only picked points can answer. Its answer `q` is the nearest
+//! denser picked point, equal distances to the smallest id:
+//!
+//! - If `dist(p, q) ≤ d_cut` (closed ball), `q` is the phase-1 answer. `q` is
+//!   a point of its own cell within `d_cut`, so that cell is in `N(c)`, and no
+//!   candidate can be nearer than the nearest of all. A tie is within `d_cut`
+//!   as well, hence a candidate too; and as cell ids follow first appearance,
+//!   the smaller cell id holds the smaller picked id, the query's tie rule.
+//! - Otherwise `p` is a local peak. One `d_cut` range search lists `N(c)`, and
+//!   the nearest denser picked point of those cells wins, equal distances to
+//!   the smaller cell id. If no cell of `N(c)` is denser, `q` stands: phase 2.
+//!
+//! Distances are compared squared, as the query compares them.
 
 use std::time::Instant;
 
-use dpc_geometry::{dist, Dataset};
-use dpc_index::batchq::{self, BatchRangeSearch};
-use dpc_index::{Grid, KdTree};
+use dpc_geometry::{dist, dist_sq, Dataset};
+use dpc_index::{Grid, KdTree, MaxKeys};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{jittered_density, resolve_dependents, validate_dataset};
+use crate::framework::{jittered_density, leading_counts, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
 use crate::DpcAlgorithm;
+
+/// Points per δ-phase task; a task reuses one scratch buffer for the `d_cut`
+/// searches of its local peaks.
+const DELTA_TASK: usize = 256;
 
 /// The S-Approx-DPC algorithm of §5.
 #[derive(Clone, Copy, Debug)]
@@ -71,16 +91,6 @@ impl SApproxDpc {
     }
 }
 
-/// Per-cell state carried between the phases.
-struct PickedCell {
-    /// The sampled point of this cell.
-    picked: usize,
-    /// Jittered local density of the picked point.
-    rho: f64,
-    /// Cells containing a point within `d_cut` of the picked point.
-    neighbors: Vec<usize>,
-}
-
 impl DpcAlgorithm for SApproxDpc {
     fn name(&self) -> &'static str {
         "S-Approx-DPC"
@@ -109,160 +119,81 @@ impl DpcAlgorithm for SApproxDpc {
         // Bit-identical to the serial build at every thread count, so the
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, &executor);
-        let cells: Vec<usize> = grid.cell_ids().collect();
-
-        // One range search per cell for its (deterministically) picked point:
-        // the first point mapped into the cell (the first CSR coordinate row).
-        // The searches are batched per grid bucket — spatially adjacent cells
-        // share one joint tree descent, with per-query results bit-identical
-        // to the former per-cell `range_search` calls — and buckets fan out
-        // over contiguous ranges (§5, "Implementation for parallel
-        // processing").
-        let buckets = grid.query_buckets();
-        let dim = data.dim();
-        let mut flat_results: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        {
-            let mut cell_prefix = Vec::with_capacity(buckets.len() + 1);
-            let mut weight_prefix = Vec::with_capacity(buckets.len() + 1);
-            cell_prefix.push(0usize);
-            weight_prefix.push(0usize);
-            for bucket in buckets.iter() {
-                cell_prefix.push(cell_prefix.last().unwrap() + bucket.len());
-                let pts: usize = bucket.iter().map(|&c| grid.points(c).len()).sum();
-                weight_prefix.push(weight_prefix.last().unwrap() + pts);
-            }
-            let bounds = batchq::balanced_ranges(&weight_prefix, executor.threads());
-            let parts = tree.packed_parts();
-            let buckets = &buckets;
-            let grid = &grid;
-            let mut tasks = Vec::with_capacity(bounds.len() - 1);
-            let mut rest: &mut [Vec<usize>] = &mut flat_results;
-            for w in 0..bounds.len() - 1 {
-                let (blo, bhi) = (bounds[w], bounds[w + 1]);
-                let span = cell_prefix[bhi] - cell_prefix[blo];
-                let (mine, tail) = rest.split_at_mut(span);
-                rest = tail;
-                tasks.push(move || {
-                    let mut engine = BatchRangeSearch::new();
-                    let mut rows: Vec<f64> = Vec::new();
-                    let mut cursor = 0usize;
-                    for b in blo..bhi {
-                        let bucket = buckets.bucket(b);
-                        rows.clear();
-                        for &cell in bucket {
-                            // The picked point is points(cell)[0], whose
-                            // coordinates are the cell's first CSR row.
-                            rows.extend_from_slice(&grid.coords(cell)[..dim]);
-                        }
-                        engine.run_uniform(
-                            &parts,
-                            &rows,
-                            dcut,
-                            &mut mine[cursor..cursor + bucket.len()],
-                        );
-                        cursor += bucket.len();
-                    }
-                });
-            }
-            executor.fan_out(tasks);
-        }
-        // Back from bucket order to cell-id order, then per-cell metadata.
-        let mut search_results: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        for (slot, &cell) in buckets.flat_cells().iter().enumerate() {
-            search_results[cell] = std::mem::take(&mut flat_results[slot]);
-        }
-        let picked_cells: Vec<PickedCell> = executor.map_dynamic(cells.len(), |ci| {
-            let cell = cells[ci];
-            let picked = grid.points(cell)[0];
-            let result = &search_results[ci];
-            let count = result.iter().filter(|&&q| q != picked).count();
-            let mut neighbors: Vec<usize> =
-                result.iter().map(|&q| grid.cell_of(q)).filter(|&c2| c2 != cell).collect();
-            neighbors.sort_unstable();
-            neighbors.dedup();
-            PickedCell { picked, rho: jittered_density(count, picked, seed), neighbors }
-        });
+        // One range count per cell, for its (deterministically) picked point:
+        // the first point mapped into the cell, i.e. its smallest id.
+        let counts = leading_counts(&tree, &grid, dcut, 1, &executor);
 
         // Per-point densities: picked points keep their jittered count; the
         // other points of a cell inherit the un-jittered count, which is
         // strictly smaller than the picked point's density (so dependency edges
         // always point towards higher density) and keeps ρ_min behaviour
-        // uniform inside a cell.
+        // uniform inside a cell. `keys` is ρ on picked points and −∞ elsewhere,
+        // so only picked points answer the nearest-denser queries below.
         let mut rho = vec![0.0f64; n];
-        for (ci, pc) in picked_cells.iter().enumerate() {
-            let cell = cells[ci];
-            for &p in grid.points(cell) {
-                rho[p] = pc.rho.floor();
+        let mut keys = vec![f64::NEG_INFINITY; n];
+        for cell in grid.cell_ids() {
+            let members = grid.points(cell);
+            let picked = members[0];
+            let picked_rho = jittered_density(counts[picked], picked, seed);
+            for &p in members {
+                rho[p] = picked_rho.floor();
             }
-            rho[pc.picked] = pc.rho;
+            rho[picked] = picked_rho;
+            keys[picked] = picked_rho;
         }
         timings.rho_secs = start.elapsed().as_secs_f64();
         let index_bytes = tree.mem_usage() + grid.mem_usage();
 
         // ---- Dependent point phase (Lemma 5) ----
         let start = Instant::now();
-        let mut dependent: Vec<usize> = (0..n).collect();
-        let mut delta = vec![f64::INFINITY; n];
-
-        // Non-picked points: depend on the picked point of their cell. The
-        // distance is at most `ε·d_cut` (the cell diameter) and is computed
-        // exactly because it costs O(1) per point.
-        let non_picked: Vec<Vec<(usize, f64)>> = executor.map_dynamic(cells.len(), |ci| {
-            let cell = cells[ci];
-            let picked = picked_cells[ci].picked;
-            let picked_coords = data.point(picked);
-            // The grid stores each cell's coordinates as contiguous CSR rows;
-            // scanning them avoids chasing per-point rows through the dataset.
-            grid.points(cell)
-                .iter()
-                .zip(grid.coords(cell).chunks_exact(data.dim()))
-                .filter(|&(&p, _)| p != picked)
-                .map(|(&p, row)| (p, dist(row, picked_coords)))
-                .collect()
-        });
-        for (ci, pairs) in non_picked.into_iter().enumerate() {
-            let picked = picked_cells[ci].picked;
-            for (p, d) in pairs {
-                dependent[p] = picked;
-                delta[p] = d;
+        let parts = tree.packed_parts();
+        let max_keys = MaxKeys::new(&parts, &keys);
+        let dcut_sq = dcut * dcut;
+        let dependent_of = |p: usize, ball: &mut Vec<usize>| {
+            let point = data.point(p);
+            let picked = grid.points(grid.cell_of(p))[0];
+            if p != picked {
+                // At most the cell diameter `ε·d_cut` away.
+                return Some((picked, dist(point, data.point(picked))));
             }
-        }
-
-        // First phase for picked points: adopt a higher-density picked point
-        // from a neighbouring cell when one exists.
-        let first_phase: Vec<Option<(usize, f64)>> =
-            executor.map_dynamic(picked_cells.len(), |ci| {
-                let me = &picked_cells[ci];
-                let mut best: Option<(usize, f64)> = None;
-                for &c2 in &me.neighbors {
-                    let other = &picked_cells[c2];
-                    if other.rho > me.rho {
-                        let d = dist(data.point(me.picked), data.point(other.picked));
-                        if best.is_none_or(|(_, bd)| d < bd) {
-                            best = Some((other.picked, d));
-                        }
+            let nearest = parts.nearest_denser(&max_keys, point, keys[p]);
+            if let Some((q, _)) = nearest {
+                if dist_sq(point, data.point(q)) <= dcut_sq {
+                    return nearest;
+                }
+            }
+            // A local peak: phase 1 still takes the nearest denser picked
+            // point of the cells holding a point within `d_cut`, equal
+            // distances to the smaller cell id, which holds the smaller id.
+            parts.range_search_into(point, dcut, ball);
+            let mut best: Option<(usize, f64)> = None;
+            for &o in ball.iter() {
+                let q = grid.points(grid.cell_of(o))[0];
+                if keys[q] > keys[p] {
+                    let d = dist_sq(point, data.point(q));
+                    if best.is_none_or(|(b, bd)| d < bd || (d == bd && q < b)) {
+                        best = Some((q, d));
                     }
                 }
-                best
-            });
-        let mut residual: Vec<usize> = Vec::new(); // picked point ids
-        for (me, found) in picked_cells.iter().zip(first_phase) {
-            match found {
-                Some((q, d)) => {
-                    dependent[me.picked] = q;
-                    delta[me.picked] = d;
-                }
-                None => residual.push(me.picked),
             }
-        }
-
-        // Second phase: the nearest denser picked point of each residual one.
-        // The globally densest picked point finds none and keeps δ = ∞.
-        let mut keys = vec![f64::NEG_INFINITY; n];
-        for pc in &picked_cells {
-            keys[pc.picked] = pc.rho;
-        }
-        resolve_dependents(&tree, &keys, &residual, &executor, &mut dependent, &mut delta);
+            best.map(|(q, d)| (q, d.sqrt())).or(nearest)
+        };
+        // Tasks of `DELTA_TASK` points, each reusing one scratch ball.
+        let found: Vec<Vec<Option<(usize, f64)>>> =
+            executor.map_dynamic(n.div_ceil(DELTA_TASK), |t| {
+                let mut ball = Vec::new();
+                (t * DELTA_TASK..n.min((t + 1) * DELTA_TASK))
+                    .map(|p| dependent_of(p, &mut ball))
+                    .collect()
+            });
+        // The densest picked point finds no denser one: δ = ∞, its own
+        // dependent.
+        let (dependent, delta) = found
+            .into_iter()
+            .flatten()
+            .enumerate()
+            .map(|(p, f)| f.unwrap_or((p, f64::INFINITY)))
+            .unzip();
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         DpcModel::from_parts(self.name(), dcut, rho, delta, dependent, timings, index_bytes)
@@ -276,6 +207,110 @@ mod tests {
     use crate::result::Clustering;
     use crate::{ApproxDpc, ExDpc};
     use dpc_data::generators::{gaussian_blobs, random_walk, uniform};
+
+    /// Brute-force S-Approx-DPC from the definitions of §5 on the fit's own
+    /// grid: exact closed-ball counts of the picked points; phase 1 scans
+    /// `N(c)` (cells holding a point within `d_cut` of the picked point) in
+    /// ascending cell id with a strict `<`; phase 2 takes the nearest denser
+    /// picked point, ties to the smallest id. Also returns how many picked
+    /// points' phase-1 answer is not their nearest denser picked point.
+    fn brute_force(
+        data: &Dataset,
+        dcut: f64,
+        epsilon: f64,
+    ) -> (Vec<f64>, Vec<f64>, Vec<usize>, usize) {
+        let n = data.len();
+        let grid = Grid::build(data, epsilon * dcut / (data.dim() as f64).sqrt());
+        let within = |a: usize, b: usize| dist_sq(data.point(a), data.point(b)) <= dcut * dcut;
+        let picked: Vec<usize> = grid.cell_ids().map(|c| grid.points(c)[0]).collect();
+        let mut rho = vec![0.0; n];
+        for &p in &picked {
+            let count = (0..n).filter(|&j| j != p && within(p, j)).count();
+            let r = jittered_density(count, p, DpcParams::new(dcut).jitter_seed);
+            for &q in grid.points(grid.cell_of(p)) {
+                rho[q] = r.floor();
+            }
+            rho[p] = r;
+        }
+        let mut dependent: Vec<usize> = (0..n).map(|p| picked[grid.cell_of(p)]).collect();
+        let mut delta: Vec<f64> =
+            (0..n).map(|p| dist(data.point(p), data.point(dependent[p]))).collect();
+        let all_cells: Vec<usize> = grid.cell_ids().collect();
+        let mut diverging = 0;
+        for &p in &picked {
+            let nearest_in = |cells: &[usize]| {
+                let mut best: Option<(usize, f64)> = None;
+                for q in cells.iter().map(|&c| picked[c]).filter(|&q| rho[q] > rho[p]) {
+                    let d = dist_sq(data.point(p), data.point(q));
+                    if best.is_none_or(|(_, bd)| d < bd) {
+                        best = Some((q, d));
+                    }
+                }
+                best
+            };
+            let mut neighbours: Vec<usize> = (0..n)
+                .filter(|&j| within(p, j) && grid.cell_of(j) != grid.cell_of(p))
+                .map(|j| grid.cell_of(j))
+                .collect();
+            neighbours.sort_unstable();
+            neighbours.dedup();
+            let first = nearest_in(&neighbours);
+            let nearest = nearest_in(&all_cells);
+            if first.is_some() && first != nearest {
+                diverging += 1;
+            }
+            match first.or(nearest) {
+                Some((q, d)) => (dependent[p], delta[p]) = (q, d.sqrt()),
+                None => (dependent[p], delta[p]) = (p, f64::INFINITY),
+            }
+        }
+        (rho, delta, dependent, diverging)
+    }
+
+    #[test]
+    fn matches_brute_force_on_random_lattice_and_duplicate_data() {
+        let snapped = |data: Dataset, cell: f64| {
+            let flat = data.flat().iter().map(|c| (c / cell).floor() * cell).collect();
+            Dataset::from_flat(data.dim(), flat)
+        };
+        let fixtures = [
+            ("uniform 2-d", uniform(600, 2, 100.0, 41), 8.0),
+            ("lattice 2-d", snapped(uniform(600, 2, 100.0, 42), 5.0), 8.0),
+            ("uniform 3-d", uniform(500, 3, 50.0, 43), 9.0),
+            ("lattice 3-d", snapped(uniform(500, 3, 50.0, 44), 4.0), 9.0),
+            ("uniform 8-d", uniform(300, 8, 20.0, 45), 12.0),
+            ("lattice 8-d", snapped(uniform(300, 8, 20.0, 46), 5.0), 12.0),
+            (
+                "duplicates",
+                Dataset::from_flat(
+                    2,
+                    (0..400).flat_map(|i| [(i % 5) as f64 * 3.0, (i % 3) as f64 * 3.0]).collect(),
+                ),
+                4.0,
+            ),
+        ];
+        let mut diverging = 0;
+        for (name, data, dcut) in &fixtures {
+            for epsilon in [0.2, 0.5, 1.0] {
+                let (rho, delta, dependent, div) = brute_force(data, *dcut, epsilon);
+                diverging += div;
+                for threads in [1usize, 4] {
+                    let params = DpcParams::new(*dcut).with_threads(threads);
+                    let m = SApproxDpc::new(params).with_epsilon(epsilon).fit(data).unwrap();
+                    for i in 0..data.len() {
+                        assert_eq!(
+                            (m.rho()[i].to_bits(), m.delta()[i].to_bits(), m.dependent()[i]),
+                            (rho[i].to_bits(), delta[i].to_bits(), dependent[i]),
+                            "{name}, ε {epsilon}, threads {threads}, point {i}"
+                        );
+                    }
+                }
+            }
+        }
+        // The local-peak branch decides some answers: a phase-1 answer that
+        // is not the nearest denser picked point.
+        assert!(diverging > 0, "no fixture exercises the local-peak branch");
+    }
 
     #[test]
     fn dependents_point_to_strictly_higher_density() {

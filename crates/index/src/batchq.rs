@@ -1,11 +1,12 @@
 //! Batched range queries over a packed kd-tree.
 //!
-//! The ρ phase of every DPC variant issues one range query per point (or per
-//! grid cell), and spatially adjacent queries share almost their entire
-//! traversal: the upper levels of the tree are identical, and nearby leaves
-//! are visited by most of the bucket. [`BatchRangeCount`] and
-//! [`BatchRangeSearch`] exploit that by descending the tree **once per
-//! bucket** of query balls:
+//! The ρ phase of every DPC variant issues one range query per query point:
+//! a count for every point (Ex-DPC) or for each grid cell's picked point
+//! (S-Approx-DPC), a search around each grid cell's centre (Approx-DPC).
+//! Spatially adjacent queries share almost their entire traversal: the upper
+//! levels of the tree are identical, and nearby leaves are visited by most of
+//! the bucket. [`BatchRangeCount`] and [`BatchRangeSearch`] exploit that by
+//! descending the tree **once per bucket** of query balls:
 //!
 //! - at every node, a joint test against the bucket's bounding box (plus the
 //!   largest radius) prunes the whole bucket in `O(d)` before any per-query
@@ -367,26 +368,6 @@ impl BatchRangeSearch {
         }
         self.scratch.pool.push(active);
     }
-
-    /// [`run`](Self::run) with one shared radius for the whole bucket.
-    pub fn run_uniform(
-        &mut self,
-        parts: &PackedParts<'_>,
-        queries: &[f64],
-        radius: f64,
-        out: &mut [Vec<usize>],
-    ) {
-        let dim = parts.dim;
-        debug_assert_eq!(queries.len() % dim, 0);
-        let k = queries.len() / dim;
-        let mut radii = std::mem::take(&mut self.scratch.r_sq);
-        radii.clear();
-        radii.resize(k, radius);
-        self.run(parts, queries, &radii, out);
-        if radii.capacity() > self.scratch.r_sq.capacity() {
-            self.scratch.r_sq = radii;
-        }
-    }
 }
 
 struct SearchCtx<'a, 't> {
@@ -525,8 +506,7 @@ mod tests {
             let ids: Vec<usize> = (0..n).step_by(2).collect();
             let rows = gather_rows(&data, &ids);
             let mut out = vec![Vec::new(); ids.len()];
-            let mut engine = BatchRangeSearch::new();
-            engine.run_uniform(&parts, &rows, 0.4, &mut out);
+            BatchRangeSearch::new().run(&parts, &rows, &vec![0.4; ids.len()], &mut out);
             let mut expected = Vec::new();
             for (k, &i) in ids.iter().enumerate() {
                 tree.range_search_into(data.point(i), 0.4, &mut expected);

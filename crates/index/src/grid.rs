@@ -41,10 +41,12 @@
 //!   build with no behavioural change whatsoever.
 //!
 //! The grid stores the point membership of every cell and the reverse mapping
-//! from point id to cell id. Algorithm-specific per-cell metadata (the maximum
-//! density point `p*(c)`, `min ρ`, the neighbour set `N(c)`) lives with the
-//! algorithms in `dpc-core`, because it depends on local densities that are only
-//! known mid-run.
+//! from point id to cell id. Algorithm-specific per-cell metadata (Approx-DPC's
+//! maximum density point `p*(c)`, `min ρ` and neighbour set `N(c)`) lives with
+//! the algorithms in `dpc-core`, because it depends on local densities that are
+//! only known mid-run. S-Approx-DPC keeps none: its picked point is the cell's
+//! first point, and it lists `N(c)` only for local peaks, from one `d_cut`
+//! search.
 
 use dpc_geometry::Dataset;
 use dpc_parallel::Executor;

@@ -2,7 +2,8 @@
 //!
 //! This is the workhorse index of the local-density phase — the dominant cost
 //! of every algorithm in the paper (Ex-DPC issues one range count per point,
-//! Approx-DPC/S-Approx-DPC one range search per cell/seed) — so its layout is
+//! S-Approx-DPC one per cell's picked point, Approx-DPC one range search per
+//! cell) — so its layout is
 //! chosen for query throughput rather than for updatability:
 //!
 //! * **Packed leaf buckets.** Bulk construction permutes the point identifiers
