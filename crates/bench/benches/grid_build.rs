@@ -1,7 +1,8 @@
 //! Microbenchmarks for the uniform grid: serial vs fork-join parallel CSR
 //! construction (the last index-construction phase on the approximate fit
-//! paths to parallelise), plus the joint range search of Approx-DPC (one
-//! kd-tree query per cell) versus per-point range searches (Ex-DPC style).
+//! paths to parallelise), plus the paper's joint range search of Approx-DPC
+//! (one kd-tree query per cell, §4.2) versus per-point range searches (Ex-DPC
+//! style).
 //!
 //! Results are written to `BENCH_grid_build.json` (schema in
 //! `crates/bench/README.md`) so the grid-construction trajectory is recorded

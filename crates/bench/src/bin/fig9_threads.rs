@@ -44,7 +44,7 @@ fn main() {
             print_row(&cells, &widths);
         }
 
-        // Load-balance ablation: LPT (Approx-DPC) vs hash partitioning
+        // Load-balance ablation: LPT (the paper's Approx-DPC) vs hash partitioning
         // (LSH-DDP style) over the per-cell range-search cost estimates.
         let params = default_params(&dataset, 1);
         let grid = Grid::build_parallel(

@@ -616,6 +616,23 @@ mod tests {
         }
     }
 
+    /// The committed end-to-end trajectory must show the paper's Fig. 7
+    /// ordering of the three algorithms' fit + extract times: S-Approx-DPC
+    /// below Approx-DPC below Ex-DPC.
+    #[test]
+    fn committed_e2e_file_keeps_the_fig7_ordering() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let text = std::fs::read_to_string(root.join("BENCH_e2e.json")).unwrap();
+        let records = validate_bench_json(&text, "end_to_end", required::END_TO_END).unwrap();
+        let min_secs =
+            |kernel: &str| records.iter().find(|r| r.kernel == kernel).map(|r| r.min_secs).unwrap();
+        let order = ["fit_extract_s_approx_dpc", "fit_extract_approx_dpc", "fit_extract_ex_dpc"]
+            .map(|kernel| (kernel, min_secs(kernel)));
+        for pair in order.windows(2) {
+            assert!(pair[0].1 < pair[1].1, "Fig. 7 ordering broken: {:?} ≥ {:?}", pair[0], pair[1]);
+        }
+    }
+
     /// A valid single-kernel document, the base for the mutation tests below.
     const VALID: &str = "{\"bench\": \"b\", \"results\": [{\"kernel\": \"k\", \"n\": 1, \"d\": 1, \"iters\": 1, \"min_secs\": 1.0, \"mean_secs\": 1.0}]}";
 

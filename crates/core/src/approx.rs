@@ -4,55 +4,61 @@
 //! Compared with Ex-DPC it changes two things:
 //!
 //! * **Joint range search** (§4.2) — points in the same grid cell (side
-//!   `d_cut/√d`) have heavily overlapping query balls, so one kd-tree range
-//!   search per *cell* (query = cell centre `cp_i`, radius
-//!   `d_cut + dist(cp_i, p′)`) returns a superset of every per-point ball in
-//!   the cell; exact densities are then computed by scanning that superset.
-//!   The superset's coordinates are gathered into contiguous rows once per
-//!   cell, so the per-member scans run on the batched (optionally SIMD)
-//!   `dpc_geometry::batch` kernels with the shared closed-ball semantics.
+//!   `d_cut/√d`) have heavily overlapping query balls, so the paper searches
+//!   once per cell and scans the result for each member. Here the batched
+//!   count engine of Ex-DPC's ρ phase plays that role: each bucket of
+//!   adjacent cells descends the kd-tree once, and every count is the exact
+//!   Definition 1 count, so the densities are Ex-DPC's bit for bit.
 //! * **Cell-based dependent-point approximation** (§4.3) — a point that is not
 //!   the densest of its cell takes the cell's densest point `p*(c)` as its
-//!   approximate dependent point (distance at most `d_cut`); the cell's densest
-//!   point looks for a neighbouring cell whose minimum density is higher.
-//!   Points for which neither rule applies (`P'`) get their **exact** dependent
-//!   point — which is what preserves the cluster centres of Ex-DPC
+//!   approximate dependent point (distance at most `d_cut`). The cell's
+//!   densest point takes `p*(c₂)` of the first cell `c₂`, by ascending id, of
+//!   its neighbour cells `N(c)` (the cells `≠ c` holding a point within
+//!   `d_cut` of `p*(c)`) whose minimum density exceeds `ρ(p*(c))`. One
+//!   kd-tree query per cell finds `c₂` without listing `N(c)`: keyed by its
+//!   cell's minimum density and labelled by its cell id, the points within
+//!   `d_cut` of `p*(c)` whose key exceeds `ρ(p*(c))` have `c₂` as their
+//!   smallest label ([`PackedParts::smallest_denser_label`]). Cell `c`
+//!   itself never qualifies, as its minimum density is at most `ρ(p*(c))`.
+//!   Points for which neither rule applies (`P'`) get their **exact**
+//!   dependent point — which is what preserves the cluster centres of Ex-DPC
 //!   (Theorem 4). The paper partitions `P` into `s` density-ordered subsets
 //!   with one kd-tree each; here every point of `P'` asks the ρ-phase kd-tree
 //!   the same nearest-denser query Ex-DPC uses, so no further index is built.
 //!
-//! The exact-density scans are parallelised with cost-based (LPT)
-//! partitioning, using the cost model of §4.5; the `P'` queries are
-//! scheduled dynamically.
+//! The ρ ranges of the count engine, the per-cell queries and the `P'`
+//! queries are all scheduled dynamically, so no phase needs the cost-based
+//! partitioning of §4.5.
+//!
+//! [`PackedParts::smallest_denser_label`]: dpc_index::PackedParts::smallest_denser_label
 
 use std::time::Instant;
 
-use dpc_geometry::{batch, dist, Dataset};
-use dpc_index::batchq::{self, BatchRangeSearch};
-use dpc_index::{Grid, KdTree};
+use dpc_geometry::Dataset;
+use dpc_index::{Grid, KdTree, MaxKeys, MinLabels};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{jittered_density, resolve_dependents, validate_dataset};
+use crate::framework::{jittered_density, leading_counts, resolve_dependents, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
 use crate::DpcAlgorithm;
 
-/// Per-cell metadata produced by the local-density phase (§4.1).
-struct CellMeta {
-    /// The cell's densest point `p*(c)`.
-    p_star: usize,
-    /// The minimum (jittered) density among the cell's points.
-    min_rho: f64,
-    /// Cells containing a point `p ∉ P(c)` with `dist(p*(c), p) ≤ d_cut`.
-    neighbors: Vec<usize>,
-}
-
 /// The Approx-DPC algorithm of §4.
 #[derive(Clone, Copy, Debug)]
 pub struct ApproxDpc {
     params: DpcParams,
+}
+
+/// Per-cell metadata of the local-density phase (§4.1), indexed by cell id.
+struct Cells {
+    grid: Grid,
+    /// `p_star[c]`: cell `c`'s densest point, the first strict maximum in
+    /// ascending id order.
+    p_star: Vec<usize>,
+    /// `min_rho[c]`: the minimum (jittered) density among cell `c`'s points.
+    min_rho: Vec<f64>,
 }
 
 impl ApproxDpc {
@@ -66,156 +72,41 @@ impl ApproxDpc {
         &self.params
     }
 
-    /// Local-density phase: joint range searches, exact densities, and per-cell
-    /// metadata. Returns `(rho, grid, cell_meta, kd_tree)`.
-    fn densities<'a>(
-        &self,
-        data: &'a Dataset,
-        executor: &Executor,
-    ) -> (Vec<f64>, Grid, Vec<CellMeta>, KdTree<'a>) {
+    /// Local-density phase: exact densities through the batched counts of
+    /// Ex-DPC, then one sweep over the cells for `p*(c)` and `min ρ(c)`.
+    fn densities(&self, tree: &KdTree<'_>, executor: &Executor) -> (Vec<f64>, Cells) {
+        let data = tree.dataset();
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
-        let tree = KdTree::build_parallel(data, executor);
         let side = dcut / (data.dim() as f64).sqrt();
         // Bit-identical to the serial build at every thread count, so the
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, executor);
-        let cells: Vec<usize> = grid.cell_ids().collect();
-
-        // Phase 1: one range search per cell (query = cell centre, radius
-        // d_cut + the farthest member), batched per grid bucket: spatially
-        // adjacent cells share one joint tree descent through the batched
-        // engine, whose per-query results are bit-identical to the former
-        // per-cell `range_search` calls. Buckets fan out over contiguous
-        // ranges balanced by member count.
-        let per_cell: Vec<(Vec<f64>, f64)> = executor.map_dynamic(cells.len(), |cell| {
-            let center = grid.center(cell);
-            let radius_extra = grid
-                .points(cell)
-                .iter()
-                .map(|&p| dist(&center, data.point(p)))
-                .fold(0.0f64, f64::max);
-            (center, dcut + radius_extra)
-        });
-        let buckets = grid.query_buckets();
-        let mut flat_supersets: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        {
-            let mut cell_prefix = Vec::with_capacity(buckets.len() + 1);
-            let mut weight_prefix = Vec::with_capacity(buckets.len() + 1);
-            cell_prefix.push(0usize);
-            weight_prefix.push(0usize);
-            for bucket in buckets.iter() {
-                cell_prefix.push(cell_prefix.last().unwrap() + bucket.len());
-                let pts: usize = bucket.iter().map(|&c| grid.points(c).len()).sum();
-                weight_prefix.push(weight_prefix.last().unwrap() + pts);
-            }
-            let bounds = batchq::balanced_ranges(&weight_prefix, executor.threads());
-            let parts = tree.packed_parts();
-            let dim = data.dim();
-            let buckets = &buckets;
-            let per_cell = &per_cell;
-            let mut tasks = Vec::with_capacity(bounds.len() - 1);
-            let mut rest: &mut [Vec<usize>] = &mut flat_supersets;
-            for w in 0..bounds.len() - 1 {
-                let (blo, bhi) = (bounds[w], bounds[w + 1]);
-                let span = cell_prefix[bhi] - cell_prefix[blo];
-                let (mine, tail) = rest.split_at_mut(span);
-                rest = tail;
-                tasks.push(move || {
-                    let mut engine = BatchRangeSearch::new();
-                    let mut rows: Vec<f64> = Vec::new();
-                    let mut radii: Vec<f64> = Vec::new();
-                    let mut cursor = 0usize;
-                    for b in blo..bhi {
-                        let bucket = buckets.bucket(b);
-                        rows.clear();
-                        radii.clear();
-                        for &cell in bucket {
-                            let (center, radius) = &per_cell[cell];
-                            debug_assert_eq!(center.len(), dim);
-                            rows.extend_from_slice(center);
-                            radii.push(*radius);
-                        }
-                        engine.run(&parts, &rows, &radii, &mut mine[cursor..cursor + bucket.len()]);
-                        cursor += bucket.len();
-                    }
-                });
-            }
-            executor.fan_out(tasks);
-        }
-        // Back from bucket order to cell-id order.
-        let mut supersets: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
-        for (slot, &cell) in buckets.flat_cells().iter().enumerate() {
-            supersets[cell] = std::mem::take(&mut flat_supersets[slot]);
-        }
-
-        // Phase 2: exact densities + cell metadata, partitioned by
-        // cost_scan = |P(c)| · |R(cp, ·)|.
-        let cost_scan: Vec<f64> = cells
-            .iter()
+        let counts = leading_counts(tree, &grid, dcut, usize::MAX, executor);
+        let rho: Vec<f64> = counts
+            .into_iter()
             .enumerate()
-            .map(|(ci, &c)| (grid.points(c).len() * supersets[ci].len().max(1)) as f64)
+            .map(|(p, count)| jittered_density(count, p, seed))
             .collect();
-        let dcut_sq = dcut * dcut;
-        let dim = data.dim();
-        let (cell_results, _) = executor.map_partitioned(&cost_scan, |ci| {
-            let cell = cells[ci];
+        let mut p_star = Vec::with_capacity(grid.num_cells());
+        let mut min_rho = Vec::with_capacity(grid.num_cells());
+        for cell in grid.cell_ids() {
             let members = grid.points(cell);
-            let superset = &supersets[ci];
-            // Gather the superset's coordinates into contiguous rows once:
-            // every member of the cell scans the same superset, so the gather
-            // amortises over |P(c)| batched closed-ball scans.
-            let mut rows: Vec<f64> = Vec::with_capacity(superset.len() * dim);
-            for &q in superset {
-                rows.extend_from_slice(data.point(q));
-            }
-            let mut densities = Vec::with_capacity(members.len());
-            let mut p_star = members[0];
-            let mut best_rho = f64::NEG_INFINITY;
-            let mut min_rho = f64::INFINITY;
+            let mut star = members[0];
+            let mut low = f64::INFINITY;
             for &p in members {
-                let pc = data.point(p);
-                // The superset always contains p itself (its ball covers the
-                // cell) and dist(p, p) = 0 always matches, so subtracting one
-                // yields the Definition 1 count over `P \ {p}`.
-                let count = batch::count_within(pc, &rows, dim, dcut_sq) - 1;
-                let rho = jittered_density(count, p, seed);
-                if rho > best_rho {
-                    best_rho = rho;
-                    p_star = p;
+                if rho[p] > rho[star] {
+                    star = p;
                 }
-                if rho < min_rho {
-                    min_rho = rho;
-                }
-                densities.push((p, rho));
+                low = low.min(rho[p]);
             }
-            // N(c): cells of superset points within d_cut of p*(c) that are not
-            // this cell.
-            let star_coords = data.point(p_star);
-            let mut hits: Vec<usize> = Vec::new();
-            batch::search_within_into(star_coords, &rows, dim, dcut_sq, &mut hits);
-            let mut neighbors: Vec<usize> = hits
-                .into_iter()
-                .map(|k| grid.cell_of(superset[k]))
-                .filter(|&c2| c2 != cell)
-                .collect();
-            neighbors.sort_unstable();
-            neighbors.dedup();
-            (densities, CellMeta { p_star, min_rho, neighbors })
-        });
-
-        let mut rho = vec![0.0f64; data.len()];
-        let mut metas: Vec<CellMeta> = Vec::with_capacity(cells.len());
-        for (densities, meta) in cell_results {
-            for (p, r) in densities {
-                rho[p] = r;
-            }
-            metas.push(meta);
+            p_star.push(star);
+            min_rho.push(low);
         }
-        (rho, grid, metas, tree)
+        (rho, Cells { grid, p_star, min_rho })
     }
 
-    /// Dependent-point phase (§4.3): the O(1) cell-based approximation plus the
+    /// Dependent-point phase (§4.3): the cell-based approximation plus the
     /// exact computation for the residual set `P'` on the ρ-phase `tree`.
     /// Returns `(dependent, delta)`.
     fn dependents(
@@ -223,32 +114,32 @@ impl ApproxDpc {
         tree: &KdTree<'_>,
         executor: &Executor,
         rho: &[f64],
-        grid: &Grid,
-        metas: &[CellMeta],
+        cells: &Cells,
     ) -> (Vec<usize>, Vec<f64>) {
         let n = rho.len();
         let dcut = self.params.dcut;
+        let Cells { grid, p_star, min_rho } = cells;
+        let cell_of = grid.point_cells();
+
+        // The first denser cell of N(c), one query per cell from p*(c).
+        let parts = tree.packed_parts();
+        let keys: Vec<f64> = cell_of.iter().map(|&c| min_rho[c]).collect();
+        let max_keys = MaxKeys::new(&parts, &keys);
+        let labels = MinLabels::new(&parts, cell_of);
+        let data = tree.dataset();
+        let denser_cell: Vec<Option<usize>> = executor.map_dynamic(grid.num_cells(), |c| {
+            let star = p_star[c];
+            parts.smallest_denser_label(&max_keys, &labels, data.point(star), dcut, rho[star])
+        });
+
         let mut dependent: Vec<usize> = (0..n).collect();
         let mut delta = vec![f64::INFINITY; n];
-
-        // Approximate rules — O(1) per point, evaluated in parallel.
-        let approx: Vec<Option<usize>> = executor.map_dynamic(n, |p| {
-            let cell = grid.cell_of(p);
-            let meta = &metas[cell];
-            if p != meta.p_star {
-                return Some(meta.p_star);
-            }
-            // p is its cell's densest point: look for a neighbouring cell whose
-            // minimum density exceeds ρ_p.
-            metas[cell]
-                .neighbors
-                .iter()
-                .find(|&&c2| metas[c2].min_rho > rho[p])
-                .map(|&c2| metas[c2].p_star)
-        });
         let mut residual: Vec<usize> = Vec::new();
-        for (p, dep) in approx.into_iter().enumerate() {
-            match dep {
+        for p in 0..n {
+            let c = cell_of[p];
+            let approx =
+                if p != p_star[c] { Some(p_star[c]) } else { denser_cell[c].map(|c2| p_star[c2]) };
+            match approx {
                 Some(q) => {
                     debug_assert!(rho[q] > rho[p]);
                     dependent[p] = q;
@@ -277,14 +168,15 @@ impl DpcAlgorithm for ApproxDpc {
         let mut timings = Timings::default();
 
         let start = Instant::now();
-        let (rho, grid, metas, tree) = self.densities(data, &executor);
+        let tree = KdTree::build_parallel(data, &executor);
+        let (rho, cells) = self.densities(&tree, &executor);
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let (dependent, delta) = self.dependents(&tree, &executor, &rho, &grid, &metas);
+        let (dependent, delta) = self.dependents(&tree, &executor, &rho, &cells);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
-        let index_bytes = tree.mem_usage() + grid.mem_usage();
+        let index_bytes = tree.mem_usage() + cells.grid.mem_usage();
         DpcModel::from_parts(
             self.name(),
             self.params.dcut,
@@ -303,6 +195,110 @@ mod tests {
     use crate::params::Thresholds;
     use crate::ExDpc;
     use dpc_data::generators::{gaussian_blobs, random_walk, uniform};
+    use dpc_geometry::dist_sq;
+
+    /// Brute-force Approx-DPC from the definitions of §4 on the fit's own
+    /// grid: exact closed-ball counts; `p*(c)`, the first strict maximum by
+    /// ascending id, and `min ρ(c)`; `N(c)` (the cells `≠ c` holding a point
+    /// within `d_cut` of `p*(c)`) scanned by ascending cell id for the first
+    /// strictly larger `min ρ`; `P'` gets the nearest denser point, ties to
+    /// the smallest id. Also returns how many `p*(c)` the `N(c)` rule answers.
+    fn brute_force(data: &Dataset, dcut: f64) -> (Vec<f64>, Vec<f64>, Vec<usize>, usize) {
+        let n = data.len();
+        let grid = Grid::build(data, dcut / (data.dim() as f64).sqrt());
+        let d_sq = |a: usize, b: usize| dist_sq(data.point(a), data.point(b));
+        let seed = DpcParams::new(dcut).jitter_seed;
+        let rho: Vec<f64> = (0..n)
+            .map(|p| {
+                let count = (0..n).filter(|&j| j != p && d_sq(p, j) <= dcut * dcut).count();
+                jittered_density(count, p, seed)
+            })
+            .collect();
+        let mut p_star = Vec::new();
+        let mut min_rho = Vec::new();
+        for c in grid.cell_ids() {
+            let members = grid.points(c);
+            let mut star = members[0];
+            for &p in members {
+                if rho[p] > rho[star] {
+                    star = p;
+                }
+            }
+            p_star.push(star);
+            min_rho.push(members.iter().map(|&p| rho[p]).fold(f64::INFINITY, f64::min));
+        }
+        let mut dependent: Vec<usize> = (0..n).collect();
+        let mut delta = vec![f64::INFINITY; n];
+        let mut cell_rule = 0;
+        for p in 0..n {
+            let c = grid.cell_of(p);
+            if p != p_star[c] {
+                (dependent[p], delta[p]) = (p_star[c], dcut);
+                continue;
+            }
+            let mut neighbours: Vec<usize> = (0..n)
+                .filter(|&j| d_sq(p, j) <= dcut * dcut && grid.cell_of(j) != c)
+                .map(|j| grid.cell_of(j))
+                .collect();
+            neighbours.sort_unstable();
+            neighbours.dedup();
+            if let Some(&c2) = neighbours.iter().find(|&&c2| min_rho[c2] > rho[p]) {
+                (dependent[p], delta[p]) = (p_star[c2], dcut);
+                cell_rule += 1;
+                continue;
+            }
+            let mut best: Option<(usize, f64)> = None;
+            for q in (0..n).filter(|&q| rho[q] > rho[p]) {
+                if best.is_none_or(|(_, bd)| d_sq(p, q) < bd) {
+                    best = Some((q, d_sq(p, q)));
+                }
+            }
+            if let Some((q, d)) = best {
+                (dependent[p], delta[p]) = (q, d.sqrt());
+            }
+        }
+        (rho, delta, dependent, cell_rule)
+    }
+
+    #[test]
+    fn matches_brute_force_on_random_lattice_and_duplicate_data() {
+        let snapped = |data: Dataset, cell: f64| {
+            let flat = data.flat().iter().map(|c| (c / cell).floor() * cell).collect();
+            Dataset::from_flat(data.dim(), flat)
+        };
+        let fixtures = [
+            ("uniform 2-d", uniform(600, 2, 100.0, 51), 8.0),
+            ("lattice 2-d", snapped(uniform(600, 2, 100.0, 52), 5.0), 8.0),
+            ("uniform 3-d", uniform(500, 3, 50.0, 53), 9.0),
+            ("lattice 3-d", snapped(uniform(500, 3, 50.0, 54), 4.0), 9.0),
+            ("uniform 8-d", uniform(300, 8, 20.0, 55), 12.0),
+            ("lattice 8-d", snapped(uniform(300, 8, 20.0, 56), 5.0), 12.0),
+            (
+                "duplicates",
+                Dataset::from_flat(
+                    2,
+                    (0..400).flat_map(|i| [(i % 5) as f64 * 3.0, (i % 3) as f64 * 3.0]).collect(),
+                ),
+                4.0,
+            ),
+        ];
+        for (name, data, dcut) in &fixtures {
+            let (rho, delta, dependent, cell_rule) = brute_force(data, *dcut);
+            // The N(c) rule answers some densest points in every fixture.
+            assert!(cell_rule > 0, "{name}: the N(c) rule answers no p*(c)");
+            for threads in [1usize, 4] {
+                let params = DpcParams::new(*dcut).with_threads(threads);
+                let m = ApproxDpc::new(params).fit(data).unwrap();
+                for i in 0..data.len() {
+                    assert_eq!(
+                        (m.rho()[i].to_bits(), m.delta()[i].to_bits(), m.dependent()[i]),
+                        (rho[i].to_bits(), delta[i].to_bits(), dependent[i]),
+                        "{name}, threads {threads}, point {i}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn densities_are_exact() {
@@ -315,10 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_supersets_leave_rho_bitwise_unchanged() {
-        // The batched phase-1 searches must leave the model's densities
-        // bitwise equal to the definitional per-point range counts, at every
-        // thread count.
+    fn batched_counts_leave_rho_bitwise_unchanged() {
+        // The batched counts must leave the model's densities bitwise equal
+        // to the definitional per-point range counts, at every thread count.
         let data = uniform(600, 2, 100.0, 47);
         let params = DpcParams::new(7.0);
         let tree = KdTree::build(&data);

@@ -16,6 +16,11 @@ use dpc_parallel::Executor;
 /// are query-independent, so chunking is behaviour-neutral.
 const BATCH_CHUNK: usize = 512;
 
+/// Ranges of query buckets per worker thread in [`leading_counts`]: enough
+/// for a worker that drew cheap ranges to claim more, few enough that each
+/// range still spans many buckets.
+const RANGES_PER_THREAD: usize = 8;
+
 /// Validates a dataset for fitting: rejects an empty dataset
 /// ([`DpcError::EmptyDataset`]) and any NaN/±∞ coordinate
 /// ([`DpcError::NonFiniteCoordinate`], naming the first offending point and
@@ -83,14 +88,17 @@ pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
 
 /// The closed-ball `d_cut` neighbour count of each of the leading `lead`
 /// points of every cell of `grid`, the point itself left out (Definition 1):
-/// all points for Ex-DPC (`lead = usize::MAX`), each cell's picked point for
-/// S-Approx-DPC (`lead = 1`). Indexed by point id; every other point reads 0.
+/// all points for Ex-DPC and Approx-DPC (`lead = usize::MAX`), each cell's
+/// picked point for S-Approx-DPC (`lead = 1`). Indexed by point id; every
+/// other point reads 0.
 ///
 /// Each bucket of [`Grid::query_buckets`] descends `tree` once through
-/// [`BatchRangeCount`], and buckets fan out over contiguous ranges balanced
-/// by query count. Every count equals the single-query `range_count`, and
-/// the buckets depend only on the grid layout, so the result is the same at
-/// every thread count.
+/// [`BatchRangeCount`]. The buckets are cut into [`RANGES_PER_THREAD`]
+/// contiguous ranges per worker, of equal query count, which the workers
+/// claim dynamically: a query's cost grows with its count, so equal query
+/// counts are far from equal work. Every count equals the single-query
+/// `range_count` and lands in its point's slot, so the result is the same
+/// under every schedule and at every thread count.
 pub(crate) fn leading_counts(
     tree: &KdTree<'_>,
     grid: &Grid,
@@ -104,57 +112,46 @@ pub(crate) fn leading_counts(
         &members[..lead.min(members.len())]
     };
     let buckets = grid.query_buckets();
-    // Flat output slots in bucket order (bucket → cells → leading points): a
-    // prefix sum over per-bucket query counts gives each worker range a
-    // disjoint contiguous slice to fill.
     let mut prefix = Vec::with_capacity(buckets.len() + 1);
     prefix.push(0usize);
     for bucket in buckets.iter() {
         let queries: usize = bucket.iter().map(|&c| leading(c).len()).sum();
         prefix.push(prefix.last().unwrap() + queries);
     }
-    let mut flat = vec![0usize; *prefix.last().unwrap()];
-    {
-        let bounds = batchq::balanced_ranges(&prefix, executor.threads());
-        let parts = tree.packed_parts();
-        let buckets = &buckets;
-        let leading = &leading;
-        let mut tasks = Vec::with_capacity(bounds.len() - 1);
-        let mut rest: &mut [usize] = &mut flat;
-        for w in 0..bounds.len() - 1 {
-            let (blo, bhi) = (bounds[w], bounds[w + 1]);
-            let (mine, tail) = rest.split_at_mut(prefix[bhi] - prefix[blo]);
-            rest = tail;
-            tasks.push(move || {
-                let mut engine = BatchRangeCount::new();
-                let mut rows: Vec<f64> = Vec::new();
-                let mut excl: Vec<u32> = Vec::new();
-                let mut chunk_counts: Vec<usize> = Vec::new();
-                let mut cursor = 0usize;
-                for b in blo..bhi {
-                    rows.clear();
-                    excl.clear();
-                    for &cell in buckets.bucket(b) {
-                        let members = leading(cell);
-                        // A cell's CSR coordinate rows follow its point order.
-                        rows.extend_from_slice(&grid.coords(cell)[..members.len() * dim]);
-                        excl.extend(members.iter().map(|&p| p as u32));
-                    }
-                    for (rows, excl) in rows.chunks(BATCH_CHUNK * dim).zip(excl.chunks(BATCH_CHUNK))
-                    {
-                        engine.run_uniform(&parts, rows, dcut, excl, &mut chunk_counts);
-                        mine[cursor..cursor + excl.len()].copy_from_slice(&chunk_counts);
-                        cursor += excl.len();
-                    }
-                }
-            });
+    let ranges = match executor.threads() {
+        1 => 1,
+        threads => threads * RANGES_PER_THREAD,
+    };
+    let bounds = batchq::balanced_ranges(&prefix, ranges);
+    let parts = tree.packed_parts();
+    // One count vector per range, in bucket order (bucket → cells → leading
+    // points).
+    let per_range: Vec<Vec<usize>> = executor.map_dynamic(bounds.len() - 1, |r| {
+        let mut engine = BatchRangeCount::new();
+        let mut rows: Vec<f64> = Vec::new();
+        let mut excl: Vec<u32> = Vec::new();
+        let mut chunk_counts: Vec<usize> = Vec::new();
+        let mut counts = Vec::with_capacity(prefix[bounds[r + 1]] - prefix[bounds[r]]);
+        for b in bounds[r]..bounds[r + 1] {
+            rows.clear();
+            excl.clear();
+            for &cell in buckets.bucket(b) {
+                let members = leading(cell);
+                // A cell's CSR coordinate rows follow its point order.
+                rows.extend_from_slice(&grid.coords(cell)[..members.len() * dim]);
+                excl.extend(members.iter().map(|&p| p as u32));
+            }
+            for (rows, excl) in rows.chunks(BATCH_CHUNK * dim).zip(excl.chunks(BATCH_CHUNK)) {
+                engine.run_uniform(&parts, rows, dcut, excl, &mut chunk_counts);
+                counts.extend_from_slice(&chunk_counts);
+            }
         }
-        executor.fan_out(tasks);
-    }
+        counts
+    });
     // Back from bucket order to point order.
     let mut counts = vec![0usize; tree.len()];
     let leading_points = buckets.flat_cells().iter().flat_map(|&cell| leading(cell));
-    for (&p, &count) in leading_points.zip(&flat) {
+    for (&p, &count) in leading_points.zip(per_range.iter().flatten()) {
         counts[p] = count;
     }
     counts

@@ -2,7 +2,7 @@
 //!
 //! Every spatial index in the workspace stores candidate points as packed
 //! row-major rows — the kd-tree's leaf buckets, the CSR grid's per-cell
-//! coordinate strips, gathered range-search supersets — and the hot inner loop
+//! coordinate strips — and the hot inner loop
 //! of the ρ phase (Definition 1) is always the same shape: *one query against a
 //! whole bucket of rows*. This module is that loop, implemented once, audited
 //! once, and used by every caller:

@@ -1,12 +1,13 @@
-//! Batched range queries over a packed kd-tree.
+//! Batched range counts over a packed kd-tree.
 //!
-//! The ρ phase of every DPC variant issues one range query per query point:
-//! a count for every point (Ex-DPC) or for each grid cell's picked point
-//! (S-Approx-DPC), a search around each grid cell's centre (Approx-DPC).
-//! Spatially adjacent queries share almost their entire traversal: the upper
-//! levels of the tree are identical, and nearby leaves are visited by most of
-//! the bucket. [`BatchRangeCount`] and [`BatchRangeSearch`] exploit that by
-//! descending the tree **once per bucket** of query balls:
+//! The ρ phase of every DPC variant issues one range count per query point:
+//! one for every point (Ex-DPC, Approx-DPC) or for each grid cell's picked
+//! point (S-Approx-DPC). Spatially adjacent queries share almost their entire
+//! traversal: the upper levels of the tree are identical, and nearby leaves
+//! are visited by most of the bucket. [`BatchRangeCount`] exploits that by
+//! descending the tree **once per bucket** of query balls — for Approx-DPC
+//! this is the joint range search of §4.2, with a bucket of cells in place of
+//! one cell:
 //!
 //! - at every node, a joint test against the bucket's bounding box (plus the
 //!   largest radius) prunes the whole bucket in `O(d)` before any per-query
@@ -22,17 +23,11 @@
 //!
 //! # Determinism contract
 //!
-//! Every query's result is **bit-identical** to the corresponding single-query
-//! call — [`PackedParts::range_count`](crate::kdtree::PackedParts::range_count)
-//! for counts, [`PackedParts::range_search_into`][rsi] (same ids, same order)
-//! for searches — regardless of how queries are grouped into buckets. Counts
-//! are integer sums over the same node set; searches preserve order because
-//! the batched recursion visits children right-subtree-first, mirroring the
-//! single-query stack discipline, and emits fully-inside runs and leaf hits at
-//! the same traversal points. Consumers may therefore re-bucket, chunk, or
+//! Every query's count is **bit-identical** to the corresponding single-query
+//! call, [`PackedParts::range_count`](crate::kdtree::PackedParts::range_count),
+//! regardless of how queries are grouped into buckets: counts are integer
+//! sums over the same node set. Consumers may therefore re-bucket, chunk, or
 //! parallelize freely without perturbing results.
-//!
-//! [rsi]: crate::kdtree::PackedParts::range_search_into
 
 use dpc_geometry::batch;
 use dpc_geometry::distance::{dist_sq, max_dist_sq_to_rect, min_dist_sq_to_rect};
@@ -47,9 +42,7 @@ pub const NO_EXCLUDE: u32 = NONE;
 /// SIMD row-block per still-active query instead of being descended further
 /// (a "virtual leaf"). Counting is order-independent — the block scan finds
 /// exactly the points the remaining descent would have found — so this only
-/// trades tree bookkeeping for wide distance evaluation; the search path
-/// keeps descending to real leaves because its output order is part of the
-/// determinism contract. 256 rows ≈ one `d_cut` ball at the densities the ρ
+/// trades tree bookkeeping for wide distance evaluation. 256 rows ≈ one `d_cut` ball at the densities the ρ
 /// phase sees, past the point where per-node pruning can retire enough of
 /// the block to beat scanning it.
 const VIRTUAL_LEAF_SPAN: usize = 256;
@@ -330,129 +323,25 @@ fn count_rec(
     scratch.pool.push(still);
 }
 
-/// Batched range **search**: per-query id lists, bit-identical (content *and*
-/// order) to [`PackedParts::range_search_into`][rsi] for each query.
-///
-/// [rsi]: crate::kdtree::PackedParts::range_search_into
-#[derive(Debug, Default)]
-pub struct BatchRangeSearch {
-    scratch: Scratch,
-}
-
-impl BatchRangeSearch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Collects, for each of the `k` query balls, the ids of the points of
-    /// `parts` within its (closed) radius. `queries` is `k` row-major rows;
-    /// `radii` has length `k`; `out` must have exactly `k` slots (each is
-    /// cleared, then filled in the same order as the single-query search —
-    /// capacity is reused across calls).
-    pub fn run(
-        &mut self,
-        parts: &PackedParts<'_>,
-        queries: &[f64],
-        radii: &[f64],
-        out: &mut [Vec<usize>],
-    ) {
-        let k = radii.len();
-        assert_eq!(out.len(), k, "one output slot per query");
-        for slot in out.iter_mut() {
-            slot.clear();
-        }
-        let active = self.scratch.prepare(parts.dim, queries, radii);
-        if !active.is_empty() && !parts.nodes.is_empty() {
-            let ctx = SearchCtx { parts, queries, dim: parts.dim };
-            search_rec(&ctx, 0, &active, &mut self.scratch, out);
-        }
-        self.scratch.pool.push(active);
-    }
-}
-
-struct SearchCtx<'a, 't> {
-    parts: &'a PackedParts<'t>,
-    queries: &'a [f64],
-    dim: usize,
-}
-
-fn search_rec(
-    ctx: &SearchCtx<'_, '_>,
-    node_idx: usize,
-    active: &[u32],
-    scratch: &mut Scratch,
-    out: &mut [Vec<usize>],
-) {
-    let parts = ctx.parts;
-    let dim = ctx.dim;
-    let (lo, hi) = parts.node_bounds(node_idx);
-    if min_dist_sq_rect_rect(&scratch.qlo, &scratch.qhi, lo, hi) > scratch.r_max_sq {
-        return;
-    }
-    let node = &parts.nodes[node_idx];
-    let (start, end) = (node.start as usize, node.end as usize);
-    if max_dist_sq_rect_rect(&scratch.qlo, &scratch.qhi, lo, hi) <= scratch.r_min_sq {
-        for &q in active {
-            out[q as usize].extend(parts.ids[start..end].iter().map(|&id| id as usize));
-        }
-        return;
-    }
-    let mut still = scratch.pool.pop().unwrap_or_default();
-    still.clear();
-    for &q in active {
-        let qi = q as usize;
-        let query = &ctx.queries[qi * dim..(qi + 1) * dim];
-        let r_sq = scratch.r_sq[qi];
-        if min_dist_sq_to_rect(query, lo, hi) > r_sq {
-            continue;
-        }
-        if max_dist_sq_to_rect(query, lo, hi) <= r_sq {
-            out[qi].extend(parts.ids[start..end].iter().map(|&id| id as usize));
-            continue;
-        }
-        still.push(q);
-    }
-    if !still.is_empty() {
-        if node.right == NONE {
-            let rows = &parts.coords[start * dim..end * dim];
-            for &q in &still {
-                let qi = q as usize;
-                let query = &ctx.queries[qi * dim..(qi + 1) * dim];
-                let r_sq = scratch.r_sq[qi];
-                let slot = &mut out[qi];
-                let base = slot.len();
-                batch::search_within_into(query, rows, dim, r_sq, slot);
-                for v in &mut slot[base..] {
-                    *v = parts.ids[start + *v] as usize;
-                }
-            }
-        } else {
-            search_rec(ctx, node.right as usize, &still, scratch, out);
-            search_rec(ctx, node_idx + 1, &still, scratch, out);
-        }
-    }
-    scratch.pool.push(still);
-}
-
-/// Splits `prefix.len() - 1` weighted buckets into at most `workers`
+/// Splits `prefix.len() - 1` weighted buckets into at most `ranges`
 /// contiguous ranges of roughly equal cumulative weight. `prefix` is the
 /// exclusive prefix sum of per-bucket weights (so `prefix[0] == 0` and
 /// `prefix[b + 1] - prefix[b]` is bucket `b`'s weight). Returns monotone
 /// bounds `[0, …, num_buckets]`; consecutive bounds may coincide (an empty
 /// range) when a single bucket dominates.
 ///
-/// The returned partition depends only on `prefix` and `workers`, and batched
-/// results are bucket-independent (see the module docs), so callers fanning
-/// out one task per range get bit-identical results at every thread count.
-pub fn balanced_ranges(prefix: &[usize], workers: usize) -> Vec<usize> {
+/// The returned partition depends only on `prefix` and `ranges`, and batched
+/// results are bucket-independent (see the module docs), so callers running
+/// one task per range get bit-identical results under every schedule.
+pub fn balanced_ranges(prefix: &[usize], ranges: usize) -> Vec<usize> {
     assert!(!prefix.is_empty(), "prefix sum must at least contain the leading 0");
     let num_buckets = prefix.len() - 1;
     let total = prefix[num_buckets];
-    let workers = workers.max(1).min(num_buckets.max(1));
-    let mut bounds = Vec::with_capacity(workers + 1);
+    let ranges = ranges.max(1).min(num_buckets.max(1));
+    let mut bounds = Vec::with_capacity(ranges + 1);
     bounds.push(0usize);
-    for w in 1..workers {
-        let target = w * total / workers;
+    for r in 1..ranges {
+        let target = r * total / ranges;
         let b = prefix.partition_point(|&o| o < target).min(num_buckets);
         bounds.push(b.max(*bounds.last().unwrap()));
     }
@@ -498,24 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_matches_single_queries_in_order() {
-        for &(n, dim, seed) in &[(223usize, 2usize, 21u64), (150, 3, 22), (90, 8, 23)] {
-            let data = random_dataset(n, dim, seed);
-            let tree = KdTree::build(&data);
-            let parts = tree.packed_parts();
-            let ids: Vec<usize> = (0..n).step_by(2).collect();
-            let rows = gather_rows(&data, &ids);
-            let mut out = vec![Vec::new(); ids.len()];
-            BatchRangeSearch::new().run(&parts, &rows, &vec![0.4; ids.len()], &mut out);
-            let mut expected = Vec::new();
-            for (k, &i) in ids.iter().enumerate() {
-                tree.range_search_into(data.point(i), 0.4, &mut expected);
-                assert_eq!(out[k], expected, "query {i} (dim {dim})");
-            }
-        }
-    }
-
-    #[test]
     fn nan_and_negative_radii_match_single_query_semantics() {
         let data = random_dataset(64, 2, 31);
         let tree = KdTree::build(&data);
@@ -527,12 +398,6 @@ mod tests {
         assert_eq!(counts[0], 0);
         assert_eq!(counts[1], 0);
         assert_eq!(counts[2], tree.range_count(data.point(2), 0.5, None));
-        let mut out = vec![Vec::new(); 3];
-        BatchRangeSearch::new().run(&parts, &rows, &radii, &mut out);
-        assert!(out[0].is_empty() && out[1].is_empty());
-        let mut expected = Vec::new();
-        tree.range_search_into(data.point(2), 0.5, &mut expected);
-        assert_eq!(out[2], expected);
     }
 
     #[test]
@@ -543,9 +408,6 @@ mod tests {
         let mut counts = vec![99usize];
         BatchRangeCount::new().run(&parts, &[], &[], &[], &mut counts);
         assert!(counts.is_empty());
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        BatchRangeSearch::new().run(&parts, &[], &[], &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -42,11 +42,11 @@
 //!
 //! The grid stores the point membership of every cell and the reverse mapping
 //! from point id to cell id. Algorithm-specific per-cell metadata (Approx-DPC's
-//! maximum density point `p*(c)`, `min ρ` and neighbour set `N(c)`) lives with
-//! the algorithms in `dpc-core`, because it depends on local densities that are
-//! only known mid-run. S-Approx-DPC keeps none: its picked point is the cell's
-//! first point, and it lists `N(c)` only for local peaks, from one `d_cut`
-//! search.
+//! maximum density point `p*(c)` and `min ρ`) lives with the algorithms in
+//! `dpc-core`, because it depends on local densities that are only known
+//! mid-run. Neither algorithm stores the neighbour cells `N(c)`: Approx-DPC
+//! asks one kd-tree query per cell for the first denser cell of `N(c)`, and
+//! S-Approx-DPC lists `N(c)` only for local peaks, from one `d_cut` search.
 
 use dpc_geometry::Dataset;
 use dpc_parallel::Executor;
@@ -504,6 +504,11 @@ impl Grid {
     /// Panics if `point_id` is out of range.
     pub fn cell_of(&self, point_id: usize) -> CellId {
         self.point_cell[point_id]
+    }
+
+    /// Every point's cell: `point_cells()[p] == cell_of(p)`.
+    pub fn point_cells(&self) -> &[CellId] {
+        &self.point_cell
     }
 
     /// Looks up a cell id by its integer key.

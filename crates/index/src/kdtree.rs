@@ -1,10 +1,9 @@
 //! A packed, static, leaf-bucketed kd-tree over a [`Dataset`].
 //!
 //! This is the workhorse index of the local-density phase — the dominant cost
-//! of every algorithm in the paper (Ex-DPC issues one range count per point,
-//! S-Approx-DPC one per cell's picked point, Approx-DPC one range search per
-//! cell) — so its layout is
-//! chosen for query throughput rather than for updatability:
+//! of every algorithm in the paper (Ex-DPC and Approx-DPC issue one range
+//! count per point, S-Approx-DPC one per cell's picked point) — so its layout
+//! is chosen for query throughput rather than for updatability:
 //!
 //! * **Packed leaf buckets.** Bulk construction permutes the point identifiers
 //!   into one contiguous array, recursively median-split until a subtree holds
@@ -53,7 +52,10 @@
 //!   [`PackedParts::nearest_denser`] prunes on the per-node maximum density
 //!   held by [`MaxKeys`] — the priority-search kd-tree of Huang, Yu & Shun
 //!   (*Faster Parallel Exact Density Peaks Clustering*, ACDA 2023). Equal
-//!   distances go to the smallest id, so the answer is unique.
+//!   distances go to the smallest id, so the answer is unique. Its sibling
+//!   [`PackedParts::smallest_denser_label`] prunes the same way inside a
+//!   closed ball, plus on the per-node smallest label of [`MinLabels`]:
+//!   Approx-DPC's first denser neighbour cell of a cell's densest point.
 //!
 //! The tree is immutable; the streaming engine's mutable index is the
 //! separate [`IncrementalKdTree`](crate::IncrementalKdTree) arena tree.
@@ -237,8 +239,8 @@ impl<'a> KdTree<'a> {
     }
 
     /// Same as [`KdTree::range_search`] but appends into a caller-provided
-    /// buffer, allowing reuse across many queries (the joint range search of
-    /// Approx-DPC issues one query per cell). The buffer is cleared first.
+    /// buffer, allowing reuse across many queries (S-Approx-DPC lists the
+    /// `d_cut` ball of each local peak this way). The buffer is cleared first.
     ///
     /// Result order follows the packed layout, not point-identifier order.
     pub fn range_search_into(&self, query: &[f64], radius: f64, out: &mut Vec<usize>) {
@@ -652,6 +654,92 @@ impl PackedParts<'_> {
         }
         ((best_id != NONE).then(|| (best_id as usize, best_d.sqrt())), visits)
     }
+
+    /// The smallest label among the indexed points within `radius` of
+    /// `query` (closed ball) whose key is **strictly greater** than `key`;
+    /// `keys` and `labels` must have been built from this tree. Returns
+    /// `None` when no such point exists, or when `radius` is negative or NaN.
+    ///
+    /// Depth-first, the child with the smaller label first; a subtree is
+    /// skipped when its box lies beyond `radius`, its largest key is not
+    /// above `key`, or its smallest label is not below the best label so far.
+    /// Each node is visited at most once. The answer is a minimum over a
+    /// fixed set, so it does not depend on the visiting order.
+    pub fn smallest_denser_label(
+        &self,
+        keys: &MaxKeys,
+        labels: &MinLabels,
+        query: &[f64],
+        radius: f64,
+        key: f64,
+    ) -> Option<usize> {
+        debug_assert_eq!(keys.node_max.len(), self.nodes.len(), "keys built from another tree");
+        debug_assert_eq!(labels.node_min.len(), self.nodes.len(), "labels built from another tree");
+        if self.nodes.is_empty() || radius.is_nan() || radius < 0.0 {
+            return None;
+        }
+        let (dim, r_sq) = (self.dim, radius * radius);
+        let mut best = NONE;
+        let mut stack = [0u32; STACK_CAP];
+        let mut top = 1usize;
+        while top > 0 {
+            top -= 1;
+            let node_idx = stack[top] as usize;
+            if keys.node_max[node_idx] <= key || labels.node_min[node_idx] >= best {
+                continue;
+            }
+            let (lo, hi) = self.node_bounds(node_idx);
+            if min_dist_sq_to_rect(query, lo, hi) > r_sq {
+                continue;
+            }
+            let node = &self.nodes[node_idx];
+            if node.is_leaf() {
+                for k in node.start as usize..node.end as usize {
+                    if keys.keys[k] > key
+                        && labels.labels[k] < best
+                        && dist_sq(query, &self.coords[k * dim..(k + 1) * dim]) <= r_sq
+                    {
+                        best = labels.labels[k];
+                    }
+                }
+            } else {
+                let (left, right) = (node_idx as u32 + 1, node.right);
+                // Push the child with the larger label first, so the smaller
+                // one is searched first and tightens `best` sooner.
+                let (first, second) =
+                    if labels.node_min[left as usize] <= labels.node_min[right as usize] {
+                        (left, right)
+                    } else {
+                        (right, left)
+                    };
+                stack[top] = second;
+                stack[top + 1] = first;
+                top += 2;
+            }
+        }
+        (best != NONE).then_some(best as usize)
+    }
+}
+
+/// Folds per-point values in packed order into one value per node of
+/// `nodes`: a leaf folds its packed range from `empty`, an inner node folds
+/// its two children. Children follow their parent in preorder, so one
+/// reverse sweep reaches both children before their parent.
+fn fold_nodes<T: Copy>(
+    nodes: &[PackedNode],
+    values: &[T],
+    empty: T,
+    fold: impl Fn(T, T) -> T,
+) -> Vec<T> {
+    let mut out = vec![empty; nodes.len()];
+    for (idx, node) in nodes.iter().enumerate().rev() {
+        out[idx] = if node.is_leaf() {
+            values[node.start as usize..node.end as usize].iter().fold(empty, |m, &v| fold(m, v))
+        } else {
+            fold(out[idx + 1], out[node.right as usize])
+        };
+    }
+    out
 }
 
 /// The per-point keys of a packed kd-tree in packed order, plus the largest
@@ -673,24 +761,47 @@ impl MaxKeys {
     /// Panics if an indexed id is out of range of `key_by_id`.
     pub fn new(tree: &PackedParts<'_>, key_by_id: &[f64]) -> Self {
         let keys: Vec<f64> = tree.ids.iter().map(|&id| key_by_id[id as usize]).collect();
-        let mut node_max = vec![f64::NEG_INFINITY; tree.nodes.len()];
-        // Children follow their parent in preorder, so a reverse sweep folds
-        // both children before it reaches the parent.
-        for (idx, node) in tree.nodes.iter().enumerate().rev() {
-            node_max[idx] = if node.is_leaf() {
-                keys[node.start as usize..node.end as usize]
-                    .iter()
-                    .fold(f64::NEG_INFINITY, |m, &k| m.max(k))
-            } else {
-                node_max[idx + 1].max(node_max[node.right as usize])
-            };
-        }
+        let node_max = fold_nodes(tree.nodes, &keys, f64::NEG_INFINITY, f64::max);
         Self { keys, node_max }
     }
 
     /// Heap bytes of the two arrays.
     pub fn mem_usage(&self) -> usize {
         (self.keys.capacity() + self.node_max.capacity()) * std::mem::size_of::<f64>()
+    }
+}
+
+/// The per-point labels of a packed kd-tree in packed order, plus the
+/// smallest label under every node: the label data of
+/// [`PackedParts::smallest_denser_label`], valid only for the tree it was
+/// built from.
+#[derive(Clone, Debug)]
+pub struct MinLabels {
+    /// `labels[k]` is the label of the point at packed position `k`.
+    labels: Vec<u32>,
+    /// `node_min[i]` is the smallest label in node `i`'s packed range.
+    node_min: Vec<u32>,
+}
+
+impl MinLabels {
+    /// Builds the array in `O(n)` from `label_by_id` (`label_by_id[id]`
+    /// labels point `id`).
+    ///
+    /// # Panics
+    /// Panics if an indexed id is out of range of `label_by_id`, or if a
+    /// label is not below `u32::MAX`.
+    pub fn new(tree: &PackedParts<'_>, label_by_id: &[usize]) -> Self {
+        let labels: Vec<u32> = tree
+            .ids
+            .iter()
+            .map(|&id| {
+                let label = label_by_id[id as usize];
+                assert!(label < NONE as usize, "label {label} does not fit below u32::MAX");
+                label as u32
+            })
+            .collect();
+        let node_min = fold_nodes(tree.nodes, &labels, NONE, u32::min);
+        Self { labels, node_min }
     }
 }
 
@@ -1123,6 +1234,95 @@ mod tests {
         let tree = KdTree::build(&empty);
         let keys = MaxKeys::new(&tree.packed_parts(), &[]);
         assert_eq!(tree.packed_parts().nearest_denser(&keys, &[1.0, 2.0], 0.0), None);
+    }
+
+    /// `O(n)` reference for [`PackedParts::smallest_denser_label`]: the
+    /// smallest label among points with `dist_sq ≤ radius²` and key > `key`.
+    fn brute_smallest_denser_label(
+        ds: &Dataset,
+        keys: &[f64],
+        labels: &[usize],
+        q: &[f64],
+        radius: f64,
+        key: f64,
+    ) -> Option<usize> {
+        ds.iter()
+            .filter(|&(id, p)| keys[id] > key && dist_sq(q, p) <= radius * radius)
+            .map(|(id, _)| labels[id])
+            .min()
+    }
+
+    #[test]
+    fn smallest_denser_label_matches_brute_force() {
+        for dim in [2usize, 3, 8] {
+            for snapped in [false, true] {
+                let mut rng = StdRng::seed_from_u64(700 + dim as u64 + snapped as u64);
+                let mut ds = random_dataset(300, dim, 80 + dim as u64);
+                // Lattice-snapped coordinates and integer keys: duplicate
+                // points, points at exactly the radius, and equal keys.
+                if snapped {
+                    let coords = ds.flat().iter().map(|c| (c / 10.0).floor() * 10.0).collect();
+                    ds = Dataset::from_flat(dim, coords);
+                }
+                let key = |rng: &mut StdRng| {
+                    if snapped {
+                        rng.gen_range(0..20) as f64
+                    } else {
+                        rng.gen_f64()
+                    }
+                };
+                // Every 7th key masked: those points never qualify. Labels
+                // repeat, as cell ids do.
+                let keys: Vec<f64> = (0..ds.len())
+                    .map(|i| if i % 7 == 0 { f64::NEG_INFINITY } else { key(&mut rng) })
+                    .collect();
+                let labels: Vec<usize> = (0..ds.len()).map(|_| rng.gen_range(0..60)).collect();
+                let tree = KdTree::build(&ds);
+                let parts = tree.packed_parts();
+                let max_keys = MaxKeys::new(&parts, &keys);
+                let min_labels = MinLabels::new(&parts, &labels);
+                let top = keys.iter().fold(f64::NEG_INFINITY, |m, &k| m.max(k));
+                let mut queries: Vec<(Vec<f64>, f64)> =
+                    (0..ds.len()).map(|i| (ds.point(i).to_vec(), keys[i])).collect();
+                for _ in 0..100 {
+                    let q = (0..dim).map(|_| 120.0 * rng.gen_f64() - 10.0).collect();
+                    queries.push((q, key(&mut rng)));
+                }
+                for radius in [0.0, 10.0, 25.0] {
+                    for (q, key) in &queries {
+                        let got =
+                            parts.smallest_denser_label(&max_keys, &min_labels, q, radius, *key);
+                        let want =
+                            brute_smallest_denser_label(&ds, &keys, &labels, q, radius, *key);
+                        assert_eq!(got, want, "dim {dim}, snapped {snapped}, r {radius}, {q:?}");
+                    }
+                    let q = ds.point(0);
+                    assert_eq!(
+                        parts.smallest_denser_label(&max_keys, &min_labels, q, radius, top),
+                        None
+                    );
+                }
+            }
+        }
+        // The closed ball: a point at exactly the radius counts, one just
+        // beyond it does not (3-4-5 distances are exact in f64).
+        let ds = Dataset::from_flat(2, vec![0.0, 0.0, 3.0, 4.0, 6.0, 0.0, -3.0, -4.0000001]);
+        let tree = KdTree::build(&ds);
+        let parts = tree.packed_parts();
+        let max_keys = MaxKeys::new(&parts, &[0.0, 2.0, 5.0, 9.0]);
+        let min_labels = MinLabels::new(&parts, &[0, 7, 1, 3]);
+        let q = [0.0, 0.0];
+        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 5.0, 0.0), Some(7));
+        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 6.0, 0.0), Some(1));
+        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 6.0, 5.0), Some(3));
+        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 5.0, 2.0), None);
+        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, -1.0, -1.0), None);
+        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, f64::NAN, -1.0), None);
+        let empty = Dataset::new(2);
+        let tree = KdTree::build(&empty);
+        let parts = tree.packed_parts();
+        let (max_keys, min_labels) = (MaxKeys::new(&parts, &[]), MinLabels::new(&parts, &[]));
+        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 1e9, 0.0), None);
     }
 
     #[test]

@@ -10,24 +10,27 @@
 //!   result at every thread count. With a [`MaxKeys`] array it also answers
 //!   the one dependent-point query every algorithm uses: the nearest point
 //!   whose key (local density) is strictly greater than the query's, ties to
-//!   the smallest id ([`PackedParts::nearest_denser`]). See the module docs
-//!   of [`kdtree`] for the layout.
+//!   the smallest id ([`PackedParts::nearest_denser`]). With a [`MinLabels`]
+//!   array too, it answers Approx-DPC's cell rule: the smallest label (cell
+//!   id) among the points within a radius whose key is greater than the
+//!   query's ([`PackedParts::smallest_denser_label`]). See the module docs of
+//!   [`kdtree`] for the layout.
 //! * [`IncrementalKdTree`] — the one-point-per-node arena tree supporting
 //!   **insertion and removal**: the mutable index of `StreamingDpc`. It also
 //!   keeps the seed's bulk construction, so property tests can replay the
 //!   seed pipeline against the packed tree.
 //! * [`RTree`] — an STR bulk-loaded R-tree used by the `R-tree + Scan` baseline
 //!   of the paper's evaluation (Table 6).
-//! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Approx-DPC) or
+//! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Ex-DPC, Approx-DPC) or
 //!   `ε·d_cut/√d` (S-Approx-DPC). Cells are created online, only for occupied
 //!   regions, exactly as §4.1 describes. Construction shards across worker
 //!   threads ([`Grid::build_parallel`]) with a byte-for-byte identical CSR
 //!   layout at every thread count (the [`Grid::layout_eq`] contract).
-//! * [`batchq`] — batched range queries over the packed tree: a bucket of
-//!   query balls (typically one grid cell's points, via
-//!   [`Grid::query_buckets`]) descends the tree **once**, pruning with the
-//!   bucket's joint bounding box and feeding each leaf's contiguous rows to
-//!   the SIMD batch kernels per still-active query. Every result is
+//! * [`batchq`] — batched range counts over the packed tree, the ρ phase of
+//!   every algorithm: a bucket of query balls (the points of adjacent grid
+//!   cells, via [`Grid::query_buckets`]) descends the tree **once**, pruning
+//!   with the bucket's joint bounding box and feeding each leaf's contiguous
+//!   rows to the SIMD batch kernels per still-active query. Every count is
 //!   bit-identical to the corresponding single-query call — see the module's
 //!   determinism contract.
 
@@ -37,11 +40,11 @@ pub mod incremental;
 pub mod kdtree;
 pub mod rtree;
 
-pub use batchq::{BatchRangeCount, BatchRangeSearch};
+pub use batchq::BatchRangeCount;
 pub use grid::{CellId, Grid, QueryBuckets};
 pub use incremental::IncrementalKdTree;
 pub use kdtree::{
-    canonical_node_layout, packed_node_count, KdTree, MaxKeys, PackedNode, PackedParts,
+    canonical_node_layout, packed_node_count, KdTree, MaxKeys, MinLabels, PackedNode, PackedParts,
 };
 pub use rtree::RTree;
 

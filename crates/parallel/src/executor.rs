@@ -21,8 +21,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::partition::{lpt_partition, Partition};
-
 /// Target number of chunks each worker claims (on average) under dynamic
 /// scheduling; see [`dynamic_chunk`].
 const DYNAMIC_CHUNKS_PER_WORKER: usize = 64;
@@ -266,43 +264,6 @@ impl Executor {
         scatter(n, partials)
     }
 
-    /// Computes `f(i)` for every task `i`, assigning tasks to threads with the
-    /// LPT greedy over the caller-provided cost estimates (cost-based
-    /// partitioning, §4.5 of the paper). Returns results in index order together
-    /// with the partition that was used, so callers can report load-balance
-    /// statistics.
-    ///
-    /// # Panics
-    /// The first panicking worker's payload (in spawn order) is resumed on the
-    /// calling thread once the region has been joined (module docs).
-    pub fn map_partitioned<R, F>(&self, costs: &[f64], f: F) -> (Vec<R>, Partition)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let n = costs.len();
-        let partition = lpt_partition(costs, self.threads.min(n.max(1)));
-        if n == 0 {
-            return (Vec::new(), partition);
-        }
-        if self.threads == 1 || n == 1 {
-            return ((0..n).map(f).collect(), partition);
-        }
-        let mut partials: Vec<Vec<(usize, R)>> = Vec::with_capacity(partition.groups.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = partition
-                .groups
-                .iter()
-                .filter(|group| !group.is_empty())
-                .map(|group| scope.spawn(|| group.iter().map(|&i| (i, f(i))).collect::<Vec<_>>()))
-                .collect();
-            for handle in handles {
-                partials.push(join_or_resume(handle));
-            }
-        });
-        (scatter(n, partials), partition)
-    }
-
     /// Splits `0..n` into `threads` contiguous chunks and runs `f(chunk_range)`
     /// on each. Useful for reductions where every item costs roughly the same
     /// (sorting partitions, building per-subset kd-trees, ...).
@@ -426,26 +387,6 @@ mod tests {
     fn map_dynamic_empty() {
         let out: Vec<u32> = Executor::new(4).map_dynamic(0, |_| 1);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn map_partitioned_matches_sequential_results() {
-        let costs: Vec<f64> = (0..500).map(|i| ((i * 7) % 23) as f64 + 1.0).collect();
-        for threads in [1usize, 2, 4] {
-            let ex = Executor::new(threads);
-            let (out, partition) = ex.map_partitioned(&costs, |i| i as u64 + 1);
-            assert_eq!(out, (1..=500u64).collect::<Vec<_>>());
-            assert!(partition.imbalance() >= 1.0);
-            assert!(partition.bins() <= threads.max(1));
-        }
-    }
-
-    #[test]
-    fn map_partitioned_empty_tasks() {
-        let ex = Executor::new(4);
-        let (out, partition) = ex.map_partitioned(&[], |_| 0u8);
-        assert!(out.is_empty());
-        assert!((partition.total_load() - 0.0).abs() < 1e-12);
     }
 
     #[test]
@@ -620,18 +561,6 @@ mod tests {
                         drop(ex.map_dynamic(64, |i| {
                             if i == 13 {
                                 panic!("boom map_dynamic")
-                            }
-                            i
-                        }))
-                    }),
-                ),
-                (
-                    "map_partitioned",
-                    Box::new(|| {
-                        let costs = vec![1.0; 64];
-                        drop(ex.map_partitioned(&costs, |i| {
-                            if i == 13 {
-                                panic!("boom map_partitioned")
                             }
                             i
                         }))

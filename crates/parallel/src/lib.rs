@@ -8,10 +8,13 @@
 //!   `#pragma omp parallel for schedule(dynamic)` used by Ex-DPC's local-density
 //!   phase (§3): an idle worker repeatedly claims the next unprocessed item, so
 //!   expensive items (dense regions) do not serialise behind a static split.
-//! * **Cost-based partitioning** ([`lpt_partition`] + [`Executor::map_partitioned`])
-//!   — Approx-DPC's two-phase approach (§4.5): estimate the cost of every task,
-//!   then assign tasks to threads with Graham's 3/2-approximation greedy (LPT)
-//!   so every thread receives almost the same total cost.
+//!   Every algorithm's ρ, δ and per-cell phases schedule this way.
+//! * **Cost-based partitioning** ([`lpt_partition`]) — Approx-DPC's two-phase
+//!   approach (§4.5): estimate the cost of every task, then assign tasks to
+//!   threads with Graham's 3/2-approximation greedy (LPT) so every thread
+//!   receives almost the same total cost. No fit uses it: dynamic scheduling
+//!   balances every phase without a cost model. The `fig9_threads` bin and
+//!   the `partition` bench measure it as the paper's load-balance ablation.
 //! * **Fork-join** ([`Executor::join`]) — two independent closures run as a
 //!   scoped task pair, which gives divide-and-conquer callers (the parallel
 //!   packed kd-tree build in `dpc-index`) depth-limited nested parallelism

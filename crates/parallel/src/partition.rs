@@ -3,9 +3,11 @@
 //! Minimising the maximum per-thread cost (makespan) is NP-complete, but the
 //! Longest-Processing-Time-first greedy (Graham 1969) is a 3/2-approximation
 //! (4/3 asymptotically) and runs in `O(n' log n' + n' t)` time, which the paper
-//! calls trivial compared with the clustering work itself (§4.5). Approx-DPC
-//! uses it twice for local density (range cost, then scan cost) and once more
-//! for the exact dependent-point fallback.
+//! calls trivial compared with the clustering work itself (§4.5). The paper's
+//! Approx-DPC uses it for its local-density and dependent-point phases; the
+//! fits here schedule every phase dynamically instead, and the
+//! `fig9_threads` bin and the `partition` bench keep it as the paper's
+//! load-balance ablation.
 
 /// The result of partitioning `n` tasks into `bins` groups.
 #[derive(Clone, Debug)]

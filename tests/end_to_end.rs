@@ -71,6 +71,34 @@ fn approx_dpc_keeps_exact_centres_on_every_real_surrogate() {
     }
 }
 
+/// Table 5: S-Approx-DPC's Rand index against Ex-DPC over the ε sweep, on
+/// the real-data surrogates and a Syn random walk. The Airline surrogate is
+/// left out: at these thresholds Ex-DPC finds no centre there, so every
+/// labelling agrees trivially.
+#[test]
+fn sapprox_dpc_keeps_table5_accuracy_across_epsilon() {
+    let mut fixtures: Vec<(String, Dataset, f64)> =
+        [RealDataset::Household, RealDataset::Pamap2, RealDataset::Sensor]
+            .into_iter()
+            .map(|real| {
+                (real.name().to_string(), real.generate_with(4_000, 9), real.default_dcut())
+            })
+            .collect();
+    fixtures.push(("Syn".to_string(), random_walk(20_000, 13, 1e5, 2021), 1_000.0));
+    for (name, data, dcut) in &fixtures {
+        let params = DpcParams::new(*dcut);
+        let thresholds = Thresholds::new(5.0, 3.0 * dcut).unwrap();
+        let exact = ExDpc::new(params).run(data, &thresholds).unwrap();
+        assert!(exact.num_clusters() > 1, "{name}: {} centres", exact.num_clusters());
+        for epsilon in [0.2, 0.4, 0.6, 0.8, 1.0] {
+            let approx =
+                SApproxDpc::new(params).with_epsilon(epsilon).run(data, &thresholds).unwrap();
+            let ri = rand_index(approx.labels(), exact.labels());
+            assert!(ri >= 0.99, "{name} at ε {epsilon}: Rand index {ri}");
+        }
+    }
+}
+
 #[test]
 fn noise_injection_keeps_accuracy_high() {
     let base = random_walk(4_000, 6, 1e5, 3);
