@@ -7,10 +7,10 @@
 //! Kernels, at the base cardinality and again with an `_xl` suffix at
 //! `--xl-n`:
 //!
-//! * `snapshot_encode`    — serialize dataset + model + tree + thresholds;
+//! * `snapshot_encode`    — serialize model + tree + thresholds;
 //! * `model_view`         — zero-copy `ModelRef` parse (header + checksums);
 //! * `model_decode`       — owned `DpcModel::from_bytes` (full validation);
-//! * `tree_decode`        — owned `KdTree::from_bytes` against the dataset;
+//! * `tree_decode`        — owned `KdTree::from_bytes` (full validation);
 //! * `snapshot_cold_load` — `Snapshot::from_artifact_bytes`: the whole
 //!   serving install path off bytes;
 //! * `full_refit`         — `ExDpc` fit + `Snapshot::new`: what the cold
@@ -54,7 +54,7 @@ fn run_tier(
     let algo = ExDpc::new(params);
     let model = algo.fit(&data).expect("fit");
     let tree = KdTree::build(&data);
-    let bytes = SnapshotArtifact::encode(&data, &model, &tree, &thresholds);
+    let bytes = SnapshotArtifact::encode(&model, &tree, &thresholds);
     println!(
         "cold_load{suffix} ({} n = {n}, artifact {:.1} MiB)",
         dataset.name(),
@@ -62,7 +62,7 @@ fn run_tier(
     );
 
     records.push(bench_record(&format!("snapshot_encode{suffix}"), n, d, iters, || {
-        SnapshotArtifact::encode(&data, &model, &tree, &thresholds)
+        SnapshotArtifact::encode(&model, &tree, &thresholds)
     }));
     records.push(bench_record(&format!("model_view{suffix}"), n, d, iters, || {
         DpcModel::view(&bytes).expect("view")
@@ -71,7 +71,7 @@ fn run_tier(
         DpcModel::from_bytes(&bytes).expect("model decode")
     }));
     records.push(bench_record(&format!("tree_decode{suffix}"), n, d, iters, || {
-        KdTree::from_bytes(&data, &bytes).expect("tree decode")
+        KdTree::from_bytes(&bytes).expect("tree decode")
     }));
     records.push(bench_record(&format!("snapshot_cold_load{suffix}"), n, d, iters, || {
         Snapshot::from_artifact_bytes(&bytes).expect("cold load")

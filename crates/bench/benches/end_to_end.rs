@@ -4,6 +4,9 @@
 //! it also records the fit-vs-extract asymmetry the model API is built on and
 //! the index build cost the full pipelines sit on top of.
 //!
+//! The `fit_extract_*` kernels run round-robin (every iteration fits each
+//! algorithm once, in turn), so host noise spreads over all of them.
+//!
 //! Results are written to `BENCH_e2e.json` (schema in
 //! `crates/bench/README.md`) so the end-to-end trajectory is recorded PR over
 //! PR.
@@ -14,7 +17,7 @@
 //! pipelines, not the scheduler), `--out <json>` (default `BENCH_e2e.json`),
 //! `--check` (validate the emitted JSON and exit non-zero on schema drift).
 
-use dpc_bench::micro::{bench_record, write_bench_json, BenchRecord};
+use dpc_bench::micro::{bench_record, bench_records_round_robin, write_bench_json, BenchRecord};
 use dpc_bench::resolve_out_path;
 use dpc_bench::schema::{check_or_exit, required};
 use dpc_bench::{default_params, default_thresholds, Algo, BenchDataset};
@@ -85,12 +88,16 @@ fn main() {
             Algo::all(epsilon).iter().filter(|a| !algos.contains(a)).map(|a| a.name()).collect();
         println!("skipping quadratic baselines at n = {n} (> {QUADRATIC_MAX_N}): {dropped:?}");
     }
-    for algo in algos {
-        let label = format!("fit_extract_{}", kernel_label(&algo.name()));
-        records.push(bench_record(&label, n, d, 3, || {
-            algo.run(&data, params, &thresholds).expect("run").num_clusters()
-        }));
-    }
+    // Round-robin: each iteration fits every algorithm once, in turn, so a
+    // slow spell of the host cannot land on one algorithm only.
+    let mut fits: Vec<_> = algos
+        .iter()
+        .map(|algo| {
+            let label = format!("fit_extract_{}", kernel_label(&algo.name()));
+            (label, || algo.run(&data, params, &thresholds).expect("run").num_clusters())
+        })
+        .collect();
+    records.extend(bench_records_round_robin(&mut fits, n, d, 3));
 
     // The point of the fit/extract split: re-thresholding a fitted model is
     // orders of magnitude cheaper than any full run above.

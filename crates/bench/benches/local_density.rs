@@ -32,13 +32,26 @@ use dpc_bench::resolve_out_path;
 use dpc_bench::schema::{check_or_exit, required};
 use dpc_bench::{default_params, BenchDataset};
 use dpc_core::framework::jittered_density;
-use dpc_core::ExDpc;
+use dpc_core::{DpcParams, ExDpc};
+use dpc_geometry::Dataset;
 use dpc_index::{Grid, IncrementalKdTree, KdTree, RTree};
 use dpc_parallel::Executor;
 
 /// The quadratic scan baseline is only timed up to this cardinality; above it
 /// one iteration would dominate the whole bench run.
 const SCAN_MAX_N: usize = 20_000;
+
+/// The per-point ρ loop on one thread: `count(point, id)` is the point's
+/// `d_cut` neighbour count with itself left out, one tree query per point.
+fn per_point_rho(
+    data: &Dataset,
+    params: &DpcParams,
+    count: impl Fn(&[f64], usize) -> usize,
+) -> Vec<f64> {
+    (0..data.len())
+        .map(|i| jittered_density(count(data.point(i), i), i, params.jitter_seed))
+        .collect()
+}
 
 /// The three ρ kernels of the `_xl` tier: the per-point packed-tree loop and
 /// the batched engine at 1 and `threads` workers. Two repetitions — the tier
@@ -54,7 +67,7 @@ fn xl_tier(xl_n: usize, threads: usize, records: &mut Vec<BenchRecord>) {
     let exdpc_serial = ExDpc::new(params);
     let exdpc_parallel = ExDpc::new(default_params(&dataset, threads));
     records.push(bench_record("exdpc_packed_kdtree_xl", xl_n, d, 2, || {
-        exdpc_serial.local_densities_per_point(&data, &kdtree)
+        per_point_rho(&data, &params, |q, i| kdtree.range_count(q, params.dcut, Some(i)))
     }));
     records.push(bench_record("rho_batched_serial_xl", xl_n, d, 2, || {
         exdpc_serial.local_densities_with_grid(&data, &kdtree, &grid)
@@ -122,18 +135,13 @@ fn main() {
     // same as the packed kernel below at threads = 1).
     let arena = IncrementalKdTree::build(&data);
     records.push(bench_record("exdpc_arena_kdtree", n, d, 5, || {
-        (0..data.len())
-            .map(|i| {
-                let count = arena.range_count(data.point(i), params.dcut, Some(i));
-                jittered_density(count, i, params.jitter_seed)
-            })
-            .collect::<Vec<f64>>()
+        per_point_rho(&data, &params, |q, i| arena.range_count(q, params.dcut, Some(i)))
     }));
 
     let exdpc = ExDpc::new(params);
     let kdtree = KdTree::build(&data);
     records.push(bench_record("exdpc_packed_kdtree", n, d, 5, || {
-        exdpc.local_densities_per_point(&data, &kdtree)
+        per_point_rho(&data, &params, |q, i| kdtree.range_count(q, params.dcut, Some(i)))
     }));
 
     // The grid the batched engine buckets queries by: its construction is the

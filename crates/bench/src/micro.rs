@@ -30,21 +30,28 @@ use std::time::Instant;
 pub fn bench<R, F: FnMut() -> R>(label: &str, iters: usize, mut f: F) -> f64 {
     assert!(iters > 0, "at least one iteration is required");
     black_box(f());
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        black_box(f());
-        let secs = start.elapsed().as_secs_f64();
-        if std::env::var_os("BENCH_ITER_TRACE").is_some() {
-            eprintln!("  iter {secs:.6}s");
-        }
-        total += secs;
-        min = min.min(secs);
-    }
-    let mean = total / iters as f64;
+    let samples: Vec<f64> = (0..iters).map(|_| time_once(&mut f)).collect();
+    let (min, mean) = min_mean(&samples);
     println!("{label:<40} min {min:>10.6}s  mean {mean:>10.6}s  ({iters} iters)");
     mean
+}
+
+/// Wall-clock seconds of one call of `f`, echoed to stderr when
+/// `BENCH_ITER_TRACE` is set.
+fn time_once<R>(f: &mut impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    black_box(f());
+    let secs = start.elapsed().as_secs_f64();
+    if std::env::var_os("BENCH_ITER_TRACE").is_some() {
+        eprintln!("  iter {secs:.6}s");
+    }
+    secs
+}
+
+/// The fastest and the mean of a non-empty sample list.
+fn min_mean(samples: &[f64]) -> (f64, f64) {
+    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+    (min, samples.iter().sum::<f64>() / samples.len() as f64)
 }
 
 /// One timed kernel, as recorded in a `BENCH_*.json` file.
@@ -70,27 +77,40 @@ pub fn bench_record<R, F: FnMut() -> R>(
     n: usize,
     d: usize,
     iters: usize,
-    mut f: F,
+    f: F,
 ) -> BenchRecord {
+    let mut kernels = [(kernel.to_string(), f)];
+    bench_records_round_robin(&mut kernels, n, d, iters).pop().expect("one kernel, one record")
+}
+
+/// Times several kernels round-robin and returns one record per kernel, in
+/// order. After one warm-up call of each, every iteration runs each kernel
+/// once, in turn, so a slow spell of the host spreads over all of them
+/// instead of landing on the one that happened to run then.
+pub fn bench_records_round_robin<R, F: FnMut() -> R>(
+    kernels: &mut [(String, F)],
+    n: usize,
+    d: usize,
+    iters: usize,
+) -> Vec<BenchRecord> {
     assert!(iters > 0, "at least one iteration is required");
-    black_box(f());
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
+    for (_, f) in kernels.iter_mut() {
         black_box(f());
-        let secs = start.elapsed().as_secs_f64();
-        if std::env::var_os("BENCH_ITER_TRACE").is_some() {
-            eprintln!("  iter {secs:.6}s");
-        }
-        total += secs;
-        min = min.min(secs);
     }
-    let mean = total / iters as f64;
-    println!(
-        "{kernel:<40} min {min:>12.9}s  mean {mean:>12.9}s  ({iters} iters, n = {n}, d = {d})"
-    );
-    BenchRecord { kernel: kernel.to_string(), n, d, iters, min_secs: min, mean_secs: mean }
+    let mut samples = vec![Vec::with_capacity(iters); kernels.len()];
+    for _ in 0..iters {
+        for ((_, f), times) in kernels.iter_mut().zip(&mut samples) {
+            times.push(time_once(f));
+        }
+    }
+    let records = std::iter::zip(kernels.iter(), &samples).map(|((kernel, _), times)| {
+        let (min, mean) = min_mean(times);
+        println!(
+            "{kernel:<40} min {min:>12.9}s  mean {mean:>12.9}s  ({iters} iters, n = {n}, d = {d})"
+        );
+        BenchRecord { kernel: kernel.clone(), n, d, iters, min_secs: min, mean_secs: mean }
+    });
+    records.collect()
 }
 
 /// Serialises records to the documented `BENCH_*.json` schema (hand-rolled;
@@ -155,6 +175,20 @@ mod tests {
         assert_eq!(rec.kernel, "kernel_x");
         assert_eq!((rec.n, rec.d, rec.iters), (1000, 2, 5));
         assert!(rec.min_secs >= 0.0 && rec.mean_secs >= rec.min_secs);
+    }
+
+    #[test]
+    fn round_robin_runs_every_kernel_in_turn() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let log = &order;
+        let mut kernels: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|k| (k.to_string(), move || log.borrow_mut().push(k)))
+            .collect();
+        let records = bench_records_round_robin(&mut kernels, 10, 2, 3);
+        assert_eq!(order.into_inner(), ["a", "b"].repeat(4)); // warm-up + 3 rounds
+        assert_eq!(records.iter().map(|r| r.kernel.as_str()).collect::<Vec<_>>(), ["a", "b"]);
+        assert!(records.iter().all(|r| r.iters == 3 && r.mean_secs >= r.min_secs));
     }
 
     #[test]

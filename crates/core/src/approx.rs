@@ -74,8 +74,7 @@ impl ApproxDpc {
 
     /// Local-density phase: exact densities through the batched counts of
     /// Ex-DPC, then one sweep over the cells for `p*(c)` and `min ρ(c)`.
-    fn densities(&self, tree: &KdTree<'_>, executor: &Executor) -> (Vec<f64>, Cells) {
-        let data = tree.dataset();
+    fn densities(&self, data: &Dataset, tree: &KdTree, executor: &Executor) -> (Vec<f64>, Cells) {
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
         let side = dcut / (data.dim() as f64).sqrt();
@@ -111,7 +110,8 @@ impl ApproxDpc {
     /// Returns `(dependent, delta)`.
     fn dependents(
         &self,
-        tree: &KdTree<'_>,
+        data: &Dataset,
+        tree: &KdTree,
         executor: &Executor,
         rho: &[f64],
         cells: &Cells,
@@ -126,7 +126,6 @@ impl ApproxDpc {
         let keys: Vec<f64> = cell_of.iter().map(|&c| min_rho[c]).collect();
         let max_keys = MaxKeys::new(&parts, &keys);
         let labels = MinLabels::new(&parts, cell_of);
-        let data = tree.dataset();
         let denser_cell: Vec<Option<usize>> = executor.map_dynamic(grid.num_cells(), |c| {
             let star = p_star[c];
             parts.smallest_denser_label(&max_keys, &labels, data.point(star), dcut, rho[star])
@@ -151,7 +150,7 @@ impl ApproxDpc {
 
         // Exact computation for P' (§4.3, "Exact computation"). The globally
         // densest point finds no denser point and keeps δ = ∞, q = itself.
-        resolve_dependents(tree, rho, &residual, executor, &mut dependent, &mut delta);
+        resolve_dependents(data, tree, rho, &residual, executor, &mut dependent, &mut delta);
         (dependent, delta)
     }
 }
@@ -169,11 +168,11 @@ impl DpcAlgorithm for ApproxDpc {
 
         let start = Instant::now();
         let tree = KdTree::build_parallel(data, &executor);
-        let (rho, cells) = self.densities(&tree, &executor);
+        let (rho, cells) = self.densities(data, &tree, &executor);
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let (dependent, delta) = self.dependents(&tree, &executor, &rho, &cells);
+        let (dependent, delta) = self.dependents(data, &tree, &executor, &rho, &cells);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         let index_bytes = tree.mem_usage() + cells.grid.mem_usage();

@@ -55,11 +55,11 @@ impl ExDpc {
     /// This is the batched default: queries are clustered into grid cells
     /// (side `d_cut/√d`), each cell bucket descends the tree once through
     /// `dpc_index::batchq`, and buckets fan out across the configured worker
-    /// threads. Results are bit-identical to
-    /// [`ExDpc::local_densities_per_point`] at every thread count — batched
-    /// counts equal single-query counts exactly, and the bucket order is
-    /// fixed by the grid's CSR layout, which is itself thread-invariant.
-    pub fn local_densities(&self, data: &Dataset, tree: &KdTree<'_>) -> Vec<f64> {
+    /// threads. Results are bit-identical to one [`KdTree::range_count`] per
+    /// point at every thread count — batched counts equal single-query counts
+    /// exactly, and the bucket order is fixed by the grid's CSR layout, which
+    /// is itself thread-invariant.
+    pub fn local_densities(&self, data: &Dataset, tree: &KdTree) -> Vec<f64> {
         let seed = self.params.jitter_seed;
         let counts = self.neighbor_counts(data, tree);
         counts.into_iter().enumerate().map(|(p, count)| jittered_density(count, p, seed)).collect()
@@ -73,7 +73,7 @@ impl ExDpc {
     pub fn local_densities_with_grid(
         &self,
         data: &Dataset,
-        tree: &KdTree<'_>,
+        tree: &KdTree,
         grid: &Grid,
     ) -> Vec<f64> {
         debug_assert_eq!(data.len(), tree.len());
@@ -83,26 +83,12 @@ impl ExDpc {
         counts.into_iter().enumerate().map(|(p, count)| jittered_density(count, p, seed)).collect()
     }
 
-    /// The per-point reference ρ loop: one `range_count` traversal per point,
-    /// dynamically scheduled. Kept as the baseline the batched default is
-    /// pinned against (tests) and benchmarked against (`local_density`
-    /// trajectory).
-    pub fn local_densities_per_point(&self, data: &Dataset, tree: &KdTree<'_>) -> Vec<f64> {
-        let executor = Executor::new(self.params.threads);
-        let dcut = self.params.dcut;
-        let seed = self.params.jitter_seed;
-        executor.map_dynamic(data.len(), |i| {
-            let count = tree.range_count(data.point(i), dcut, Some(i));
-            jittered_density(count, i, seed)
-        })
-    }
-
     /// Every point's `d_cut` neighbour count, the ρ path of
     /// [`ExDpc::local_densities`] (hence `fit`) and [`ExDpc::fit_keyed`]:
     /// batched over a grid of side `d_cut/√d`, or one `range_count` per point
     /// when `d_cut` is too degenerate to seed a grid (`fit` rejects such a
     /// value; direct callers may not).
-    fn neighbor_counts(&self, data: &Dataset, tree: &KdTree<'_>) -> Vec<usize> {
+    fn neighbor_counts(&self, data: &Dataset, tree: &KdTree) -> Vec<usize> {
         let executor = Executor::new(self.params.threads);
         let dcut = self.params.dcut;
         let side = dcut / (data.dim() as f64).sqrt();
@@ -149,7 +135,7 @@ impl ExDpc {
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let (dependent, delta) = dependents(&tree, &rho, &executor);
+        let (dependent, delta) = dependents(data, &tree, &rho, &executor);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         DpcModel::from_parts(self.name(), dcut, rho, delta, dependent, timings, tree.mem_usage())
@@ -162,17 +148,22 @@ impl ExDpc {
     /// query per point; `fit` runs the same queries on its ρ-phase tree.
     pub fn dependent_points(&self, data: &Dataset, rho: &[f64]) -> (Vec<usize>, Vec<f64>) {
         let executor = Executor::new(self.params.threads);
-        dependents(&KdTree::build_parallel(data, &executor), rho, &executor)
+        dependents(data, &KdTree::build_parallel(data, &executor), rho, &executor)
     }
 }
 
-/// The δ phase over `tree`: every point's nearest denser point. The densest
-/// point keeps `δ = ∞` and depends on itself.
-fn dependents(tree: &KdTree<'_>, rho: &[f64], executor: &Executor) -> (Vec<usize>, Vec<f64>) {
+/// The δ phase over `tree`, built over `data`: every point's nearest denser
+/// point. The densest point keeps `δ = ∞` and depends on itself.
+fn dependents(
+    data: &Dataset,
+    tree: &KdTree,
+    rho: &[f64],
+    executor: &Executor,
+) -> (Vec<usize>, Vec<f64>) {
     let all: Vec<usize> = (0..rho.len()).collect();
     let mut dependent = all.clone();
     let mut delta = vec![f64::INFINITY; rho.len()];
-    resolve_dependents(tree, rho, &all, executor, &mut dependent, &mut delta);
+    resolve_dependents(data, tree, rho, &all, executor, &mut dependent, &mut delta);
     (dependent, delta)
 }
 
@@ -193,7 +184,7 @@ impl DpcAlgorithm for ExDpc {
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let (dependent, delta) = dependents(&tree, &rho, &executor);
+        let (dependent, delta) = dependents(data, &tree, &rho, &executor);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         DpcModel::from_parts(
@@ -340,7 +331,12 @@ mod tests {
                 let exdpc = ExDpc::new(params.with_threads(threads));
                 let tree = KdTree::build_parallel(data, &Executor::new(threads));
                 let batched = exdpc.local_densities(data, &tree);
-                let per_point = exdpc.local_densities_per_point(data, &tree);
+                let per_point: Vec<f64> = (0..data.len())
+                    .map(|i| {
+                        let count = tree.range_count(data.point(i), params.dcut, Some(i));
+                        jittered_density(count, i, params.jitter_seed)
+                    })
+                    .collect();
                 assert_eq!(batched.len(), per_point.len());
                 for i in 0..batched.len() {
                     assert_eq!(

@@ -100,7 +100,7 @@ pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
 /// `range_count` and lands in its point's slot, so the result is the same
 /// under every schedule and at every thread count.
 pub(crate) fn leading_counts(
-    tree: &KdTree<'_>,
+    tree: &KdTree,
     grid: &Grid,
     dcut: f64,
     lead: usize,
@@ -158,13 +158,15 @@ pub(crate) fn leading_counts(
 }
 
 /// Sets `dependent[p]`/`delta[p]` of every `p` in `queries` to its exact
-/// dependent point (Definition 2): the nearest point of `tree` whose key
-/// (`keys[id]`: ρ, or `-∞` to hide a point) is strictly greater than `p`'s,
-/// ties to the smallest id. A query no key exceeds keeps its entries. The
+/// dependent point (Definition 2): the nearest point of `tree` (built over
+/// `data`) whose key (`keys[id]`: ρ, or `-∞` to hide a point) is strictly
+/// greater than `p`'s, ties to the smallest id. A query no key exceeds keeps
+/// its entries. The query rows are read from `data` in id order. The
 /// independent queries fan out with `map_dynamic`, so the result does not
 /// depend on the thread count.
 pub(crate) fn resolve_dependents(
-    tree: &KdTree<'_>,
+    data: &Dataset,
+    tree: &KdTree,
     keys: &[f64],
     queries: &[usize],
     executor: &Executor,
@@ -173,7 +175,6 @@ pub(crate) fn resolve_dependents(
 ) {
     let parts = tree.packed_parts();
     let max_keys = MaxKeys::new(&parts, keys);
-    let data = tree.dataset();
     let found = executor.map_dynamic(queries.len(), |k| {
         let p = queries[k];
         parts.nearest_denser(&max_keys, data.point(p), keys[p])

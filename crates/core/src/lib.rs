@@ -50,6 +50,8 @@
 //! CFSFDP-A, DBSCAN) live in the `dpc-baselines` crate and implement the same
 //! trait, so a fitted baseline model is threshold-sweepable too.
 
+#![forbid(unsafe_code)]
+
 pub mod approx;
 pub mod error;
 pub mod exdpc;

@@ -34,8 +34,9 @@ use dpc_geometry::distance::{dist_sq, max_dist_sq_to_rect, min_dist_sq_to_rect};
 
 use crate::kdtree::{PackedParts, NONE};
 
-/// Sentinel for "no exclusion" in a [`BatchRangeCount`] exclusion slice
-/// (same encoding as the packed tree's internal `NO_CHILD`).
+/// Sentinel for "no exclusion" in a [`BatchRangeCount`] exclusion slice:
+/// `u32::MAX`, which is never the id of an indexed point (a tree indexes the
+/// ids `0..n` with `n < 2³²`), so the position-map lookup finds nothing.
 pub const NO_EXCLUDE: u32 = NONE;
 
 /// Subtree spans at or below this many points are counted as one contiguous

@@ -1,4 +1,4 @@
-//! A packed, static, leaf-bucketed kd-tree over a [`Dataset`].
+//! A packed, static, leaf-bucketed kd-tree over the points of a [`Dataset`].
 //!
 //! This is the workhorse index of the local-density phase — the dominant cost
 //! of every algorithm in the paper (Ex-DPC and Approx-DPC issue one range
@@ -33,9 +33,12 @@
 //!   against the bucket's contiguous rows — which are SIMD-accelerated when
 //!   the `simd` feature of `dpc-geometry` is enabled.
 //!
-//! The index stores `O(n)` identifiers plus `O(n·d)` packed coordinates and
-//! `O(n/LEAF_BUCKET)` nodes — `O(n)` space for fixed `d`, as the paper's space
-//! analysis (Theorem 3) requires.
+//! The index stores `O(n)` identifiers, their position map, `O(n·d)` packed
+//! coordinates and `O(n/LEAF_BUCKET)` nodes — `O(n)` space for fixed `d`, as
+//! the paper's space analysis (Theorem 3) requires. The tree owns all of it:
+//! a build copies every coordinate into the packed rows, and no query reads
+//! the dataset again, so a tree keeps no reference to the dataset it was
+//! built from and can be stored, sent or decoded on its own.
 //!
 //! * **Parallel construction.** After a median split the two child ranges are
 //!   completely independent, so [`KdTree::build_parallel`] fans the top
@@ -112,8 +115,7 @@ pub struct PackedNode {
 }
 
 impl PackedNode {
-    /// Sentinel `right` value marking a leaf (and, in position maps, a point
-    /// that is not indexed).
+    /// Sentinel `right` value marking a leaf.
     pub const NO_CHILD: u32 = u32::MAX;
 
     /// Whether this node is a leaf bucket (no children).
@@ -123,28 +125,27 @@ impl PackedNode {
     }
 }
 
-/// A packed static kd-tree over the points of a borrowed [`Dataset`].
-pub struct KdTree<'a> {
-    data: &'a Dataset,
+/// A packed static kd-tree over the points `0..n` of a [`Dataset`]. It owns
+/// copies of their coordinates and borrows nothing.
+pub struct KdTree {
     dim: usize,
-    /// Point identifiers in packed (partition) order.
+    /// Point identifiers in packed (partition) order: a permutation of
+    /// `0..n`.
     ids: Vec<u32>,
     /// Coordinates of `ids` in the same order, row-major. Leaf scans read this
     /// buffer sequentially.
     coords: Vec<f64>,
-    /// `pos[id]` = packed position of dataset point `id`, or `NONE` when the
-    /// point is not indexed. Materialised by every build; a decoded tree may
-    /// lack it (see [`KdTree::from_packed_parts`]). Used for the `O(1)` "is
-    /// the excluded point inside this subtree" test.
-    pos: Option<Vec<u32>>,
+    /// `pos[id]` = packed position of point `id`, the inverse of `ids`. Used
+    /// for the `O(1)` "is the excluded point inside this subtree" test.
+    pos: Vec<u32>,
     nodes: Vec<PackedNode>,
     /// Per-node bounding boxes: `dim` lows then `dim` highs per node.
     bounds: Vec<f64>,
 }
 
-impl<'a> KdTree<'a> {
+impl KdTree {
     /// Builds the packed tree over every point of `data`, serially.
-    pub fn build(data: &'a Dataset) -> Self {
+    pub fn build(data: &Dataset) -> Self {
         Self::build_parallel(data, &Executor::single())
     }
 
@@ -158,7 +159,7 @@ impl<'a> KdTree<'a> {
     /// disjoint pre-reserved slices of the same arrays the serial build
     /// fills, with the same deterministic median selection. Datasets smaller
     /// than a fork threshold build inline with zero spawns.
-    pub fn build_parallel(data: &'a Dataset, executor: &Executor) -> Self {
+    pub fn build_parallel(data: &Dataset, executor: &Executor) -> Self {
         let dim = data.dim();
         let n = data.len();
         let mut ids: Vec<u32> = (0..n as u32).collect();
@@ -184,11 +185,8 @@ impl<'a> KdTree<'a> {
             );
             debug_assert_eq!(written, total_nodes, "preorder node count must be exact");
         }
-        let mut pos = vec![NONE; n];
-        for (p, &id) in ids.iter().enumerate() {
-            pos[id as usize] = p as u32;
-        }
-        Self { data, dim, ids, coords, pos: Some(pos), nodes, bounds }
+        let pos = position_map(&ids).expect("a build permutes 0..n");
+        Self { dim, ids, coords, pos, nodes, bounds }
     }
 
     /// Number of points in the tree.
@@ -211,7 +209,7 @@ impl<'a> KdTree<'a> {
             dim: self.dim,
             ids: &self.ids,
             coords: &self.coords,
-            pos: self.pos.as_deref(),
+            pos: &self.pos,
             nodes: &self.nodes,
             bounds: &self.bounds,
         }
@@ -256,11 +254,6 @@ impl<'a> KdTree<'a> {
         self.packed_parts().nearest_neighbor(query, exclude)
     }
 
-    /// The backing dataset.
-    pub fn dataset(&self) -> &'a Dataset {
-        self.data
-    }
-
     /// Whether two trees have bit-identical packed layouts: same permuted
     /// identifiers, packed coordinate rows, preorder nodes and bounding boxes
     /// (floats compared by bit pattern, so even a `-0.0` vs `0.0` discrepancy
@@ -276,16 +269,13 @@ impl<'a> KdTree<'a> {
             && bits_eq(&self.coords, &other.coords)
             && self.nodes == other.nodes
             && bits_eq(&self.bounds, &other.bounds)
-            && self.pos == other.pos
     }
 
     /// Approximate heap memory used by the index, in bytes (packed ids and
-    /// coordinates, position map, nodes, and bounding boxes; the original
-    /// coordinates belong to the dataset).
+    /// coordinates, position map, nodes, and bounding boxes).
     pub fn mem_usage(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<u32>()
+        (self.ids.capacity() + self.pos.capacity()) * std::mem::size_of::<u32>()
             + self.coords.capacity() * std::mem::size_of::<f64>()
-            + self.pos.as_ref().map_or(0, |p| p.capacity() * std::mem::size_of::<u32>())
             + self.nodes.capacity() * std::mem::size_of::<PackedNode>()
             + self.bounds.capacity() * std::mem::size_of::<f64>()
     }
@@ -293,31 +283,32 @@ impl<'a> KdTree<'a> {
     /// Reassembles a tree from decoded packed storage — the loader
     /// counterpart of [`KdTree::build`], used by `dpc-persist`.
     ///
-    /// Nothing is trusted. The node array must equal
-    /// [`canonical_node_layout`] for the point count exactly (the build's
-    /// shape is a pure function of `n`, so every genuine artifact matches it
-    /// — and a canonical shape is what keeps the fixed traversal stacks in
-    /// bounds on decoded input); `ids` must index distinct points of `data`;
-    /// every packed coordinate row must equal its dataset row bitwise; the
-    /// position map, when present, must be the exact inverse of `ids`; and
-    /// every node's bounding box must be the box the build computes over the
-    /// node's packed range. A tree that passes is [`KdTree::layout_eq`] to a
-    /// fresh build over the same points.
+    /// Nothing is trusted. The dimensionality must be positive; the node
+    /// array must equal [`canonical_node_layout`] for the point count exactly
+    /// (the build's shape is a pure function of `n`, so every genuine
+    /// artifact matches it — and a canonical shape is what keeps the fixed
+    /// traversal stacks in bounds on decoded input); `ids` must be a
+    /// permutation of `0..n`, from which the position map is derived
+    /// ([`position_map`]); and every node's bounding box must be the box the
+    /// build computes over the node's packed range. A tree that passes is
+    /// [`KdTree::layout_eq`] to a fresh build over the points whose rows
+    /// `coords` holds.
     ///
     /// # Errors
     /// A static description of the first violated invariant, for the caller
     /// to wrap in its own error type.
     pub fn from_packed_parts(
-        data: &'a Dataset,
+        dim: usize,
         ids: Vec<u32>,
         coords: Vec<f64>,
-        pos: Option<Vec<u32>>,
         nodes: Vec<PackedNode>,
         bounds: Vec<f64>,
     ) -> Result<Self, &'static str> {
-        let dim = data.dim();
         let n = ids.len();
-        if coords.len() != n * dim {
+        if dim == 0 {
+            return Err("zero dimensionality");
+        }
+        if n.checked_mul(dim) != Some(coords.len()) {
             return Err("packed coordinate buffer length disagrees with the id count");
         }
         if nodes != canonical_node_layout(n) {
@@ -326,32 +317,7 @@ impl<'a> KdTree<'a> {
         if bounds.len() != nodes.len() * 2 * dim {
             return Err("bounds buffer length disagrees with the node count");
         }
-        let mut seen = vec![false; data.len()];
-        for (k, &id) in ids.iter().enumerate() {
-            let Some(slot) = seen.get_mut(id as usize) else {
-                return Err("packed id out of range of the dataset");
-            };
-            if std::mem::replace(slot, true) {
-                return Err("duplicate packed id");
-            }
-            let row = &coords[k * dim..(k + 1) * dim];
-            let point = data.point(id as usize);
-            if std::iter::zip(row, point).any(|(a, b)| a.to_bits() != b.to_bits()) {
-                return Err("packed coordinate row disagrees with its dataset point");
-            }
-        }
-        if let Some(pos) = &pos {
-            if pos.len() != data.len() {
-                return Err("position map length disagrees with the dataset");
-            }
-            let mut expected = vec![NONE; data.len()];
-            for (k, &id) in ids.iter().enumerate() {
-                expected[id as usize] = k as u32;
-            }
-            if *pos != expected {
-                return Err("position map is not the inverse of the packed ids");
-            }
-        }
+        let pos = position_map(&ids)?;
         // Recompute every node's box the way the build does and demand
         // agreement. Bitwise except for one carve-out: the build folds its
         // min/max over pre-split id order, this check over packed order, and
@@ -382,8 +348,29 @@ impl<'a> KdTree<'a> {
                 return Err("node bounding box disagrees with its packed points");
             }
         }
-        Ok(Self { data, dim, ids, coords, pos, nodes, bounds })
+        Ok(Self { dim, ids, coords, pos, nodes, bounds })
     }
+}
+
+/// The position map of a tree's packed ids: `pos[id]` is the packed position
+/// of point `id`. Every tree indexes exactly the points `0..n`, so the map is
+/// the inverse permutation of `ids`.
+///
+/// # Errors
+/// When `ids` is not a permutation of `0..ids.len()`: an id is out of range
+/// or repeats.
+pub fn position_map(ids: &[u32]) -> Result<Vec<u32>, &'static str> {
+    let mut pos = vec![NONE; ids.len()];
+    for (k, &id) in ids.iter().enumerate() {
+        let Some(slot) = pos.get_mut(id as usize) else {
+            return Err("packed id out of range of the point count");
+        };
+        if *slot != NONE {
+            return Err("duplicate packed id");
+        }
+        *slot = k as u32;
+    }
+    Ok(pos)
 }
 
 /// A borrowed view of a packed kd-tree's storage — the five flat buffers plus
@@ -406,9 +393,8 @@ pub struct PackedParts<'t> {
     pub ids: &'t [u32],
     /// Coordinates of `ids` in the same order, row-major.
     pub coords: &'t [f64],
-    /// `pos[id]` = packed position of point `id`, [`PackedNode::NO_CHILD`]
-    /// when unindexed; `None` on a decoded tree stored without one.
-    pub pos: Option<&'t [u32]>,
+    /// `pos[id]` = packed position of point `id`, the inverse of `ids`.
+    pub pos: &'t [u32],
     /// Preorder node array.
     pub nodes: &'t [PackedNode],
     /// Per-node bounding boxes: `dim` lows then `dim` highs per node.
@@ -424,22 +410,12 @@ impl PackedParts<'_> {
     }
 
     /// Packed position of the excluded point (by identifier) if it lies in
-    /// positions `start..end`. `O(1)` with a position map; without one it
-    /// falls back to scanning the range.
+    /// positions `start..end`, in `O(1)` through the position map. An id of
+    /// `n` or more, `NONE` (no exclusion) included, excludes nothing.
     #[inline]
     pub(crate) fn excluded_row(&self, start: usize, end: usize, excl_id: u32) -> Option<usize> {
-        if excl_id == NONE {
-            return None;
-        }
-        match self.pos {
-            Some(pos) => match pos.get(excl_id as usize) {
-                Some(&p) if p != NONE && (p as usize) >= start && (p as usize) < end => {
-                    Some(p as usize)
-                }
-                _ => None,
-            },
-            None => self.ids[start..end].iter().position(|&id| id == excl_id).map(|k| start + k),
-        }
+        let p = *self.pos.get(excl_id as usize)? as usize;
+        (start <= p && p < end).then_some(p)
     }
 
     /// Counts points whose distance to `query` is at most `radius` (closed
@@ -1151,25 +1127,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exclusion_is_exact_without_a_position_map() {
-        // A decoded tree may lack the position map: the fully-inside branch
-        // then takes the slow membership fallback. Exclusion must still be
-        // exact, and excluding a point that is not in the tree is a no-op.
-        let ds = random_dataset(90, 2, 8);
-        let (ids, coords, _, nodes, bounds) = parts_of(&KdTree::build(&ds));
-        let tree = KdTree::from_packed_parts(&ds, ids, coords, None, nodes, bounds).unwrap();
-        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, None), 90);
-        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, Some(0)), 89);
-        assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, Some(90)), 90);
-        for id in 0..10 {
-            let q = ds.point(id);
-            let want = brute_range_count(&ds, q, 20.0, None);
-            assert_eq!(tree.range_count(q, 20.0, None), want);
-            assert_eq!(tree.range_count(q, 20.0, Some(id)), want - 1);
-        }
-    }
-
     /// `O(n)` reference for [`PackedParts::nearest_denser`]: the smallest
     /// `(squared distance, id)` among points whose key exceeds `key`.
     fn brute_nearest_denser(
@@ -1478,19 +1435,13 @@ mod tests {
         assert!(a.layout_eq(&a));
     }
 
-    type OwnedParts = (Vec<u32>, Vec<f64>, Option<Vec<u32>>, Vec<PackedNode>, Vec<f64>);
+    type OwnedParts = (usize, Vec<u32>, Vec<f64>, Vec<PackedNode>, Vec<f64>);
 
     /// Destructure a tree into owned copies of its packed storage, the way a
     /// decoder hands parts back to [`KdTree::from_packed_parts`].
-    fn parts_of(tree: &KdTree<'_>) -> OwnedParts {
+    fn parts_of(tree: &KdTree) -> OwnedParts {
         let p = tree.packed_parts();
-        (
-            p.ids.to_vec(),
-            p.coords.to_vec(),
-            p.pos.map(<[u32]>::to_vec),
-            p.nodes.to_vec(),
-            p.bounds.to_vec(),
-        )
+        (p.dim, p.ids.to_vec(), p.coords.to_vec(), p.nodes.to_vec(), p.bounds.to_vec())
     }
 
     #[test]
@@ -1513,18 +1464,11 @@ mod tests {
         for (n, dim, seed) in [(0usize, 2usize, 1u64), (7, 3, 2), (500, 2, 3), (2000, 8, 4)] {
             let ds = random_dataset(n, dim, seed);
             let tree = KdTree::build(&ds);
-            let (ids, coords, pos, nodes, bounds) = parts_of(&tree);
-            let rebuilt = KdTree::from_packed_parts(&ds, ids, coords, pos, nodes, bounds).unwrap();
+            let (d, ids, coords, nodes, bounds) = parts_of(&tree);
+            let rebuilt = KdTree::from_packed_parts(d, ids, coords, nodes, bounds).unwrap();
             assert!(rebuilt.layout_eq(&tree), "n = {n}, dim = {dim}");
+            assert_eq!(rebuilt.packed_parts().pos, tree.packed_parts().pos, "n = {n}");
         }
-        // Trees without a position map round-trip too.
-        let ds = random_dataset(120, 2, 9);
-        let (ids, coords, _, nodes, bounds) = parts_of(&KdTree::build(&ds));
-        let tree = KdTree::from_packed_parts(&ds, ids, coords, None, nodes, bounds).unwrap();
-        let (ids, coords, pos, nodes, bounds) = parts_of(&tree);
-        assert!(pos.is_none());
-        let rebuilt = KdTree::from_packed_parts(&ds, ids, coords, pos, nodes, bounds).unwrap();
-        assert!(rebuilt.layout_eq(&tree));
     }
 
     #[test]
@@ -1540,8 +1484,8 @@ mod tests {
         coords.extend_from_slice(&[1.0, -1.0, 5.0e-324, -5.0e-324]); // subnormals
         let ds = Dataset::from_flat(2, coords);
         let tree = KdTree::build(&ds);
-        let (ids, coords, pos, nodes, bounds) = parts_of(&tree);
-        let rebuilt = KdTree::from_packed_parts(&ds, ids, coords, pos, nodes, bounds).unwrap();
+        let (d, ids, coords, nodes, bounds) = parts_of(&tree);
+        let rebuilt = KdTree::from_packed_parts(d, ids, coords, nodes, bounds).unwrap();
         assert!(rebuilt.layout_eq(&tree));
     }
 
@@ -1552,52 +1496,45 @@ mod tests {
         let parts = parts_of(&tree);
 
         // Baseline sanity: unmodified parts are accepted.
-        let (i0, c0, p0, n0, b0) = parts.clone();
-        assert!(KdTree::from_packed_parts(&ds, i0, c0, p0, n0, b0).is_ok());
+        let (d, i0, c0, n0, b0) = parts.clone();
+        assert!(KdTree::from_packed_parts(d, i0, c0, n0, b0).is_ok());
 
         // A duplicated id.
-        let (mut ids, c, p, n, b) = parts.clone();
+        let (d, mut ids, c, n, b) = parts.clone();
         ids[0] = ids[1];
-        assert!(KdTree::from_packed_parts(&ds, ids, c, p, n, b).is_err());
+        assert_eq!(KdTree::from_packed_parts(d, ids, c, n, b).err(), Some("duplicate packed id"));
 
-        // An out-of-range id.
-        let (mut ids, c, p, n, b) = parts.clone();
+        // An id that is not below the point count.
+        let (d, mut ids, c, n, b) = parts.clone();
         ids[5] = 300;
-        assert!(KdTree::from_packed_parts(&ds, ids, c, p, n, b).is_err());
-
-        // A coordinate that disagrees with the dataset (single bit flip).
-        let (i, mut c, p, n, b) = parts.clone();
-        c[17] = f64::from_bits(c[17].to_bits() ^ 1);
-        assert!(KdTree::from_packed_parts(&ds, i, c, p, n, b).is_err());
+        assert!(KdTree::from_packed_parts(d, ids, c, n, b).is_err());
 
         // A non-canonical node (range widened by one).
-        let (i, c, p, mut n, b) = parts.clone();
+        let (d, i, c, mut n, b) = parts.clone();
         n[1].end += 1;
-        assert!(KdTree::from_packed_parts(&ds, i, c, p, n, b).is_err());
+        assert!(KdTree::from_packed_parts(d, i, c, n, b).is_err());
 
         // A right-child index pointing at itself (would loop forever if run).
-        let (i, c, p, mut n, b) = parts.clone();
+        let (d, i, c, mut n, b) = parts.clone();
         n[0].right = 0;
-        assert!(KdTree::from_packed_parts(&ds, i, c, p, n, b).is_err());
+        assert!(KdTree::from_packed_parts(d, i, c, n, b).is_err());
 
         // A bounding box that no longer covers its points.
-        let (i, c, p, n, mut b) = parts.clone();
+        let (d, i, c, n, mut b) = parts.clone();
         b[0] += 1.0;
-        assert!(KdTree::from_packed_parts(&ds, i, c, p, n, b).is_err());
+        assert!(KdTree::from_packed_parts(d, i, c, n, b).is_err());
 
-        // A corrupted position map entry.
-        let (i, c, p, n, b) = parts.clone();
-        let mut p = p.unwrap();
-        p.swap(0, 1);
-        assert!(KdTree::from_packed_parts(&ds, i, c, Some(p), n, b).is_err());
-
-        // Truncated buffers.
-        let (i, mut c, p, n, b) = parts.clone();
+        // Truncated buffers, and a dimensionality that disagrees with them.
+        let (d, i, mut c, n, b) = parts.clone();
         c.pop();
-        assert!(KdTree::from_packed_parts(&ds, i, c, p, n, b).is_err());
-        let (i, c, p, n, mut b) = parts.clone();
+        assert!(KdTree::from_packed_parts(d, i, c, n, b).is_err());
+        let (d, i, c, n, mut b) = parts.clone();
         b.pop();
-        assert!(KdTree::from_packed_parts(&ds, i, c, p, n, b).is_err());
+        assert!(KdTree::from_packed_parts(d, i, c, n, b).is_err());
+        for dim in [0, 1, 3] {
+            let (_, i, c, n, b) = parts.clone();
+            assert!(KdTree::from_packed_parts(dim, i, c, n, b).is_err(), "dim {dim}");
+        }
     }
 
     #[test]
@@ -1622,6 +1559,5 @@ mod tests {
         let ds = random_dataset(128, 2, 2);
         let tree = KdTree::build(&ds);
         assert!(tree.mem_usage() >= 128 * std::mem::size_of::<u32>());
-        assert!(std::ptr::eq(tree.dataset(), &ds));
     }
 }

@@ -34,6 +34,8 @@
 //!   bit-identical to the corresponding single-query call — see the module's
 //!   determinism contract.
 
+#![forbid(unsafe_code)]
+
 pub mod batchq;
 pub mod grid;
 pub mod incremental;
@@ -44,7 +46,8 @@ pub use batchq::BatchRangeCount;
 pub use grid::{CellId, Grid, QueryBuckets};
 pub use incremental::IncrementalKdTree;
 pub use kdtree::{
-    canonical_node_layout, packed_node_count, KdTree, MaxKeys, MinLabels, PackedNode, PackedParts,
+    canonical_node_layout, packed_node_count, position_map, KdTree, MaxKeys, MinLabels, PackedNode,
+    PackedParts,
 };
 pub use rtree::RTree;
 

@@ -44,7 +44,7 @@ fn gather_rows(data: &Dataset, ids: &[usize]) -> Vec<f64> {
 /// single-query traversals, for the given radii and exclusions.
 fn assert_bucket_identity(
     data: &Dataset,
-    tree: &KdTree<'_>,
+    tree: &KdTree,
     query_ids: &[usize],
     radii: &[f64],
     exclude: &[u32],
@@ -162,23 +162,6 @@ fn adversarial_groupings_do_not_change_results() {
             }
         }
     }
-}
-
-#[test]
-fn trees_without_a_position_map_answer_batched_queries_identically() {
-    // A decoded tree may lack the position map (the exclusion lookup then
-    // falls back to scanning the packed range): batched results must match
-    // the single-query traversals there too.
-    let data = random_dataset(400, 2, 301);
-    let built = KdTree::build(&data);
-    let p = built.packed_parts();
-    let (ids, coords, nodes, bounds) =
-        (p.ids.to_vec(), p.coords.to_vec(), p.nodes.to_vec(), p.bounds.to_vec());
-    let tree = KdTree::from_packed_parts(&data, ids, coords, None, nodes, bounds).unwrap();
-    let queries: Vec<usize> = (0..data.len()).step_by(4).collect();
-    let radii: Vec<f64> = queries.iter().map(|&i| 2.0 + (i % 9) as f64).collect();
-    let exclude: Vec<u32> = queries.iter().map(|&i| i as u32).collect();
-    assert_bucket_identity(&data, &tree, &queries, &radii, &exclude);
 }
 
 #[test]

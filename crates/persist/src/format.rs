@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"DPCARTF\0"
-//! 8       4     format version (u32, currently 1)
+//! 8       4     format version (u32, currently 2)
 //! 12      4     endianness tag (u32 0x0A0B0C0D, written native)
 //! 16      4     section count (u32)
 //! 20      4     reserved, must be zero
@@ -39,7 +39,7 @@ pub const MAGIC: [u8; 8] = *b"DPCARTF\0";
 /// Current on-disk format version. Bump on **any** layout change — the golden
 /// files under `tests/golden/` pin the format in CI, so an unacknowledged
 /// change fails the `format-stability` job.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Endianness probe value, written in native byte order. A reader on a
 /// foreign-endian machine sees the byte-reversed value and reports a typed
@@ -47,7 +47,7 @@ pub const FORMAT_VERSION: u32 = 1;
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
 
 /// Section-table entries per artifact are capped far above any real layout
-/// (a snapshot uses 14); a count beyond this is corruption, not a big file.
+/// (a snapshot uses 11); a count beyond this is corruption, not a big file.
 const MAX_SECTIONS: usize = 64;
 
 /// Bytes before the section table.
@@ -57,7 +57,9 @@ const FIXED_HEADER: usize = 32;
 const TABLE_ENTRY: usize = 32;
 
 /// Section kind identifiers. Values are part of the on-disk format; never
-/// reuse a retired number.
+/// reuse a retired number. Retired in version 2, and reserved: 20 (the tree's
+/// position map, now derived from the packed ids), 32 and 33 (the snapshot's
+/// dataset metadata and coordinates, now rebuilt from the tree).
 pub mod kind {
     /// Model metadata: `d_cut`, timings, index bytes, algorithm name.
     pub const MODEL_META: u32 = 1;
@@ -69,7 +71,7 @@ pub mod kind {
     pub const MODEL_DEPENDENT: u32 = 4;
     /// Decreasing-density order, `n` u64 values.
     pub const MODEL_ORDER: u32 = 5;
-    /// Tree metadata: dimensionality, point and node counts, position-map flag.
+    /// Tree metadata: dimensionality, point and node counts.
     pub const TREE_META: u32 = 16;
     /// Packed point identifiers, `n` u32 values.
     pub const TREE_IDS: u32 = 17;
@@ -77,14 +79,8 @@ pub mod kind {
     pub const TREE_COORDS: u32 = 18;
     /// Preorder node array, 12 bytes per node.
     pub const TREE_NODES: u32 = 19;
-    /// Position map (inverse of the packed ids), u32 values.
-    pub const TREE_POS: u32 = 20;
     /// Per-node bounding boxes, `2·dim` f64 values per node.
     pub const TREE_BOUNDS: u32 = 21;
-    /// Dataset metadata: dimensionality and point count.
-    pub const DATA_META: u32 = 32;
-    /// Dataset coordinates, row-major, `n·dim` f64 values.
-    pub const DATA_COORDS: u32 = 33;
     /// Snapshot metadata: the fit thresholds.
     pub const SNAP_META: u32 = 48;
 }

@@ -17,10 +17,12 @@
 //! * a **model artifact** ([`PersistModel::to_bytes`] /
 //!   `DpcModel::from_bytes`),
 //! * a **tree artifact** ([`PersistTree::to_bytes`] /
-//!   `KdTree::from_bytes(data, bytes)`),
-//! * a **snapshot artifact** ([`SnapshotArtifact`]) bundling dataset +
-//!   model + tree + fit thresholds, which is what `dpc-serve`'s
-//!   `ModelStore::load` installs as a serving epoch without refitting.
+//!   `KdTree::from_bytes(bytes)`),
+//! * a **snapshot artifact** ([`SnapshotArtifact`]) bundling model + tree +
+//!   fit thresholds, which is what `dpc-serve`'s `ModelStore::load` installs
+//!   as a serving epoch without refitting. It stores each coordinate once, in
+//!   the tree's packed rows; the dataset is rebuilt from them
+//!   ([`SnapshotArtifact::dataset`]).
 //!
 //! Every decode failure — truncation, bit flip, bad magic or version,
 //! foreign endianness, checksum mismatch, or a payload violating the
@@ -35,7 +37,6 @@
 use std::path::Path;
 
 use dpc_core::{DpcError, DpcModel};
-use dpc_geometry::Dataset;
 use dpc_index::KdTree;
 
 pub mod format;
@@ -87,38 +88,36 @@ impl PersistModel for DpcModel {
 }
 
 /// Persistence for [`KdTree`]: `tree.to_bytes()` and
-/// `KdTree::from_bytes(&data, &bytes)` (import the trait to use them).
-/// Decoding borrows the dataset the tree indexes — the packed storage must
-/// agree with it bitwise, which [`KdTree::from_packed_parts`] enforces.
-pub trait PersistTree<'a>: Sized {
+/// `KdTree::from_bytes(&bytes)` (import the trait to use them). A tree owns
+/// its packed coordinate rows, so decoding needs no dataset.
+pub trait PersistTree: Sized {
     /// Encodes the tree's packed storage into a standalone artifact buffer.
     fn to_bytes(&self) -> Vec<u8>;
 
-    /// Decodes a tree over `data` from an artifact, validating container,
-    /// structure, and bitwise agreement with the dataset. Accepts any
-    /// artifact carrying the tree sections — including a combined
-    /// [`SnapshotArtifact`] buffer.
+    /// Decodes a tree from an artifact, validating container and structure
+    /// (see [`KdTree::from_packed_parts`]). Accepts any artifact carrying the
+    /// tree sections — including a combined [`SnapshotArtifact`] buffer.
     ///
     /// # Errors
     /// [`DpcError::TruncatedArtifact`] when the buffer is shorter than its
     /// header or sections claim, [`DpcError::Corrupt`] for every other
     /// validation failure.
-    fn from_bytes(data: &'a Dataset, bytes: &[u8]) -> Result<Self, DpcError>;
+    fn from_bytes(bytes: &[u8]) -> Result<Self, DpcError>;
 
     /// Parses a zero-copy borrowed view that answers queries straight off
-    /// `bytes`, with no dataset needed.
+    /// `bytes`.
     fn view(bytes: &[u8]) -> Result<KdTreeRef<'_>, DpcError>;
 }
 
-impl<'a> PersistTree<'a> for KdTree<'a> {
+impl PersistTree for KdTree {
     fn to_bytes(&self) -> Vec<u8> {
         let mut writer = format::ArtifactWriter::new();
-        tree::write_tree_sections(&mut writer, self);
+        tree::write_tree_sections(&mut writer, &self.packed_parts());
         writer.finish()
     }
 
-    fn from_bytes(data: &'a Dataset, bytes: &[u8]) -> Result<Self, DpcError> {
-        Self::view(bytes)?.to_tree(data)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, DpcError> {
+        Self::view(bytes)?.to_tree()
     }
 
     fn view(bytes: &[u8]) -> Result<KdTreeRef<'_>, DpcError> {

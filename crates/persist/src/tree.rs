@@ -5,20 +5,18 @@
 use std::borrow::Cow;
 
 use dpc_core::DpcError;
-use dpc_geometry::Dataset;
-use dpc_index::{canonical_node_layout, KdTree, PackedNode, PackedParts};
+use dpc_index::{canonical_node_layout, position_map, KdTree, PackedNode, PackedParts};
 
 use crate::format::{kind, view_slice, ArtifactWriter, Cursor, PayloadExt, Sections};
 
-/// Appends the tree sections to an artifact under construction. Shared by the
-/// standalone tree artifact and the combined snapshot artifact.
-pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, tree: &KdTree<'_>) {
-    let parts = tree.packed_parts();
+/// Appends the sections of a tree's packed storage to an artifact under
+/// construction. Shared by the standalone tree artifact and the combined
+/// snapshot artifact. The position map is not written: decoders derive it.
+pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, parts: &PackedParts<'_>) {
     let mut meta = Vec::new();
     meta.put_u64(parts.dim as u64);
     meta.put_u64(parts.ids.len() as u64);
     meta.put_u64(parts.nodes.len() as u64);
-    meta.put_u64(u64::from(parts.pos.is_some()));
     writer.section(kind::TREE_META, meta);
 
     let mut ids = Vec::new();
@@ -32,11 +30,6 @@ pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, tree: &KdTree<'_>
         nodes.put_u32_slice(&[node.start, node.end, node.right]);
     }
     writer.section(kind::TREE_NODES, nodes);
-    if let Some(pos) = parts.pos {
-        let mut buf = Vec::new();
-        buf.put_u32_slice(pos);
-        writer.section(kind::TREE_POS, buf);
-    }
     let mut bounds = Vec::new();
     bounds.put_f64_slice(parts.bounds);
     writer.section(kind::TREE_BOUNDS, bounds);
@@ -51,7 +44,8 @@ pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, tree: &KdTree<'_>
 /// [`nearest_neighbor`](KdTreeRef::nearest_neighbor) directly over the
 /// artifact bytes through the same [`PackedParts`] algorithms the owned tree
 /// uses. No dataset is needed: the packed coordinate rows are part of the
-/// artifact.
+/// artifact, and parsing derives the position map from the packed ids, which
+/// must be a permutation of `0..n`.
 ///
 /// Buffers borrow from the input whenever their sections sit suitably aligned
 /// in memory (guaranteed by the writer for any buffer that itself starts
@@ -60,15 +54,14 @@ pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, tree: &KdTree<'_>
 /// ([`KdTreeRef::is_zero_copy`] tells which path was taken).
 ///
 /// Materialising an owned [`KdTree`] with [`KdTreeRef::to_tree`] re-runs the
-/// exhaustive validation of [`KdTree::from_packed_parts`] against the target
-/// dataset (bitwise coordinate agreement, bounding-box agreement, position
-/// map inversion), so the result is `layout_eq` to the tree that was
-/// persisted.
+/// exhaustive validation of [`KdTree::from_packed_parts`] (bounding boxes
+/// included), so the result is `layout_eq` to the tree that was persisted.
 pub struct KdTreeRef<'a> {
     dim: usize,
     ids: Cow<'a, [u32]>,
     coords: Cow<'a, [f64]>,
-    pos: Option<Cow<'a, [u32]>>,
+    /// Derived at parse time; not part of the artifact.
+    pos: Vec<u32>,
     nodes: Cow<'a, [PackedNode]>,
     bounds: Cow<'a, [f64]>,
 }
@@ -81,13 +74,9 @@ impl<'a> KdTreeRef<'a> {
         let dim = meta.read_len()?;
         let n = meta.read_len()?;
         let node_count = meta.read_len()?;
-        let has_pos = meta.read_u64()?;
         meta.finish()?;
         if dim == 0 {
             return Err(corrupt("zero dimensionality"));
-        }
-        if has_pos > 1 {
-            return Err(corrupt("position-map flag is not boolean"));
         }
 
         let ids = view_slice::<u32>(sections.require(kind::TREE_IDS, "tree")?, "tree")?;
@@ -114,28 +103,10 @@ impl<'a> KdTreeRef<'a> {
         if bounds.len() != node_count * 2 * dim {
             return Err(corrupt("bounds buffer length disagrees with metadata"));
         }
-        let pos = if has_pos == 1 {
-            let pos = view_slice::<u32>(sections.require(kind::TREE_POS, "tree")?, "tree")?;
-            // The position map must be the exact inverse of the packed ids
-            // (which also proves the ids duplicate-free and in range): the
-            // O(1) exclusion fast path indexes it without further checks.
-            let mut expected = vec![PackedNode::NO_CHILD; pos.len()];
-            for (k, &id) in ids.iter().enumerate() {
-                let slot = expected
-                    .get_mut(id as usize)
-                    .ok_or_else(|| corrupt("packed id out of range of the position map"))?;
-                *slot = k as u32;
-            }
-            if *pos != expected {
-                return Err(corrupt("position map is not the inverse of the packed ids"));
-            }
-            Some(pos)
-        } else {
-            if sections.get(kind::TREE_POS).is_some() {
-                return Err(corrupt("position map present but flagged absent"));
-            }
-            None
-        };
+        // Every tree indexes exactly the points `0..n`: the ids must be a
+        // permutation, whose inverse is the position map the exclusion test
+        // reads and the row order a snapshot rebuilds its dataset in.
+        let pos = position_map(&ids).map_err(corrupt)?;
         Ok(Self { dim, ids, coords, pos, nodes, bounds })
     }
 
@@ -154,14 +125,14 @@ impl<'a> KdTreeRef<'a> {
         self.dim
     }
 
-    /// Whether every buffer of this view borrows from the artifact bytes
-    /// (see the type-level docs for when the copy fallback triggers).
+    /// Whether every persisted buffer of this view borrows from the artifact
+    /// bytes (see the type-level docs for when the copy fallback triggers).
+    /// The derived position map is always owned.
     pub fn is_zero_copy(&self) -> bool {
         matches!(self.ids, Cow::Borrowed(_))
             && matches!(self.coords, Cow::Borrowed(_))
             && matches!(self.nodes, Cow::Borrowed(_))
             && matches!(self.bounds, Cow::Borrowed(_))
-            && self.pos.as_ref().is_none_or(|p| matches!(p, Cow::Borrowed(_)))
     }
 
     /// The borrowed query view over this storage — the same [`PackedParts`]
@@ -171,7 +142,7 @@ impl<'a> KdTreeRef<'a> {
             dim: self.dim,
             ids: &self.ids,
             coords: &self.coords,
-            pos: self.pos.as_deref(),
+            pos: &self.pos,
             nodes: &self.nodes,
             bounds: &self.bounds,
         }
@@ -195,19 +166,65 @@ impl<'a> KdTreeRef<'a> {
         self.packed_parts().nearest_neighbor(query, exclude)
     }
 
-    /// Materialises an owned [`KdTree`] borrowing `data`, through the
-    /// exhaustively validating [`KdTree::from_packed_parts`] — the decoded
-    /// storage must agree with `data` bitwise, so a tree persisted against
-    /// one dataset cannot be silently revived against another.
-    pub fn to_tree<'d>(&self, data: &'d Dataset) -> Result<KdTree<'d>, DpcError> {
+    /// Materialises an owned [`KdTree`] through the exhaustively validating
+    /// [`KdTree::from_packed_parts`], which also checks every node's bounding
+    /// box against its packed rows.
+    pub fn to_tree(&self) -> Result<KdTree, DpcError> {
         KdTree::from_packed_parts(
-            data,
+            self.dim,
             self.ids.to_vec(),
             self.coords.to_vec(),
-            self.pos.as_ref().map(|p| p.to_vec()),
             self.nodes.to_vec(),
             self.bounds.to_vec(),
         )
         .map_err(|what| DpcError::Corrupt { section: "tree", what })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::PayloadExt;
+    use crate::model::write_model_sections;
+    use crate::{PersistTree, SnapshotArtifact};
+    use dpc_core::{DpcAlgorithm, DpcModel, DpcParams, ExDpc};
+    use dpc_geometry::Dataset;
+
+    /// A snapshot artifact whose tree carries `ids` in place of its own, with
+    /// valid checksums, so only the decoders' semantic checks can reject it.
+    fn snapshot_with_ids(model: &DpcModel, tree: &KdTree, ids: &[u32]) -> Vec<u8> {
+        let mut writer = ArtifactWriter::new();
+        write_model_sections(&mut writer, model);
+        write_tree_sections(&mut writer, &PackedParts { ids, ..tree.packed_parts() });
+        let mut snap = Vec::new();
+        snap.put_f64(1.0);
+        snap.put_f64(2.0);
+        writer.section(kind::SNAP_META, snap);
+        writer.finish()
+    }
+
+    #[test]
+    fn ids_that_are_not_a_permutation_are_corrupt() {
+        let n = 64;
+        let data = Dataset::from_flat(2, (0..2 * n).map(|i| ((i * 37) % 101) as f64).collect());
+        let model = ExDpc::new(DpcParams::new(10.0)).fit(&data).unwrap();
+        let tree = KdTree::build(&data);
+        let ids = tree.packed_parts().ids;
+        assert!(SnapshotArtifact::from_bytes(&snapshot_with_ids(&model, &tree, ids)).is_ok());
+
+        let mut repeated = ids.to_vec();
+        repeated[1] = repeated[0];
+        let mut with_n = ids.to_vec();
+        with_n[7] = n as u32;
+        for bad in [repeated, with_n] {
+            let bytes = snapshot_with_ids(&model, &tree, &bad);
+            let tree_corrupt = |result: Result<(), DpcError>| {
+                matches!(result, Err(DpcError::Corrupt { section: "tree", .. }))
+            };
+            assert!(tree_corrupt(KdTree::view(&bytes).map(drop)), "view of {bad:?}");
+            assert!(tree_corrupt(KdTree::from_bytes(&bytes).map(drop)), "decode of {bad:?}");
+            let snapshot = SnapshotArtifact::from_bytes(&bytes).map(drop);
+            assert!(tree_corrupt(snapshot), "snapshot of {bad:?}");
+        }
     }
 }

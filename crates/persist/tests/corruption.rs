@@ -105,7 +105,7 @@ fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) -> String {
 /// Every decoder the artifact flavour supports must reject the mutant with a
 /// typed error. Decoding runs inside the test harness, so a panic anywhere
 /// fails the test with the echoed seed and mutation tag.
-fn assert_rejected(original: &[u8], mutant: &[u8], data: &Dataset, seed: u64, tag: &str) {
+fn assert_rejected(original: &[u8], mutant: &[u8], seed: u64, tag: &str) {
     if mutant == original {
         return; // e.g. appending onto a prefix-identical buffer — not here, but cheap to guard
     }
@@ -120,7 +120,7 @@ fn assert_rejected(original: &[u8], mutant: &[u8], data: &Dataset, seed: u64, ta
         }
     };
     check(DpcModel::from_bytes(mutant).map(drop), "model decoder");
-    check(KdTree::from_bytes(data, mutant).map(drop), "tree decoder");
+    check(KdTree::from_bytes(mutant).map(drop), "tree decoder");
     check(SnapshotArtifact::from_bytes(mutant).map(drop), "snapshot decoder");
 }
 
@@ -137,14 +137,14 @@ fn seeded_mutation_storm_never_panics_and_always_rejects() {
     let artifacts = [
         ("model", model.to_bytes()),
         ("tree", tree.to_bytes()),
-        ("snapshot", SnapshotArtifact::encode(&data, &model, &tree, &thresholds)),
+        ("snapshot", SnapshotArtifact::encode(&model, &tree, &thresholds)),
     ];
 
     for (flavour, original) in &artifacts {
         for round in 0..MUTATIONS_PER_ARTIFACT {
             let mut mutant = original.clone();
             let tag = mutate(&mut rng, &mut mutant);
-            assert_rejected(original, &mutant, &data, seed, &format!("{flavour}#{round}: {tag}"));
+            assert_rejected(original, &mutant, seed, &format!("{flavour}#{round}: {tag}"));
         }
     }
 }
@@ -191,7 +191,7 @@ fn wrong_flavour_is_rejected_not_misread() {
         DpcError::Corrupt { section: "model", .. }
     ));
     let model_bytes = fixture_model(8).to_bytes();
-    let Err(err) = KdTree::from_bytes(&data, &model_bytes) else {
+    let Err(err) = KdTree::from_bytes(&model_bytes) else {
         panic!("tree decoder accepted a model artifact")
     };
     assert!(matches!(err, DpcError::Corrupt { section: "tree", .. }), "got {err:?}");

@@ -1,7 +1,7 @@
 //! Round-trip property tests: `from_bytes ∘ to_bytes == id`, **bitwise**
 //! (`layout_eq`), across dimensionalities, duplicates, subnormals, signed
-//! zeros, empty trees and trees without a position map — plus the
-//! misaligned-slice decode that exercises the documented copy fallback.
+//! zeros and empty trees — plus the misaligned-slice decode that exercises
+//! the documented copy fallback.
 
 use dpc_core::{DpcModel, Thresholds, Timings};
 use dpc_geometry::Dataset;
@@ -15,6 +15,21 @@ fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
     for _ in 0..n {
         let p: Vec<f64> = (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
         data.push(&p);
+    }
+    data
+}
+
+/// 40 points in 2-d: signed zeros, subnormals, duplicates and distinct rows.
+fn signed_zero_dataset() -> Dataset {
+    let mut data = Dataset::new(2);
+    for i in 0..40 {
+        match i % 5 {
+            0 => data.push(&[0.0, -0.0]),
+            1 => data.push(&[-0.0, 0.0]),
+            2 => data.push(&[5.0e-324, -5.0e-324]),
+            3 => data.push(&[1.0, 1.0]), // deliberate duplicates
+            _ => data.push(&[i as f64, -(i as f64)]),
+        };
     }
     data
 }
@@ -79,7 +94,7 @@ fn trees_round_trip_bitwise_across_dimensionalities() {
         let data = random_dataset(n, dim, seed);
         let tree = KdTree::build(&data);
         let bytes = tree.to_bytes();
-        let back = KdTree::from_bytes(&data, &bytes).unwrap();
+        let back = KdTree::from_bytes(&bytes).unwrap();
         assert!(back.layout_eq(&tree), "n={n} dim={dim}: decoded tree diverged");
         assert_eq!(back.to_bytes(), bytes, "n={n} dim={dim}: re-encode drifted");
     }
@@ -87,19 +102,10 @@ fn trees_round_trip_bitwise_across_dimensionalities() {
 
 #[test]
 fn trees_with_duplicates_signed_zeros_and_subnormals_round_trip() {
-    let mut data = Dataset::new(2);
-    for i in 0..40 {
-        match i % 5 {
-            0 => data.push(&[0.0, -0.0]),
-            1 => data.push(&[-0.0, 0.0]),
-            2 => data.push(&[5.0e-324, -5.0e-324]),
-            3 => data.push(&[1.0, 1.0]), // deliberate duplicates
-            _ => data.push(&[i as f64, -(i as f64)]),
-        };
-    }
+    let data = signed_zero_dataset();
     let tree = KdTree::build(&data);
     let bytes = tree.to_bytes();
-    let back = KdTree::from_bytes(&data, &bytes).unwrap();
+    let back = KdTree::from_bytes(&bytes).unwrap();
     assert!(back.layout_eq(&tree));
     // The zero-copy view answers queries straight off the bytes, with no
     // dataset at all — identically to the owned tree.
@@ -113,27 +119,11 @@ fn trees_with_duplicates_signed_zeros_and_subnormals_round_trip() {
 }
 
 #[test]
-fn trees_round_trip_without_a_position_map() {
-    let data = random_dataset(120, 3, 77);
-    let built = KdTree::build(&data);
-    let p = built.packed_parts();
-    let (ids, coords, nodes, bounds) =
-        (p.ids.to_vec(), p.coords.to_vec(), p.nodes.to_vec(), p.bounds.to_vec());
-    let tree = KdTree::from_packed_parts(&data, ids, coords, None, nodes, bounds).unwrap();
-    let bytes = tree.to_bytes();
-    let back = KdTree::from_bytes(&data, &bytes).unwrap();
-    assert!(back.layout_eq(&tree));
-    let view = KdTree::view(&bytes).unwrap();
-    assert_eq!(view.len(), data.len());
-    assert!(view.nearest_neighbor(data.point(5), Some(5)).is_some());
-}
-
-#[test]
 fn empty_tree_round_trips() {
     let data = Dataset::new(2);
     let tree = KdTree::build(&data);
     let bytes = tree.to_bytes();
-    let back = KdTree::from_bytes(&data, &bytes).unwrap();
+    let back = KdTree::from_bytes(&bytes).unwrap();
     assert!(back.layout_eq(&tree));
     let view = KdTree::view(&bytes).unwrap();
     assert!(view.is_empty());
@@ -150,44 +140,39 @@ fn misaligned_tree_decode_takes_the_copy_fallback() {
     shifted[1..].copy_from_slice(&bytes);
     let view = KdTree::view(&shifted[1..]).unwrap();
     assert!(!view.is_zero_copy());
-    let back = view.to_tree(&data).unwrap();
+    let back = view.to_tree().unwrap();
     assert!(back.layout_eq(&tree));
 }
 
 #[test]
 fn snapshot_artifact_round_trips_and_is_a_superset() {
-    let data = random_dataset(150, 2, 55);
-    let model = random_model(150, 56);
-    let tree = KdTree::build(&data);
-    let thresholds = Thresholds::new(1.0, 2.0).unwrap();
-    let bytes = SnapshotArtifact::encode(&data, &model, &tree, &thresholds);
+    let inputs = [
+        random_dataset(150, 2, 55),
+        signed_zero_dataset(),
+        random_dataset(90, 3, 57),
+        random_dataset(70, 8, 58),
+    ];
+    for (k, data) in inputs.iter().enumerate() {
+        let model = random_model(data.len(), 56 + k as u64);
+        let tree = KdTree::build(data);
+        let thresholds = Thresholds::new(1.0, 2.0).unwrap();
+        let bytes = SnapshotArtifact::encode(&model, &tree, &thresholds);
 
-    let artifact = SnapshotArtifact::from_bytes(&bytes).unwrap();
-    assert_eq!(artifact.n(), 150);
-    assert_eq!(artifact.dim(), 2);
-    assert_eq!(artifact.thresholds(), thresholds);
-    assert!(artifact.model().is_zero_copy() && artifact.tree().is_zero_copy());
-    assert!(artifact.model().to_model().unwrap().layout_eq(&model));
-    assert!(artifact.tree().to_tree(&data).unwrap().layout_eq(&tree));
-    let revived = artifact.dataset();
-    assert_eq!(revived.flat(), data.flat());
+        let artifact = SnapshotArtifact::from_bytes(&bytes).unwrap();
+        assert_eq!((artifact.n(), artifact.dim()), (data.len(), data.dim()), "input {k}");
+        assert_eq!(artifact.thresholds(), thresholds);
+        assert!(artifact.model().is_zero_copy() && artifact.tree().is_zero_copy());
+        assert!(artifact.model().to_model().unwrap().layout_eq(&model));
+        assert!(artifact.tree().to_tree().unwrap().layout_eq(&tree));
+        // The dataset comes back from the tree's packed rows, bit for bit.
+        let revived = artifact.dataset();
+        assert_eq!(revived.dim(), data.dim());
+        let bits = |d: &Dataset| d.flat().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&revived), bits(data), "input {k}: rebuilt rows differ");
 
-    // Superset property: the combined buffer also decodes through the
-    // standalone decoders, which ignore sections they do not need.
-    assert!(DpcModel::from_bytes(&bytes).unwrap().layout_eq(&model));
-    assert!(KdTree::from_bytes(&data, &bytes).unwrap().layout_eq(&tree));
-}
-
-#[test]
-fn tree_decode_rejects_a_different_dataset() {
-    // A tree persisted against one dataset must not revive against another:
-    // the packed coordinate rows are validated bitwise.
-    let data = random_dataset(50, 2, 91);
-    let other = random_dataset(50, 2, 92);
-    let bytes = KdTree::build(&data).to_bytes();
-    assert!(KdTree::from_bytes(&data, &bytes).is_ok());
-    assert!(matches!(
-        KdTree::from_bytes(&other, &bytes),
-        Err(dpc_core::DpcError::Corrupt { section: "tree", .. })
-    ));
+        // Superset property: the combined buffer also decodes through the
+        // standalone decoders, which ignore sections they do not need.
+        assert!(DpcModel::from_bytes(&bytes).unwrap().layout_eq(&model));
+        assert!(KdTree::from_bytes(&bytes).unwrap().layout_eq(&tree));
+    }
 }

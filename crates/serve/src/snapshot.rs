@@ -11,25 +11,8 @@
 //! drops it — old epochs drain naturally, and no request can observe half of
 //! one epoch and half of another.
 //!
-//! # Why there is `unsafe` here
-//!
-//! [`KdTree`] borrows the dataset it indexes (`KdTree<'a>` over
-//! `&'a Dataset`), which a long-lived snapshot cannot express in safe Rust:
-//! the snapshot owns the dataset *and* the tree borrowing it. The standard
-//! owner-plus-borrower construction is used instead: the dataset lives on the
-//! heap behind an [`Arc`] (its address is stable no matter where the `Arc`
-//! itself moves), the tree is built against that heap allocation, and the
-//! borrow is extended to `'static` inside [`Snapshot::new`]. Soundness rests
-//! on three invariants, each enforced structurally:
-//!
-//! 1. the `Arc<Dataset>` lives in the same struct and is never removed, so
-//!    the pointee outlives the tree;
-//! 2. the dataset is never mutated — `Dataset` has no interior mutability and
-//!    an `Arc` refuses `get_mut` while the snapshot holds a reference;
-//! 3. the fabricated `'static` lifetime never escapes: [`Snapshot::tree`]
-//!    re-brackets the borrow to the snapshot's own lifetime (a safe variance
-//!    coercion), so callers cannot obtain a `&'static Dataset` through
-//!    [`KdTree::dataset`].
+//! The kd-tree owns its packed coordinate rows and borrows nothing, so the
+//! snapshot holds its dataset and its tree side by side in safe Rust.
 
 use std::sync::Arc;
 
@@ -43,10 +26,7 @@ use dpc_persist::SnapshotArtifact;
 /// permuted coordinates, and the clustering cached for the snapshot's default
 /// thresholds. Immutable after construction; shared by `Arc`.
 pub struct Snapshot {
-    /// Declared first so it drops before `data` (fields drop in declaration
-    /// order). The tree's drop never dereferences the dataset, but keeping
-    /// the borrower ahead of its owner makes the invariant locally obvious.
-    tree: KdTree<'static>,
+    tree: KdTree,
     /// The fitted ρ over `tree`'s nodes: the pruning data of `Assign`'s
     /// nearest-denser search.
     pub(crate) max_rho: MaxKeys,
@@ -84,34 +64,29 @@ impl Snapshot {
             model.n(),
             data.len()
         );
-        // SAFETY: `data` is heap-allocated behind an `Arc` whose allocation
-        // address is stable across moves of the handle; the `Arc` is stored
-        // in the same struct as the tree and never dropped, replaced or
-        // mutated while the tree exists; and the `'static` borrow is only
-        // ever re-exposed at the snapshot's own lifetime (see
-        // [`Snapshot::tree`]). See the module docs for the full argument.
-        let data_ref: &'static Dataset = unsafe { &*Arc::as_ptr(&data) };
-        let tree = KdTree::build_parallel(data_ref, executor);
+        let tree = KdTree::build_parallel(&data, executor);
         let max_rho = MaxKeys::new(&tree.packed_parts(), model.rho());
         let clustering = model.extract(&thresholds);
         Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 }
     }
 
     /// Serialises this epoch into a single snapshot artifact buffer
-    /// ([`SnapshotArtifact::encode`]): dataset, model, packed kd-tree and the
-    /// default thresholds, checksummed and versioned. The epoch number is
-    /// deliberately *not* persisted — epochs are an identity the installing
-    /// store stamps, not part of the fitted state.
+    /// ([`SnapshotArtifact::encode`]): model, packed kd-tree and the default
+    /// thresholds, checksummed and versioned. The dataset travels as the
+    /// tree's packed rows. The epoch number is deliberately *not* persisted —
+    /// epochs are an identity the installing store stamps, not part of the
+    /// fitted state.
     pub fn to_artifact_bytes(&self) -> Vec<u8> {
-        SnapshotArtifact::encode(&self.data, &self.model, &self.tree, &self.thresholds)
+        SnapshotArtifact::encode(&self.model, &self.tree, &self.thresholds)
     }
 
     /// Rebuilds a serving snapshot from a snapshot artifact **without
     /// refitting and without rebuilding the kd-tree**: the packed tree
-    /// storage is decoded (and exhaustively validated against the decoded
-    /// dataset) instead of being reconstructed, which is what makes cold
-    /// starts cheap. Only the `O(n)` max-ρ array and label propagation for
-    /// the persisted thresholds are derived at load time. The epoch is `0` until
+    /// storage is decoded (and exhaustively validated) instead of being
+    /// reconstructed, which is what makes cold starts cheap. The dataset is
+    /// rebuilt from the tree's packed rows; the `O(n)` max-ρ array and label
+    /// propagation for the persisted thresholds are derived at load time too.
+    /// The epoch is `0` until
     /// [`ModelStore::install`](crate::ModelStore) stamps it.
     ///
     /// The result is indistinguishable from the snapshot that was saved:
@@ -127,11 +102,7 @@ impl Snapshot {
         let data = Arc::new(artifact.dataset());
         let model = artifact.model().to_model()?;
         let thresholds = artifact.thresholds();
-        // SAFETY: identical bracket to `Snapshot::new` — `data` is behind an
-        // `Arc` stored in the same struct, never mutated or replaced, and the
-        // fabricated `'static` never escapes (see the module docs).
-        let data_ref: &'static Dataset = unsafe { &*Arc::as_ptr(&data) };
-        let tree = artifact.tree().to_tree(data_ref)?;
+        let tree = artifact.tree().to_tree()?;
         let max_rho = MaxKeys::new(&tree.packed_parts(), model.rho());
         let clustering = model.extract(&thresholds);
         Ok(Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 })
@@ -148,21 +119,13 @@ impl Snapshot {
         &self.data
     }
 
-    /// A shared handle to the dataset (cheap clone; used by refit pipelines
-    /// that want to derive the next window from the current one).
-    pub fn data_arc(&self) -> Arc<Dataset> {
-        Arc::clone(&self.data)
-    }
-
     /// The fitted model.
     pub fn model(&self) -> &DpcModel {
         &self.model
     }
 
-    /// The packed kd-tree over the snapshot's dataset. The returned borrow is
-    /// bracketed to the snapshot's lifetime — the internally extended
-    /// `'static` never escapes.
-    pub fn tree(&self) -> &KdTree<'_> {
+    /// The packed kd-tree over the snapshot's dataset.
+    pub fn tree(&self) -> &KdTree {
         &self.tree
     }
 
@@ -206,8 +169,7 @@ impl Snapshot {
 }
 
 // `Snapshot` is shared across reader and writer threads through `Arc`; all
-// fields are immutable after construction and every field is `Send + Sync`
-// (the `&'static Dataset` inside the tree points at the `Arc` allocation).
+// fields are immutable after construction and every field is `Send + Sync`.
 // The explicit assertions keep a future non-Sync field from compiling.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -256,8 +218,7 @@ mod tests {
 
     #[test]
     fn snapshot_survives_outliving_external_data_handles() {
-        // The Arc inside the snapshot is the only thing keeping the dataset
-        // alive — dropping the caller's handle must not invalidate the tree.
+        // Dropping the caller's dataset handle leaves the snapshot whole.
         let data = Arc::new(gaussian_blobs(&[(0.0, 0.0)], 64, 1.5, 3));
         let model = ExDpc::new(DpcParams::new(2.0)).fit(&data).unwrap();
         let snap =

@@ -71,7 +71,7 @@ fn golden(name: &str, current: &[u8]) -> Vec<u8> {
 fn golden_model_artifact_is_stable() {
     let (_, model, _) = fixture();
     let fresh = model.to_bytes();
-    let bytes = golden("model_v1.dpca", &fresh);
+    let bytes = golden("model_v2.dpca", &fresh);
     // Decode side: the golden bytes revive to a layout-identical model.
     let decoded = DpcModel::from_bytes(&bytes).unwrap();
     assert!(decoded.layout_eq(&model), "golden model decodes differently from a fresh fit");
@@ -86,8 +86,8 @@ fn golden_tree_artifact_is_stable() {
     let (data, _, _) = fixture();
     let tree = KdTree::build(&data);
     let fresh = tree.to_bytes();
-    let bytes = golden("tree_v1.dpca", &fresh);
-    let decoded = KdTree::from_bytes(&data, &bytes).unwrap();
+    let bytes = golden("tree_v2.dpca", &fresh);
+    let decoded = KdTree::from_bytes(&bytes).unwrap();
     assert!(decoded.layout_eq(&tree), "golden tree decodes differently from a fresh build");
     assert_eq!(fresh, bytes, "encoder output drifted from the golden tree artifact");
 }
@@ -96,25 +96,25 @@ fn golden_tree_artifact_is_stable() {
 fn golden_snapshot_artifact_is_stable() {
     let (data, model, thresholds) = fixture();
     let tree = KdTree::build(&data);
-    let fresh = SnapshotArtifact::encode(&data, &model, &tree, &thresholds);
-    let bytes = golden("snapshot_v1.dpca", &fresh);
+    let fresh = SnapshotArtifact::encode(&model, &tree, &thresholds);
+    let bytes = golden("snapshot_v2.dpca", &fresh);
 
     let artifact = SnapshotArtifact::from_bytes(&bytes).unwrap();
     assert!(artifact.model().to_model().unwrap().layout_eq(&model));
-    assert!(artifact.tree().to_tree(&data).unwrap().layout_eq(&tree));
+    assert!(artifact.tree().to_tree().unwrap().layout_eq(&tree));
     assert_eq!(artifact.thresholds(), thresholds);
-    assert_eq!(artifact.dataset_coords(), data.flat());
+    assert_eq!(artifact.dataset().flat(), data.flat());
     assert_eq!(fresh, bytes, "encoder output drifted from the golden snapshot artifact");
 
     // The snapshot artifact is a superset: the same bytes decode through the
     // standalone model and tree decoders too.
     assert!(DpcModel::from_bytes(&bytes).unwrap().layout_eq(&model));
-    assert!(KdTree::from_bytes(&data, &bytes).unwrap().layout_eq(&tree));
+    assert!(KdTree::from_bytes(&bytes).unwrap().layout_eq(&tree));
 }
 
 #[test]
 fn golden_headers_carry_the_pinned_version() {
-    for name in ["model_v1.dpca", "tree_v1.dpca", "snapshot_v1.dpca"] {
+    for name in ["model_v2.dpca", "tree_v2.dpca", "snapshot_v2.dpca"] {
         let path = golden_dir().join(name);
         let Ok(bytes) = std::fs::read(&path) else {
             assert!(
@@ -134,7 +134,7 @@ fn disk_loaded_snapshot_serves_identically() {
     use fast_dpc::serve::{DpcServer, Request};
     let (data, model, thresholds) = fixture();
     let tree = KdTree::build(&data);
-    let bytes = SnapshotArtifact::encode(&data, &model, &tree, &thresholds);
+    let bytes = SnapshotArtifact::encode(&model, &tree, &thresholds);
 
     let dir = std::env::temp_dir();
     let path = dir.join(format!("fast_dpc_golden_{}.dpca", std::process::id()));
