@@ -110,6 +110,18 @@ impl ExDpc {
     /// With `keys = 0..n` this is identical to `fit` (same jitter function,
     /// same phases).
     pub fn fit_keyed(&self, data: &Dataset, keys: &[u64]) -> Result<DpcModel, DpcError> {
+        self.fit_keyed_counts(data, keys).map(|(model, _)| model)
+    }
+
+    /// [`ExDpc::fit_keyed`] that also returns every point's integer `d_cut`
+    /// neighbour count, the one input of ρ the model does not keep (`ρ` is
+    /// `fl(count + jitter)`, which can round up to `count + 1`, so the count
+    /// is not `⌊ρ⌋`). `StreamingDpc::bulk_load` seeds its counts from it.
+    pub(crate) fn fit_keyed_counts(
+        &self,
+        data: &Dataset,
+        keys: &[u64],
+    ) -> Result<(DpcModel, Vec<usize>), DpcError> {
         self.params.validate()?;
         validate_dataset(data)?;
         if keys.len() != data.len() {
@@ -128,9 +140,9 @@ impl ExDpc {
         let seed = self.params.jitter_seed;
         let counts = self.neighbor_counts(data, &tree);
         let rho: Vec<f64> = counts
-            .into_iter()
+            .iter()
             .zip(keys)
-            .map(|(count, &key)| jittered_density_keyed(count, key, seed))
+            .map(|(&count, &key)| jittered_density_keyed(count, key, seed))
             .collect();
         timings.rho_secs = start.elapsed().as_secs_f64();
 
@@ -138,7 +150,16 @@ impl ExDpc {
         let (dependent, delta) = dependents(data, &tree, &rho, &executor);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
-        DpcModel::from_parts(self.name(), dcut, rho, delta, dependent, timings, tree.mem_usage())
+        let model = DpcModel::from_parts(
+            self.name(),
+            dcut,
+            rho,
+            delta,
+            dependent,
+            timings,
+            tree.mem_usage(),
+        )?;
+        Ok((model, counts))
     }
 
     /// Computes dependent points and distances given the local densities (the

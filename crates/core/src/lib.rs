@@ -69,7 +69,7 @@ pub use model::DpcModel;
 pub use params::{DpcParams, Thresholds};
 pub use result::{Clustering, DecisionGraph, Timings, NOISE};
 pub use sapprox::SApproxDpc;
-pub use streaming::StreamingDpc;
+pub use streaming::{StreamingCounters, StreamingDpc};
 
 /// Per-point cluster labels: `labels[i]` is the cluster index of point `i`, or
 /// [`NOISE`] (−1) when the point was classified as noise.

@@ -1,54 +1,73 @@
-//! Streaming DPC: incremental insert/delete with localized ρ updates and lazy
-//! δ repair.
+//! Streaming DPC: exact Ex-DPC maintenance under point insertions and
+//! removals, with localized ρ updates and δ repair.
 //!
 //! The batch pipeline treats the dataset as static — any change costs a full
 //! refit, even though an insert or delete only perturbs ρ inside the `d_cut`
-//! ball of the touched point (Definition 1 is a local count) and δ along a
-//! bounded set of dependency chains. [`StreamingDpc`] maintains the exact
-//! Ex-DPC model under point insertions and removals:
+//! ball of the touched point (Definition 1 is a local count) and δ for a
+//! bounded set of points. [`StreamingDpc`] maintains the exact Ex-DPC model
+//! under point insertions and removals:
 //!
-//! * **ρ maintenance** is one `d_cut` range query: every live point inside the
-//!   ball gets `count ± 1` and is re-jittered deterministically on its
-//!   **stable external id** (the monotonically increasing id handed out by
-//!   [`StreamingDpc::insert`]). Because the jitter is a pure function of
-//!   `(count, stable id, seed)`, the maintained ρ is bit-identical to a fresh
+//! * **ρ maintenance** is one range query around the touched point: every
+//!   live point inside its `d_cut` ball gets `count ± 1` and is re-jittered
+//!   deterministically on its **stable external id** (the monotonically
+//!   increasing id handed out by [`StreamingDpc::insert`]). Because the
+//!   jitter is a pure function of `(count, stable id, seed)`, the maintained
+//!   ρ is bit-identical to a fresh
 //!   [`ExDpc::fit_keyed`](crate::ExDpc::fit_keyed) of the surviving window
 //!   keyed on the same ids.
-//! * **δ repair is lazy and localized.** Exactly three kinds of points can
-//!   have a stale δ/dependent after an update, and each set is enumerable
-//!   without touching the rest of the window:
-//!   1. the touched point itself (full recompute);
+//! * **δ repair.** Exactly three kinds of points can have a stale
+//!   δ/dependent after an update:
+//!   1. the touched point itself;
 //!   2. points whose dependent was deleted, or whose dependent's ρ fell to or
 //!      below their own (found via the maintained reverse-dependent lists);
-//!   3. points whose δ ordering is invalidated by a ρ change **crossing their
-//!      own ρ**: when a ball neighbour `q` moves from `count` to `count ± 1`,
-//!      only points whose ρ lies in the open interval between `q`'s old and
-//!      new ρ change their "is `q` denser than me?" answer.
+//!   3. points whose "is `q` denser than me?" answer flipped when a ball
+//!      neighbour `q` moved from `count` to `count ± 1`: exactly the points
+//!      whose ρ lies in the open interval between `q`'s old and new ρ.
 //!
-//!   Case 3 is enumerated **spatially**, never by scanning the ρ order (at
-//!   uniform density a width-1 ρ interval holds `Θ(n / max count)` points, so
-//!   an index over ρ degrades the repair to a near-linear sweep). On insert,
-//!   every point that gained a denser point did so through the arrival or a
-//!   bumped neighbour — all within `d_cut` of the arrival — so a repairable
-//!   `x` satisfies `dist(x, arrival) < δ_x + d_cut`. Candidates with a small
-//!   δ are caught by widening the arrival's ρ range query to
-//!   `d_cut + far_cut`; the rest — the heavy right tail of the δ
-//!   distribution, too spread out for any spatial pruning to pay — are
-//!   mirrored in a flat **far list** (coordinates and δ stored contiguously)
-//!   and swept sequentially. The tail of a DPC δ distribution is small by
-//!   construction (a point with large δ is a local density peak, and a
-//!   window has few peaks), so the sweep touches a few percent of the
-//!   window through a fraction of its cache lines. On delete, only a bumped
-//!   neighbour `q` itself can gain denser points (the crossed interval is
-//!   *below* everyone else), and any improvement lies strictly inside its
-//!   current δ ball: one δ-bounded range query around `q`, falling back to a
-//!   fresh expanding recompute when δ_q is large (the rare local peaks).
-//!
-//!   Either way the stale value is a one-sided bound (on insert nobody's δ
+//!   Cases 1–2 take a **full recompute**: one nearest-neighbour descent of
+//!   the incremental kd-tree that accepts only strictly denser points
+//!   ([`IncrementalKdTree::nearest_where`]). This is the query the paper asks
+//!   of its tree of denser points (§3, Lemma 2), with the density test moved
+//!   into the descent. Case 3 repairs with one distance comparison per
+//!   candidate, because a stale δ is a one-sided bound: on insert nobody's δ
 //!   can grow except through its dependent, on delete nobody's δ can shrink
-//!   except through new denser points), so a single distance comparison per
-//!   candidate repairs it; only cases 1–2 pay a nearest-denser search
-//!   (expanding-radius range queries against the incremental kd-tree).
+//!   except through new denser points.
+//!
+//! **Case-3 candidates, by place.** Every update makes one range query of
+//! radius `d_cut + far_cut` around the touched point, `far_cut` being
+//! `FAR_FACTOR · d_cut` (padded against the rounding of the strict
+//! inequalities below). Its hits within `d_cut` are the ball, re-partitioned
+//! exactly; the rest are the near frontier.
+//!
+//! * On insert, a point `x` that gained a denser point gained it from the
+//!   arrival or a bumped neighbour, all within `d_cut` of the arrival, so
+//!   `dist(x, arrival) < δ_x + d_cut`. Candidates with δ ≤ `far_cut` are
+//!   therefore in the query. The rest are exactly the **far list**, which
+//!   mirrors their coordinates and δ contiguously and is swept sequentially:
+//!   too spread out for spatial pruning to pay, and a minority of the window
+//!   (~11% of the `household_fit` benchmark window, ~21% of `syn_fit`'s).
+//! * On delete, only a bumped neighbour `q` itself can gain denser points
+//!   (the points in its crossed interval now out-rank it), and any
+//!   improvement lies strictly within δ_q of `q`. When δ_q ≤ `far_cut`, that
+//!   is within `d_cut + far_cut` of the removed point, inside the same
+//!   query. A bumped `q` with δ_q > `far_cut` is a local density peak, and
+//!   it takes one full recompute instead.
+//!
+//! **Case-3 candidates, by count.** The jitter lies in `(0, 1)` and rounding
+//! is monotone, so a point of count `k` has ρ = `fl(k + jitter)` in
+//! `[k, k + 1]`. A neighbour whose count moved between `c` and `c + 1`
+//! crosses only the ρ values strictly between `fl(c + j_q)` and
+//! `fl(c + 1 + j_q)`, which lie in `(c, c + 2)`; so a point can cross it
+//! only if its count is `c` or `c + 1`. The bumped neighbours are sorted by
+//! `c`, and each candidate scans only the entries with `c ∈ {k − 1, k}`
+//! before the exact interval and distance tests. The filter skips only pairs
+//! that the exact test rejects.
+//!
+//! **Bulk load.** [`StreamingDpc::bulk_load`] fills a fresh engine from one
+//! keyed Ex-DPC fit of the points it keeps, with the same result as
+//! inserting them one at a time: the fit's integer counts, ρ, δ and
+//! dependents, plus a balanced tree, the reverse-dependent lists and the far
+//! list built from them.
 //!
 //! A sliding-window mode ([`StreamingDpc::with_window`]) batches expiry of
 //! the oldest points: once the window overflows by a full batch, the oldest
@@ -62,20 +81,62 @@ use dpc_geometry::{dist, Dataset};
 use dpc_index::IncrementalKdTree;
 
 use crate::error::DpcError;
-use crate::framework::jittered_density_keyed;
+use crate::exdpc::ExDpc;
+use crate::framework::{jittered_density_keyed, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
 
 /// δ threshold, as a multiple of `d_cut`, above which a point is tracked in
-/// the flat far list instead of being found by the widened insert-frontier
-/// range query. Raising it shrinks the far list but widens (quadratically,
-/// in area) the range query; `1×` balances the two for ball populations in
-/// the localized-repair regime.
+/// the flat far list instead of being found by the widened frontier range
+/// query. Raising it shrinks the far list but widens (quadratically, in
+/// area) the range query; `1×` balances the two for ball populations in the
+/// localized-repair regime. Measured, the far list holds ~11% of the
+/// `household_fit` benchmark window and ~21% of `syn_fit`'s.
 const FAR_FACTOR: f64 = 1.0;
 
 /// Slot marker for "not in the far list".
 const NO_POS: u32 = u32::MAX;
+
+/// Cumulative work counters of a [`StreamingDpc`] engine, from
+/// [`StreamingDpc::counters`]. The engine is sequential, so for a given
+/// sequence of operations every count is deterministic.
+/// [`StreamingDpc::bulk_load`] counts nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StreamingCounters {
+    /// Points inserted.
+    pub inserts: u64,
+    /// Points removed, explicitly or by window expiry.
+    pub removes: u64,
+    /// Ball neighbours whose count moved, summed over the operations.
+    pub bumped: u64,
+    /// Unbumped frontier points tested for a density-order crossing.
+    pub candidates: u64,
+    /// Count-index entries those candidates scanned.
+    pub index_scanned: u64,
+    /// Full δ recomputes (nearest-denser descents).
+    pub recomputes: u64,
+    /// Far-list entries swept by inserts.
+    pub far_swept: u64,
+}
+
+/// A bumped neighbour in the count index: its count moved between `key` and
+/// `key + 1`, so its ρ crossed exactly the values in `(lo, hi)`.
+#[derive(Clone, Copy)]
+struct Crossing {
+    key: usize,
+    slot: u32,
+    lo: f64,
+    hi: f64,
+}
+
+/// The entries of `index` (sorted by key) that a point of count `count` can
+/// cross: those with `key ∈ {count − 1, count}`.
+fn crossings(index: &[Crossing], count: usize) -> &[Crossing] {
+    let start = index.partition_point(|e| e.key + 1 < count);
+    let end = index.partition_point(|e| e.key <= count);
+    &index[start..end]
+}
 
 /// Exact streaming maintenance of an Ex-DPC model over a mutable window of
 /// points.
@@ -96,8 +157,7 @@ const NO_POS: u32 = u32::MAX;
 /// ```
 pub struct StreamingDpc {
     dim: usize,
-    dcut: f64,
-    seed: u64,
+    params: DpcParams,
     // ---- per-slot state (slot = dense internal index, reused after removal)
     /// Coordinate rows, `dim` values per slot.
     coords: Vec<f64>,
@@ -142,20 +202,19 @@ pub struct StreamingDpc {
     /// Stable ids expired by the window since the last `drain_expired`.
     expired: Vec<u64>,
     next_id: u64,
+    counters: StreamingCounters,
     // ---- query scratch (kept to avoid per-operation allocation)
     scratch_ball: Vec<usize>,
-    scratch_inner: Vec<usize>,
     scratch_near: Vec<usize>,
     scratch_far: Vec<usize>,
-    /// Per-bumped-neighbour `(slot, old ρ, new ρ)` crossing intervals.
-    scratch_ivals: Vec<(u32, f64, f64)>,
+    scratch_index: Vec<Crossing>,
 }
 
 impl StreamingDpc {
     /// Creates an empty engine for `dim`-dimensional points. `params`
-    /// contributes `d_cut` and the jitter seed; `threads` is ignored (the
-    /// maintenance path is sequential — updates are sub-millisecond and
-    /// order-dependent).
+    /// contributes `d_cut` and the jitter seed; its `threads` run the fit of
+    /// [`StreamingDpc::bulk_load`]. Inserts and removes are sequential: each
+    /// is a small, order-dependent repair.
     pub fn new(params: DpcParams, dim: usize) -> Result<Self, DpcError> {
         params.validate()?;
         if dim == 0 {
@@ -167,8 +226,7 @@ impl StreamingDpc {
         }
         Ok(Self {
             dim,
-            dcut: params.dcut,
-            seed: params.jitter_seed,
+            params,
             coords: Vec::new(),
             stable: Vec::new(),
             count: Vec::new(),
@@ -190,11 +248,11 @@ impl StreamingDpc {
             window: None,
             expired: Vec::new(),
             next_id: 0,
+            counters: StreamingCounters::default(),
             scratch_ball: Vec::new(),
-            scratch_inner: Vec::new(),
             scratch_near: Vec::new(),
             scratch_far: Vec::new(),
-            scratch_ivals: Vec::new(),
+            scratch_index: Vec::new(),
         })
     }
 
@@ -229,7 +287,7 @@ impl StreamingDpc {
 
     /// The cutoff distance `d_cut`.
     pub fn dcut(&self) -> f64 {
-        self.dcut
+        self.params.dcut
     }
 
     /// Whether stable id `id` is live in the window.
@@ -243,6 +301,11 @@ impl StreamingDpc {
         std::mem::take(&mut self.expired)
     }
 
+    /// The cumulative work counters (see [`StreamingCounters`]).
+    pub fn counters(&self) -> StreamingCounters {
+        self.counters
+    }
+
     #[inline]
     fn row(&self, slot: u32) -> &[f64] {
         &self.coords[slot as usize * self.dim..(slot as usize + 1) * self.dim]
@@ -250,7 +313,12 @@ impl StreamingDpc {
 
     #[inline]
     fn jitter(&self, count: usize, slot: u32) -> f64 {
-        jittered_density_keyed(count, self.stable[slot as usize], self.seed)
+        jittered_density_keyed(count, self.stable[slot as usize], self.params.jitter_seed)
+    }
+
+    #[inline]
+    fn far_cut(&self) -> f64 {
+        self.params.dcut * FAR_FACTOR
     }
 
     /// Changes slot `q`'s ball count by ±1 and re-jitters its ρ.
@@ -285,7 +353,7 @@ impl StreamingDpc {
     fn far_sync(&mut self, x: u32) {
         let xi = x as usize;
         let pos = self.far_pos[xi];
-        if self.delta[xi] > self.dcut * FAR_FACTOR {
+        if self.delta[xi] > self.far_cut() {
             if pos == NO_POS {
                 self.far_pos[xi] = self.far_slots.len() as u32;
                 self.far_slots.push(x);
@@ -320,61 +388,49 @@ impl StreamingDpc {
         self.far_pos[xi] = NO_POS;
     }
 
-    /// Exact δ recompute for live slot `x`: expanding-radius search for the
-    /// nearest strictly denser live point, starting at `start` (clamped up
-    /// to `d_cut`) and doubling. Correct for **any** start radius: a denser
-    /// point found at distance `d` inside the current ball beats everything
-    /// outside it (those are farther than the radius, hence than `d`), and a
-    /// ball covering every live point proves there is none (δ = ∞, the
-    /// globally densest point). Callers pass the old δ when the update can
-    /// only grow it, resuming the search where the answer must lie instead
-    /// of re-scanning the smaller balls.
-    fn recompute_delta_from(&mut self, x: u32, start: f64) {
-        let px: Vec<f64> = self.row(x).to_vec();
+    /// Exact δ for live slot `x`: its nearest strictly denser live point, by
+    /// one kd-tree descent that accepts only denser ids. When none exists
+    /// `x` is the densest live point (δ = ∞, its own dependent).
+    fn recompute_delta(&mut self, x: u32) {
+        self.counters.recomputes += 1;
         let rx = self.rho[x as usize];
-        let mut ball = std::mem::take(&mut self.scratch_inner);
-        let mut radius = if start > self.dcut { start } else { self.dcut };
-        loop {
-            self.tree.range_search_into(&px, radius, &mut ball);
-            let mut best: Option<(u32, f64)> = None;
-            for &j in &ball {
-                if j as u32 != x && self.rho[j] > rx {
-                    let d = dist(&px, self.row(j as u32));
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((j as u32, d));
-                    }
-                }
-            }
-            if let Some((j, d)) = best {
-                self.set_dep(x, j, d);
-                break;
-            }
-            if ball.len() >= self.tree.len() {
-                self.set_dep(x, x, f64::INFINITY);
-                break;
-            }
-            radius *= 2.0;
+        let rho = &self.rho;
+        match self.tree.nearest_where(self.row(x), |j| rho[j] > rx) {
+            Some((j, d)) => self.set_dep(x, j as u32, d),
+            None => self.set_dep(x, x, f64::INFINITY),
         }
+    }
+
+    /// The one range query of an update, around `p` at radius
+    /// `d_cut + far_cut` (padded so that the strict `dist < δ + d_cut`
+    /// bounds of the module docs hold despite rounding): `near` receives
+    /// every hit, `ball` the hits within `d_cut` (closed, Definition 1).
+    fn frontier_query(&self, p: &[f64], near: &mut Vec<usize>, ball: &mut Vec<usize>) {
+        let dcut = self.params.dcut;
+        self.tree.range_search_into(p, (dcut + self.far_cut()) * (1.0 + 1e-9), near);
         ball.clear();
-        self.scratch_inner = ball;
+        ball.extend(
+            near.iter().copied().filter(|&x| dist_sq(p, self.row(x as u32)) <= dcut * dcut),
+        );
     }
 
     /// Inserts a point and returns its stable id. Exact maintenance:
     ///
-    /// 1. ρ: one `d_cut` range query; every neighbour gets `count + 1` and
-    ///    the new point's own count is the ball size.
-    /// 2. Full δ recompute for the new point and for every neighbour whose
-    ///    dependent is no longer strictly denser (its own ρ rose past it).
-    /// 3. Frontier repair: a neighbour `q` whose ρ rose from `old` to `new`
-    ///    becomes a *new* denser point exactly for the unbumped points whose
-    ///    ρ lies in `(old, new)`, and the new point itself is a candidate
-    ///    denser point for anything less dense. Every such new denser point
-    ///    lies within `d_cut` of the arrival, so a repairable `x` satisfies
-    ///    `dist(x, arrival) < δ_x + d_cut`. Candidates with δ ≤ `far_cut`
-    ///    are therefore inside the widened range query from step 1; the rest
-    ///    are exactly the far list, swept sequentially. Each candidate
-    ///    repairs with one distance comparison — on insert a stale δ is
-    ///    always an upper bound.
+    /// 1. ρ: the frontier query around the arrival; every ball neighbour
+    ///    gets `count + 1` and the new point's own count is the ball size.
+    /// 2. δ of the new point: its nearest denser ball neighbour, or a full
+    ///    recompute when no neighbour is denser. A full recompute for every
+    ///    neighbour whose dependent is no longer strictly denser (its own ρ
+    ///    rose past it).
+    /// 3. Frontier repair: a neighbour `q` whose count rose from `c` to
+    ///    `c + 1` becomes a *new* denser point exactly for the unbumped
+    ///    points whose ρ lies in `(fl(c + j_q), ρ_q)`, and the new point
+    ///    itself is a candidate denser point for anything less dense. The
+    ///    candidates are the unbumped hits of the frontier query and the
+    ///    far-list entries that can reach the arrival; each looks up the
+    ///    neighbours it can cross in the count index and repairs with one
+    ///    distance comparison per crossing — on insert a stale δ is always
+    ///    an upper bound.
     pub fn insert(&mut self, point: &[f64]) -> Result<u64, DpcError> {
         if point.len() != self.dim {
             return Err(DpcError::DimensionMismatch {
@@ -389,24 +445,13 @@ impl StreamingDpc {
 
         let id = self.next_id;
         self.next_id += 1;
+        self.counters.inserts += 1;
 
-        // One merged range query, *before* the new point enters the tree:
-        // the hits within `d_cut` are the ball (re-partitioned exactly
-        // below); the rest are the near half of the case-3 frontier (a
-        // candidate with δ ≤ far_cut is repairable only within
-        // `d_cut + far_cut` of the arrival; the padding absorbs the strict
-        // inequality's rounding headroom).
-        let far_cut = self.dcut * FAR_FACTOR;
+        // The frontier query runs *before* the new point enters the tree.
         let mut near = std::mem::take(&mut self.scratch_near);
-        self.tree.range_search_into(point, (self.dcut + far_cut) * (1.0 + 1e-9), &mut near);
         let mut ball = std::mem::take(&mut self.scratch_ball);
-        ball.clear();
-        let r_sq = self.dcut * self.dcut;
-        for &x in &near {
-            if dist_sq(point, self.row(x as u32)) <= r_sq {
-                ball.push(x);
-            }
-        }
+        self.frontier_query(point, &mut near, &mut ball);
+        self.counters.bumped += ball.len() as u64;
 
         let s = self.alloc_slot(id, point);
         for &q in &ball {
@@ -423,9 +468,8 @@ impl StreamingDpc {
             self.mark[q] = true;
         }
 
-        // Case 1: δ of the arrival. The ball in hand *is* the first round of
-        // the expanding search — a denser neighbour inside it beats every
-        // point beyond `d_cut` — so the tree is only consulted when the
+        // Case 1: δ of the arrival. A denser neighbour inside the ball beats
+        // every point beyond `d_cut`, so the tree is only consulted when the
         // arrival out-densifies its whole neighbourhood.
         let mut best: Option<(u32, f64)> = None;
         for &j in &ball {
@@ -438,18 +482,15 @@ impl StreamingDpc {
         }
         match best {
             Some((j, d)) => self.set_dep(s, j, d),
-            None => self.recompute_delta_from(s, 2.0 * self.dcut),
+            None => self.recompute_delta(s),
         }
 
         // Case 2: neighbours whose dependent stopped being strictly denser
-        // when their own ρ rose. Their δ can only grow (their denser set
-        // shrank, except for the arrival — already in the tree and so seen
-        // by the search), so the recompute resumes from the old δ.
+        // when their own ρ rose.
         for &qi in &ball {
             let d = self.dep[qi] as usize;
             if d != qi && self.rho[d] <= self.rho[qi] {
-                let start = self.delta[qi];
-                self.recompute_delta_from(qi as u32, start);
+                self.recompute_delta(qi as u32);
             }
         }
 
@@ -465,64 +506,51 @@ impl StreamingDpc {
             }
         }
 
-        // Case 3 outside the ball: candidates with a small δ are already in
-        // `near`; the heavy δ tail is swept off the flat far list. The far
-        // candidates are collected before repairing (a repair edits the far
-        // list under the sweep); both sets are then re-filtered with the
-        // exact interval and distance tests.
-        let mut ivals = std::mem::take(&mut self.scratch_ivals);
-        ivals.clear();
+        // Case 3 outside the ball. Candidates with a small δ are the query's
+        // other hits, each marked once repaired. The rest are the far-list
+        // entries that can reach the arrival: collected after the near
+        // repairs (which only shrink a δ, so they add nobody to the list)
+        // and before their own (which edit the list under the sweep).
+        let mut index = std::mem::take(&mut self.scratch_index);
+        index.clear();
         for &q in &ball {
             let q = q as u32;
-            let qi = q as usize;
-            ivals.push((q, self.jitter(self.count[qi] - 1, q), self.rho[qi]));
+            let key = self.count[q as usize] - 1;
+            let (lo, hi) = (self.jitter(key, q), self.rho[q as usize]);
+            index.push(Crossing { key, slot: q, lo, hi });
+        }
+        index.sort_unstable_by_key(|e| (e.key, e.slot));
+        for &xi in &near {
+            if !self.mark[xi] {
+                self.mark[xi] = true;
+                self.repair_candidate(xi as u32, s, &index);
+            }
         }
         let mut far = std::mem::take(&mut self.scratch_far);
         far.clear();
+        self.counters.far_swept += self.far_slots.len() as u64;
         for k in 0..self.far_slots.len() {
             let xi = self.far_slots[k] as usize;
             if self.mark[xi] {
                 continue;
             }
-            let reach = (self.far_delta[k] + self.dcut) * (1.0 + 1e-9);
+            let reach = (self.far_delta[k] + self.params.dcut) * (1.0 + 1e-9);
             let c = &self.far_coords[k * self.dim..(k + 1) * self.dim];
             if dist_sq(point, c) <= reach * reach {
                 far.push(xi);
             }
         }
-        for ci in 0..near.len() + far.len() {
-            let xi = if ci < near.len() { near[ci] } else { far[ci - near.len()] };
-            if self.mark[xi] {
-                continue; // the arrival and its ball were handled above
-            }
-            let x = xi as u32;
-            let rx = self.rho[xi];
-            if rx < self.rho[si] {
-                let d = dist(self.row(x), point);
-                if d < self.delta[xi] {
-                    self.set_dep(x, s, d);
-                }
-            }
-            for &(q, lo, hi) in &ivals {
-                if lo < rx && rx < hi {
-                    let d = dist(self.row(x), self.row(q));
-                    if d < self.delta[xi] {
-                        self.set_dep(x, q, d);
-                    }
-                }
-            }
+        for &xi in &far {
+            self.repair_candidate(xi as u32, s, &index);
         }
-        far.clear();
         self.scratch_far = far;
-        near.clear();
-        self.scratch_near = near;
-        self.scratch_ivals = ivals;
+        self.scratch_index = index;
 
         self.mark[si] = false;
-        for &q in &ball {
-            self.mark[q] = false;
+        for &x in &near {
+            self.mark[x] = false;
         }
-        ball.clear();
+        self.scratch_near = near;
         self.scratch_ball = ball;
 
         if let Some((capacity, batch)) = self.window {
@@ -536,21 +564,47 @@ impl StreamingDpc {
         Ok(id)
     }
 
+    /// Case-3 repair of the unbumped point `x` after slot `s` was inserted:
+    /// the arrival, and every bumped neighbour whose crossed interval holds
+    /// ρ_x, are denser candidates, each taken if strictly nearer than δ_x.
+    fn repair_candidate(&mut self, x: u32, s: u32, index: &[Crossing]) {
+        self.counters.candidates += 1;
+        let xi = x as usize;
+        let rx = self.rho[xi];
+        if rx < self.rho[s as usize] {
+            let d = dist(self.row(x), self.row(s));
+            if d < self.delta[xi] {
+                self.set_dep(x, s, d);
+            }
+        }
+        let hits = crossings(index, self.count[xi]);
+        self.counters.index_scanned += hits.len() as u64;
+        for e in hits {
+            if e.lo < rx && rx < e.hi {
+                let d = dist(self.row(x), self.row(e.slot));
+                if d < self.delta[xi] {
+                    self.set_dep(x, e.slot, d);
+                }
+            }
+        }
+    }
+
     /// Removes the point with stable id `id`. Returns `false` when the id is
     /// not live. Exact maintenance mirrors `insert`:
     ///
-    /// 1. ρ: one `d_cut` range query around the removed coordinates; every
+    /// 1. ρ: the frontier query around the removed coordinates; every ball
     ///    neighbour gets `count - 1`.
-    /// 2. Full δ recompute for every point whose dependent was the removed
+    /// 2. A full δ recompute for every point whose dependent was the removed
     ///    point, and for every follower of a neighbour whose ρ fell to or
     ///    below the follower's.
-    /// 3. Frontier repair: a neighbour `q` whose ρ fell from `old` to `new`
-    ///    gains as denser points exactly the unbumped points in `(new, old)`
-    ///    — only δ_q itself can shrink, and any improvement lies strictly
-    ///    inside its current δ ball, so one δ_q-bounded range query around
-    ///    `q` enumerates the candidates (falling back to a fresh expanding
-    ///    recompute when δ_q is large). On delete a stale δ is always
-    ///    attained by a surviving denser point, so it can only improve.
+    /// 3. Frontier repair: a neighbour `q` whose count fell from `c + 1` to
+    ///    `c` gains as denser points exactly the unbumped points with ρ in
+    ///    `(ρ_q, fl(c + 1 + j_q))`, and only δ_q itself can shrink. Any
+    ///    improvement lies strictly within δ_q of `q`: when δ_q ≤ `far_cut`
+    ///    it is one of the query's hits, found through the count index and
+    ///    taken with one distance comparison (on delete a stale δ is always
+    ///    attained by a surviving denser point, so it can only improve);
+    ///    otherwise `q` is a local peak and takes a full recompute.
     pub fn remove(&mut self, id: u64) -> bool {
         let Some(&slot) = self.id_to_slot.get(&id) else { return false };
         self.remove_slot(slot);
@@ -572,10 +626,11 @@ impl StreamingDpc {
     fn remove_slot(&mut self, slot: u32) {
         let si = slot as usize;
         debug_assert!(self.alive[si]);
+        self.counters.removes += 1;
         let px: Vec<f64> = self.row(slot).to_vec();
 
-        // Detach the slot from every structure first, so the queries below
-        // see exactly the surviving window.
+        // Detach the slot from every structure first, so the query below
+        // sees exactly the surviving window.
         self.tree.remove(si);
         self.far_drop(slot);
         let dep = self.dep[si];
@@ -591,8 +646,10 @@ impl StreamingDpc {
         self.live -= 1;
         self.free.push(slot);
 
+        let mut near = std::mem::take(&mut self.scratch_near);
         let mut ball = std::mem::take(&mut self.scratch_ball);
-        self.tree.range_search_into(&px, self.dcut, &mut ball);
+        self.frontier_query(&px, &mut near, &mut ball);
+        self.counters.bumped += ball.len() as u64;
         for &q in &ball {
             self.bump_count(q as u32, false);
         }
@@ -603,9 +660,6 @@ impl StreamingDpc {
         // Case 2 repairs. Collect before recomputing: recomputes edit the
         // reverse-dependent lists being walked. The sets are disjoint (a
         // point has one dependent), so a plain concatenation is dedup-free.
-        // The old δ seeds each recompute: an orphan's or follower's δ was
-        // attained by the point it just lost, so every surviving denser
-        // point is at least that far away.
         let mut stale: Vec<u32> = orphans;
         for &q in &ball {
             for &y in &self.children[q] {
@@ -615,49 +669,49 @@ impl StreamingDpc {
             }
         }
         for &y in &stale {
-            let start = self.delta[y as usize];
-            self.recompute_delta_from(y, start);
+            self.recompute_delta(y);
         }
 
-        // Case 3: each bumped neighbour fell past the unbumped points in
-        // (new ρ, old ρ) — those points are now denser than it, so only δ_q
-        // can shrink, and any improvement is strictly inside the current δ_q
-        // ball. A δ_q-bounded range query enumerates the candidates; when
-        // δ_q is large (local peaks — the exponential tail of the δ
-        // distribution) materialising that ball would be worse than simply
-        // recomputing the nearest denser point from scratch.
-        let repair_cap = 2.0 * self.dcut;
-        let mut near = std::mem::take(&mut self.scratch_near);
+        // Case 3: each bumped neighbour fell past the unbumped points in its
+        // crossed interval. A local peak recomputes, unless case 2 just did;
+        // every other neighbour enters the count index, and the query's
+        // unbumped hits look up the neighbours they now out-rank.
+        let mut index = std::mem::take(&mut self.scratch_index);
+        index.clear();
         for &b in &ball {
             let q = b as u32;
-            let qi = b;
-            let lo = self.rho[qi];
-            let hi = self.jitter(self.count[qi] + 1, q); // exact old ρ
-            if self.delta[qi] <= repair_cap {
-                self.tree.range_search_into(self.row(q), self.delta[qi], &mut near);
-                for &xi in &near {
-                    if self.mark[xi] {
-                        continue; // bumped alongside q — relative order unchanged
-                    }
-                    let rx = self.rho[xi];
-                    if lo < rx && rx < hi {
-                        let d = dist(self.row(xi as u32), self.row(q));
-                        if d < self.delta[qi] {
-                            self.set_dep(q, xi as u32, d);
-                        }
-                    }
-                }
-            } else {
-                self.recompute_delta_from(q, self.dcut);
+            if self.delta[b] <= self.far_cut() {
+                let key = self.count[b];
+                let (lo, hi) = (self.rho[b], self.jitter(key + 1, q));
+                index.push(Crossing { key, slot: q, lo, hi });
+            } else if !stale.contains(&q) {
+                self.recompute_delta(q);
             }
         }
-        near.clear();
-        self.scratch_near = near;
+        index.sort_unstable_by_key(|e| (e.key, e.slot));
+        for &xi in &near {
+            if self.mark[xi] {
+                continue; // bumped alongside q — relative order unchanged
+            }
+            self.counters.candidates += 1;
+            let rx = self.rho[xi];
+            let hits = crossings(&index, self.count[xi]);
+            self.counters.index_scanned += hits.len() as u64;
+            for e in hits {
+                if e.lo < rx && rx < e.hi {
+                    let d = dist(self.row(xi as u32), self.row(e.slot));
+                    if d < self.delta[e.slot as usize] {
+                        self.set_dep(e.slot, xi as u32, d);
+                    }
+                }
+            }
+        }
+        self.scratch_index = index;
 
         for &q in &ball {
             self.mark[q] = false;
         }
-        ball.clear();
+        self.scratch_near = near;
         self.scratch_ball = ball;
     }
 
@@ -699,11 +753,92 @@ impl StreamingDpc {
         slot
     }
 
+    /// Loads `data`'s points into an engine that has never taken a point,
+    /// with the same outcome as inserting them in order: the same
+    /// [`StreamingDpc::len`], [`StreamingDpc::to_parts`] (dependents up to
+    /// ties at equal distance), [`StreamingDpc::drain_expired`] and next
+    /// stable id. In sliding-window mode with `n ≥ capacity + batch` points
+    /// the engine keeps the last `capacity + (n − capacity) mod batch` and
+    /// reports the rest as expired, oldest first.
+    ///
+    /// The kept points take one [`ExDpc::fit_keyed`] at `params.threads`,
+    /// keyed by their stable ids; the engine's counts, ρ, δ and dependents
+    /// come from it, its tree is built balanced in one pass, and the
+    /// reverse-dependent lists and the far list follow from δ and the
+    /// dependents. An empty `data` loads nothing. The counters are not
+    /// touched.
+    ///
+    /// # Errors
+    /// [`DpcError::InvalidParams`] when the engine has taken a point before,
+    /// [`DpcError::DimensionMismatch`] when `data`'s dimensionality is not
+    /// the engine's, and [`DpcError::NonFiniteCoordinate`] for a NaN or ±∞
+    /// coordinate. Nothing is loaded on error.
+    pub fn bulk_load(&mut self, data: &Dataset) -> Result<(), DpcError> {
+        if self.next_id != 0 {
+            return Err(DpcError::InvalidParams {
+                param: "bulk_load",
+                value: self.next_id as f64,
+                requirement: "the engine must never have taken a point",
+            });
+        }
+        if data.dim() != self.dim {
+            return Err(DpcError::DimensionMismatch {
+                what: "bulk-loaded points",
+                expected: self.dim,
+                got: data.dim(),
+            });
+        }
+        if data.is_empty() {
+            return Ok(());
+        }
+        validate_dataset(data)?;
+        let n = data.len();
+        let first = match self.window {
+            Some((capacity, batch)) if n >= capacity + batch => {
+                n - capacity - (n - capacity) % batch
+            }
+            _ => 0,
+        };
+        let kept = Dataset::from_flat(self.dim, data.flat()[first * self.dim..].to_vec());
+        let keys: Vec<u64> = (first as u64..n as u64).collect();
+        let (model, counts) = ExDpc::new(self.params).fit_keyed_counts(&kept, &keys)?;
+
+        let m = kept.len();
+        self.tree = IncrementalKdTree::build(&kept);
+        self.coords = kept.flat().to_vec();
+        self.count = counts;
+        self.rho = model.rho().to_vec();
+        self.delta = model.delta().to_vec();
+        self.dep = model.dependent().iter().map(|&d| d as u32).collect();
+        self.children = vec![Vec::new(); m];
+        for (y, &d) in self.dep.iter().enumerate() {
+            if d as usize != y {
+                self.children[d as usize].push(y as u32);
+            }
+        }
+        self.alive = vec![true; m];
+        self.mark = vec![false; m];
+        self.far_pos = vec![NO_POS; m];
+        self.live = m;
+        self.id_to_slot = keys.iter().enumerate().map(|(slot, &id)| (id, slot as u32)).collect();
+        self.arrivals = keys.iter().copied().collect();
+        self.stable = keys;
+        for x in 0..m as u32 {
+            self.far_sync(x);
+        }
+        self.expired.extend(0..first as u64);
+        self.next_id = n as u64;
+        Ok(())
+    }
+
     /// Exports the surviving window in arrival order as
     /// `(dataset, stable ids, model)`. The model is what
     /// [`ExDpc::fit_keyed`](crate::ExDpc::fit_keyed) would produce on that
     /// dataset with those ids as keys (bit-identical ρ and δ); dependent
     /// identifiers are remapped from internal slots to arrival positions.
+    /// The model's index bytes count the live points' share of the
+    /// incremental tree alone, so they do not depend on how the engine was
+    /// loaded.
     ///
     /// Returns [`DpcError::EmptyDataset`] when the window is empty.
     pub fn to_parts(&self) -> Result<(Dataset, Vec<u64>, DpcModel), DpcError> {
@@ -739,12 +874,12 @@ impl StreamingDpc {
             .collect();
         let model = DpcModel::from_parts(
             "Streaming-DPC",
-            self.dcut,
+            self.params.dcut,
             rho,
             delta,
             dependent,
             Timings::default(),
-            self.tree.mem_usage(),
+            self.tree.live_bytes(),
         )?;
         Ok((data, ids, model))
     }
@@ -932,6 +1067,89 @@ mod tests {
         let (_, assignment) =
             select_and_assign(&thresholds, model.rho(), model.delta(), model.dependent(), &order);
         assert_eq!(clustering.assignment, assignment);
+    }
+
+    /// Exact counters on a 1-d fixture traced by hand. d_cut = far_cut = 1,
+    /// so the frontier query reaches ~2. The jitter seed is the first one
+    /// that orders the jitters of ids 0 > 1 > 3 > 2; every "denser" below
+    /// follows from that order and the counts.
+    #[test]
+    fn counters_match_a_hand_trace() {
+        let j = |id: u64, seed: u64| jittered_density_keyed(0, id, seed);
+        let seed = (0u64..)
+            .find(|&s| j(0, s) > j(1, s) && j(1, s) > j(3, s) && j(3, s) > j(2, s))
+            .unwrap();
+        let mut engine = StreamingDpc::new(DpcParams::new(1.0).with_jitter_seed(seed), 1).unwrap();
+        let expect = |c: StreamingCounters, want: [u64; 7], step: &str| {
+            let got = [
+                c.inserts,
+                c.removes,
+                c.bumped,
+                c.candidates,
+                c.index_scanned,
+                c.recomputes,
+                c.far_swept,
+            ];
+            assert_eq!(got, want, "{step}: [ins, rem, bumped, cand, scanned, recomp, far]");
+        };
+        // id 0 at 0.0: an empty query; the recompute finds no denser point
+        // (δ = ∞, so 0 enters the far list, which the sweep then skips).
+        engine.insert(&[0.0]).unwrap();
+        expect(engine.counters(), [1, 0, 0, 0, 0, 1, 1], "insert 0");
+        // id 1 at 0.5: ball {0}; both counts become 1, 0 is denser, so 1
+        // depends on it from the ball. The sweep sees {0}, marked.
+        engine.insert(&[0.5]).unwrap();
+        expect(engine.counters(), [2, 0, 1, 0, 0, 1, 2], "insert 1");
+        // id 2 at 1.8: query {0, 1}, empty ball; 2 recomputes (δ 1.3 to 1,
+        // so it joins the far list). Candidates 0 and 1 find an empty index;
+        // the sweep sees {0, 2}, both marked.
+        engine.insert(&[1.8]).unwrap();
+        expect(engine.counters(), [3, 0, 1, 2, 0, 2, 4], "insert 2");
+        // id 3 at 1.2: query {0, 1, 2}, ball {1, 2} (counts 2 and 1), 3's
+        // count is 2 and 1 is denser, so 3 depends on 1. 1's dependent 0 is
+        // no longer denser: 1 recomputes to δ = ∞. Candidate 0 (count 1)
+        // scans the entries of keys 0 and 1 — 2's and 1's — and crosses 1:
+        // δ_0 = 0.5. The sweep sees {1}, marked.
+        engine.insert(&[1.2]).unwrap();
+        expect(engine.counters(), [4, 0, 3, 3, 2, 3, 5], "insert 3");
+        // Remove id 1: ball {0, 3} (counts 0 and 1), both orphans of 1, so
+        // both recompute, and neither recomputes again as a local peak.
+        // Candidate 2 finds an empty index.
+        assert!(engine.remove(1));
+        expect(engine.counters(), [4, 1, 5, 4, 2, 5, 5], "remove 1");
+        // Remove id 2: ball {3} (count 0); its follower 0 is now at least
+        // as dense, so 0 recomputes (δ = ∞). 3 is a local peak (δ = ∞)
+        // and recomputes (δ 1.2). Candidate 0 finds an empty index.
+        assert!(engine.remove(2));
+        expect(engine.counters(), [4, 2, 6, 5, 2, 7, 5], "remove 2");
+        assert_matches_oracle(&engine, seed);
+    }
+
+    #[test]
+    fn bulk_load_rejects_a_used_engine_and_bad_data() {
+        let mut engine = StreamingDpc::new(DpcParams::new(1.0), 2).unwrap();
+        engine.bulk_load(&Dataset::new(2)).unwrap();
+        assert!(engine.is_empty(), "an empty load loads nothing");
+        let bad = Dataset::from_flat(2, vec![0.0, 1.0, f64::INFINITY, 2.0]);
+        assert_eq!(
+            engine.bulk_load(&bad),
+            Err(DpcError::NonFiniteCoordinate { point: 1, axis: 0 })
+        );
+        assert!(matches!(
+            engine.bulk_load(&Dataset::from_flat(3, vec![0.0; 3])),
+            Err(DpcError::DimensionMismatch { what: "bulk-loaded points", .. })
+        ));
+        let data = Dataset::from_flat(2, vec![0.0, 0.0, 0.5, 0.5, 3.0, 3.0]);
+        engine.bulk_load(&data).unwrap();
+        assert_eq!(engine.len(), 3);
+        assert_eq!(engine.counters(), StreamingCounters::default(), "a load counts nothing");
+        assert_matches_oracle(&engine, DpcParams::new(1.0).jitter_seed);
+        assert!(matches!(engine.bulk_load(&data), Err(DpcError::InvalidParams { .. })));
+        assert_eq!(engine.insert(&[1.0, 1.0]).unwrap(), 3, "the next id follows the load");
+        let mut used = StreamingDpc::new(DpcParams::new(1.0), 2).unwrap();
+        let id = used.insert(&[0.0, 0.0]).unwrap();
+        assert!(used.remove(id));
+        assert!(matches!(used.bulk_load(&data), Err(DpcError::InvalidParams { .. })));
     }
 
     #[test]

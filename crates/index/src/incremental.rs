@@ -13,6 +13,10 @@
 //! The tree owns a copy of each inserted point's coordinates, keyed by a
 //! caller-chosen `usize` identifier. Identifiers are expected to be dense
 //! (they index an internal id → node map): `StreamingDpc` uses slot numbers.
+//! Its one δ query is [`IncrementalKdTree::nearest_where`], a nearest-neighbour
+//! descent that accepts only the ids a predicate takes (the strictly denser
+//! points), and a bulk-loaded engine starts from
+//! [`IncrementalKdTree::build`].
 //!
 //! Two maintenance policies keep long-lived mutable trees (the streaming
 //! sliding window) query-efficient: tombstones are compacted away once they
@@ -115,8 +119,9 @@ impl IncrementalKdTree {
 
     /// Builds a balanced tree over every point of `data` by recursive median
     /// splitting (split axis cycles through the dimensions), with point `i`
-    /// keyed by identifier `i`. This is the seed construction; kept as the
-    /// baseline the packed tree is measured against.
+    /// keyed by identifier `i`. This is the seed construction: the baseline
+    /// the packed tree is measured against, and the tree a bulk-loaded
+    /// `StreamingDpc` starts from.
     pub fn build(data: &Dataset) -> Self {
         let mut tree = Self::new(data.dim());
         tree.nodes.reserve(data.len());
@@ -389,10 +394,27 @@ impl IncrementalKdTree {
     /// Returns `(point id, distance)` or `None` when the tree is empty (or only
     /// contains the excluded point).
     pub fn nearest_neighbor(&self, query: &[f64], exclude: Option<usize>) -> Option<(usize, f64)> {
+        self.nearest_where(query, |id| Some(id) != exclude)
+    }
+
+    /// Finds the nearest live point of `query` whose identifier `accept`
+    /// takes: one depth-first descent, nearer side first, that skips a
+    /// subtree once its splitting plane is at least as far as the best
+    /// accepted point so far. `accept` is asked only about points nearer
+    /// than that best, so a cheap distance test runs before it. Of several
+    /// accepted points at the same distance, the first one reached wins.
+    ///
+    /// Returns `(point id, distance)`, or `None` when no live point is
+    /// accepted. `StreamingDpc` in `dpc-core` finds a point's nearest denser
+    /// point this way, with `accept` testing the density of each id.
+    pub fn nearest_where(
+        &self,
+        query: &[f64],
+        accept: impl Fn(usize) -> bool,
+    ) -> Option<(usize, f64)> {
         if self.root == NONE || self.live == 0 {
             return None;
         }
-        let excl = exclude.map(|e| e as u32).unwrap_or(u32::MAX);
         let mut best: Option<(u32, f64)> = None;
         // Each entry carries the squared distance from the query to the
         // splitting plane that guards the subtree; re-checking it against the
@@ -406,9 +428,9 @@ impl IncrementalKdTree {
             }
             let node = &self.nodes[idx as usize];
             let coords = self.node_coords(idx);
-            if !node.deleted && node.id != excl {
+            if !node.deleted {
                 let d_sq = dist_sq(query, coords);
-                if best.is_none_or(|(_, b)| d_sq < b) {
+                if best.is_none_or(|(_, b)| d_sq < b) && accept(node.id as usize) {
                     best = Some((node.id, d_sq));
                 }
             }
@@ -426,6 +448,18 @@ impl IncrementalKdTree {
             }
         }
         best.map(|(id, d_sq)| (id as usize, d_sq.sqrt()))
+    }
+
+    /// Bytes the index holds for its live points alone: one arena node, one
+    /// coordinate row and one id-map entry each. Unlike
+    /// [`IncrementalKdTree::mem_usage`] this does not depend on the tree's
+    /// history (its shape, tombstones or spare capacity), so two trees over
+    /// the same points report the same figure however they were built.
+    pub fn live_bytes(&self) -> usize {
+        self.live
+            * (std::mem::size_of::<Node>()
+                + self.dim * std::mem::size_of::<f64>()
+                + std::mem::size_of::<u32>())
     }
 
     /// Approximate heap memory used by the index, in bytes (arena nodes, the
@@ -517,6 +551,86 @@ mod tests {
         assert_eq!(tree.range_count(&[5.0, 5.0], 1.0, None), 1);
         assert_eq!(tree.range_count(&[5.0, 5.0], 1.0, Some(0)), 0);
         assert!(tree.nearest_neighbor(&[0.0, 0.0], Some(0)).is_none());
+    }
+
+    /// `nearest_where` against a scan over the accepted live points, in 2, 3
+    /// and 8 dimensions: every point carries a random key, the predicate
+    /// accepts the keys above the query point's own (the streaming engine's
+    /// "strictly denser" test), a third of the points are tombstoned, and
+    /// one point in ten is an exact duplicate of another, so some answers
+    /// lie at distance 0.
+    #[test]
+    fn nearest_where_matches_brute_force() {
+        for (dim, seed) in [(2usize, 41u64), (3, 42), (8, 43)] {
+            let mut ds = random_dataset(450, dim, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..50 {
+                let p = ds.point(rng.gen_range(0..ds.len())).to_vec();
+                ds.push(&p);
+            }
+            let key: Vec<f64> = (0..ds.len()).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let dead: Vec<bool> = (0..ds.len()).map(|i| i % 3 == 0).collect();
+            let mut tree = IncrementalKdTree::new(dim);
+            for (id, p) in ds.iter() {
+                tree.insert(id, p);
+            }
+            for id in (0..ds.len()).filter(|&i| dead[i]) {
+                assert!(tree.remove(id));
+            }
+            let mut zero_hits = 0;
+            for x in 0..ds.len() {
+                let q = ds.point(x);
+                let got = tree.nearest_where(q, |id| key[id] > key[x]);
+                let want = (0..ds.len())
+                    .filter(|&j| !dead[j] && key[j] > key[x])
+                    .map(|j| dist(q, ds.point(j)))
+                    .fold(f64::INFINITY, f64::min);
+                match got {
+                    None => assert!(want.is_infinite(), "dim {dim}, point {x}: missed an answer"),
+                    Some((id, d)) => {
+                        assert!(!dead[id], "dim {dim}, point {x}: tombstoned id {id} returned");
+                        assert!(key[id] > key[x], "dim {dim}, point {x}: rejected id returned");
+                        assert_eq!(d.to_bits(), want.to_bits(), "dim {dim}, point {x}");
+                        assert_eq!(dist(q, ds.point(id)).to_bits(), d.to_bits());
+                        zero_hits += (d == 0.0) as usize;
+                    }
+                }
+            }
+            assert!(zero_hits > 0, "dim {dim}: the duplicates must produce distance-0 answers");
+        }
+    }
+
+    #[test]
+    fn nearest_where_edge_cases() {
+        assert!(IncrementalKdTree::new(3).nearest_where(&[0.0; 3], |_| true).is_none());
+        let mut tree = IncrementalKdTree::new(2);
+        for id in 0..5 {
+            tree.insert(id, &[1.0, 2.0]);
+        }
+        tree.insert(5, &[4.0, 6.0]);
+        assert!(tree.nearest_where(&[1.0, 2.0], |_| false).is_none());
+        let pick = |id: usize| id == 3 || id == 5;
+        assert_eq!(tree.nearest_where(&[1.0, 2.0], pick), Some((3, 0.0)));
+        assert!(tree.remove(3));
+        assert_eq!(tree.nearest_where(&[1.0, 2.0], pick), Some((5, 5.0)));
+        assert!(tree.remove(5));
+        assert!(tree.nearest_where(&[1.0, 2.0], pick).is_none());
+    }
+
+    #[test]
+    fn live_bytes_ignore_history() {
+        let ds = random_dataset(300, 3, 8);
+        let mut inserted = IncrementalKdTree::new(3);
+        for (id, p) in ds.iter() {
+            inserted.insert(id, p);
+        }
+        for id in 0..100 {
+            assert!(inserted.remove(id));
+        }
+        let survivors = ds.select(&(100..300).collect::<Vec<_>>());
+        let built = IncrementalKdTree::build(&survivors);
+        assert_eq!(inserted.live_bytes(), built.live_bytes());
+        assert!(built.live_bytes() >= 200 * 3 * std::mem::size_of::<f64>());
     }
 
     #[test]

@@ -324,21 +324,38 @@ impl KdTree {
         // the two can keep different representatives of a `±0.0` tie — so a
         // numerically equal bound is accepted too (`0.0 == -0.0`, while any
         // actually-different bound compares unequal both ways).
+        //
+        // A leaf's box is recomputed from its rows; an inner node's from the
+        // union of its two children's stored boxes, which were checked
+        // before it (children follow their parent in preorder, so a reverse
+        // sweep reaches them first). By induction the union equals the box
+        // over the node's rows, so the accepted inputs are those of a
+        // per-node row scan, at O(n·d) instead of O(n·d·depth).
         let bound_eq = |a: f64, b: f64| a.to_bits() == b.to_bits() || a == b;
         let mut lo = vec![0.0f64; dim];
         let mut hi = vec![0.0f64; dim];
-        for (idx, node) in nodes.iter().enumerate() {
+        let fold = |lo: &mut [f64], hi: &mut [f64], row_lo: &[f64], row_hi: &[f64]| {
+            for a in 0..dim {
+                if row_lo[a] < lo[a] {
+                    lo[a] = row_lo[a];
+                }
+                if row_hi[a] > hi[a] {
+                    hi[a] = row_hi[a];
+                }
+            }
+        };
+        for (idx, node) in nodes.iter().enumerate().rev() {
             lo.fill(f64::INFINITY);
             hi.fill(f64::NEG_INFINITY);
-            let rows = &coords[node.start as usize * dim..node.end as usize * dim];
-            for row in rows.chunks_exact(dim) {
-                for a in 0..dim {
-                    if row[a] < lo[a] {
-                        lo[a] = row[a];
-                    }
-                    if row[a] > hi[a] {
-                        hi[a] = row[a];
-                    }
+            if node.is_leaf() {
+                let rows = &coords[node.start as usize * dim..node.end as usize * dim];
+                for row in rows.chunks_exact(dim) {
+                    fold(&mut lo, &mut hi, row, row);
+                }
+            } else {
+                for child in [idx + 1, node.right as usize] {
+                    let (c_lo, c_hi) = bounds[child * 2 * dim..(child + 1) * 2 * dim].split_at(dim);
+                    fold(&mut lo, &mut hi, c_lo, c_hi);
                 }
             }
             let b = &bounds[idx * 2 * dim..(idx + 1) * 2 * dim];
@@ -1523,6 +1540,23 @@ mod tests {
         let (d, i, c, n, mut b) = parts.clone();
         b[0] += 1.0;
         assert!(KdTree::from_packed_parts(d, i, c, n, b).is_err());
+
+        // Widened boxes that still cover their points: a leaf's, and a
+        // non-root inner node's.
+        let leaf = parts.3.iter().position(PackedNode::is_leaf).unwrap();
+        let (d, i, c, n, mut b) = parts.clone();
+        b[leaf * 2 * d] -= 1.0;
+        assert_eq!(
+            KdTree::from_packed_parts(d, i, c, n, b).err(),
+            Some("node bounding box disagrees with its packed points")
+        );
+        assert!(!parts.3[1].is_leaf(), "node 1 must be an inner node");
+        let (d, i, c, n, mut b) = parts.clone();
+        b[2 * d + d] += 1.0;
+        assert_eq!(
+            KdTree::from_packed_parts(d, i, c, n, b).err(),
+            Some("node bounding box disagrees with its packed points")
+        );
 
         // Truncated buffers, and a dimensionality that disagrees with them.
         let (d, i, mut c, n, b) = parts.clone();

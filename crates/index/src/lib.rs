@@ -16,9 +16,11 @@
 //!   query's ([`PackedParts::smallest_denser_label`]). See the module docs of
 //!   [`kdtree`] for the layout.
 //! * [`IncrementalKdTree`] — the one-point-per-node arena tree supporting
-//!   **insertion and removal**: the mutable index of `StreamingDpc`. It also
-//!   keeps the seed's bulk construction, so property tests can replay the
-//!   seed pipeline against the packed tree.
+//!   **insertion and removal**: the mutable index of `StreamingDpc`, whose
+//!   δ recomputes are its filtered nearest-neighbour descent
+//!   ([`IncrementalKdTree::nearest_where`]). It also keeps the seed's bulk
+//!   construction, so property tests can replay the seed pipeline against the
+//!   packed tree.
 //! * [`RTree`] — an STR bulk-loaded R-tree used by the `R-tree + Scan` baseline
 //!   of the paper's evaluation (Table 6).
 //! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Ex-DPC, Approx-DPC) or

@@ -210,7 +210,9 @@ impl DpcServer {
     /// from the *current* snapshot's points (stable ids `0..n-1`, matching
     /// the fitted jitter when `params` carries the fitted seed), and installs
     /// the streamed state as a new epoch every `publish_every` ingests — the
-    /// stream advances epochs without ever refitting from scratch.
+    /// stream advances epochs without ever refitting from scratch. The seed
+    /// is one [`StreamingDpc::bulk_load`]: a keyed Ex-DPC fit of the points
+    /// at `params.threads`.
     ///
     /// `window` is the optional sliding-window configuration
     /// `(capacity, batch)` (see [`StreamingDpc::with_window`]): the engine
@@ -246,9 +248,7 @@ impl DpcServer {
         if let Some((capacity, batch)) = window {
             engine = engine.with_window(capacity, batch);
         }
-        for i in 0..snapshot.n() {
-            engine.insert(snapshot.data().point(i))?;
-        }
+        engine.bulk_load(snapshot.data())?;
         // Seeding can already expire the oldest points of an over-capacity
         // snapshot; those expiries predate any client ingest.
         engine.drain_expired();

@@ -180,3 +180,132 @@ fn explicit_removals_compose_with_window_expiry() {
     }
     assert_matches_fresh_fit(&engine, params, "mixed removal/expiry final");
 }
+
+/// Asserts two engines hold the same window: ids, rows, ρ and δ bits, index
+/// bytes and the expiry log. Dependents must be identical when the window
+/// has no duplicate points (`exact_dependents`); with duplicates, several
+/// points can sit at distance exactly δ, so each side's dependent need only
+/// be a valid minimizer.
+fn assert_same_window(
+    bulk: &mut StreamingDpc,
+    inserted: &mut StreamingDpc,
+    exact_dependents: bool,
+    label: &str,
+) {
+    assert_eq!(bulk.drain_expired(), inserted.drain_expired(), "{label}: expired ids");
+    assert_eq!(bulk.len(), inserted.len(), "{label}: len");
+    if bulk.is_empty() {
+        assert!(bulk.to_parts().is_err() && inserted.to_parts().is_err(), "{label}: empty");
+        return;
+    }
+    let (data_a, ids_a, model_a) = bulk.to_parts().unwrap();
+    let (data_b, ids_b, model_b) = inserted.to_parts().unwrap();
+    assert_eq!(ids_a, ids_b, "{label}: ids");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(data_a.flat()), bits(data_b.flat()), "{label}: rows");
+    assert_eq!(bits(model_a.rho()), bits(model_b.rho()), "{label}: ρ");
+    assert_eq!(bits(model_a.delta()), bits(model_b.delta()), "{label}: δ");
+    assert_eq!(model_a.index_bytes(), model_b.index_bytes(), "{label}: index bytes");
+    if exact_dependents {
+        assert!(model_a.layout_eq(&model_b), "{label}: models differ");
+    }
+    for model in [&model_a, &model_b] {
+        for i in 0..model.n() {
+            let dep = model.dependent()[i];
+            if dep == i {
+                assert!(model.delta()[i].is_infinite(), "{label}: self-dependent at {i}");
+            } else {
+                assert!(model.rho()[dep] > model.rho()[i], "{label}: dependent not denser at {i}");
+                let d = fast_dpc::geometry::dist(data_a.point(i), data_a.point(dep));
+                assert_eq!(d.to_bits(), model.delta()[i].to_bits(), "{label}: δ not attained");
+            }
+        }
+    }
+}
+
+/// Loads `n0` points into one engine by `bulk_load` and into another by
+/// inserts, then feeds both the same stream of inserts, explicit removes
+/// and (with a window) expiry, comparing them along the way.
+fn bulk_load_matches_insert_load(
+    dim: usize,
+    dcut: f64,
+    n0: usize,
+    window: Option<(usize, usize)>,
+    duplicates: bool,
+    seed: u64,
+) {
+    let label = format!("dim {dim}, n0 {n0}, window {window:?}, duplicates {duplicates}");
+    let params = DpcParams::new(dcut).with_jitter_seed(seed).with_threads(2);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut recent: Vec<Vec<f64>> = Vec::new();
+    let mut next_point = |rng: &mut StdRng| -> Vec<f64> {
+        let p: Vec<f64> = if duplicates && !recent.is_empty() && rng.gen_range(0.0..1.0) < 0.2 {
+            recent[rng.gen_range(0..recent.len())].clone()
+        } else {
+            (0..dim).map(|_| rng.gen_range(0.0..40.0)).collect()
+        };
+        recent.push(p.clone());
+        if recent.len() > 40 {
+            recent.remove(0);
+        }
+        p
+    };
+    let engine = || {
+        let e = StreamingDpc::new(params, dim).unwrap();
+        match window {
+            Some((capacity, batch)) => e.with_window(capacity, batch),
+            None => e,
+        }
+    };
+    let mut initial = Dataset::new(dim);
+    for _ in 0..n0 {
+        initial.push(&next_point(&mut rng));
+    }
+    let mut bulk = engine();
+    bulk.bulk_load(&initial).unwrap();
+    let mut inserted = engine();
+    for (_, p) in initial.iter() {
+        inserted.insert(p).unwrap();
+    }
+    assert_same_window(&mut bulk, &mut inserted, !duplicates, &format!("{label}, loaded"));
+    if n0 > 0 {
+        assert!(
+            matches!(bulk.bulk_load(&initial), Err(DpcError::InvalidParams { .. })),
+            "{label}: a second load must be refused"
+        );
+    }
+
+    let mut live: Vec<u64> = (0..n0 as u64).filter(|&id| inserted.contains(id)).collect();
+    for step in 0..360 {
+        if live.len() < 4 || rng.gen_range(0.0..1.0) < 0.7 {
+            let p = next_point(&mut rng);
+            let id = bulk.insert(&p).unwrap();
+            assert_eq!(inserted.insert(&p).unwrap(), id, "{label}: ids diverge at step {step}");
+            live.push(id);
+        } else {
+            let id = live.swap_remove(rng.gen_range(0..live.len()));
+            assert!(bulk.remove(id) && inserted.remove(id), "{label}: step {step}");
+        }
+        live.retain(|&id| inserted.contains(id));
+        if step % 60 == 59 {
+            assert_same_window(&mut bulk, &mut inserted, !duplicates, &format!("{label}, {step}"));
+        }
+    }
+    assert_same_window(&mut bulk, &mut inserted, !duplicates, &format!("{label}, final"));
+    assert_matches_fresh_fit(&bulk, params, &format!("{label}, bulk-loaded"));
+}
+
+/// A bulk-loaded engine and an insert-loaded one stay the same window under
+/// one stream: loads below and at least one batch above the window, an
+/// empty load and a load without a window, in 2, 3 and 8 dimensions.
+#[test]
+fn bulk_load_matches_insert_load_under_one_stream() {
+    for (dim, dcut, seed) in [(2usize, 4.0, 61u64), (3, 7.0, 62), (8, 22.0, 63)] {
+        for duplicates in [false, true] {
+            for n0 in [0, 90, 170, 263] {
+                bulk_load_matches_insert_load(dim, dcut, n0, Some((150, 20)), duplicates, seed);
+            }
+            bulk_load_matches_insert_load(dim, dcut, 120, None, duplicates, seed);
+        }
+    }
+}
