@@ -27,19 +27,21 @@ use crate::scan::Scan;
 /// be rough centroids; CFSFDP-A's original implementation also caps iterations.
 const KMEANS_ITERATIONS: usize = 8;
 
+/// Seed of the k-means pivot sampling.
+const KMEANS_SEED: u64 = 0xC1F5;
+
 /// The CFSFDP-A baseline.
 #[derive(Clone, Copy, Debug)]
 pub struct CfsfdpA {
     params: DpcParams,
     /// Number of k-means pivots; `None` selects `√n` (the customary choice).
     pivots: Option<usize>,
-    seed: u64,
 }
 
 impl CfsfdpA {
     /// Creates the algorithm with the given parameters and `√n` pivots.
     pub fn new(params: DpcParams) -> Self {
-        Self { params, pivots: None, seed: 0xC1F5 }
+        Self { params, pivots: None }
     }
 
     /// Overrides the number of k-means pivots.
@@ -49,17 +51,11 @@ impl CfsfdpA {
         self
     }
 
-    /// Overrides the k-means seeding RNG.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Runs a small k-means to obtain pivots. Returns `(assignment, centroids)`.
     fn kmeans(&self, data: &Dataset, k: usize, executor: &Executor) -> (Vec<usize>, Vec<Vec<f64>>) {
         let n = data.len();
         let dim = data.dim();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(KMEANS_SEED);
         let mut ids: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut ids);
         let mut centroids: Vec<Vec<f64>> =

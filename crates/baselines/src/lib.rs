@@ -17,6 +17,8 @@
 //! [`dpc_core::Clustering`] structure, and share the tie-breaking jitter of the
 //! core crate, so their outputs are directly comparable.
 
+#![forbid(unsafe_code)]
+
 pub mod cfsfdp;
 pub mod dbscan;
 pub mod lshddp;

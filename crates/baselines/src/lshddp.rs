@@ -33,25 +33,19 @@ use dpc_rng::StdRng;
 const NUM_TABLES: usize = 4;
 /// Number of concatenated hash functions per compound hash.
 const HASHES_PER_TABLE: usize = 2;
+/// Seed of the random projections.
+const LSH_SEED: u64 = 0xD15C0;
 
 /// The LSH-DDP baseline.
 #[derive(Clone, Copy, Debug)]
 pub struct LshDdp {
     params: DpcParams,
-    /// Seed of the random projections.
-    lsh_seed: u64,
 }
 
 impl LshDdp {
     /// Creates the algorithm with the given parameters.
     pub fn new(params: DpcParams) -> Self {
-        Self { params, lsh_seed: 0xD15C0 }
-    }
-
-    /// Overrides the seed used to draw the LSH projections.
-    pub fn with_lsh_seed(mut self, seed: u64) -> Self {
-        self.lsh_seed = seed;
-        self
+        Self { params }
     }
 
     /// Buckets the dataset with one compound hash. Returns, for each point, the
@@ -59,7 +53,7 @@ impl LshDdp {
     fn build_buckets(&self, data: &Dataset, table: usize) -> Vec<Vec<usize>> {
         let dim = data.dim();
         let width = 2.0 * self.params.dcut; // p-stable bucket width tied to d_cut
-        let mut rng = StdRng::seed_from_u64(self.lsh_seed ^ (table as u64).wrapping_mul(0x9E37));
+        let mut rng = StdRng::seed_from_u64(LSH_SEED ^ (table as u64).wrapping_mul(0x9E37));
         // Gaussian projection vectors and uniform offsets for each hash.
         let projections: Vec<Vec<f64>> = (0..HASHES_PER_TABLE)
             .map(|_| (0..dim).map(|_| rng.gen_standard_normal()).collect())

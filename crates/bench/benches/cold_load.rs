@@ -8,7 +8,6 @@
 //! `--xl-n`:
 //!
 //! * `snapshot_encode`    — serialize model + tree + thresholds;
-//! * `model_view`         — zero-copy `ModelRef` parse (header + checksums);
 //! * `model_decode`       — owned `DpcModel::from_bytes` (full validation);
 //! * `tree_decode`        — owned `KdTree::from_bytes` (full validation);
 //! * `snapshot_cold_load` — `Snapshot::from_artifact_bytes`: the whole
@@ -63,9 +62,6 @@ fn run_tier(
 
     records.push(bench_record(&format!("snapshot_encode{suffix}"), n, d, iters, || {
         SnapshotArtifact::encode(&model, &tree, &thresholds)
-    }));
-    records.push(bench_record(&format!("model_view{suffix}"), n, d, iters, || {
-        DpcModel::view(&bytes).expect("view")
     }));
     records.push(bench_record(&format!("model_decode{suffix}"), n, d, iters, || {
         DpcModel::from_bytes(&bytes).expect("model decode")

@@ -6,9 +6,9 @@
 //!
 //! Results are written to `BENCH_grid_build.json` (schema in
 //! `crates/bench/README.md`) so the grid-construction trajectory is recorded
-//! PR over PR. `Grid::build_parallel` is byte-for-byte identical to
-//! `Grid::build` at every thread count (the `layout_eq` contract), so the two
-//! build kernels time the same output layout.
+//! PR over PR. `Grid::build` is `Grid::build_parallel` on one thread, and the
+//! layout is byte-for-byte identical at every thread count (the `layout_eq`
+//! contract), so the two build kernels time the same output layout.
 //!
 //! Flags: `--n <points>` (default 20,000), `--threads <T>` (default:
 //! available hardware parallelism; the parallel-build kernels), `--out

@@ -344,18 +344,16 @@ pub mod required {
         "serve_faulty_degraded_rate",
     ];
     /// `BENCH_cold_load.json` (`benches/cold_load.rs`): artifact encode,
-    /// zero-copy view parse, owned model/tree decode, the full
-    /// decode-and-install cold load, and the refit baseline it replaces —
-    /// at the base cardinality and again at `--xl-n` (`_xl`).
+    /// model and tree decode, the full decode-and-install cold load, and the
+    /// refit baseline it replaces — at the base cardinality and again at
+    /// `--xl-n` (`_xl`).
     pub const COLD_LOAD: &[&str] = &[
         "snapshot_encode",
-        "model_view",
         "model_decode",
         "tree_decode",
         "snapshot_cold_load",
         "full_refit",
         "snapshot_encode_xl",
-        "model_view_xl",
         "model_decode_xl",
         "tree_decode_xl",
         "snapshot_cold_load_xl",

@@ -93,12 +93,13 @@ pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
 /// other point reads 0.
 ///
 /// Each bucket of [`Grid::query_buckets`] descends `tree` once through
-/// [`BatchRangeCount`]. The buckets are cut into [`RANGES_PER_THREAD`]
-/// contiguous ranges per worker, of equal query count, which the workers
-/// claim dynamically: a query's cost grows with its count, so equal query
-/// counts are far from equal work. Every count equals the single-query
-/// `range_count` and lands in its point's slot, so the result is the same
-/// under every schedule and at every thread count.
+/// [`BatchRangeCount`], with its query rows gathered from the tree's packed
+/// rows (bit copies of the dataset's) through the position map. The buckets
+/// are cut into [`RANGES_PER_THREAD`] contiguous ranges per worker, of equal
+/// query count, which the workers claim dynamically: a query's cost grows
+/// with its count, so equal query counts are far from equal work. Every count
+/// equals the single-query `range_count` and lands in its point's slot, so
+/// the result is the same under every schedule and at every thread count.
 pub(crate) fn leading_counts(
     tree: &KdTree,
     grid: &Grid,
@@ -106,7 +107,6 @@ pub(crate) fn leading_counts(
     lead: usize,
     executor: &Executor,
 ) -> Vec<usize> {
-    let dim = grid.dim();
     let leading = |cell| {
         let members = grid.points(cell);
         &members[..lead.min(members.len())]
@@ -124,6 +124,7 @@ pub(crate) fn leading_counts(
     };
     let bounds = batchq::balanced_ranges(&prefix, ranges);
     let parts = tree.packed_parts();
+    let dim = parts.dim;
     // One count vector per range, in bucket order (bucket → cells → leading
     // points).
     let per_range: Vec<Vec<usize>> = executor.map_dynamic(bounds.len() - 1, |r| {
@@ -136,10 +137,11 @@ pub(crate) fn leading_counts(
             rows.clear();
             excl.clear();
             for &cell in buckets.bucket(b) {
-                let members = leading(cell);
-                // A cell's CSR coordinate rows follow its point order.
-                rows.extend_from_slice(&grid.coords(cell)[..members.len() * dim]);
-                excl.extend(members.iter().map(|&p| p as u32));
+                for &p in leading(cell) {
+                    let row = parts.pos[p] as usize * dim;
+                    rows.extend_from_slice(&parts.coords[row..row + dim]);
+                    excl.push(p as u32);
+                }
             }
             for (rows, excl) in rows.chunks(BATCH_CHUNK * dim).zip(excl.chunks(BATCH_CHUNK)) {
                 engine.run_uniform(&parts, rows, dcut, excl, &mut chunk_counts);

@@ -10,6 +10,8 @@
 //! Everything here is seeded and deterministic, so every benchmark table in
 //! `dpc-bench` is reproducible run-to-run.
 
+#![forbid(unsafe_code)]
+
 pub mod generators;
 pub mod io;
 pub mod real;

@@ -7,8 +7,6 @@
 
 use std::collections::HashMap;
 
-use dpc_core::Clustering;
-
 /// Computes the Rand index between two label vectors.
 ///
 /// The Rand index is the fraction of point pairs on which the two clusterings
@@ -90,12 +88,6 @@ pub fn sampled_rand_index(a: &[i64], b: &[i64], samples: usize, seed: u64) -> f6
         }
     }
     agree as f64 / samples as f64
-}
-
-/// Convenience: Rand index between two [`Clustering`]s (noise treated as its
-/// own cluster).
-pub fn clustering_rand_index(a: &Clustering, b: &Clustering) -> f64 {
-    rand_index(a.labels(), b.labels())
 }
 
 /// Returns `(Σ_a C(a_i,2), Σ_b C(b_j,2), Σ_ij C(n_ij,2), n)` over the

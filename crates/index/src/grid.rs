@@ -12,33 +12,26 @@
 //!   array hold every cell's membership: cell `c` covers
 //!   `packed[offsets[c]..offsets[c + 1]]`, ascending point id. Cell iteration
 //!   reads one contiguous strip — no per-cell `Vec`, no per-cell heap
-//!   allocation after the build.
-//! * **Packed coordinate rows.** The coordinates of `packed` are copied into a
-//!   matching row-major buffer (exactly like the kd-tree's leaf buckets), so a
-//!   distance scan over a cell ([`Grid::coords`], [`Grid::count_within_cell`])
-//!   reads one contiguous strip and can go through the batched — optionally
-//!   SIMD — kernels of `dpc_geometry::batch`.
+//!   allocation after the build. The grid keeps no coordinates: a caller that
+//!   scans a cell's points reads their rows from the dataset or from the
+//!   kd-tree's packed rows.
 //! * **Interned keys.** Integer cell keys live in one flat `i64` buffer (`dim`
 //!   values per cell, cell-id order) instead of one boxed slice per cell.
 //! * **Open-addressing key table.** Key → cell-id probes go through a small
 //!   linear-probing table whose slots store only cell ids; comparisons read
-//!   the interned key buffer. Probe keys are computed into caller-reusable
-//!   scratch, so lookups allocate nothing.
-//! * **Counting-sort build.** One pass assigns cell ids (in first-appearance
-//!   order) and counts members, a prefix sum turns counts into `offsets`, and
-//!   a stable scatter pass fills `packed`.
-//! * **Parallel construction.** [`Grid::build_parallel`] shards the
+//!   the interned key buffer, so a lookup allocates nothing.
+//! * **One counting-sort build.** [`Grid::build_parallel`] shards the
 //!   key-assignment pass over contiguous point ranges (one splitmix64
 //!   linear-probing table per shard), merges the shard tables into the global
-//!   cell-id assignment in global first-appearance order, and scatters the
-//!   CSR arrays in parallel per cell range. The **determinism contract**,
+//!   cell-id assignment in global first-appearance order, prefix-sums the
+//!   counts into `offsets`, and scatters the packed ids per cell range.
+//!   [`Grid::build`] is the same build on one thread, and a dataset too small
+//!   to repay a spawn runs as one shard. The **determinism contract**,
 //!   pinned by the grid layout-identity test suite: the result is
-//!   **byte-for-byte identical** to [`Grid::build`] — same interned key
-//!   buffer, key table, CSR `offsets`/packed ids/coordinate rows and
-//!   point→cell map, floats compared by bit pattern — at every thread count
-//!   ([`Grid::layout_eq`] is the bitwise comparison). Every caller (the
-//!   Approx-DPC and S-Approx-DPC fit paths) can therefore adopt the parallel
-//!   build with no behavioural change whatsoever.
+//!   **byte-for-byte identical** at every thread count — same interned key
+//!   buffer, key table, CSR `offsets`/packed ids and point→cell map, floats
+//!   compared by bit pattern ([`Grid::layout_eq`] is the bitwise
+//!   comparison).
 //!
 //! The grid stores the point membership of every cell and the reverse mapping
 //! from point id to cell id. Algorithm-specific per-cell metadata (Approx-DPC's
@@ -54,15 +47,12 @@ use dpc_parallel::Executor;
 /// Identifier of a grid cell (dense index, `0..grid.num_cells()`).
 pub type CellId = usize;
 
-/// Integer cell coordinates (per-dimension floor of `(x - origin) / side`).
-pub type CellKey = Box<[i64]>;
-
 /// Empty slot marker of the open-addressing key table.
 const EMPTY: u32 = u32::MAX;
 
 /// Minimum dataset size before [`Grid::build_parallel`] shards the build:
 /// below this the scoped spawns cost more than the per-point hashing they
-/// hand out, so the build runs serially (bit-identical either way).
+/// hand out, so the build runs as one shard (bit-identical either way).
 const MIN_PARALLEL_POINTS: usize = 4096;
 
 /// Bucket-formation target of [`Grid::query_buckets`]: cells keep merging
@@ -97,9 +87,6 @@ pub struct Grid {
     offsets: Vec<usize>,
     /// Point identifiers grouped by cell, ascending within each cell.
     packed: Vec<usize>,
-    /// Coordinates of `packed` in the same order, row-major (`dim` values per
-    /// point): cell `c`'s rows are `coord_rows[offsets[c]·dim..offsets[c+1]·dim]`.
-    coord_rows: Vec<f64>,
     /// Linear-probing key table: each slot holds a cell id or [`EMPTY`].
     /// Power-of-two length, load factor ≤ 3/4.
     table: Vec<u32>,
@@ -153,10 +140,9 @@ fn probe_table(keys: &[i64], table: &[u32], dim: usize, key: &[i64]) -> Option<u
 /// into `table`, growing (and rehashing from the interned keys) when the load
 /// factor would exceed 3/4. Returns the new id.
 ///
-/// Every build path — the serial single pass, the shard-local tables of the
-/// parallel build, and its merge — interns through this one function, so the
-/// growth schedule (and with it the final table bytes) depends only on the
-/// sequence of interned keys, never on who interned them.
+/// The shard-local tables and their merge intern through this one function,
+/// so the growth schedule (and with it the final table bytes) depends only on
+/// the sequence of interned keys, never on who interned them.
 fn intern_key(keys: &mut Vec<i64>, table: &mut Vec<u32>, dim: usize, key: &[i64]) -> usize {
     let cid = keys.len() / dim;
     keys.extend_from_slice(key);
@@ -194,11 +180,13 @@ fn prefix_sum(counts: &[usize]) -> Vec<usize> {
     offsets
 }
 
-/// One shard of the parallel key-assignment pass: the keys met in one
-/// contiguous point range, interned in shard-local first-appearance order.
+/// One shard of the key-assignment pass: the keys met in one contiguous point
+/// range, interned in shard-local first-appearance order.
 struct Shard {
     /// Flat interned keys, `dim` values per local cell.
     keys: Vec<i64>,
+    /// The shard's linear-probing table over `keys`.
+    table: Vec<u32>,
     /// Members of each local cell within the shard's range.
     counts: Vec<usize>,
     /// Local cell id of every point of the range, in point order.
@@ -210,114 +198,53 @@ struct Shard {
 }
 
 impl Grid {
-    /// Shared construction prologue: validates `side`, fixes the origin at the
-    /// dataset's bounding-box low corner, and returns a grid with empty
-    /// storage.
-    ///
-    /// # Panics
-    /// Panics if `side` is not strictly positive and finite.
-    fn empty_shell(data: &Dataset, side: f64) -> Self {
-        assert!(side.is_finite() && side > 0.0, "cell side must be positive and finite");
-        let dim = data.dim();
-        let origin = match data.bounding_rect() {
-            Some(rect) => rect.lo().to_vec(),
-            None => vec![0.0; dim],
-        };
-        Self {
-            dim,
-            side,
-            origin,
-            keys: Vec::new(),
-            offsets: Vec::new(),
-            packed: Vec::new(),
-            coord_rows: Vec::new(),
-            table: Vec::new(),
-            point_cell: Vec::new(),
-        }
-    }
-
-    /// Builds the grid for `data` with the given cell side length, serially.
-    /// This is the reference layout [`Grid::build_parallel`] reproduces
-    /// byte for byte.
+    /// Builds the grid for `data` with the given cell side length on one
+    /// thread: [`Grid::build_parallel`] on [`Executor::single`].
     ///
     /// # Panics
     /// Panics if `side` is not strictly positive and finite.
     pub fn build(data: &Dataset, side: f64) -> Self {
-        let mut grid = Self::empty_shell(data, side);
-        let (dim, n) = (grid.dim, data.len());
-        grid.point_cell.reserve_exact(n);
-        // Pass 1: assign cell ids in first-appearance order, counting members.
-        // The probe key is computed into one reused scratch buffer and only
-        // interned (appended to the flat key buffer) when it names a brand-new
-        // cell, so this pass allocates O(#cells) key storage rather than O(n).
-        let mut counts: Vec<usize> = Vec::new();
-        let mut scratch: Vec<i64> = Vec::with_capacity(dim);
-        for (_, coords) in data.iter() {
-            fill_key_into(coords, &grid.origin, grid.side, &mut scratch);
-            let cell_id = match probe_table(&grid.keys, &grid.table, dim, &scratch) {
-                Some(cid) => cid,
-                None => {
-                    let cid = intern_key(&mut grid.keys, &mut grid.table, dim, &scratch);
-                    counts.push(0);
-                    cid
-                }
-            };
-            counts[cell_id] += 1;
-            grid.point_cell.push(cell_id);
-        }
-        // Pass 2: prefix-sum the counts into CSR offsets, then scatter the
-        // point ids stably (ascending id within each cell).
-        let offsets = prefix_sum(&counts);
-        let mut cursor: Vec<usize> = offsets[..counts.len()].to_vec();
-        let mut packed = vec![0usize; n];
-        let mut coord_rows = vec![0.0f64; n * dim];
-        for (p, &c) in grid.point_cell.iter().enumerate() {
-            let slot = cursor[c];
-            packed[slot] = p;
-            coord_rows[slot * dim..(slot + 1) * dim].copy_from_slice(data.point(p));
-            cursor[c] += 1;
-        }
-        grid.offsets = offsets;
-        grid.packed = packed;
-        grid.coord_rows = coord_rows;
-        grid
+        Self::build_parallel(data, side, &Executor::single())
     }
 
-    /// Builds the grid for `data` in parallel on the executor's workers:
-    /// the key-assignment pass is sharded over contiguous point ranges (one
-    /// local splitmix64 linear-probing table each), the shard tables are
-    /// merged into the global cell-id assignment in global first-appearance
-    /// order, and the counting-sort scatter runs in parallel per cell range.
+    /// Builds the grid for `data` on the executor's workers: the
+    /// key-assignment pass is sharded over contiguous point ranges (one local
+    /// splitmix64 linear-probing table each), the shard tables are merged
+    /// into the global cell-id assignment in global first-appearance order,
+    /// and the counting-sort scatter runs in parallel per cell range.
     ///
-    /// The result is **byte-for-byte identical** to [`Grid::build`] at every
-    /// thread count (see [`Grid::layout_eq`]):
+    /// The result is **byte-for-byte identical** at every thread count (see
+    /// [`Grid::layout_eq`]):
     ///
     /// * walking the shards in point order and each shard's local cells in
     ///   local first-appearance order visits every distinct key exactly in
-    ///   the order the serial single pass first meets it, so interning the
-    ///   merged keys through the shared intern routine reproduces the serial
-    ///   cell ids, flat key buffer and table bytes;
+    ///   the order one pass over the points first meets it, so interning the
+    ///   merged keys through the shared intern routine gives the same cell
+    ///   ids, flat key buffer and table bytes for any sharding;
     /// * a contiguous cell range owns a contiguous span of `packed`, and each
     ///   scatter task fills its span by one pass over the point→cell map in
-    ///   ascending point order — the same stable order as the serial scatter.
+    ///   ascending point order, so every cell lists its points ascending.
     ///
-    /// Datasets below a size threshold (or a single-threaded executor) take
-    /// the serial path directly with zero spawns.
+    /// A single-threaded executor, or a dataset below a size threshold, runs
+    /// the same passes as one shard with zero spawns.
     ///
     /// # Panics
     /// Panics if `side` is not strictly positive and finite.
     pub fn build_parallel(data: &Dataset, side: f64, executor: &Executor) -> Self {
+        assert!(side.is_finite() && side > 0.0, "cell side must be positive and finite");
         let n = data.len();
-        if executor.threads() == 1 || n < MIN_PARALLEL_POINTS {
-            return Self::build(data, side);
-        }
-        let mut grid = Self::empty_shell(data, side);
-        let dim = grid.dim;
+        let single = Executor::single();
+        let executor = if n < MIN_PARALLEL_POINTS { &single } else { executor };
+        let dim = data.dim();
+        // The origin is the dataset's bounding-box low corner.
+        let origin = match data.bounding_rect() {
+            Some(rect) => rect.lo().to_vec(),
+            None => vec![0.0; dim],
+        };
 
         // Pass 1 (parallel): shard the key assignment over contiguous point
         // ranges; each shard resolves its points against its own local table.
-        let origin = &grid.origin;
-        let shards: Vec<Shard> = executor.map_chunks(n, |range| {
+        let mut shards: Vec<Shard> = executor.map_chunks(n, |range| {
             let mut keys: Vec<i64> = Vec::new();
             let mut table: Vec<u32> = Vec::new();
             let mut counts: Vec<usize> = Vec::new();
@@ -325,7 +252,7 @@ impl Grid {
             let mut first_seen: Vec<usize> = Vec::new();
             let mut scratch: Vec<i64> = Vec::with_capacity(dim);
             for p in range {
-                fill_key_into(data.point(p), origin, side, &mut scratch);
+                fill_key_into(data.point(p), &origin, side, &mut scratch);
                 let lid = match probe_table(&keys, &table, dim, &scratch) {
                     Some(lid) => lid,
                     None => {
@@ -338,27 +265,37 @@ impl Grid {
                 counts[lid] += 1;
                 point_local.push(lid as u32);
             }
-            Shard { keys, counts, point_local, first_seen }
+            Shard { keys, table, counts, point_local, first_seen }
         });
 
-        // Merge (serial, O(Σ distinct local cells) — #cells · #shards at
-        // worst, not O(n)): intern the shard keys into the global table in
-        // global first-appearance order and accumulate the global counts.
+        // Merge (serial, O(Σ distinct local cells of the later shards), not
+        // O(n)): intern the shard keys into the global table in global
+        // first-appearance order and accumulate the global counts. The first
+        // shard interned its keys into an empty table in exactly that order,
+        // so its keys, table, counts and first points are the global ones so
+        // far, and only the later shards' keys are interned again.
         // `first_global[gid]` is the index of the first point of cell `gid` —
         // shards are walked in point order, so the first shard that knows a
         // key holds its global first appearance; cell ids are assigned in that
         // same order, making `first_global` strictly increasing.
-        let mut counts: Vec<usize> = Vec::new();
-        let mut first_global: Vec<usize> = Vec::new();
-        let mut local_to_global: Vec<Vec<u32>> = Vec::with_capacity(shards.len());
-        for shard in &shards {
+        let (mut keys, mut table, mut counts, mut first_global) = match shards.first_mut() {
+            Some(first) => (
+                std::mem::take(&mut first.keys),
+                std::mem::take(&mut first.table),
+                std::mem::take(&mut first.counts),
+                std::mem::take(&mut first.first_seen),
+            ),
+            None => Default::default(),
+        };
+        let mut local_to_global: Vec<Vec<u32>> = vec![(0..counts.len() as u32).collect()];
+        for shard in shards.iter().skip(1) {
             let mut map = Vec::with_capacity(shard.counts.len());
             for (lid, &local_count) in shard.counts.iter().enumerate() {
                 let key = &shard.keys[lid * dim..(lid + 1) * dim];
-                let gid = match probe_table(&grid.keys, &grid.table, dim, key) {
+                let gid = match probe_table(&keys, &table, dim, key) {
                     Some(gid) => gid,
                     None => {
-                        let gid = intern_key(&mut grid.keys, &mut grid.table, dim, key);
+                        let gid = intern_key(&mut keys, &mut table, dim, key);
                         counts.push(0);
                         first_global.push(shard.first_seen[lid]);
                         gid
@@ -387,22 +324,18 @@ impl Grid {
             }
             executor.fan_out(tasks);
         }
-        grid.point_cell = point_cell;
 
         // Pass 2 (parallel): prefix-sum offsets, then scatter per cell range.
         // The packed span of a contiguous cell range is itself contiguous, so
-        // every task owns disjoint slices of `packed`/`coord_rows`; range
-        // boundaries are chosen on cell borders so the spans balance by
-        // point count. Each task scans only the point→cell slice that can
-        // contain its cells: cell ids follow first-appearance order, so every
-        // point before `first_global[lo]` belongs to a cell below `lo`, and
-        // the scan stops as soon as the task's span is full — the same
-        // ascending point order (hence byte-identical layout) as before, at a
-        // fraction of the map reads.
+        // every task owns a disjoint slice of `packed`; range boundaries are
+        // chosen on cell borders so the spans balance by point count. Each
+        // task scans only the point→cell slice that can contain its cells:
+        // cell ids follow first-appearance order, so every point before
+        // `first_global[lo]` belongs to a cell below `lo`, and the scan stops
+        // as soon as the task's span is full.
         let num_cells = counts.len();
         let offsets = prefix_sum(&counts);
         let mut packed = vec![0usize; n];
-        let mut coord_rows = vec![0.0f64; n * dim];
         {
             let workers = executor.threads().min(num_cells.max(1));
             let mut bounds = Vec::with_capacity(workers + 1);
@@ -413,17 +346,14 @@ impl Grid {
                 bounds.push(cell.max(*bounds.last().unwrap()));
             }
             bounds.push(num_cells);
-            let point_cell = &grid.point_cell;
+            let point_cell = &point_cell;
             let mut tasks = Vec::with_capacity(workers);
             let mut packed_rest: &mut [usize] = &mut packed;
-            let mut coord_rest: &mut [f64] = &mut coord_rows;
             for w in 0..workers {
                 let (lo, hi) = (bounds[w], bounds[w + 1]);
                 let span = offsets[hi] - offsets[lo];
                 let (packed_mine, packed_tail) = packed_rest.split_at_mut(span);
                 packed_rest = packed_tail;
-                let (coords_mine, coords_tail) = coord_rest.split_at_mut(span * dim);
-                coord_rest = coords_tail;
                 if span == 0 {
                     continue;
                 }
@@ -440,7 +370,6 @@ impl Grid {
                         let slot = cursor[c - lo] - base;
                         cursor[c - lo] += 1;
                         packed_mine[slot] = p;
-                        coords_mine[slot * dim..(slot + 1) * dim].copy_from_slice(data.point(p));
                         remaining -= 1;
                         if remaining == 0 {
                             break;
@@ -450,16 +379,7 @@ impl Grid {
             }
             executor.fan_out(tasks);
         }
-        grid.offsets = offsets;
-        grid.packed = packed;
-        grid.coord_rows = coord_rows;
-        grid
-    }
-
-    /// Computes the integer cell key of `coords` into a reused buffer.
-    fn fill_key(&self, coords: &[f64], key: &mut Vec<i64>) {
-        debug_assert_eq!(coords.len(), self.dim);
-        fill_key_into(coords, &self.origin, self.side, key);
+        Self { dim, side, origin, keys, offsets, packed, table, point_cell }
     }
 
     /// The interned key of cell `cid` (valid for any already-interned id).
@@ -471,31 +391,6 @@ impl Grid {
     /// Looks `key` up in the open-addressing table. Allocation-free.
     fn probe(&self, key: &[i64]) -> Option<CellId> {
         probe_table(&self.keys, &self.table, self.dim, key)
-    }
-
-    /// The integer cell key of an arbitrary coordinate (allocating convenience
-    /// form of the scratch-buffer lookup the hot paths use).
-    pub fn key_of(&self, coords: &[f64]) -> CellKey {
-        let mut key = Vec::with_capacity(self.dim);
-        self.fill_key(coords, &mut key);
-        key.into_boxed_slice()
-    }
-
-    /// The cell containing an arbitrary coordinate, if such a cell exists
-    /// (i.e. if at least one dataset point shares that cell).
-    pub fn cell_at(&self, coords: &[f64]) -> Option<CellId> {
-        let mut scratch = Vec::with_capacity(self.dim);
-        self.cell_at_scratch(coords, &mut scratch)
-    }
-
-    /// Same as [`Grid::cell_at`] but computes the probe key into a
-    /// caller-reusable buffer, so repeated probes (point→cell lookups,
-    /// neighbour enumeration) are allocation-free: the probe hashes the
-    /// scratch slice and compares it against the interned flat key buffer
-    /// without boxing anything.
-    pub fn cell_at_scratch(&self, coords: &[f64], scratch: &mut Vec<i64>) -> Option<CellId> {
-        self.fill_key(coords, scratch);
-        self.probe(scratch)
     }
 
     /// The cell containing dataset point `point_id`.
@@ -524,38 +419,10 @@ impl Grid {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// Dimensionality of the grid.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Cell side length.
-    pub fn side(&self) -> f64 {
-        self.side
-    }
-
     /// Identifiers of the points covered by cell `cell` (`P(c)` in the paper),
     /// ascending. A contiguous slice of the packed CSR array.
     pub fn points(&self, cell: CellId) -> &[usize] {
         &self.packed[self.offsets[cell]..self.offsets[cell + 1]]
-    }
-
-    /// Row-major coordinates of [`Grid::points`]`(cell)`, in the same order —
-    /// one contiguous strip, ready for the batched kernels of
-    /// `dpc_geometry::batch`.
-    pub fn coords(&self, cell: CellId) -> &[f64] {
-        &self.coord_rows[self.offsets[cell] * self.dim..self.offsets[cell + 1] * self.dim]
-    }
-
-    /// Number of points of cell `cell` within the **closed** ball of `radius`
-    /// around `query` (`dist ≤ radius`, Definition 1 semantics), scanned over
-    /// the cell's contiguous coordinate rows with the batch kernel. A negative
-    /// or NaN radius counts nothing.
-    pub fn count_within_cell(&self, cell: CellId, query: &[f64], radius: f64) -> usize {
-        if radius.is_nan() || radius < 0.0 {
-            return 0;
-        }
-        dpc_geometry::batch::count_within(query, self.coords(cell), self.dim, radius * radius)
     }
 
     /// Integer key of cell `cell` — a slice of the interned flat key buffer.
@@ -631,22 +498,18 @@ impl Grid {
     /// Whether two grids have bit-identical layouts: same geometry (side and
     /// origin compared by float bit pattern, so even a `-0.0` vs `0.0`
     /// discrepancy fails), interned key buffer, key table, CSR
-    /// `offsets`/packed point ids/coordinate rows, and point→cell map. This
-    /// is the property [`Grid::build_parallel`] guarantees against
-    /// [`Grid::build`] at every thread count, and what the grid
-    /// layout-identity test suite asserts.
+    /// `offsets`/packed point ids, and point→cell map. This is the property
+    /// [`Grid::build_parallel`] guarantees at every thread count, and what
+    /// the grid layout-identity test suite asserts.
     pub fn layout_eq(&self, other: &Self) -> bool {
-        let bits_eq = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && std::iter::zip(a, b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
         self.dim == other.dim
             && self.side.to_bits() == other.side.to_bits()
-            && bits_eq(&self.origin, &other.origin)
+            && self.origin.len() == other.origin.len()
+            && std::iter::zip(&self.origin, &other.origin).all(|(a, b)| a.to_bits() == b.to_bits())
             && self.keys == other.keys
             && self.table == other.table
             && self.offsets == other.offsets
             && self.packed == other.packed
-            && bits_eq(&self.coord_rows, &other.coord_rows)
             && self.point_cell == other.point_cell
     }
 
@@ -728,7 +591,6 @@ impl Grid {
         self.keys.capacity() * std::mem::size_of::<i64>()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.packed.capacity() * std::mem::size_of::<usize>()
-            + self.coord_rows.capacity() * std::mem::size_of::<f64>()
             + self.table.capacity() * std::mem::size_of::<u32>()
             + self.point_cell.capacity() * std::mem::size_of::<CellId>()
             + self.origin.capacity() * std::mem::size_of::<f64>()
@@ -821,40 +683,27 @@ mod tests {
     }
 
     #[test]
-    fn cell_at_and_key_round_trip() {
+    fn cell_by_key_round_trips() {
         let ds = square_dataset();
         let grid = Grid::build(&ds, 10.0);
-        for (id, coords) in ds.iter() {
-            assert_eq!(grid.cell_at(coords), Some(grid.cell_of(id)));
-            let key = grid.key_of(coords).to_vec();
-            assert_eq!(grid.cell_by_key(&key), Some(grid.cell_of(id)));
+        for id in 0..ds.len() {
+            let cell = grid.cell_of(id);
+            assert_eq!(grid.cell_by_key(grid.key(cell)), Some(cell));
         }
-        assert_eq!(grid.cell_at(&[-500.0, -500.0]), None);
+        assert_eq!(grid.cell_by_key(&[-50, -50]), None);
         // A key of the wrong dimensionality finds nothing (and terminates).
         assert_eq!(grid.cell_by_key(&[0]), None);
         assert_eq!(grid.cell_by_key(&[0, 0, 0]), None);
     }
 
     #[test]
-    fn cell_at_scratch_matches_cell_at() {
-        let ds = square_dataset();
-        let grid = Grid::build(&ds, 7.0);
-        let mut scratch = Vec::new();
-        for (_, coords) in ds.iter() {
-            assert_eq!(grid.cell_at_scratch(coords, &mut scratch), grid.cell_at(coords));
-        }
-        assert_eq!(grid.cell_at_scratch(&[-500.0, -500.0], &mut scratch), None);
-        // The scratch buffer holds the last probed key.
-        assert_eq!(scratch.as_slice(), grid.key_of(&[-500.0, -500.0]).as_ref());
-    }
-
-    #[test]
     fn center_lies_inside_cell() {
         let ds = square_dataset();
         let grid = Grid::build(&ds, 7.0);
+        let mut key = Vec::new();
         for c in grid.cell_ids() {
-            let center = grid.center(c);
-            assert_eq!(grid.key_of(&center).as_ref(), grid.key(c));
+            fill_key_into(&grid.center(c), &grid.origin, grid.side, &mut key);
+            assert_eq!(key, grid.key(c));
         }
     }
 
@@ -886,13 +735,15 @@ mod tests {
     fn neighbors_within_finds_adjacent_cells() {
         let ds = square_dataset();
         let grid = Grid::build(&ds, 10.0);
-        // The centre point (10,10) has all 8 surrounding lattice cells occupied.
-        let centre_cell = grid.cell_at(&[10.0, 10.0]).unwrap();
+        // The centre point 4, (10,10), has all 8 surrounding lattice cells
+        // occupied.
+        let centre_cell = grid.cell_of(4);
         let n1 = grid.neighbors_within(centre_cell, 1);
         assert_eq!(n1.len(), 8);
         assert!(!n1.contains(&centre_cell));
-        // A corner cell has only 3 occupied neighbours.
-        let corner = grid.cell_at(&[0.0, 0.0]).unwrap();
+        // A corner cell (point 0, at the origin) has only 3 occupied
+        // neighbours.
+        let corner = grid.cell_of(0);
         assert_eq!(grid.neighbors_within(corner, 1).len(), 3);
     }
 
@@ -900,7 +751,7 @@ mod tests {
     fn neighbors_within_larger_radius() {
         let ds = square_dataset();
         let grid = Grid::build(&ds, 10.0);
-        let corner = grid.cell_at(&[0.0, 0.0]).unwrap();
+        let corner = grid.cell_of(0);
         assert_eq!(grid.neighbors_within(corner, 2).len(), 8);
     }
 
@@ -909,7 +760,7 @@ mod tests {
         let ds = Dataset::new(2);
         let grid = Grid::build(&ds, 5.0);
         assert_eq!(grid.num_cells(), 0);
-        assert_eq!(grid.cell_at(&[1.0, 1.0]), None);
+        assert_eq!(grid.cell_by_key(&[0, 0]), None);
     }
 
     #[test]
@@ -951,42 +802,7 @@ mod tests {
         }
         assert!(seen.into_iter().all(|s| s));
         // The interned key buffer holds exactly one key per cell.
-        assert_eq!(grid.keys.len(), grid.num_cells() * grid.dim());
-    }
-
-    #[test]
-    fn coord_rows_match_packed_points() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut ds = Dataset::new(3);
-        for _ in 0..400 {
-            ds.push(&[
-                rng.gen_range(0.0..40.0),
-                rng.gen_range(0.0..40.0),
-                rng.gen_range(0.0..40.0),
-            ]);
-        }
-        let grid = Grid::build(&ds, 6.0);
-        for c in grid.cell_ids() {
-            let pts = grid.points(c);
-            let rows = grid.coords(c);
-            assert_eq!(rows.len(), pts.len() * grid.dim());
-            for (k, &p) in pts.iter().enumerate() {
-                assert_eq!(&rows[k * 3..(k + 1) * 3], ds.point(p));
-            }
-        }
-    }
-
-    #[test]
-    fn count_within_cell_is_inclusive_at_the_boundary() {
-        // One cell holding the origin, a 3-4-5 boundary point, and a far point.
-        let ds = Dataset::from_flat(2, vec![0.0, 0.0, 3.0, 4.0, 9.0, 9.0]);
-        let grid = Grid::build(&ds, 100.0);
-        assert_eq!(grid.num_cells(), 1);
-        assert_eq!(grid.count_within_cell(0, &[0.0, 0.0], 5.0), 2);
-        assert_eq!(grid.count_within_cell(0, &[0.0, 0.0], 5.0 - 1e-9), 1);
-        assert_eq!(grid.count_within_cell(0, &[0.0, 0.0], 0.0), 1);
-        assert_eq!(grid.count_within_cell(0, &[0.0, 0.0], -1.0), 0);
-        assert_eq!(grid.count_within_cell(0, &[0.0, 0.0], f64::NAN), 0);
+        assert_eq!(grid.keys.len(), grid.num_cells() * grid.dim);
     }
 
     #[test]
@@ -1054,7 +870,7 @@ mod tests {
             (parallel_sized_dataset(5_003, 3, 80.0, 4), 7.5),
             // Every point in one cell.
             (parallel_sized_dataset(5_000, 2, 5.0, 5), 1_000.0),
-            // Below the parallel threshold: the serial fallback path.
+            // Below the parallel threshold: one shard at every thread count.
             (parallel_sized_dataset(500, 2, 100.0, 6), 4.0),
         ];
         for (i, (ds, side)) in sets.iter().enumerate() {
@@ -1073,14 +889,12 @@ mod tests {
         let ds = parallel_sized_dataset(8_000, 2, 200.0, 9);
         let grid = Grid::build_parallel(&ds, 6.0, &Executor::new(4));
         let reference = Grid::build(&ds, 6.0);
-        let mut scratch = Vec::new();
-        for (id, coords) in ds.iter() {
+        for id in 0..ds.len() {
             assert_eq!(grid.cell_of(id), reference.cell_of(id));
-            assert_eq!(grid.cell_at_scratch(coords, &mut scratch), Some(grid.cell_of(id)));
         }
         for c in grid.cell_ids() {
+            assert_eq!(grid.cell_by_key(grid.key(c)), Some(c));
             assert_eq!(grid.points(c), reference.points(c));
-            assert_eq!(grid.coords(c), reference.coords(c));
             assert_eq!(grid.neighbors_within(c, 1), reference.neighbors_within(c, 1));
         }
     }
@@ -1088,8 +902,8 @@ mod tests {
     #[test]
     fn layout_eq_detects_differences() {
         // Mirrors kdtree.rs::layout_eq_detects_differences: a mutated layout
-        // in any array — keys, packed ids, coordinate rows, reverse map or
-        // geometry — must be detected.
+        // in any array — keys, packed ids, reverse map or geometry — must be
+        // detected.
         let ds = parallel_sized_dataset(300, 2, 60.0, 11);
         let grid = Grid::build(&ds, 4.0);
         assert!(grid.layout_eq(&grid));
@@ -1102,10 +916,6 @@ mod tests {
         let mut mutated = Grid::build(&ds, 4.0);
         mutated.packed.swap(0, 1);
         assert!(!grid.layout_eq(&mutated), "swapped packed ids must differ");
-
-        let mut mutated = Grid::build(&ds, 4.0);
-        mutated.coord_rows[0] = -mutated.coord_rows[0];
-        assert!(!grid.layout_eq(&mutated), "flipped coordinate bit must differ");
 
         let mut mutated = Grid::build(&ds, 4.0);
         mutated.keys[0] += 1;
@@ -1192,8 +1002,8 @@ mod tests {
         assert_eq!(grid.num_cells(), 1600);
         assert!(grid.table.len() >= 1600 * 4 / 3);
         assert!(grid.table.len().is_power_of_two());
-        for (id, coords) in ds.iter() {
-            assert_eq!(grid.cell_at(coords), Some(grid.cell_of(id)));
+        for c in grid.cell_ids() {
+            assert_eq!(grid.cell_by_key(grid.key(c)), Some(c));
         }
     }
 }

@@ -97,12 +97,6 @@ const MAX_FORK_LEVELS: usize = 8;
 /// subtree size is `end - start`. Inner nodes have their left child at the
 /// next node index (preorder layout) and `right` holds the right child; leaves
 /// have `right == `[`PackedNode::NO_CHILD`].
-///
-/// The type is `#[repr(C)]` with three `u32` fields — 12 bytes, no padding,
-/// every bit pattern a valid value — so a persisted node array can be
-/// reinterpreted from raw bytes (the zero-copy load path of `dpc-persist`)
-/// before semantic validation runs.
-#[repr(C)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackedNode {
     /// First packed position covered by this node's subtree.
@@ -202,8 +196,7 @@ impl KdTree {
     /// Borrowed view of the packed storage: everything a query needs, nothing
     /// that owns an allocation. Queries on the view answer identically to the
     /// same queries on the tree — the tree's own query methods delegate to it
-    /// — and `dpc-persist` builds the same view over a decoded byte buffer to
-    /// serve queries zero-copy, straight off the artifact bytes.
+    /// — and `dpc-persist` encodes a tree from its view.
     pub fn packed_parts(&self) -> PackedParts<'_> {
         PackedParts {
             dim: self.dim,
@@ -281,18 +274,18 @@ impl KdTree {
     }
 
     /// Reassembles a tree from decoded packed storage — the loader
-    /// counterpart of [`KdTree::build`], used by `dpc-persist`.
+    /// counterpart of [`KdTree::build`], used by `dpc-persist`, and the one
+    /// place a decoded tree is checked.
     ///
     /// Nothing is trusted. The dimensionality must be positive; the node
-    /// array must equal [`canonical_node_layout`] for the point count exactly
-    /// (the build's shape is a pure function of `n`, so every genuine
+    /// array must equal the preorder layout a build over `n` points creates
+    /// exactly (the build's shape is a pure function of `n`, so every genuine
     /// artifact matches it — and a canonical shape is what keeps the fixed
     /// traversal stacks in bounds on decoded input); `ids` must be a
-    /// permutation of `0..n`, from which the position map is derived
-    /// ([`position_map`]); and every node's bounding box must be the box the
-    /// build computes over the node's packed range. A tree that passes is
-    /// [`KdTree::layout_eq`] to a fresh build over the points whose rows
-    /// `coords` holds.
+    /// permutation of `0..n`, whose inverse becomes the position map; and
+    /// every node's bounding box must be the box the build computes over the
+    /// node's packed range. A tree that passes is [`KdTree::layout_eq`] to a
+    /// fresh build over the points whose rows `coords` holds.
     ///
     /// # Errors
     /// A static description of the first violated invariant, for the caller
@@ -376,7 +369,7 @@ impl KdTree {
 /// # Errors
 /// When `ids` is not a permutation of `0..ids.len()`: an id is out of range
 /// or repeats.
-pub fn position_map(ids: &[u32]) -> Result<Vec<u32>, &'static str> {
+pub(crate) fn position_map(ids: &[u32]) -> Result<Vec<u32>, &'static str> {
     let mut pos = vec![NONE; ids.len()];
     for (k, &id) in ids.iter().enumerate() {
         let Some(slot) = pos.get_mut(id as usize) else {
@@ -391,16 +384,13 @@ pub fn position_map(ids: &[u32]) -> Result<Vec<u32>, &'static str> {
 }
 
 /// A borrowed view of a packed kd-tree's storage — the five flat buffers plus
-/// the dimensionality, with no owning allocation in sight. All four query
-/// algorithms live here; [`KdTree`] delegates to its own view, and the
-/// zero-copy decoded views of `dpc-persist` construct one directly over
-/// artifact bytes to answer queries without materialising a tree.
+/// the dimensionality, with no owning allocation in sight. All the query
+/// algorithms live here, and [`KdTree`] delegates to its own view.
 ///
 /// The view does **not** re-validate its buffers — constructing one from
 /// untrusted data without the checks [`KdTree::from_packed_parts`] performs
 /// can give wrong answers or panic on out-of-bounds indices (never undefined
-/// behaviour). Obtain views from [`KdTree::packed_parts`] or from a decoder
-/// that has already validated the storage.
+/// behaviour). Obtain views from [`KdTree::packed_parts`].
 #[derive(Clone, Copy)]
 pub struct PackedParts<'t> {
     /// Point dimensionality; coordinate rows and per-node boxes are `dim` and
@@ -813,9 +803,8 @@ fn subtree_nodes(m: usize) -> usize {
 }
 
 /// Number of preorder nodes a build over `n` points creates (zero for an
-/// empty tree) — the public counterpart of the internal recursion count, so
-/// decoders can size-check a persisted node array up front.
-pub fn packed_node_count(n: usize) -> usize {
+/// empty tree).
+pub(crate) fn packed_node_count(n: usize) -> usize {
     if n == 0 {
         0
     } else {
@@ -830,7 +819,7 @@ pub fn packed_node_count(n: usize) -> usize {
 /// node array against this layout, which rejects every structurally corrupt
 /// tree in one stroke and is what keeps the fixed traversal stacks in bounds
 /// on decoded input.
-pub fn canonical_node_layout(n: usize) -> Vec<PackedNode> {
+pub(crate) fn canonical_node_layout(n: usize) -> Vec<PackedNode> {
     fn rec(nodes: &mut Vec<PackedNode>, offset: usize, m: usize) {
         let here = nodes.len();
         nodes.push(PackedNode {

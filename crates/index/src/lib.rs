@@ -47,10 +47,7 @@ pub mod rtree;
 pub use batchq::BatchRangeCount;
 pub use grid::{CellId, Grid, QueryBuckets};
 pub use incremental::IncrementalKdTree;
-pub use kdtree::{
-    canonical_node_layout, packed_node_count, position_map, KdTree, MaxKeys, MinLabels, PackedNode,
-    PackedParts,
-};
+pub use kdtree::{KdTree, MaxKeys, MinLabels, PackedNode, PackedParts};
 pub use rtree::RTree;
 
 /// Brute-force reference implementations shared by the kd-tree test modules.

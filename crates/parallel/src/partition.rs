@@ -29,11 +29,6 @@ impl Partition {
         self.loads.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Minimum bin load.
-    pub fn min_load(&self) -> f64 {
-        self.loads.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// Load imbalance: `max_load / mean_load`. `1.0` means perfect balance. An
     /// empty partition reports `1.0`.
     pub fn imbalance(&self) -> f64 {

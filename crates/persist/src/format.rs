@@ -1,5 +1,5 @@
 //! The artifact container: header, section table, checksums, and the
-//! bounds-checked byte-slice views everything else is built on.
+//! bounds-checked readers everything else is built on.
 //!
 //! An artifact is one contiguous byte buffer:
 //!
@@ -28,10 +28,7 @@
 //! entry point: nothing downstream touches a payload byte the container has
 //! not bounds-checked and checksummed first.
 
-use std::borrow::Cow;
-
 use dpc_core::DpcError;
-use dpc_index::PackedNode;
 
 /// First eight bytes of every artifact.
 pub const MAGIC: [u8; 8] = *b"DPCARTF\0";
@@ -96,62 +93,23 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Marker for types whose values can be reinterpreted from arbitrary initialised
-/// bytes: no padding, no invalid bit patterns, alignment at most 8 (the
-/// alignment every section payload is placed at).
-///
-/// # Safety
-/// Implementors must guarantee all three properties; [`view_slice`] relies on
-/// them to cast byte ranges.
-pub(crate) unsafe trait Plain: Copy {}
-
-// SAFETY: primitive integers and floats have no padding and accept any bit
-// pattern; their alignment is ≤ 8.
-unsafe impl Plain for u32 {}
-unsafe impl Plain for u64 {}
-unsafe impl Plain for f64 {}
-// SAFETY: `PackedNode` is `#[repr(C)]` with three `u32` fields — 12 bytes, no
-// padding, alignment 4, and every bit pattern is a structurally valid node
-// (semantic validity is checked separately against the canonical layout).
-unsafe impl Plain for PackedNode {}
-
-/// Reinterprets a section payload as a typed slice — borrowed straight off
-/// the input when the pointer happens to be aligned for `T` (the zero-copy
-/// path; the writer 8-aligns every section, so this is the common case for
-/// buffers read from disk into a fresh allocation), copied element-by-element
-/// otherwise (a caller slicing mid-buffer, a misaligned mmap window).
-///
-/// The length check is the only failure: alignment silently falls back to the
-/// copy, never to an error.
-pub(crate) fn view_slice<'a, T: Plain>(
-    bytes: &'a [u8],
+/// Decodes a section payload of `N`-byte native-endian elements into an
+/// owned `Vec`, one `decode` (a `from_ne_bytes`) per element. It reads any
+/// `&[u8]`, whatever its alignment; the only failure is a length that is not
+/// a whole number of elements.
+pub(crate) fn read_array<T, const N: usize>(
+    bytes: &[u8],
     section: &'static str,
-) -> Result<Cow<'a, [T]>, DpcError> {
-    let size = std::mem::size_of::<T>();
-    if bytes.len() % size != 0 {
+    decode: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, DpcError> {
+    if bytes.len() % N != 0 {
         return Err(DpcError::Corrupt {
             section,
             what: "length is not a multiple of element size",
         });
     }
-    let count = bytes.len() / size;
-    if bytes.as_ptr().align_offset(std::mem::align_of::<T>()) == 0 {
-        // SAFETY: the pointer is aligned for `T` (checked above), the range
-        // holds exactly `count * size_of::<T>()` initialised bytes, and `T:
-        // Plain` guarantees every bit pattern is a valid `T`. The lifetime is
-        // tied to the input borrow.
-        let slice = unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), count) };
-        Ok(Cow::Borrowed(slice))
-    } else {
-        let mut out = Vec::with_capacity(count);
-        for chunk in bytes.chunks_exact(size) {
-            // SAFETY: `chunk` holds `size_of::<T>()` initialised bytes and
-            // `read_unaligned` has no alignment requirement; `T: Plain`
-            // guarantees the bytes form a valid `T`.
-            out.push(unsafe { std::ptr::read_unaligned(chunk.as_ptr().cast::<T>()) });
-        }
-        Ok(Cow::Owned(out))
-    }
+    let element = |chunk: &[u8]| decode(chunk.try_into().expect("chunks_exact yields N bytes"));
+    Ok(bytes.chunks_exact(N).map(element).collect())
 }
 
 /// A validated section: its kind and its checksummed payload bytes.
@@ -478,30 +436,30 @@ mod tests {
     }
 
     #[test]
-    fn view_slice_borrows_aligned_and_copies_misaligned() {
+    fn read_array_decodes_any_alignment_bit_for_bit() {
         let mut w = ArtifactWriter::new();
         let mut payload = Vec::new();
         payload.put_f64_slice(&[1.0, -0.0, f64::MIN_POSITIVE / 2.0]);
         w.section(kind::MODEL_RHO, payload);
         let bytes = w.finish();
         let sections = parse_sections(&bytes).unwrap();
-        let aligned = view_slice::<f64>(sections.get(kind::MODEL_RHO).unwrap(), "rho").unwrap();
-        assert!(matches!(aligned, Cow::Borrowed(_)), "8-aligned section must borrow");
+        let aligned =
+            read_array(sections.get(kind::MODEL_RHO).unwrap(), "rho", f64::from_ne_bytes).unwrap();
         assert_eq!(aligned[1].to_bits(), (-0.0f64).to_bits());
 
         // Shift the whole buffer by one byte: same bytes, misaligned base.
         let mut shifted = vec![0u8; bytes.len() + 1];
         shifted[1..].copy_from_slice(&bytes);
         let sections = parse_sections(&shifted[1..]).unwrap();
-        let copied = view_slice::<f64>(sections.get(kind::MODEL_RHO).unwrap(), "rho").unwrap();
-        assert!(matches!(copied, Cow::Owned(_)), "misaligned section must copy");
-        assert_eq!(copied.len(), 3);
-        assert_eq!(copied[2].to_bits(), aligned[2].to_bits());
+        let decoded =
+            read_array(sections.get(kind::MODEL_RHO).unwrap(), "rho", f64::from_ne_bytes).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&decoded), bits(&aligned));
     }
 
     #[test]
-    fn view_slice_rejects_ragged_lengths() {
-        let err = view_slice::<u64>(&[0u8; 12], "rho").unwrap_err();
+    fn read_array_rejects_ragged_lengths() {
+        let err = read_array(&[0u8; 12], "rho", u64::from_ne_bytes).unwrap_err();
         assert!(matches!(err, DpcError::Corrupt { section: "rho", .. }), "{err:?}");
     }
 

@@ -1,16 +1,14 @@
-//! Versioned, checksummed, zero-copy on-disk artifacts for fitted DPC models
-//! and packed kd-trees — the "fit on one box, serve from many" unlock.
+//! Versioned, checksummed on-disk artifacts for fitted DPC models and packed
+//! kd-trees — the "fit on one box, serve from many" unlock.
 //!
 //! A fitted [`DpcModel`] and the packed [`KdTree`] are already flat
 //! contiguous buffers; this crate writes them into a single artifact
 //! (magic + format version + endianness tag + section table, with
 //! per-section and whole-file checksums — see [`mod@format`] for the byte
-//! layout) that a serving process decodes by **borrowing**, not by
-//! deserialising: [`ModelRef`] and [`KdTreeRef`] validate the container and
-//! then serve reads — including full kd-tree range/NN queries — straight off
-//! the byte slice. The cast is alignment-checked with a documented
-//! element-copy fallback for misaligned input, so any `&[u8]` works; a
-//! buffer read from disk takes the zero-copy path.
+//! layout) and decodes it once, into owned values: every array section is
+//! read with one `from_ne_bytes` per element into the `Vec`s the owned
+//! constructors take, so any `&[u8]` decodes, whatever its alignment, with
+//! no pointer casts.
 //!
 //! Three artifact flavours share one container:
 //!
@@ -27,12 +25,14 @@
 //! Every decode failure — truncation, bit flip, bad magic or version,
 //! foreign endianness, checksum mismatch, or a payload violating the
 //! structural invariants of the decoded type — is a typed
-//! [`DpcError`], never a panic and never undefined behaviour: the parser is
-//! fully bounds-checked before any cast, and the owned constructors
-//! (`DpcModel::from_saved_parts`, `KdTree::from_packed_parts`) re-validate
+//! [`DpcError`], never a panic: the parser is fully bounds-checked before
+//! any payload is read, and the owned constructors
+//! (`DpcModel::from_saved_parts`, `KdTree::from_packed_parts`) validate
 //! structure on top. Round-trips are **bitwise**: a decoded model/tree passes
 //! `layout_eq` against the original, which the golden artifacts under
 //! `tests/golden/` pin in CI (bump [`FORMAT_VERSION`] to change them).
+
+#![forbid(unsafe_code)]
 
 use std::path::Path;
 
@@ -45,9 +45,7 @@ mod snapshot;
 mod tree;
 
 pub use format::{ENDIAN_TAG, FORMAT_VERSION, MAGIC};
-pub use model::ModelRef;
 pub use snapshot::SnapshotArtifact;
-pub use tree::KdTreeRef;
 
 use format::parse_sections;
 
@@ -66,9 +64,6 @@ pub trait PersistModel: Sized {
     /// header or sections claim, [`DpcError::Corrupt`] for every other
     /// validation failure.
     fn from_bytes(bytes: &[u8]) -> Result<Self, DpcError>;
-
-    /// Parses a zero-copy borrowed view instead of materialising the model.
-    fn view(bytes: &[u8]) -> Result<ModelRef<'_>, DpcError>;
 }
 
 impl PersistModel for DpcModel {
@@ -79,11 +74,7 @@ impl PersistModel for DpcModel {
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, DpcError> {
-        Self::view(bytes)?.to_model()
-    }
-
-    fn view(bytes: &[u8]) -> Result<ModelRef<'_>, DpcError> {
-        ModelRef::from_sections(&parse_sections(bytes)?)
+        model::read_model(&parse_sections(bytes)?)
     }
 }
 
@@ -103,10 +94,6 @@ pub trait PersistTree: Sized {
     /// header or sections claim, [`DpcError::Corrupt`] for every other
     /// validation failure.
     fn from_bytes(bytes: &[u8]) -> Result<Self, DpcError>;
-
-    /// Parses a zero-copy borrowed view that answers queries straight off
-    /// `bytes`.
-    fn view(bytes: &[u8]) -> Result<KdTreeRef<'_>, DpcError>;
 }
 
 impl PersistTree for KdTree {
@@ -117,17 +104,12 @@ impl PersistTree for KdTree {
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, DpcError> {
-        Self::view(bytes)?.to_tree()
-    }
-
-    fn view(bytes: &[u8]) -> Result<KdTreeRef<'_>, DpcError> {
-        KdTreeRef::from_sections(&parse_sections(bytes)?)
+        tree::read_tree(&parse_sections(bytes)?)
     }
 }
 
 /// Reads an artifact file into memory, mapping I/O failures to
-/// [`DpcError::Io`]. The returned buffer starts allocation-aligned, so
-/// decoding it takes the zero-copy path.
+/// [`DpcError::Io`].
 pub fn read_artifact_file(path: &Path) -> Result<Vec<u8>, DpcError> {
     std::fs::read(path)
         .map_err(|e| DpcError::Io { op: "read artifact file", message: e.to_string() })

@@ -1,11 +1,9 @@
-//! Model persistence: encoding a [`DpcModel`] into artifact sections, and the
-//! zero-copy [`ModelRef`] view over decoded bytes.
-
-use std::borrow::Cow;
+//! Model persistence: encoding a [`DpcModel`] into artifact sections and
+//! decoding it back.
 
 use dpc_core::{DpcError, DpcModel, Timings};
 
-use crate::format::{kind, view_slice, ArtifactWriter, Cursor, PayloadExt, Sections};
+use crate::format::{kind, read_array, ArtifactWriter, Cursor, PayloadExt, Sections};
 
 /// Algorithm names a decoded artifact is expected to carry. [`DpcModel`]
 /// stores its algorithm as `&'static str`, so loading interns against this
@@ -15,7 +13,7 @@ use crate::format::{kind, view_slice, ArtifactWriter, Cursor, PayloadExt, Sectio
 static KNOWN_ALGORITHMS: &[&str] =
     &["Ex-DPC", "Approx-DPC", "S-Approx-DPC", "CFSFDP-A", "LSH-DDP", "R-tree + Scan", "Scan"];
 
-pub(crate) fn intern_algorithm(name: &str) -> &'static str {
+fn intern_algorithm(name: &str) -> &'static str {
     match KNOWN_ALGORITHMS.iter().find(|&&known| known == name) {
         Some(&known) => known,
         None => Box::leak(name.to_owned().into_boxed_str()),
@@ -52,144 +50,51 @@ pub(crate) fn write_model_sections(writer: &mut ArtifactWriter, model: &DpcModel
     writer.section(kind::MODEL_ORDER, order);
 }
 
-/// A zero-copy view of a persisted model: the header and section table have
-/// been validated (checksums included) and the per-point arrays are served
-/// straight off the artifact bytes when their sections are 8-aligned in
-/// memory — which the writer guarantees, so any decode of a whole artifact
-/// buffer borrows; only slices starting mid-buffer pay the documented copy
-/// fallback (see [`ModelRef::is_zero_copy`]).
-///
-/// Array lengths and the range of every dependent identifier are validated at
-/// parse time, so the accessors are panic-free on any identifier `< n()`.
-/// Converting to an owned [`DpcModel`] with [`ModelRef::to_model`] re-runs
-/// the full structural validation (`from_saved_parts`) on top.
-pub struct ModelRef<'a> {
-    algorithm: &'a str,
-    dcut: f64,
-    index_bytes: usize,
-    timings: Timings,
-    rho: Cow<'a, [f64]>,
-    delta: Cow<'a, [f64]>,
-    dependent: Cow<'a, [u64]>,
-    order: Cow<'a, [u64]>,
-}
+/// Decodes the model sections of a validated section table into an owned
+/// [`DpcModel`]. The metadata's point count must match every per-point
+/// array; [`DpcModel::from_saved_parts`] then checks the rest (dependent ids
+/// in range, the order a permutation visiting non-increasing densities).
+pub(crate) fn read_model(sections: &Sections<'_>) -> Result<DpcModel, DpcError> {
+    let corrupt = |what: &'static str| DpcError::Corrupt { section: "model", what };
+    let mut meta = Cursor::new(sections.require(kind::MODEL_META, "model")?, "model");
+    let dcut = meta.read_f64()?;
+    let n = meta.read_len()?;
+    let index_bytes = meta.read_len()?;
+    let timings = Timings {
+        rho_secs: meta.read_f64()?,
+        delta_secs: meta.read_f64()?,
+        assign_secs: meta.read_f64()?,
+    };
+    let name_len = meta.read_len()?;
+    let name = meta.read_bytes(name_len)?;
+    meta.finish()?;
+    let algorithm = std::str::from_utf8(name).map_err(|_| corrupt("algorithm name not UTF-8"))?;
 
-impl<'a> ModelRef<'a> {
-    /// Parses the model sections out of a validated section table.
-    pub(crate) fn from_sections(sections: &Sections<'a>) -> Result<Self, DpcError> {
-        let mut meta = Cursor::new(sections.require(kind::MODEL_META, "model")?, "model");
-        let dcut = meta.read_f64()?;
-        let n = meta.read_len()?;
-        let index_bytes = meta.read_len()?;
-        let timings = Timings {
-            rho_secs: meta.read_f64()?,
-            delta_secs: meta.read_f64()?,
-            assign_secs: meta.read_f64()?,
-        };
-        let name_len = meta.read_len()?;
-        let name = meta.read_bytes(name_len)?;
-        meta.finish()?;
-        let algorithm = std::str::from_utf8(name).map_err(|_| DpcError::Corrupt {
-            section: "model",
-            what: "algorithm name not UTF-8",
-        })?;
-
-        let rho = view_slice::<f64>(sections.require(kind::MODEL_RHO, "model")?, "model")?;
-        let delta = view_slice::<f64>(sections.require(kind::MODEL_DELTA, "model")?, "model")?;
-        let dependent =
-            view_slice::<u64>(sections.require(kind::MODEL_DEPENDENT, "model")?, "model")?;
-        let order = view_slice::<u64>(sections.require(kind::MODEL_ORDER, "model")?, "model")?;
-        if rho.len() != n || delta.len() != n || dependent.len() != n || order.len() != n {
-            return Err(DpcError::Corrupt {
-                section: "model",
-                what: "per-point array length disagrees with metadata",
-            });
-        }
-        if dependent.iter().chain(order.iter()).any(|&v| v >= n as u64) {
-            return Err(DpcError::Corrupt {
-                section: "model",
-                what: "point identifier out of range",
-            });
-        }
-        Ok(Self { algorithm, dcut, index_bytes, timings, rho, delta, dependent, order })
+    let floats = |kind| read_array(sections.require(kind, "model")?, "model", f64::from_ne_bytes);
+    // An id beyond the address space saturates, and `from_saved_parts`
+    // rejects it as out of range.
+    let ids = |kind| {
+        read_array(sections.require(kind, "model")?, "model", |bytes| {
+            usize::try_from(u64::from_ne_bytes(bytes)).unwrap_or(usize::MAX)
+        })
+    };
+    let rho = floats(kind::MODEL_RHO)?;
+    let delta = floats(kind::MODEL_DELTA)?;
+    let dependent = ids(kind::MODEL_DEPENDENT)?;
+    let order = ids(kind::MODEL_ORDER)?;
+    if rho.len() != n || delta.len() != n || dependent.len() != n || order.len() != n {
+        return Err(corrupt("per-point array length disagrees with metadata"));
     }
-
-    /// Name of the algorithm that fitted the model (borrowed from the bytes).
-    pub fn algorithm(&self) -> &'a str {
-        self.algorithm
-    }
-
-    /// The cutoff distance the model was fitted with.
-    pub fn dcut(&self) -> f64 {
-        self.dcut
-    }
-
-    /// Number of points the model covers.
-    pub fn n(&self) -> usize {
-        self.rho.len()
-    }
-
-    /// Approximate heap bytes of the index structures of the original fit.
-    pub fn index_bytes(&self) -> usize {
-        self.index_bytes
-    }
-
-    /// Wall-clock timings of the original fit (provenance, not layout).
-    pub fn fit_timings(&self) -> Timings {
-        self.timings
-    }
-
-    /// Local density `ρ_i` of every point.
-    pub fn rho(&self) -> &[f64] {
-        &self.rho
-    }
-
-    /// Dependent distance `δ_i` of every point.
-    pub fn delta(&self) -> &[f64] {
-        &self.delta
-    }
-
-    /// Dependent point of `i`. Validated `< n()` at parse time.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.n()`.
-    pub fn dependent_at(&self, i: usize) -> usize {
-        self.dependent[i] as usize
-    }
-
-    /// Point ids in decreasing density order.
-    pub fn density_order(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
-        self.order.iter().map(|&v| v as usize)
-    }
-
-    /// Whether every array of this view borrows from the artifact bytes
-    /// (`true` for any buffer whose sections sit 8-aligned in memory — the
-    /// writer's layout guarantees that whenever the buffer itself starts
-    /// 8-aligned, which every `Vec<u8>` read from disk does). `false` means
-    /// the copy fallback materialised owned arrays from a misaligned slice.
-    pub fn is_zero_copy(&self) -> bool {
-        matches!(self.rho, Cow::Borrowed(_))
-            && matches!(self.delta, Cow::Borrowed(_))
-            && matches!(self.dependent, Cow::Borrowed(_))
-            && matches!(self.order, Cow::Borrowed(_))
-    }
-
-    /// Materialises an owned [`DpcModel`], re-running the full structural
-    /// validation of [`DpcModel::from_saved_parts`] (order permutation,
-    /// non-increasing density) so the result is indistinguishable from the
-    /// model that was persisted.
-    pub fn to_model(&self) -> Result<DpcModel, DpcError> {
-        DpcModel::from_saved_parts(
-            intern_algorithm(self.algorithm),
-            self.dcut,
-            self.rho.to_vec(),
-            self.delta.to_vec(),
-            self.dependent.iter().map(|&v| v as usize).collect(),
-            self.order.iter().map(|&v| v as usize).collect(),
-            self.timings,
-            self.index_bytes,
-        )
-    }
+    DpcModel::from_saved_parts(
+        intern_algorithm(algorithm),
+        dcut,
+        rho,
+        delta,
+        dependent,
+        order,
+        timings,
+        index_bytes,
+    )
 }
 
 #[cfg(test)]

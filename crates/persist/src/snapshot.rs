@@ -9,24 +9,24 @@ use dpc_geometry::Dataset;
 use dpc_index::KdTree;
 
 use crate::format::{kind, parse_sections, ArtifactWriter, Cursor, PayloadExt};
-use crate::model::{write_model_sections, ModelRef};
-use crate::tree::{write_tree_sections, KdTreeRef};
+use crate::model::{read_model, write_model_sections};
+use crate::tree::{read_tree, write_tree_sections};
 
-/// A parsed snapshot artifact: zero-copy views of the model and tree plus the
-/// fit thresholds, mutually consistent (same point count — validated at
-/// parse time). The dataset the model was fitted on is rebuilt from the
-/// tree's packed rows by [`SnapshotArtifact::dataset`].
+/// A decoded snapshot artifact: the owned model and tree plus the fit
+/// thresholds, mutually consistent (same point count — validated at decode
+/// time). The dataset the model was fitted on is rebuilt from the tree's
+/// packed rows by [`SnapshotArtifact::dataset`].
 ///
 /// The artifact is a superset of the standalone model and tree artifacts: the
 /// same buffer also decodes through `DpcModel::from_bytes` and
 /// `KdTree::from_bytes`, because decoders ignore sections they do not need.
-pub struct SnapshotArtifact<'a> {
-    model: ModelRef<'a>,
-    tree: KdTreeRef<'a>,
+pub struct SnapshotArtifact {
+    model: DpcModel,
+    tree: KdTree,
     thresholds: Thresholds,
 }
 
-impl<'a> SnapshotArtifact<'a> {
+impl SnapshotArtifact {
     /// Encodes one serving state — fitted model, packed tree over the
     /// model's dataset and the thresholds of the cached extraction — into a
     /// single artifact buffer.
@@ -46,14 +46,20 @@ impl<'a> SnapshotArtifact<'a> {
         writer.finish()
     }
 
-    /// Validates the container and every constituent section, plus the
-    /// cross-section consistency a serving install relies on: model and tree
-    /// must agree on the point count, and the thresholds must be valid.
-    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, DpcError> {
+    /// Validates the container, decodes model and tree (each through its
+    /// owned constructor's structural checks), and checks the cross-section
+    /// consistency a serving install relies on: model and tree must agree on
+    /// the point count, and the thresholds must be valid.
+    ///
+    /// # Errors
+    /// [`DpcError::TruncatedArtifact`] when the buffer is shorter than its
+    /// header or sections claim, [`DpcError::Corrupt`] for every other
+    /// validation failure.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DpcError> {
         let corrupt = |what: &'static str| DpcError::Corrupt { section: "snapshot", what };
         let sections = parse_sections(bytes)?;
-        let model = ModelRef::from_sections(&sections)?;
-        let tree = KdTreeRef::from_sections(&sections)?;
+        let model = read_model(&sections)?;
+        let tree = read_tree(&sections)?;
         let mut snap = Cursor::new(sections.require(kind::SNAP_META, "snapshot")?, "snapshot");
         let rho_min = snap.read_f64()?;
         let delta_min = snap.read_f64()?;
@@ -66,13 +72,13 @@ impl<'a> SnapshotArtifact<'a> {
         Ok(Self { model, tree, thresholds })
     }
 
-    /// The zero-copy model view.
-    pub fn model(&self) -> &ModelRef<'a> {
+    /// The decoded model.
+    pub fn model(&self) -> &DpcModel {
         &self.model
     }
 
-    /// The zero-copy tree view (queries answer straight off the bytes).
-    pub fn tree(&self) -> &KdTreeRef<'a> {
+    /// The decoded packed kd-tree.
+    pub fn tree(&self) -> &KdTree {
         &self.tree
     }
 
@@ -82,19 +88,9 @@ impl<'a> SnapshotArtifact<'a> {
         self.thresholds
     }
 
-    /// Number of points in the snapshot.
-    pub fn n(&self) -> usize {
-        self.model.n()
-    }
-
-    /// Dataset dimensionality.
-    pub fn dim(&self) -> usize {
-        self.tree.dim()
-    }
-
     /// Rebuilds the dataset the model was fitted on: the tree's packed row of
     /// every point, in id order. The rows are bit copies of the original
-    /// ones, and parsing has already checked that the ids are a permutation
+    /// ones, and decoding has already checked that the ids are a permutation
     /// of `0..n`, so every row lands in exactly one slot.
     pub fn dataset(&self) -> Dataset {
         let parts = self.tree.packed_parts();
@@ -104,5 +100,10 @@ impl<'a> SnapshotArtifact<'a> {
             flat[id as usize * dim..(id as usize + 1) * dim].copy_from_slice(row);
         }
         Dataset::from_flat(dim, flat)
+    }
+
+    /// Takes the decoded model, tree and thresholds apart.
+    pub fn into_parts(self) -> (DpcModel, KdTree, Thresholds) {
+        (self.model, self.tree, self.thresholds)
     }
 }

@@ -1,13 +1,10 @@
-//! Kd-tree persistence: encoding the packed storage into artifact sections,
-//! and the zero-copy [`KdTreeRef`] view that can answer range/NN queries
-//! straight off the artifact bytes.
-
-use std::borrow::Cow;
+//! Kd-tree persistence: encoding the packed storage into artifact sections
+//! and decoding it back.
 
 use dpc_core::DpcError;
-use dpc_index::{canonical_node_layout, position_map, KdTree, PackedNode, PackedParts};
+use dpc_index::{KdTree, PackedNode, PackedParts};
 
-use crate::format::{kind, view_slice, ArtifactWriter, Cursor, PayloadExt, Sections};
+use crate::format::{kind, read_array, ArtifactWriter, Cursor, PayloadExt, Sections};
 
 /// Appends the sections of a tree's packed storage to an artifact under
 /// construction. Shared by the standalone tree artifact and the combined
@@ -35,150 +32,36 @@ pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, parts: &PackedPar
     writer.section(kind::TREE_BOUNDS, bounds);
 }
 
-/// A zero-copy view of a persisted packed kd-tree. Parsing validates enough
-/// structure to make every query panic-free — most importantly that the node
-/// array equals the canonical layout for the point count, which bounds
-/// traversal depth and every packed range — and the view then answers
-/// [`range_count`](KdTreeRef::range_count) /
-/// [`range_search_into`](KdTreeRef::range_search_into) /
-/// [`nearest_neighbor`](KdTreeRef::nearest_neighbor) directly over the
-/// artifact bytes through the same [`PackedParts`] algorithms the owned tree
-/// uses. No dataset is needed: the packed coordinate rows are part of the
-/// artifact, and parsing derives the position map from the packed ids, which
-/// must be a permutation of `0..n`.
-///
-/// Buffers borrow from the input whenever their sections sit suitably aligned
-/// in memory (guaranteed by the writer for any buffer that itself starts
-/// 8-aligned — every `Vec<u8>` read from disk); a misaligned input slice pays
-/// a documented copy fallback instead of failing
-/// ([`KdTreeRef::is_zero_copy`] tells which path was taken).
-///
-/// Materialising an owned [`KdTree`] with [`KdTreeRef::to_tree`] re-runs the
-/// exhaustive validation of [`KdTree::from_packed_parts`] (bounding boxes
-/// included), so the result is `layout_eq` to the tree that was persisted.
-pub struct KdTreeRef<'a> {
-    dim: usize,
-    ids: Cow<'a, [u32]>,
-    coords: Cow<'a, [f64]>,
-    /// Derived at parse time; not part of the artifact.
-    pos: Vec<u32>,
-    nodes: Cow<'a, [PackedNode]>,
-    bounds: Cow<'a, [f64]>,
-}
+/// Decodes the tree sections of a validated section table into an owned
+/// [`KdTree`]. The metadata's point and node counts must match the arrays;
+/// [`KdTree::from_packed_parts`] then checks the rest (dimensionality,
+/// canonical node layout, ids a permutation of `0..n`, every bounding box)
+/// and derives the position map.
+pub(crate) fn read_tree(sections: &Sections<'_>) -> Result<KdTree, DpcError> {
+    let corrupt = |what: &'static str| DpcError::Corrupt { section: "tree", what };
+    let mut meta = Cursor::new(sections.require(kind::TREE_META, "tree")?, "tree");
+    let dim = meta.read_len()?;
+    let n = meta.read_len()?;
+    let node_count = meta.read_len()?;
+    meta.finish()?;
 
-impl<'a> KdTreeRef<'a> {
-    /// Parses the tree sections out of a validated section table.
-    pub(crate) fn from_sections(sections: &Sections<'a>) -> Result<Self, DpcError> {
-        let corrupt = |what: &'static str| DpcError::Corrupt { section: "tree", what };
-        let mut meta = Cursor::new(sections.require(kind::TREE_META, "tree")?, "tree");
-        let dim = meta.read_len()?;
-        let n = meta.read_len()?;
-        let node_count = meta.read_len()?;
-        meta.finish()?;
-        if dim == 0 {
-            return Err(corrupt("zero dimensionality"));
-        }
-
-        let ids = view_slice::<u32>(sections.require(kind::TREE_IDS, "tree")?, "tree")?;
-        let coords = view_slice::<f64>(sections.require(kind::TREE_COORDS, "tree")?, "tree")?;
-        let nodes = view_slice::<PackedNode>(sections.require(kind::TREE_NODES, "tree")?, "tree")?;
-        let bounds = view_slice::<f64>(sections.require(kind::TREE_BOUNDS, "tree")?, "tree")?;
-        if ids.len() != n {
-            return Err(corrupt("id count disagrees with metadata"));
-        }
-        let coord_len = n.checked_mul(dim).ok_or_else(|| corrupt("point count overflows"))?;
-        if coords.len() != coord_len {
-            return Err(corrupt("coordinate buffer length disagrees with metadata"));
-        }
-        if nodes.len() != node_count {
-            return Err(corrupt("node count disagrees with metadata"));
-        }
-        // The canonical-shape comparison is the load-bearing check: it pins
-        // every node's packed range inside `0..n`, every right-child index
-        // inside the array, and the exact balanced shape whose depth the
-        // fixed traversal stacks are sized for.
-        if *nodes != canonical_node_layout(n) {
-            return Err(corrupt("node array is not the canonical layout for the point count"));
-        }
-        if bounds.len() != node_count * 2 * dim {
-            return Err(corrupt("bounds buffer length disagrees with metadata"));
-        }
-        // Every tree indexes exactly the points `0..n`: the ids must be a
-        // permutation, whose inverse is the position map the exclusion test
-        // reads and the row order a snapshot rebuilds its dataset in.
-        let pos = position_map(&ids).map_err(corrupt)?;
-        Ok(Self { dim, ids, coords, pos, nodes, bounds })
+    let section = |kind| sections.require(kind, "tree");
+    let ids = read_array(section(kind::TREE_IDS)?, "tree", u32::from_ne_bytes)?;
+    let coords = read_array(section(kind::TREE_COORDS)?, "tree", f64::from_ne_bytes)?;
+    let nodes = read_array(section(kind::TREE_NODES)?, "tree", |bytes: [u8; 12]| {
+        let word = |k: usize| {
+            u32::from_ne_bytes(bytes[4 * k..4 * k + 4].try_into().expect("a node holds 3 words"))
+        };
+        PackedNode { start: word(0), end: word(1), right: word(2) }
+    })?;
+    let bounds = read_array(section(kind::TREE_BOUNDS)?, "tree", f64::from_ne_bytes)?;
+    if ids.len() != n {
+        return Err(corrupt("id count disagrees with metadata"));
     }
-
-    /// Number of points in the tree.
-    pub fn len(&self) -> usize {
-        self.ids.len()
+    if nodes.len() != node_count {
+        return Err(corrupt("node count disagrees with metadata"));
     }
-
-    /// Whether the tree holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Point dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Whether every persisted buffer of this view borrows from the artifact
-    /// bytes (see the type-level docs for when the copy fallback triggers).
-    /// The derived position map is always owned.
-    pub fn is_zero_copy(&self) -> bool {
-        matches!(self.ids, Cow::Borrowed(_))
-            && matches!(self.coords, Cow::Borrowed(_))
-            && matches!(self.nodes, Cow::Borrowed(_))
-            && matches!(self.bounds, Cow::Borrowed(_))
-    }
-
-    /// The borrowed query view over this storage — the same [`PackedParts`]
-    /// the owned tree queries through.
-    pub fn packed_parts(&self) -> PackedParts<'_> {
-        PackedParts {
-            dim: self.dim,
-            ids: &self.ids,
-            coords: &self.coords,
-            pos: &self.pos,
-            nodes: &self.nodes,
-            bounds: &self.bounds,
-        }
-    }
-
-    /// Counts points within the closed ball, straight off the artifact bytes.
-    /// See `KdTree::range_count`.
-    pub fn range_count(&self, query: &[f64], radius: f64, exclude: Option<usize>) -> usize {
-        self.packed_parts().range_count(query, radius, exclude)
-    }
-
-    /// Reports points within the closed ball into `out` (cleared first),
-    /// straight off the artifact bytes. See `KdTree::range_search_into`.
-    pub fn range_search_into(&self, query: &[f64], radius: f64, out: &mut Vec<usize>) {
-        self.packed_parts().range_search_into(query, radius, out);
-    }
-
-    /// Nearest indexed neighbour of `query`, straight off the artifact bytes.
-    /// See `KdTree::nearest_neighbor`.
-    pub fn nearest_neighbor(&self, query: &[f64], exclude: Option<usize>) -> Option<(usize, f64)> {
-        self.packed_parts().nearest_neighbor(query, exclude)
-    }
-
-    /// Materialises an owned [`KdTree`] through the exhaustively validating
-    /// [`KdTree::from_packed_parts`], which also checks every node's bounding
-    /// box against its packed rows.
-    pub fn to_tree(&self) -> Result<KdTree, DpcError> {
-        KdTree::from_packed_parts(
-            self.dim,
-            self.ids.to_vec(),
-            self.coords.to_vec(),
-            self.nodes.to_vec(),
-            self.bounds.to_vec(),
-        )
-        .map_err(|what| DpcError::Corrupt { section: "tree", what })
-    }
+    KdTree::from_packed_parts(dim, ids, coords, nodes, bounds).map_err(corrupt)
 }
 
 #[cfg(test)]
@@ -221,7 +104,6 @@ mod tests {
             let tree_corrupt = |result: Result<(), DpcError>| {
                 matches!(result, Err(DpcError::Corrupt { section: "tree", .. }))
             };
-            assert!(tree_corrupt(KdTree::view(&bytes).map(drop)), "view of {bad:?}");
             assert!(tree_corrupt(KdTree::from_bytes(&bytes).map(drop)), "decode of {bad:?}");
             let snapshot = SnapshotArtifact::from_bytes(&bytes).map(drop);
             assert!(tree_corrupt(snapshot), "snapshot of {bad:?}");

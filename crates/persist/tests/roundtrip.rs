@@ -1,7 +1,7 @@
 //! Round-trip property tests: `from_bytes ∘ to_bytes == id`, **bitwise**
 //! (`layout_eq`), across dimensionalities, duplicates, subnormals, signed
-//! zeros and empty trees — plus the misaligned-slice decode that exercises
-//! the documented copy fallback.
+//! zeros and empty trees — plus decodes of a slice shifted by one byte, which
+//! must read the same bits.
 
 use dpc_core::{DpcModel, Thresholds, Timings};
 use dpc_geometry::Dataset;
@@ -32,6 +32,14 @@ fn signed_zero_dataset() -> Dataset {
         };
     }
     data
+}
+
+/// A copy of `bytes` one byte into its buffer: decode `&shifted(b)[1..]` to
+/// read the artifact with every 8-byte field misaligned.
+fn shifted(bytes: &[u8]) -> Vec<u8> {
+    let mut out = vec![0u8; bytes.len() + 1];
+    out[1..].copy_from_slice(bytes);
+    out
 }
 
 /// A structurally valid random model: densities drawn at random (including
@@ -71,21 +79,12 @@ fn models_round_trip_bitwise() {
 }
 
 #[test]
-fn model_view_is_zero_copy_on_aligned_input_and_copies_misaligned() {
+fn shifted_model_decodes_bit_identically() {
     let model = random_model(64, 9);
     let bytes = model.to_bytes();
-    let view = DpcModel::view(&bytes).unwrap();
-    assert!(view.is_zero_copy(), "Vec<u8> buffers must take the borrow path");
-    assert_eq!(view.rho(), model.rho());
-
-    // Shift the artifact one byte into a buffer: every 8-byte field is now
-    // misaligned, forcing the documented copy fallback — same values.
-    let mut shifted = vec![0u8; bytes.len() + 1];
-    shifted[1..].copy_from_slice(&bytes);
-    let view = DpcModel::view(&shifted[1..]).unwrap();
-    assert!(!view.is_zero_copy(), "misaligned input must take the copy fallback");
-    let back = view.to_model().unwrap();
+    let back = DpcModel::from_bytes(&shifted(&bytes)[1..]).unwrap();
     assert!(back.layout_eq(&model));
+    assert!(back.layout_eq(&DpcModel::from_bytes(&bytes).unwrap()));
 }
 
 #[test]
@@ -107,14 +106,12 @@ fn trees_with_duplicates_signed_zeros_and_subnormals_round_trip() {
     let bytes = tree.to_bytes();
     let back = KdTree::from_bytes(&bytes).unwrap();
     assert!(back.layout_eq(&tree));
-    // The zero-copy view answers queries straight off the bytes, with no
-    // dataset at all — identically to the owned tree.
-    let view = KdTree::view(&bytes).unwrap();
-    assert!(view.is_zero_copy());
+    // The decoded tree answers queries with no dataset at all — identically
+    // to the tree that was encoded.
     for i in 0..data.len() {
         let q = data.point(i);
-        assert_eq!(view.range_count(q, 3.0, Some(i)), tree.range_count(q, 3.0, Some(i)));
-        assert_eq!(view.nearest_neighbor(q, Some(i)), tree.nearest_neighbor(q, Some(i)));
+        assert_eq!(back.range_count(q, 3.0, Some(i)), tree.range_count(q, 3.0, Some(i)));
+        assert_eq!(back.nearest_neighbor(q, Some(i)), tree.nearest_neighbor(q, Some(i)));
     }
 }
 
@@ -125,23 +122,19 @@ fn empty_tree_round_trips() {
     let bytes = tree.to_bytes();
     let back = KdTree::from_bytes(&bytes).unwrap();
     assert!(back.layout_eq(&tree));
-    let view = KdTree::view(&bytes).unwrap();
-    assert!(view.is_empty());
-    assert_eq!(view.range_count(&[0.0, 0.0], 1.0, None), 0);
-    assert_eq!(view.nearest_neighbor(&[0.0, 0.0], None), None);
+    assert!(back.is_empty());
+    assert_eq!(back.range_count(&[0.0, 0.0], 1.0, None), 0);
+    assert_eq!(back.nearest_neighbor(&[0.0, 0.0], None), None);
 }
 
 #[test]
-fn misaligned_tree_decode_takes_the_copy_fallback() {
+fn shifted_tree_decodes_bit_identically() {
     let data = random_dataset(60, 2, 31);
     let tree = KdTree::build(&data);
     let bytes = tree.to_bytes();
-    let mut shifted = vec![0u8; bytes.len() + 1];
-    shifted[1..].copy_from_slice(&bytes);
-    let view = KdTree::view(&shifted[1..]).unwrap();
-    assert!(!view.is_zero_copy());
-    let back = view.to_tree().unwrap();
+    let back = KdTree::from_bytes(&shifted(&bytes)[1..]).unwrap();
     assert!(back.layout_eq(&tree));
+    assert!(back.layout_eq(&KdTree::from_bytes(&bytes).unwrap()));
 }
 
 #[test]
@@ -158,17 +151,18 @@ fn snapshot_artifact_round_trips_and_is_a_superset() {
         let thresholds = Thresholds::new(1.0, 2.0).unwrap();
         let bytes = SnapshotArtifact::encode(&model, &tree, &thresholds);
 
-        let artifact = SnapshotArtifact::from_bytes(&bytes).unwrap();
-        assert_eq!((artifact.n(), artifact.dim()), (data.len(), data.dim()), "input {k}");
-        assert_eq!(artifact.thresholds(), thresholds);
-        assert!(artifact.model().is_zero_copy() && artifact.tree().is_zero_copy());
-        assert!(artifact.model().to_model().unwrap().layout_eq(&model));
-        assert!(artifact.tree().to_tree().unwrap().layout_eq(&tree));
-        // The dataset comes back from the tree's packed rows, bit for bit.
-        let revived = artifact.dataset();
-        assert_eq!(revived.dim(), data.dim());
         let bits = |d: &Dataset| d.flat().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&revived), bits(data), "input {k}: rebuilt rows differ");
+        // The same bytes decode alike one byte into a buffer.
+        for artifact in [&bytes[..], &shifted(&bytes)[1..]].map(SnapshotArtifact::from_bytes) {
+            let artifact = artifact.unwrap();
+            assert_eq!(artifact.thresholds(), thresholds);
+            assert!(artifact.model().layout_eq(&model), "input {k}");
+            assert!(artifact.tree().layout_eq(&tree), "input {k}");
+            // The dataset comes back from the tree's packed rows, bit for bit.
+            let revived = artifact.dataset();
+            assert_eq!(revived.dim(), data.dim());
+            assert_eq!(bits(&revived), bits(data), "input {k}: rebuilt rows differ");
+        }
 
         // Superset property: the combined buffer also decodes through the
         // standalone decoders, which ignore sections they do not need.

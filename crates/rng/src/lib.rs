@@ -12,6 +12,8 @@
 //! idiom, but the stream is stable forever: dataset seeds recorded in
 //! EXPERIMENTS.md keep reproducing the same bytes.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// SplitMix64 step, used for seeding and as a standalone mixer.

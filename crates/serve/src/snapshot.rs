@@ -100,9 +100,7 @@ impl Snapshot {
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<Self, DpcError> {
         let artifact = SnapshotArtifact::from_bytes(bytes)?;
         let data = Arc::new(artifact.dataset());
-        let model = artifact.model().to_model()?;
-        let thresholds = artifact.thresholds();
-        let tree = artifact.tree().to_tree()?;
+        let (model, tree, thresholds) = artifact.into_parts();
         let max_rho = MaxKeys::new(&tree.packed_parts(), model.rho());
         let clustering = model.extract(&thresholds);
         Ok(Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 })
@@ -246,6 +244,31 @@ mod tests {
         assert_eq!(revived.clustering().centers, snap.clustering().centers);
         // And the revived snapshot re-encodes to the exact same bytes.
         assert_eq!(revived.to_artifact_bytes(), bytes);
+    }
+
+    #[test]
+    fn shifted_artifact_serves_the_same_answers() {
+        use crate::{DpcServer, Request};
+        // One byte into a buffer, every 8-byte field of the artifact is
+        // misaligned; the decode reads bytes, so nothing may change.
+        let bytes = fit_snapshot().to_artifact_bytes();
+        let mut shifted = vec![0u8; bytes.len() + 1];
+        shifted[1..].copy_from_slice(&bytes);
+        let aligned = Snapshot::from_artifact_bytes(&bytes).unwrap();
+        let moved = Snapshot::from_artifact_bytes(&shifted[1..]).unwrap();
+        assert!(moved.model().layout_eq(aligned.model()));
+        assert!(moved.tree().layout_eq(aligned.tree()));
+        let mut requests = vec![
+            Request::Relabel(aligned.thresholds()),
+            Request::Relabel(Thresholds::new(1.0, 5.0).unwrap()),
+        ];
+        requests.extend(
+            (0..24).map(|i| Request::Assign(vec![i as f64 * 3.0 - 6.0, i as f64 * 2.5 - 4.0])),
+        );
+        for request in &requests {
+            let answer = DpcServer::handle_on(&moved, request);
+            assert_eq!(answer, DpcServer::handle_on(&aligned, request), "{request:?}");
+        }
     }
 
     #[test]

@@ -62,15 +62,17 @@
 //!
 //! The [`persist`] module (crate `dpc-persist`) writes fitted models, packed
 //! kd-trees and whole serving snapshots into a versioned, checksummed on-disk
-//! artifact, decoded by **zero-copy** views
-//! ([`ModelRef`](dpc_persist::ModelRef) /
-//! [`KdTreeRef`](dpc_persist::KdTreeRef) /
-//! [`SnapshotArtifact`](dpc_persist::SnapshotArtifact)) that serve reads —
-//! including kd-tree queries — straight off the byte slice. Round-trips are
-//! bitwise (`layout_eq`), so `ModelStore::load(path)` installs a serving
-//! epoch from disk that answers identically to the process that fitted it.
+//! artifact, and decodes it once into owned values
+//! ([`PersistModel`](dpc_persist::PersistModel),
+//! [`PersistTree`](dpc_persist::PersistTree),
+//! [`SnapshotArtifact`](dpc_persist::SnapshotArtifact)), from any byte slice
+//! whatever its alignment. Round-trips are bitwise (`layout_eq`), so
+//! `ModelStore::load(path)` installs a serving epoch from disk that answers
+//! identically to the process that fitted it.
 //! The format is specified in `crates/persist/README.md` and pinned by the
 //! golden artifacts under `tests/golden/`.
+
+#![forbid(unsafe_code)]
 
 pub use dpc_baselines as baselines;
 pub use dpc_core as core;

@@ -8,7 +8,7 @@
 //! boundary case is genuinely exercised in `f64`.
 
 use fast_dpc::geometry::dist;
-use fast_dpc::index::{Grid, IncrementalKdTree, KdTree, RTree};
+use fast_dpc::index::{IncrementalKdTree, KdTree, RTree};
 use fast_dpc::prelude::*;
 
 /// 6×6 integer lattice: rich in pairs at squared distance exactly 25.
@@ -50,14 +50,12 @@ fn every_index_counts_boundary_points() {
     for i in 0..ds.len() {
         inc.insert(i, ds.point(i));
     }
-    let grid = Grid::build(&ds, 100.0); // one cell covering everything
     for i in 0..ds.len() {
         let want = brute_inclusive(&ds, i, 5.0);
         let q = ds.point(i);
         assert_eq!(kd.range_count(q, 5.0, Some(i)), want, "kd-tree at {i}");
         assert_eq!(rt.range_count(q, 5.0, Some(i)), want, "R-tree at {i}");
         assert_eq!(inc.range_count(q, 5.0, Some(i)), want, "incremental at {i}");
-        assert_eq!(grid.count_within_cell(0, q, 5.0) - 1, want, "grid cell at {i}");
         // Reporting queries include the query point itself.
         assert_eq!(kd.range_search(q, 5.0).len(), want + 1, "kd-tree search at {i}");
         assert_eq!(rt.range_search(q, 5.0).len(), want + 1, "R-tree search at {i}");

@@ -100,8 +100,8 @@ fn golden_snapshot_artifact_is_stable() {
     let bytes = golden("snapshot_v2.dpca", &fresh);
 
     let artifact = SnapshotArtifact::from_bytes(&bytes).unwrap();
-    assert!(artifact.model().to_model().unwrap().layout_eq(&model));
-    assert!(artifact.tree().to_tree().unwrap().layout_eq(&tree));
+    assert!(artifact.model().layout_eq(&model));
+    assert!(artifact.tree().layout_eq(&tree));
     assert_eq!(artifact.thresholds(), thresholds);
     assert_eq!(artifact.dataset().flat(), data.flat());
     assert_eq!(fresh, bytes, "encoder output drifted from the golden snapshot artifact");
