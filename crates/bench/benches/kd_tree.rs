@@ -1,8 +1,8 @@
 //! Microbenchmarks for the kd-tree substrate: the packed leaf-bucketed tree
 //! (`KdTree`) head-to-head against the seed's one-point-per-node arena tree
 //! (`IncrementalKdTree`) on bulk build (serial and fork-join parallel), range
-//! counting, range search and nearest-neighbour search, plus the
-//! incremental-insert path Ex-DPC uses, and the batched bucket kernels
+//! counting and range search, plus the arena tree's incremental-insert path,
+//! and the batched bucket kernels
 //! (`batch_count_*` / `batch_search_*`: the scalar reference vs the
 //! dispatching kernel, which is SIMD under `--features simd` on x86_64).
 //!
@@ -125,17 +125,6 @@ fn run_suite(
         arena.range_search_into(data.point(i), radius, &mut buf);
         black_box(buf.len())
     }));
-
-    let mut i = 0usize;
-    records.push(bench_record(&format!("packed_nearest_neighbor_{label}"), n, d, QUERIES, || {
-        i = (i + 31) % n;
-        black_box(packed.nearest_neighbor(data.point(i), Some(i)))
-    }));
-    let mut i = 0usize;
-    records.push(bench_record(&format!("arena_nearest_neighbor_{label}"), n, d, QUERIES, || {
-        i = (i + 31) % n;
-        black_box(arena.nearest_neighbor(data.point(i), Some(i)))
-    }));
 }
 
 fn main() {
@@ -229,7 +218,6 @@ fn main() {
     println!();
     println!("range_count speedup (2d, mean): {:.2}x", speedup("range_count_2d"));
     println!("range_search speedup (2d, mean): {:.2}x", speedup("range_search_2d"));
-    println!("nearest_neighbor speedup (2d, mean): {:.2}x", speedup("nearest_neighbor_2d"));
     for label in ["2d", "3d"] {
         println!(
             "batch count/search simd-vs-scalar speedup ({label}, mean): {:.2}x / {:.2}x",

@@ -255,7 +255,6 @@ pub mod required {
         "packed_build_parallel_xl",
         "packed_range_count_2d",
         "packed_range_search_2d",
-        "packed_nearest_neighbor_2d",
         "batch_count_scalar_2d",
         "batch_count_simd_2d",
         "batch_search_scalar_2d",

@@ -18,7 +18,7 @@
 //!   kd-tree query per cell finds `c₂` without listing `N(c)`: keyed by its
 //!   cell's minimum density and labelled by its cell id, the points within
 //!   `d_cut` of `p*(c)` whose key exceeds `ρ(p*(c))` have `c₂` as their
-//!   smallest label ([`PackedParts::smallest_denser_label`]). Cell `c`
+//!   smallest label ([`KdTree::smallest_denser_label`]). Cell `c`
 //!   itself never qualifies, as its minimum density is at most `ρ(p*(c))`.
 //!   Points for which neither rule applies (`P'`) get their **exact**
 //!   dependent point — which is what preserves the cluster centres of Ex-DPC
@@ -29,8 +29,6 @@
 //! The ρ ranges of the count engine, the per-cell queries and the `P'`
 //! queries are all scheduled dynamically, so no phase needs the cost-based
 //! partitioning of §4.5.
-//!
-//! [`PackedParts::smallest_denser_label`]: dpc_index::PackedParts::smallest_denser_label
 
 use std::time::Instant;
 
@@ -39,7 +37,9 @@ use dpc_index::{Grid, KdTree, MaxKeys, MinLabels};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{jittered_density, leading_counts, resolve_dependents, validate_dataset};
+use crate::framework::{
+    cell_side, jittered_density, leading_counts, resolve_dependents, validate_dataset,
+};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
@@ -72,12 +72,18 @@ impl ApproxDpc {
         &self.params
     }
 
-    /// Local-density phase: exact densities through the batched counts of
-    /// Ex-DPC, then one sweep over the cells for `p*(c)` and `min ρ(c)`.
-    fn densities(&self, data: &Dataset, tree: &KdTree, executor: &Executor) -> (Vec<f64>, Cells) {
+    /// Local-density phase on a grid of cell side `side`: exact densities
+    /// through the batched counts of Ex-DPC, then one sweep over the cells
+    /// for `p*(c)` and `min ρ(c)`.
+    fn densities(
+        &self,
+        data: &Dataset,
+        tree: &KdTree,
+        side: f64,
+        executor: &Executor,
+    ) -> (Vec<f64>, Cells) {
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
-        let side = dcut / (data.dim() as f64).sqrt();
         // Bit-identical to the serial build at every thread count, so the
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, executor);
@@ -122,13 +128,12 @@ impl ApproxDpc {
         let cell_of = grid.point_cells();
 
         // The first denser cell of N(c), one query per cell from p*(c).
-        let parts = tree.packed_parts();
         let keys: Vec<f64> = cell_of.iter().map(|&c| min_rho[c]).collect();
-        let max_keys = MaxKeys::new(&parts, &keys);
-        let labels = MinLabels::new(&parts, cell_of);
+        let max_keys = MaxKeys::new(tree, &keys);
+        let labels = MinLabels::new(tree, cell_of);
         let denser_cell: Vec<Option<usize>> = executor.map_dynamic(grid.num_cells(), |c| {
             let star = p_star[c];
-            parts.smallest_denser_label(&max_keys, &labels, data.point(star), dcut, rho[star])
+            tree.smallest_denser_label(&max_keys, &labels, data.point(star), dcut, rho[star])
         });
 
         let mut dependent: Vec<usize> = (0..n).collect();
@@ -163,12 +168,13 @@ impl DpcAlgorithm for ApproxDpc {
     fn fit(&self, data: &Dataset) -> Result<DpcModel, DpcError> {
         self.params.validate()?;
         validate_dataset(data)?;
+        let side = cell_side(self.params.dcut, 1.0, data.dim())?;
         let executor = Executor::new(self.params.threads);
         let mut timings = Timings::default();
 
         let start = Instant::now();
         let tree = KdTree::build_parallel(data, &executor);
-        let (rho, cells) = self.densities(data, &tree, &executor);
+        let (rho, cells) = self.densities(data, &tree, side, &executor);
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();

@@ -10,11 +10,10 @@
 //!   nearest-neighbour query made just before `p_i` is inserted sees exactly
 //!   the denser points (Lemma 2); that phase is sequential. Here the ρ-phase
 //!   tree is kept instead, and a max-ρ array over its nodes lets one
-//!   nearest-denser query per point
-//!   ([`PackedParts::nearest_denser`](dpc_index::PackedParts::nearest_denser))
-//!   return the same exact dependent point, with equal distances going to the
-//!   smallest id. The `n` queries are independent, so the phase runs on every
-//!   worker thread.
+//!   nearest-denser query per point ([`KdTree::nearest_denser`]) return the
+//!   same exact dependent point, with equal distances going to the smallest
+//!   id. The `n` queries are independent, so the phase runs on every worker
+//!   thread.
 
 use std::time::Instant;
 
@@ -24,7 +23,8 @@ use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    jittered_density, jittered_density_keyed, leading_counts, resolve_dependents, validate_dataset,
+    cell_side, jittered_density, jittered_density_keyed, leading_counts, resolve_dependents,
+    validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -84,18 +84,17 @@ impl ExDpc {
     }
 
     /// Every point's `d_cut` neighbour count, the ρ path of
-    /// [`ExDpc::local_densities`] (hence `fit`) and [`ExDpc::fit_keyed`]:
+    /// [`ExDpc::local_densities`] and [`ExDpc::fit_keyed`] (hence `fit`):
     /// batched over a grid of side `d_cut/√d`, or one `range_count` per point
-    /// when `d_cut` is too degenerate to seed a grid (`fit` rejects such a
-    /// value; direct callers may not).
+    /// when `d_cut` is too degenerate to seed a grid (a tiny valid `d_cut`
+    /// whose side underflows to 0, or an invalid one from a direct caller).
     fn neighbor_counts(&self, data: &Dataset, tree: &KdTree) -> Vec<usize> {
         let executor = Executor::new(self.params.threads);
         let dcut = self.params.dcut;
-        let side = dcut / (data.dim() as f64).sqrt();
-        if !(side.is_finite() && side > 0.0) {
+        let Ok(side) = cell_side(dcut, 1.0, data.dim()) else {
             return executor
                 .map_dynamic(data.len(), |i| tree.range_count(data.point(i), dcut, Some(i)));
-        }
+        };
         let grid = Grid::build_parallel(data, side, &executor);
         leading_counts(tree, &grid, dcut, usize::MAX, &executor)
     }
@@ -107,8 +106,8 @@ impl ExDpc {
     /// compared against: the streaming engine jitters every ρ on the point's
     /// stable external id, so a fresh fit of the surviving window keyed on the
     /// same ids must reproduce the incrementally maintained ρ and δ exactly.
-    /// With `keys = 0..n` this is identical to `fit` (same jitter function,
-    /// same phases).
+    /// `fit` is this with `keys = 0..n`: keyed on the dataset index, the
+    /// jitter is [`jittered_density`]'s.
     pub fn fit_keyed(&self, data: &Dataset, keys: &[u64]) -> Result<DpcModel, DpcError> {
         self.fit_keyed_counts(data, keys).map(|(model, _)| model)
     }
@@ -194,29 +193,8 @@ impl DpcAlgorithm for ExDpc {
     }
 
     fn fit(&self, data: &Dataset) -> Result<DpcModel, DpcError> {
-        self.params.validate()?;
-        validate_dataset(data)?;
-        let mut timings = Timings::default();
-
-        let start = Instant::now();
-        let executor = Executor::new(self.params.threads);
-        let tree = KdTree::build_parallel(data, &executor);
-        let rho = self.local_densities(data, &tree);
-        timings.rho_secs = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        let (dependent, delta) = dependents(data, &tree, &rho, &executor);
-        timings.delta_secs = start.elapsed().as_secs_f64();
-
-        DpcModel::from_parts(
-            self.name(),
-            self.params.dcut,
-            rho,
-            delta,
-            dependent,
-            timings,
-            tree.mem_usage(),
-        )
+        let keys: Vec<u64> = (0..data.len() as u64).collect();
+        self.fit_keyed(data, &keys)
     }
 }
 

@@ -41,6 +41,25 @@ pub fn validate_dataset(data: &Dataset) -> Result<(), DpcError> {
     Ok(())
 }
 
+/// The side `scale·d_cut/√d` of a grid cell: `scale = 1` for the grid of
+/// Ex-DPC and Approx-DPC, `scale = ε` for S-Approx-DPC's finer grid.
+///
+/// # Errors
+/// [`DpcError::InvalidParams`] naming the grid cell side when the side is
+/// not positive and finite. Valid parameters can still produce such a side:
+/// a tiny `d_cut` underflows to 0, and a huge `d_cut` or `ε` overflows to ∞.
+pub(crate) fn cell_side(dcut: f64, scale: f64, dim: usize) -> Result<f64, DpcError> {
+    let side = scale * dcut / (dim as f64).sqrt();
+    if side.is_finite() && side > 0.0 {
+        return Ok(side);
+    }
+    Err(DpcError::InvalidParams {
+        param: "grid cell side",
+        value: side,
+        requirement: "d_cut/√d (ε·d_cut/√d for S-Approx-DPC) must be positive and finite",
+    })
+}
+
 /// Adds a deterministic jitter in `(0, 1)` to an integer local density so that
 /// all densities are pairwise distinct, as the paper assumes for the
 /// dependent-point computation ("practically possible by adding a random value
@@ -94,7 +113,7 @@ pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
 ///
 /// Each bucket of [`Grid::query_buckets`] descends `tree` once through
 /// [`BatchRangeCount`], with its query rows gathered from the tree's packed
-/// rows (bit copies of the dataset's) through the position map. The buckets
+/// rows (bit copies of the dataset's) by [`KdTree::point`]. The buckets
 /// are cut into [`RANGES_PER_THREAD`] contiguous ranges per worker, of equal
 /// query count, which the workers claim dynamically: a query's cost grows
 /// with its count, so equal query counts are far from equal work. Every count
@@ -123,8 +142,7 @@ pub(crate) fn leading_counts(
         threads => threads * RANGES_PER_THREAD,
     };
     let bounds = batchq::balanced_ranges(&prefix, ranges);
-    let parts = tree.packed_parts();
-    let dim = parts.dim;
+    let dim = tree.dim();
     // One count vector per range, in bucket order (bucket → cells → leading
     // points).
     let per_range: Vec<Vec<usize>> = executor.map_dynamic(bounds.len() - 1, |r| {
@@ -138,13 +156,12 @@ pub(crate) fn leading_counts(
             excl.clear();
             for &cell in buckets.bucket(b) {
                 for &p in leading(cell) {
-                    let row = parts.pos[p] as usize * dim;
-                    rows.extend_from_slice(&parts.coords[row..row + dim]);
+                    rows.extend_from_slice(tree.point(p));
                     excl.push(p as u32);
                 }
             }
             for (rows, excl) in rows.chunks(BATCH_CHUNK * dim).zip(excl.chunks(BATCH_CHUNK)) {
-                engine.run_uniform(&parts, rows, dcut, excl, &mut chunk_counts);
+                engine.run(tree, rows, dcut, excl, &mut chunk_counts);
                 counts.extend_from_slice(&chunk_counts);
             }
         }
@@ -175,11 +192,10 @@ pub(crate) fn resolve_dependents(
     dependent: &mut [usize],
     delta: &mut [f64],
 ) {
-    let parts = tree.packed_parts();
-    let max_keys = MaxKeys::new(&parts, keys);
+    let max_keys = MaxKeys::new(tree, keys);
     let found = executor.map_dynamic(queries.len(), |k| {
         let p = queries[k];
-        parts.nearest_denser(&max_keys, data.point(p), keys[p])
+        tree.nearest_denser(&max_keys, data.point(p), keys[p])
     });
     for (&p, found) in queries.iter().zip(found) {
         if let Some((q, d)) = found {

@@ -47,7 +47,7 @@ use dpc_index::{Grid, KdTree, MaxKeys};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{jittered_density, leading_counts, validate_dataset};
+use crate::framework::{cell_side, jittered_density, leading_counts, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
@@ -106,16 +106,16 @@ impl DpcAlgorithm for SApproxDpc {
             });
         }
         validate_dataset(data)?;
+        let dcut = self.params.dcut;
+        let side = cell_side(dcut, self.epsilon, data.dim())?;
         let executor = Executor::new(self.params.threads);
         let mut timings = Timings::default();
         let n = data.len();
-        let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
 
         // ---- Local density phase (Corollary 1) ----
         let start = Instant::now();
         let tree = KdTree::build_parallel(data, &executor);
-        let side = self.epsilon * dcut / (data.dim() as f64).sqrt();
         // Bit-identical to the serial build at every thread count, so the
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, &executor);
@@ -146,8 +146,7 @@ impl DpcAlgorithm for SApproxDpc {
 
         // ---- Dependent point phase (Lemma 5) ----
         let start = Instant::now();
-        let parts = tree.packed_parts();
-        let max_keys = MaxKeys::new(&parts, &keys);
+        let max_keys = MaxKeys::new(&tree, &keys);
         let dcut_sq = dcut * dcut;
         let dependent_of = |p: usize, ball: &mut Vec<usize>| {
             let point = data.point(p);
@@ -156,7 +155,7 @@ impl DpcAlgorithm for SApproxDpc {
                 // At most the cell diameter `ε·d_cut` away.
                 return Some((picked, dist(point, data.point(picked))));
             }
-            let nearest = parts.nearest_denser(&max_keys, point, keys[p]);
+            let nearest = tree.nearest_denser(&max_keys, point, keys[p]);
             if let Some((q, _)) = nearest {
                 if dist_sq(point, data.point(q)) <= dcut_sq {
                     return nearest;
@@ -165,7 +164,7 @@ impl DpcAlgorithm for SApproxDpc {
             // A local peak: phase 1 still takes the nearest denser picked
             // point of the cells holding a point within `d_cut`, equal
             // distances to the smaller cell id, which holds the smaller id.
-            parts.range_search_into(point, dcut, ball);
+            tree.range_search_into(point, dcut, ball);
             let mut best: Option<(usize, f64)> = None;
             for &o in ball.iter() {
                 let q = grid.points(grid.cell_of(o))[0];

@@ -1,18 +1,15 @@
 //! Batched distance kernels over contiguous row-major coordinate buffers.
 //!
-//! Every spatial index in the workspace stores candidate points as packed
-//! row-major rows — the kd-tree's leaf buckets, the CSR grid's per-cell
-//! coordinate strips — and the hot inner loop
-//! of the ρ phase (Definition 1) is always the same shape: *one query against a
-//! whole bucket of rows*. This module is that loop, implemented once, audited
-//! once, and used by every caller:
+//! The packed kd-tree stores its points as row-major rows, each leaf bucket a
+//! contiguous strip, and the hot inner loop of the ρ phase (Definition 1) is
+//! always the same shape: *one query against a whole bucket of rows*. This
+//! module is that loop, implemented once, audited once, and used by every
+//! caller:
 //!
 //! * [`count_within`] — how many rows lie in the **closed** ball
 //!   `dist²(query, row) ≤ r_sq` (the paper's `dist ≤ d_cut` predicate);
 //! * [`search_within_into`] — the row indices of those rows, appended in row
-//!   order to a caller-reusable buffer;
-//! * [`nearest_in_bucket`] — the row with the smallest squared distance
-//!   (earliest row wins ties), optionally skipping one row.
+//!   order to a caller-reusable buffer.
 //!
 //! # SIMD
 //!
@@ -27,9 +24,13 @@
 //! [`dist_sq`] in the same order (IEEE 754 arithmetic
 //! is deterministic per operation, and no FMA contraction is introduced), the
 //! `≤` predicate maps to ordered non-signalling vector compares (false for
-//! NaN, exactly like the scalar `<=`), and reductions that depend on order
-//! (reporting, arg-min) are applied in row order. The property tests in
-//! `tests/batch_identity.rs` assert bitwise equality across the paths.
+//! NaN, exactly like the scalar `<=`), and reporting drains the hits in row
+//! order. The property tests in `tests/batch_identity.rs` assert bitwise
+//! equality across the paths.
+//!
+//! The crate denies `unsafe_code`; the SIMD dispatch in [`count_within`] and
+//! [`search_within_into`] and the `x86` module are the only places allowed
+//! to use it.
 //!
 //! # Slice-length contract
 //!
@@ -50,10 +51,14 @@ use crate::distance::dist_sq;
 /// Rows containing NaN never match (every comparison with NaN is false), and a
 /// NaN `r_sq` matches nothing.
 #[inline]
+#[allow(unsafe_code)]
 pub fn count_within(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) -> usize {
     debug_batch_contract(query, rows, dim);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
+        // SAFETY: the x86 kernels run AVX2 only after detecting it (SSE2 is
+        // baseline on x86_64), read `rows` only inside its whole rows, and
+        // index `query` with bounds checks.
         unsafe { x86::count_within(query, rows, dim, r_sq) }
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
@@ -66,6 +71,7 @@ pub fn count_within(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) -> usize
 /// `out`, in ascending row order. The buffer is **not** cleared, so callers
 /// can map one bucket's hits to identifiers before scanning the next bucket.
 #[inline]
+#[allow(unsafe_code)]
 pub fn search_within_into(
     query: &[f64],
     rows: &[f64],
@@ -76,33 +82,12 @@ pub fn search_within_into(
     debug_batch_contract(query, rows, dim);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
+        // SAFETY: as in `count_within`.
         unsafe { x86::search_within_into(query, rows, dim, r_sq, out) }
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         search_within_into_scalar(query, rows, dim, r_sq, out)
-    }
-}
-
-/// Returns `(row index, squared distance)` of the row nearest to `query`,
-/// skipping row `skip` (if given). The earliest row wins ties, exactly like a
-/// scalar `d < best` scan from row 0. Returns `None` when no candidate row
-/// exists (empty bucket, or a one-row bucket whose row is skipped).
-#[inline]
-pub fn nearest_in_bucket(
-    query: &[f64],
-    rows: &[f64],
-    dim: usize,
-    skip: Option<usize>,
-) -> Option<(usize, f64)> {
-    debug_batch_contract(query, rows, dim);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        unsafe { x86::nearest_in_bucket(query, rows, dim, skip) }
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        nearest_in_bucket_scalar(query, rows, dim, skip)
     }
 }
 
@@ -137,33 +122,6 @@ pub fn search_within_into_scalar(
     }
 }
 
-/// Scalar reference implementation of [`nearest_in_bucket`].
-#[inline]
-pub fn nearest_in_bucket_scalar(
-    query: &[f64],
-    rows: &[f64],
-    dim: usize,
-    skip: Option<usize>,
-) -> Option<(usize, f64)> {
-    debug_batch_contract(query, rows, dim);
-    let skip = skip.unwrap_or(usize::MAX);
-    // `d < best_d` from +∞, exactly like the index NN loops: the earliest row
-    // wins ties and NaN distances never become the best.
-    let mut best: Option<(usize, f64)> = None;
-    let mut best_d = f64::INFINITY;
-    for (k, row) in rows.chunks_exact(dim).enumerate() {
-        if k == skip {
-            continue;
-        }
-        let d = dist_sq(query, row);
-        if d < best_d {
-            best_d = d;
-            best = Some((k, d));
-        }
-    }
-    best
-}
-
 /// The shared `debug_assert!` half of the slice-length contract (see the
 /// module docs for the release-mode half).
 #[inline]
@@ -176,9 +134,10 @@ fn debug_batch_contract(query: &[f64], rows: &[f64], dim: usize) {
 /// x86-64 SSE2/AVX2 implementations. Everything in here upholds the same
 /// contract as the scalar kernels: per-row squared distances are computed with
 /// the exact operation sequence of `dist_sq`, predicates are ordered
-/// non-signalling compares, and order-sensitive reductions run in row order.
+/// non-signalling compares, and hits are reported in row order.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[doc(hidden)]
+#[allow(unsafe_code)]
 pub mod x86 {
     use super::*;
     #[cfg(target_arch = "x86_64")]
@@ -216,22 +175,6 @@ pub mod x86 {
             search_within_into_avx2(query, rows, dim, r_sq, out)
         } else {
             search_within_into_sse2(query, rows, dim, r_sq, out)
-        }
-    }
-
-    /// # Safety
-    /// Safe on any `x86_64`; see [`count_within`].
-    #[inline]
-    pub unsafe fn nearest_in_bucket(
-        query: &[f64],
-        rows: &[f64],
-        dim: usize,
-        skip: Option<usize>,
-    ) -> Option<(usize, f64)> {
-        if has_avx2() {
-            nearest_in_bucket_avx2(query, rows, dim, skip)
-        } else {
-            nearest_in_bucket_sse2(query, rows, dim, skip)
         }
     }
 
@@ -409,48 +352,6 @@ pub mod x86 {
         }
     }
 
-    /// # Safety
-    /// Requires AVX2 (check `is_x86_feature_detected!("avx2")` first).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn nearest_in_bucket_avx2(
-        query: &[f64],
-        rows: &[f64],
-        dim: usize,
-        skip: Option<usize>,
-    ) -> Option<(usize, f64)> {
-        let n = rows.len() / dim;
-        let skip = skip.unwrap_or(usize::MAX);
-        let mut best: Option<(usize, f64)> = None;
-        let mut best_d = f64::INFINITY;
-        let mut buf = [0.0f64; 4];
-        let mut base = 0usize;
-        while base + 4 <= n {
-            _mm256_storeu_pd(buf.as_mut_ptr(), dists4_avx2(query, rows, dim, base));
-            // The arg-min reduction is order-sensitive (earliest row wins a
-            // tie, NaN never wins), so it stays a scalar pass over the lanes.
-            for (lane, &d) in buf.iter().enumerate() {
-                let k = base + lane;
-                if k != skip && d < best_d {
-                    best_d = d;
-                    best = Some((k, d));
-                }
-            }
-            base += 4;
-        }
-        for (k, row) in rows[base * dim..].chunks_exact(dim).enumerate() {
-            let k = base + k;
-            if k == skip {
-                continue;
-            }
-            let d = dist_sq(query, row);
-            if d < best_d {
-                best_d = d;
-                best = Some((k, d));
-            }
-        }
-        best
-    }
-
     // ---- SSE2: 2 rows per iteration (baseline on x86_64, no detection). ----
 
     /// Squared distances of rows `base..base + 2`, lanes in row order.
@@ -461,7 +362,9 @@ pub mod x86 {
     unsafe fn dists2_sse2(query: &[f64], rows: &[f64], dim: usize, base: usize) -> __m128d {
         match dim {
             2 => {
-                let q = _mm_loadu_pd(query.as_ptr());
+                // Indexed, not loaded through the pointer: a short query
+                // panics instead of reading past its end.
+                let q = _mm_set_pd(query[1], query[0]);
                 let p = rows.as_ptr().add(base * 2);
                 let a = _mm_sub_pd(_mm_loadu_pd(p), q);
                 let b = _mm_sub_pd(_mm_loadu_pd(p.add(2)), q);
@@ -556,47 +459,6 @@ pub mod x86 {
             *v += base;
         }
     }
-
-    /// # Safety
-    /// Safe on any `x86_64` (SSE2 is baseline); unsafe only for the intrinsic
-    /// call chain.
-    #[inline]
-    pub unsafe fn nearest_in_bucket_sse2(
-        query: &[f64],
-        rows: &[f64],
-        dim: usize,
-        skip: Option<usize>,
-    ) -> Option<(usize, f64)> {
-        let n = rows.len() / dim;
-        let skip = skip.unwrap_or(usize::MAX);
-        let mut best: Option<(usize, f64)> = None;
-        let mut best_d = f64::INFINITY;
-        let mut buf = [0.0f64; 2];
-        let mut base = 0usize;
-        while base + 2 <= n {
-            _mm_storeu_pd(buf.as_mut_ptr(), dists2_sse2(query, rows, dim, base));
-            for (lane, &d) in buf.iter().enumerate() {
-                let k = base + lane;
-                if k != skip && d < best_d {
-                    best_d = d;
-                    best = Some((k, d));
-                }
-            }
-            base += 2;
-        }
-        for (k, row) in rows[base * dim..].chunks_exact(dim).enumerate() {
-            let k = base + k;
-            if k == skip {
-                continue;
-            }
-            let d = dist_sq(query, row);
-            if d < best_d {
-                best_d = d;
-                best = Some((k, d));
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -635,27 +497,13 @@ mod tests {
     }
 
     #[test]
-    fn nearest_prefers_earliest_row_and_honours_skip() {
-        let q = [0.0, 0.0];
-        let rows = rows_2d();
-        // Rows 0 and 5 are both at distance 0; the earliest must win.
-        assert_eq!(nearest_in_bucket(&q, &rows, 2, None), Some((0, 0.0)));
-        assert_eq!(nearest_in_bucket(&q, &rows, 2, Some(0)), Some((5, 0.0)));
-        assert_eq!(nearest_in_bucket_scalar(&q, &rows, 2, Some(0)), Some((5, 0.0)));
-        // Empty bucket and fully-skipped bucket.
-        assert_eq!(nearest_in_bucket(&q, &[], 2, None), None);
-        assert_eq!(nearest_in_bucket(&q, &[7.0, 7.0], 2, Some(0)), None);
-    }
-
-    #[test]
-    fn nan_rows_never_match_and_never_win() {
+    fn nan_rows_never_match() {
         let q = [0.0, 0.0];
         let rows = vec![f64::NAN, 0.0, 1.0, 0.0];
         assert_eq!(count_within(&q, &rows, 2, 1e18), 1);
         let mut out = Vec::new();
         search_within_into(&q, &rows, 2, 1e18, &mut out);
         assert_eq!(out, vec![1]);
-        assert_eq!(nearest_in_bucket(&q, &rows, 2, None), Some((1, 1.0)));
         // NaN radius matches nothing.
         assert_eq!(count_within(&q, &rows, 2, f64::NAN), 0);
     }
@@ -667,6 +515,5 @@ mod tests {
         rows[5 * 3] = 4.0; // row 3 at squared distance 9
         assert_eq!(count_within(&q, &rows, 5, 8.999), 6);
         assert_eq!(count_within(&q, &rows, 5, 9.0), 7);
-        assert_eq!(nearest_in_bucket(&q, &rows, 5, Some(0)), Some((1, 0.0)));
     }
 }

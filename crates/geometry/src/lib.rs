@@ -35,6 +35,15 @@
 //! [`distance::dist_sq_generic`] (and the dispatchers that reach it, batched
 //! included) iterates the shorter slice and silently under-counts axes.
 //! Callers must never rely on either behaviour.
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe_code`. The x86-64 SIMD kernels of [`batch`] (the
+//! `simd` feature) and the two dispatchers that call them are the only items
+//! allowed to use it, so `dataset`, `distance`, `point` and `rect` stay safe
+//! Rust by construction.
+
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod dataset;

@@ -77,17 +77,6 @@ fn check_identity(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) {
     batch::search_within_into(query, rows, dim, r_sq, &mut hits);
     assert_eq!(hits, hits_ref, "search (d={dim})");
 
-    let n = rows.len() / dim;
-    for skip in [None, Some(0), Some(n / 2), Some(n.saturating_sub(1))] {
-        let nn_ref = batch::nearest_in_bucket_scalar(query, rows, dim, skip);
-        let nn = batch::nearest_in_bucket(query, rows, dim, skip);
-        assert_eq!(
-            nn.map(|(k, d)| (k, d.to_bits())),
-            nn_ref.map(|(k, d)| (k, d.to_bits())),
-            "nearest (d={dim}, skip={skip:?})"
-        );
-    }
-
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         use dpc_geometry::batch::x86;
@@ -100,13 +89,6 @@ fn check_identity(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) {
         let mut hits2 = Vec::new();
         unsafe { x86::search_within_into_sse2(query, rows, dim, r_sq, &mut hits2) };
         assert_eq!(hits2, hits_ref, "sse2 search (d={dim})");
-        let nn_ref = batch::nearest_in_bucket_scalar(query, rows, dim, None);
-        assert_eq!(
-            unsafe { x86::nearest_in_bucket_sse2(query, rows, dim, None) }
-                .map(|(k, d)| (k, d.to_bits())),
-            nn_ref.map(|(k, d)| (k, d.to_bits())),
-            "sse2 nearest (d={dim})"
-        );
         if std::arch::is_x86_feature_detected!("avx2") {
             assert_eq!(
                 unsafe { x86::count_within_avx2(query, rows, dim, r_sq) },
@@ -116,12 +98,6 @@ fn check_identity(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) {
             let mut hits4 = Vec::new();
             unsafe { x86::search_within_into_avx2(query, rows, dim, r_sq, &mut hits4) };
             assert_eq!(hits4, hits_ref, "avx2 search (d={dim})");
-            assert_eq!(
-                unsafe { x86::nearest_in_bucket_avx2(query, rows, dim, None) }
-                    .map(|(k, d)| (k, d.to_bits())),
-                nn_ref.map(|(k, d)| (k, d.to_bits())),
-                "avx2 nearest (d={dim})"
-            );
         }
     }
 }

@@ -10,9 +10,8 @@
 //! one cell:
 //!
 //! - at every node, a joint test against the bucket's bounding box (plus the
-//!   largest radius) prunes the whole bucket in `O(d)` before any per-query
-//!   work, and a joint containment test (against the smallest radius) resolves
-//!   the whole bucket as fully-inside;
+//!   radius) prunes the whole bucket in `O(d)` before any per-query work, and
+//!   a joint containment test resolves the whole bucket as fully-inside;
 //! - queries that survive the joint tests are filtered with exactly the
 //!   per-query min/max-distance tests of the single-query traversal, so each
 //!   query only pays for the nodes it would have visited on its own;
@@ -21,20 +20,23 @@
 //!   block stays cache-hot across the bucket instead of being re-fetched by
 //!   `n` independent traversals.
 //!
+//! A bucket shares one radius, the `d_cut` of Definition 1, and names one
+//! excluded point per query, the query point itself.
+//!
 //! # Determinism contract
 //!
 //! Every query's count is **bit-identical** to the corresponding single-query
-//! call, [`PackedParts::range_count`](crate::kdtree::PackedParts::range_count),
-//! regardless of how queries are grouped into buckets: counts are integer
-//! sums over the same node set. Consumers may therefore re-bucket, chunk, or
-//! parallelize freely without perturbing results.
+//! call, [`KdTree::range_count`], regardless of how queries are grouped into
+//! buckets: counts are integer sums over the same node set. Consumers may
+//! therefore re-bucket, chunk, or parallelize freely without perturbing
+//! results.
 
 use dpc_geometry::batch;
 use dpc_geometry::distance::{dist_sq, max_dist_sq_to_rect, min_dist_sq_to_rect};
 
-use crate::kdtree::{PackedParts, NONE};
+use crate::kdtree::{KdTree, NONE};
 
-/// Sentinel for "no exclusion" in a [`BatchRangeCount`] exclusion slice:
+/// The "no exclusion" id of a [`BatchRangeCount`] exclusion slice:
 /// `u32::MAX`, which is never the id of an indexed point (a tree indexes the
 /// ids `0..n` with `n < 2³²`), so the position-map lookup finds nothing.
 pub const NO_EXCLUDE: u32 = NONE;
@@ -79,75 +81,45 @@ fn max_dist_sq_rect_rect(qlo: &[f64], qhi: &[f64], lo: &[f64], hi: &[f64]) -> f6
     acc
 }
 
-/// Shared scratch for one batched traversal: the bucket's joint bounding box,
-/// per-query squared radii, and a pool of recycled active-query lists (one
-/// live list per recursion level, depth ≤ the tree's `STACK_CAP` bound).
+/// Shared scratch for one batched traversal: the bucket's joint bounding box
+/// and a pool of recycled active-query lists (one live list per recursion
+/// level, depth ≤ the tree's `STACK_CAP` bound).
 #[derive(Debug, Default)]
 struct Scratch {
     qlo: Vec<f64>,
     qhi: Vec<f64>,
-    r_sq: Vec<f64>,
     pool: Vec<Vec<u32>>,
-    /// Root active set + joint bounds; `None` when no query can match anything.
-    r_max_sq: f64,
-    r_min_sq: f64,
-    /// `r_max_sq.sqrt()` — the inflation margin of the enclosure shortcut.
-    r_max: f64,
 }
 
 impl Scratch {
-    /// Validates the bucket, fills `r_sq`, the joint bbox, and the root active
-    /// list. Queries with NaN or negative radius are left out of the active
-    /// set (their result is 0 / empty, matching the single-query calls).
-    fn prepare(&mut self, dim: usize, queries: &[f64], radii: &[f64]) -> Vec<u32> {
-        assert!(dim > 0, "batched query on a zero-dimensional tree");
-        assert_eq!(
-            queries.len(),
-            radii.len() * dim,
-            "query rows/radii length mismatch (rows = {}, k = {}, dim = {})",
-            queries.len(),
-            radii.len(),
-            dim
-        );
-        let k = radii.len();
-        self.r_sq.clear();
-        self.r_sq.extend(radii.iter().map(|r| r * r));
+    /// Fills the joint bbox of the `queries` rows and returns the root active
+    /// list, every query.
+    fn prepare(&mut self, dim: usize, queries: &[f64]) -> Vec<u32> {
         self.qlo.clear();
         self.qlo.resize(dim, f64::INFINITY);
         self.qhi.clear();
         self.qhi.resize(dim, f64::NEG_INFINITY);
-        self.r_max_sq = f64::NEG_INFINITY;
-        self.r_min_sq = f64::INFINITY;
-        let mut active = self.pool.pop().unwrap_or_default();
-        active.clear();
-        for q in 0..k {
-            // Same admission rule as the single-query traversals: a NaN or
-            // negative radius matches nothing.
-            if radii[q].is_nan() || radii[q] < 0.0 {
-                continue;
-            }
-            active.push(q as u32);
-            let row = &queries[q * dim..(q + 1) * dim];
+        for row in queries.chunks_exact(dim) {
             for (a, &coord) in row.iter().enumerate() {
                 self.qlo[a] = self.qlo[a].min(coord);
                 self.qhi[a] = self.qhi[a].max(coord);
             }
-            self.r_max_sq = self.r_max_sq.max(self.r_sq[q]);
-            self.r_min_sq = self.r_min_sq.min(self.r_sq[q]);
         }
-        self.r_max = if active.is_empty() { 0.0 } else { self.r_max_sq.sqrt() };
+        let mut active = self.pool.pop().unwrap_or_default();
+        active.clear();
+        active.extend(0..(queries.len() / dim) as u32);
         active
     }
 
-    /// Whether the node rect `[lo, hi]` encloses every active query ball
-    /// (the joint bbox inflated by the largest radius). Inside such a node a
-    /// per-query test can neither prune (each query sits in the rect, min
-    /// distance 0) nor cover it (the rect extends ≥ r past each query), so
-    /// the recursion may descend with the active set unchanged.
+    /// Whether the node rect `[lo, hi]` encloses every query ball (the joint
+    /// bbox inflated by `radius`). Inside such a node a per-query test can
+    /// neither prune (each query sits in the rect, min distance 0) nor cover
+    /// it (the rect extends ≥ r past each query), so the recursion may
+    /// descend with the active set unchanged.
     #[inline]
-    fn encloses(&self, lo: &[f64], hi: &[f64]) -> bool {
+    fn encloses(&self, lo: &[f64], hi: &[f64], radius: f64) -> bool {
         for a in 0..lo.len() {
-            if lo[a] > self.qlo[a] - self.r_max || hi[a] < self.qhi[a] + self.r_max {
+            if lo[a] > self.qlo[a] - radius || hi[a] < self.qhi[a] + radius {
                 return false;
             }
         }
@@ -155,11 +127,11 @@ impl Scratch {
     }
 }
 
-/// Batched range **counting** with per-query exclusion ids.
+/// Batched range **counting** with one radius and per-query exclusion ids.
 ///
-/// Reusable across buckets: the internal scratch (joint bbox, radius table,
-/// active-list pool) is recycled, so a long-lived instance per worker thread
-/// performs no steady-state allocation.
+/// Reusable across buckets: the internal scratch (joint bbox, active-list
+/// pool) is recycled, so a long-lived instance per worker thread performs no
+/// steady-state allocation.
 #[derive(Debug, Default)]
 pub struct BatchRangeCount {
     scratch: Scratch,
@@ -170,101 +142,78 @@ impl BatchRangeCount {
         Self::default()
     }
 
-    /// Counts, for each of the `k` query balls, the points of `parts` within
-    /// its (closed) radius. `queries` is `k` row-major rows of `parts.dim()`
-    /// coordinates; `radii` has length `k`. `exclude` is either empty (no
-    /// exclusions) or length `k`, with [`NO_EXCLUDE`] meaning "count
-    /// everything" and any other value naming one point id to leave out
-    /// (mirroring the `exclude` argument of `range_count`).
+    /// Counts, for each of the `k` query balls of one `radius`, the points of
+    /// `tree` within it (closed ball). `queries` is `k` row-major rows of
+    /// `tree.dim()` coordinates; `exclude` names one point id per query to
+    /// leave out, [`NO_EXCLUDE`] for none (the `exclude` argument of
+    /// `range_count`).
     ///
     /// `counts` is cleared and filled with `k` entries, each bit-identical to
-    /// `parts.range_count(row, radius, exclude)`.
+    /// `tree.range_count(row, radius, exclude)`. A NaN or negative radius
+    /// counts nothing.
+    ///
+    /// # Panics
+    /// Panics if `queries` is not `exclude.len()` rows of `tree.dim()`
+    /// coordinates.
     pub fn run(
         &mut self,
-        parts: &PackedParts<'_>,
-        queries: &[f64],
-        radii: &[f64],
-        exclude: &[u32],
-        counts: &mut Vec<usize>,
-    ) {
-        let k = radii.len();
-        assert!(
-            exclude.is_empty() || exclude.len() == k,
-            "exclusion slice must be empty or one id per query"
-        );
-        counts.clear();
-        counts.resize(k, 0);
-        let active = self.scratch.prepare(parts.dim, queries, radii);
-        if !active.is_empty() && !parts.nodes.is_empty() {
-            let ctx = CountCtx { parts, queries, exclude, dim: parts.dim };
-            count_rec(&ctx, 0, &active, &mut self.scratch, counts);
-        }
-        self.scratch.pool.push(active);
-    }
-
-    /// [`run`](Self::run) with one shared radius for the whole bucket.
-    pub fn run_uniform(
-        &mut self,
-        parts: &PackedParts<'_>,
+        tree: &KdTree,
         queries: &[f64],
         radius: f64,
         exclude: &[u32],
         counts: &mut Vec<usize>,
     ) {
-        let dim = parts.dim;
-        debug_assert_eq!(queries.len() % dim, 0);
-        let k = queries.len() / dim;
-        let mut radii = std::mem::take(&mut self.scratch.r_sq);
-        radii.clear();
-        radii.resize(k, radius);
-        self.run(parts, queries, &radii, exclude, counts);
-        // `run` rebuilt `r_sq`; keep the longer buffer for the next call.
-        if radii.capacity() > self.scratch.r_sq.capacity() {
-            self.scratch.r_sq = radii;
+        let (dim, k) = (tree.dim(), exclude.len());
+        assert_eq!(
+            queries.len(),
+            k * dim,
+            "query rows/exclusion length mismatch (rows = {}, k = {k}, dim = {dim})",
+            queries.len(),
+        );
+        counts.clear();
+        counts.resize(k, 0);
+        // The single-query admission rule: a NaN or negative radius matches
+        // nothing.
+        if k == 0 || tree.is_empty() || radius.is_nan() || radius < 0.0 {
+            return;
         }
+        let active = self.scratch.prepare(dim, queries);
+        let ctx = CountCtx { tree, queries, exclude, dim, radius, r_sq: radius * radius };
+        count_rec(&ctx, 0, &active, &mut self.scratch, counts);
+        self.scratch.pool.push(active);
     }
 }
 
-struct CountCtx<'a, 't> {
-    parts: &'a PackedParts<'t>,
+struct CountCtx<'a> {
+    tree: &'a KdTree,
     queries: &'a [f64],
     exclude: &'a [u32],
     dim: usize,
-}
-
-impl CountCtx<'_, '_> {
-    #[inline]
-    fn excl(&self, q: usize) -> u32 {
-        if self.exclude.is_empty() {
-            NONE
-        } else {
-            self.exclude[q]
-        }
-    }
+    radius: f64,
+    r_sq: f64,
 }
 
 fn count_rec(
-    ctx: &CountCtx<'_, '_>,
+    ctx: &CountCtx<'_>,
     node_idx: usize,
     active: &[u32],
     scratch: &mut Scratch,
     counts: &mut [usize],
 ) {
-    let parts = ctx.parts;
-    let dim = ctx.dim;
-    let (lo, hi) = parts.node_bounds(node_idx);
+    let (tree, dim, r_sq) = (ctx.tree, ctx.dim, ctx.r_sq);
+    let (lo, hi) = tree.node_bounds(node_idx);
     // Joint prune: the whole bucket misses this subtree.
-    if min_dist_sq_rect_rect(&scratch.qlo, &scratch.qhi, lo, hi) > scratch.r_max_sq {
+    if min_dist_sq_rect_rect(&scratch.qlo, &scratch.qhi, lo, hi) > r_sq {
         return;
     }
-    let node = &parts.nodes[node_idx];
+    let node = &tree.nodes()[node_idx];
     let (start, end) = (node.start as usize, node.end as usize);
     // Joint containment: every query in the bucket covers the whole node.
-    if max_dist_sq_rect_rect(&scratch.qlo, &scratch.qhi, lo, hi) <= scratch.r_min_sq {
+    if max_dist_sq_rect_rect(&scratch.qlo, &scratch.qhi, lo, hi) <= r_sq {
         for &q in active {
             let q = q as usize;
             counts[q] += end - start;
-            if parts.excluded_row(start, end, ctx.excl(q)).is_some() {
+            if tree.excluded_row(start, end, ctx.exclude[q]).is_some() {
                 counts[q] -= 1;
             }
         }
@@ -275,7 +224,8 @@ fn count_rec(
     // covered) — descend with the active set as is. Counting is
     // order-independent, so resolving a ball-boundary node here or one level
     // deeper yields the same integers.
-    if node.right != NONE && end - start > VIRTUAL_LEAF_SPAN && scratch.encloses(lo, hi) {
+    if node.right != NONE && end - start > VIRTUAL_LEAF_SPAN && scratch.encloses(lo, hi, ctx.radius)
+    {
         count_rec(ctx, node.right as usize, active, scratch, counts);
         count_rec(ctx, node_idx + 1, active, scratch, counts);
         return;
@@ -286,13 +236,12 @@ fn count_rec(
     for &q in active {
         let qi = q as usize;
         let query = &ctx.queries[qi * dim..(qi + 1) * dim];
-        let r_sq = scratch.r_sq[qi];
         if min_dist_sq_to_rect(query, lo, hi) > r_sq {
             continue;
         }
         if max_dist_sq_to_rect(query, lo, hi) <= r_sq {
             counts[qi] += end - start;
-            if parts.excluded_row(start, end, ctx.excl(qi)).is_some() {
+            if tree.excluded_row(start, end, ctx.exclude[qi]).is_some() {
                 counts[qi] -= 1;
             }
             continue;
@@ -301,15 +250,14 @@ fn count_rec(
     }
     if !still.is_empty() {
         if node.right == NONE || end - start <= VIRTUAL_LEAF_SPAN {
-            let rows = &parts.coords[start * dim..end * dim];
+            let coords = tree.coords();
+            let rows = &coords[start * dim..end * dim];
             for &q in &still {
                 let qi = q as usize;
                 let query = &ctx.queries[qi * dim..(qi + 1) * dim];
-                let r_sq = scratch.r_sq[qi];
                 counts[qi] += batch::count_within(query, rows, dim, r_sq);
-                if let Some(p) = parts.excluded_row(start, end, ctx.excl(qi)) {
-                    let row = &parts.coords[p * dim..(p + 1) * dim];
-                    if dist_sq(query, row) <= r_sq {
+                if let Some(p) = tree.excluded_row(start, end, ctx.exclude[qi]) {
+                    if dist_sq(query, &coords[p * dim..(p + 1) * dim]) <= r_sq {
                         counts[qi] -= 1;
                     }
                 }
@@ -370,19 +318,21 @@ mod tests {
         for &(n, dim, seed) in &[(257usize, 2usize, 11u64), (300, 3, 12), (180, 8, 13)] {
             let data = random_dataset(n, dim, seed);
             let tree = KdTree::build(&data);
-            let parts = tree.packed_parts();
-            let ids: Vec<usize> = (0..n).step_by(3).collect();
-            let rows = gather_rows(&data, &ids);
-            let radii: Vec<f64> = ids.iter().map(|i| 0.05 + 0.3 * ((i % 7) as f64)).collect();
-            let exclude: Vec<u32> =
-                ids.iter().map(|&i| if i % 2 == 0 { i as u32 } else { NO_EXCLUDE }).collect();
-            let mut counts = Vec::new();
             let mut engine = BatchRangeCount::new();
-            engine.run(&parts, &rows, &radii, &exclude, &mut counts);
-            for (k, &i) in ids.iter().enumerate() {
-                let excl = if i % 2 == 0 { Some(i) } else { None };
-                let expected = tree.range_count(data.point(i), radii[k], excl);
-                assert_eq!(counts[k], expected, "query {i} (dim {dim})");
+            let mut counts = Vec::new();
+            // One batch per radius, each over the points that take it.
+            for j in 0..7 {
+                let radius = 0.05 + 0.3 * j as f64;
+                let ids: Vec<usize> = (0..n).step_by(3).filter(|i| i % 7 == j).collect();
+                let rows = gather_rows(&data, &ids);
+                let exclude: Vec<u32> =
+                    ids.iter().map(|&i| if i % 2 == 0 { i as u32 } else { NO_EXCLUDE }).collect();
+                engine.run(&tree, &rows, radius, &exclude, &mut counts);
+                for (k, &i) in ids.iter().enumerate() {
+                    let excl = if i % 2 == 0 { Some(i) } else { None };
+                    let expected = tree.range_count(data.point(i), radius, excl);
+                    assert_eq!(counts[k], expected, "query {i} (dim {dim})");
+                }
             }
         }
     }
@@ -391,23 +341,25 @@ mod tests {
     fn nan_and_negative_radii_match_single_query_semantics() {
         let data = random_dataset(64, 2, 31);
         let tree = KdTree::build(&data);
-        let parts = tree.packed_parts();
         let rows = gather_rows(&data, &[0, 1, 2]);
-        let radii = [f64::NAN, -1.0, 0.5];
+        let exclude = [NO_EXCLUDE; 3];
         let mut counts = Vec::new();
-        BatchRangeCount::new().run(&parts, &rows, &radii, &[], &mut counts);
-        assert_eq!(counts[0], 0);
-        assert_eq!(counts[1], 0);
-        assert_eq!(counts[2], tree.range_count(data.point(2), 0.5, None));
+        for radius in [f64::NAN, -1.0] {
+            BatchRangeCount::new().run(&tree, &rows, radius, &exclude, &mut counts);
+            assert_eq!(counts, [0, 0, 0], "radius {radius}");
+        }
+        BatchRangeCount::new().run(&tree, &rows, 0.5, &exclude, &mut counts);
+        for (k, &count) in counts.iter().enumerate() {
+            assert_eq!(count, tree.range_count(data.point(k), 0.5, None));
+        }
     }
 
     #[test]
     fn empty_bucket_is_a_no_op() {
         let data = random_dataset(32, 3, 41);
         let tree = KdTree::build(&data);
-        let parts = tree.packed_parts();
         let mut counts = vec![99usize];
-        BatchRangeCount::new().run(&parts, &[], &[], &[], &mut counts);
+        BatchRangeCount::new().run(&tree, &[], 1.0, &[], &mut counts);
         assert!(counts.is_empty());
     }
 

@@ -52,13 +52,15 @@
 //!
 //! * **Nearest-denser queries.** Every algorithm's dependent point
 //!   (Definition 2) is the nearest point of strictly higher density:
-//!   [`PackedParts::nearest_denser`] prunes on the per-node maximum density
-//!   held by [`MaxKeys`] — the priority-search kd-tree of Huang, Yu & Shun
+//!   [`KdTree::nearest_denser`] prunes on the per-node maximum density held
+//!   by [`MaxKeys`] — the priority-search kd-tree of Huang, Yu & Shun
 //!   (*Faster Parallel Exact Density Peaks Clustering*, ACDA 2023). Equal
-//!   distances go to the smallest id, so the answer is unique. Its sibling
-//!   [`PackedParts::smallest_denser_label`] prunes the same way inside a
-//!   closed ball, plus on the per-node smallest label of [`MinLabels`]:
-//!   Approx-DPC's first denser neighbour cell of a cell's densest point.
+//!   distances go to the smallest id, so the answer is unique. It is the
+//!   tree's only nearest-point query: a plain nearest neighbour is the case
+//!   that keys every candidate above the query. Its sibling
+//!   [`KdTree::smallest_denser_label`] prunes the same way inside a closed
+//!   ball, plus on the per-node smallest label of [`MinLabels`]: Approx-DPC's
+//!   first denser neighbour cell of a cell's densest point.
 //!
 //! The tree is immutable; the streaming engine's mutable index is the
 //! separate [`IncrementalKdTree`](crate::IncrementalKdTree) arena tree.
@@ -193,58 +195,41 @@ impl KdTree {
         self.ids.is_empty()
     }
 
-    /// Borrowed view of the packed storage: everything a query needs, nothing
-    /// that owns an allocation. Queries on the view answer identically to the
-    /// same queries on the tree — the tree's own query methods delegate to it
-    /// — and `dpc-persist` encodes a tree from its view.
-    pub fn packed_parts(&self) -> PackedParts<'_> {
-        PackedParts {
-            dim: self.dim,
-            ids: &self.ids,
-            coords: &self.coords,
-            pos: &self.pos,
-            nodes: &self.nodes,
-            bounds: &self.bounds,
-        }
+    /// Point dimensionality; coordinate rows and per-node boxes are `dim` and
+    /// `2·dim` values wide.
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
-    /// Counts points whose distance to `query` is **at most** `radius` (closed
-    /// ball, Definition 1), **excluding** the point whose identifier equals
-    /// `exclude` (pass `None` to count every point).
+    /// Point identifiers in packed (partition) order: a permutation of
+    /// `0..n`.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Coordinates of [`KdTree::ids`] in the same order, row-major.
+    pub fn coords(&self) -> &[f64] {
+        &self.coords
+    }
+
+    /// The preorder node array.
+    pub fn nodes(&self) -> &[PackedNode] {
+        &self.nodes
+    }
+
+    /// Per-node bounding boxes: `dim` lows then `dim` highs per node.
+    pub fn bounds(&self) -> &[f64] {
+        &self.bounds
+    }
+
+    /// The packed coordinate row of point `id`, found through the position
+    /// map: a bit copy of the row the tree was built from.
     ///
-    /// This is the local-density primitive: Ex-DPC calls it once per point with
-    /// `exclude = Some(i)` so that a point does not count itself. A negative or
-    /// NaN radius counts nothing; radius `0` counts exact duplicates.
-    pub fn range_count(&self, query: &[f64], radius: f64, exclude: Option<usize>) -> usize {
-        self.packed_parts().range_count(query, radius, exclude)
-    }
-
-    /// Collects the identifiers of points whose distance to `query` is at most
-    /// `radius` (closed ball). The query point itself (if it is indexed) is
-    /// included because its distance is zero; callers that need to exclude it
-    /// filter by id.
-    pub fn range_search(&self, query: &[f64], radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.range_search_into(query, radius, &mut out);
-        out
-    }
-
-    /// Same as [`KdTree::range_search`] but appends into a caller-provided
-    /// buffer, allowing reuse across many queries (S-Approx-DPC lists the
-    /// `d_cut` ball of each local peak this way). The buffer is cleared first.
-    ///
-    /// Result order follows the packed layout, not point-identifier order.
-    pub fn range_search_into(&self, query: &[f64], radius: f64, out: &mut Vec<usize>) {
-        self.packed_parts().range_search_into(query, radius, out);
-    }
-
-    /// Finds the nearest neighbour of `query` among the indexed points,
-    /// excluding the point whose identifier equals `exclude` (if given).
-    ///
-    /// Returns `(point id, distance)` or `None` when the tree is empty (or only
-    /// contains the excluded point).
-    pub fn nearest_neighbor(&self, query: &[f64], exclude: Option<usize>) -> Option<(usize, f64)> {
-        self.packed_parts().nearest_neighbor(query, exclude)
+    /// # Panics
+    /// Panics if `id` is not below [`KdTree::len`].
+    pub fn point(&self, id: usize) -> &[f64] {
+        let row = self.pos[id] as usize * self.dim;
+        &self.coords[row..row + self.dim]
     }
 
     /// Whether two trees have bit-identical packed layouts: same permuted
@@ -360,55 +345,7 @@ impl KdTree {
         }
         Ok(Self { dim, ids, coords, pos, nodes, bounds })
     }
-}
 
-/// The position map of a tree's packed ids: `pos[id]` is the packed position
-/// of point `id`. Every tree indexes exactly the points `0..n`, so the map is
-/// the inverse permutation of `ids`.
-///
-/// # Errors
-/// When `ids` is not a permutation of `0..ids.len()`: an id is out of range
-/// or repeats.
-pub(crate) fn position_map(ids: &[u32]) -> Result<Vec<u32>, &'static str> {
-    let mut pos = vec![NONE; ids.len()];
-    for (k, &id) in ids.iter().enumerate() {
-        let Some(slot) = pos.get_mut(id as usize) else {
-            return Err("packed id out of range of the point count");
-        };
-        if *slot != NONE {
-            return Err("duplicate packed id");
-        }
-        *slot = k as u32;
-    }
-    Ok(pos)
-}
-
-/// A borrowed view of a packed kd-tree's storage — the five flat buffers plus
-/// the dimensionality, with no owning allocation in sight. All the query
-/// algorithms live here, and [`KdTree`] delegates to its own view.
-///
-/// The view does **not** re-validate its buffers — constructing one from
-/// untrusted data without the checks [`KdTree::from_packed_parts`] performs
-/// can give wrong answers or panic on out-of-bounds indices (never undefined
-/// behaviour). Obtain views from [`KdTree::packed_parts`].
-#[derive(Clone, Copy)]
-pub struct PackedParts<'t> {
-    /// Point dimensionality; coordinate rows and per-node boxes are `dim` and
-    /// `2·dim` values wide respectively.
-    pub dim: usize,
-    /// Point identifiers in packed (partition) order.
-    pub ids: &'t [u32],
-    /// Coordinates of `ids` in the same order, row-major.
-    pub coords: &'t [f64],
-    /// `pos[id]` = packed position of point `id`, the inverse of `ids`.
-    pub pos: &'t [u32],
-    /// Preorder node array.
-    pub nodes: &'t [PackedNode],
-    /// Per-node bounding boxes: `dim` lows then `dim` highs per node.
-    pub bounds: &'t [f64],
-}
-
-impl PackedParts<'_> {
     /// The bounding box `(lo, hi)` of node `idx`.
     #[inline]
     pub(crate) fn node_bounds(&self, idx: usize) -> (&[f64], &[f64]) {
@@ -425,9 +362,14 @@ impl PackedParts<'_> {
         (start <= p && p < end).then_some(p)
     }
 
-    /// Counts points whose distance to `query` is at most `radius` (closed
-    /// ball), excluding the point whose identifier equals `exclude`. See
-    /// [`KdTree::range_count`].
+    /// Counts points whose distance to `query` is **at most** `radius` (closed
+    /// ball, Definition 1), **excluding** the point whose identifier equals
+    /// `exclude` (pass `None` to count every point).
+    ///
+    /// This is the local-density primitive: Ex-DPC's count for point `i`
+    /// passes `exclude = Some(i)` so that a point does not count itself. A
+    /// negative or NaN radius counts nothing; radius `0` counts exact
+    /// duplicates.
     pub fn range_count(&self, query: &[f64], radius: f64, exclude: Option<usize>) -> usize {
         if self.ids.is_empty() || radius.is_nan() || radius < 0.0 {
             return 0;
@@ -473,9 +415,21 @@ impl PackedParts<'_> {
         count
     }
 
-    /// Appends the identifiers of points whose distance to `query` is at most
-    /// `radius` (closed ball) into `out`, clearing it first. See
-    /// [`KdTree::range_search_into`].
+    /// Collects the identifiers of points whose distance to `query` is at most
+    /// `radius` (closed ball). The query point itself (if it is indexed) is
+    /// included because its distance is zero; callers that need to exclude it
+    /// filter by id.
+    pub fn range_search(&self, query: &[f64], radius: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.range_search_into(query, radius, &mut out);
+        out
+    }
+
+    /// Same as [`KdTree::range_search`] but appends into a caller-provided
+    /// buffer, allowing reuse across many queries (S-Approx-DPC lists the
+    /// `d_cut` ball of each local peak this way). The buffer is cleared first.
+    ///
+    /// Result order follows the packed layout, not point-identifier order.
     pub fn range_search_into(&self, query: &[f64], radius: f64, out: &mut Vec<usize>) {
         out.clear();
         if self.ids.is_empty() || radius.is_nan() || radius < 0.0 {
@@ -515,66 +469,6 @@ impl PackedParts<'_> {
         }
     }
 
-    /// Finds the nearest neighbour of `query` among the indexed points,
-    /// excluding the point whose identifier equals `exclude` (if given). See
-    /// [`KdTree::nearest_neighbor`].
-    pub fn nearest_neighbor(&self, query: &[f64], exclude: Option<usize>) -> Option<(usize, f64)> {
-        if self.ids.is_empty() {
-            return None;
-        }
-        let excl = exclude.map(|e| e as u32).unwrap_or(NONE);
-        let dim = self.dim;
-        let mut best_id = NONE;
-        let mut best_d = f64::INFINITY;
-        let mut stack = [(0u32, 0.0f64); STACK_CAP];
-        {
-            let (lo, hi) = self.node_bounds(0);
-            stack[0] = (0, min_dist_sq_to_rect(query, lo, hi));
-        }
-        let mut top = 1usize;
-        while top > 0 {
-            top -= 1;
-            let (node_idx, min_d) = stack[top];
-            if min_d >= best_d {
-                continue;
-            }
-            let node = &self.nodes[node_idx as usize];
-            if node.right == NONE {
-                let (start, end) = (node.start as usize, node.end as usize);
-                let rows = &self.coords[start * dim..end * dim];
-                let skip = self.excluded_row(start, end, excl).map(|p| p - start);
-                if let Some((k, d)) = batch::nearest_in_bucket(query, rows, dim, skip) {
-                    if d < best_d {
-                        best_d = d;
-                        best_id = self.ids[start + k];
-                    }
-                }
-            } else {
-                let left = node_idx + 1;
-                let right = node.right;
-                let (llo, lhi) = self.node_bounds(left as usize);
-                let (rlo, rhi) = self.node_bounds(right as usize);
-                let ld = min_dist_sq_to_rect(query, llo, lhi);
-                let rd = min_dist_sq_to_rect(query, rlo, rhi);
-                // Push the farther child first so the nearer one is explored
-                // first, tightening `best_d` before the far box is reconsidered.
-                if ld <= rd {
-                    stack[top] = (right, rd);
-                    stack[top + 1] = (left, ld);
-                } else {
-                    stack[top] = (left, ld);
-                    stack[top + 1] = (right, rd);
-                }
-                top += 2;
-            }
-        }
-        if best_id == NONE {
-            None
-        } else {
-            Some((best_id as usize, best_d.sqrt()))
-        }
-    }
-
     /// Finds the nearest indexed point whose key is **strictly greater** than
     /// `key` — the dependent-point query of Definition 2 when the keys are
     /// local densities; `keys` must have been built from this tree. Equal
@@ -589,7 +483,7 @@ impl PackedParts<'_> {
         self.nearest_denser_counted(keys, query, key).0
     }
 
-    /// [`PackedParts::nearest_denser`] plus the number of nodes it visited.
+    /// [`KdTree::nearest_denser`] plus the number of nodes it visited.
     fn nearest_denser_counted(
         &self,
         keys: &MaxKeys,
@@ -704,6 +598,27 @@ impl PackedParts<'_> {
     }
 }
 
+/// The position map of a tree's packed ids: `pos[id]` is the packed position
+/// of point `id`. Every tree indexes exactly the points `0..n`, so the map is
+/// the inverse permutation of `ids`.
+///
+/// # Errors
+/// When `ids` is not a permutation of `0..ids.len()`: an id is out of range
+/// or repeats.
+fn position_map(ids: &[u32]) -> Result<Vec<u32>, &'static str> {
+    let mut pos = vec![NONE; ids.len()];
+    for (k, &id) in ids.iter().enumerate() {
+        let Some(slot) = pos.get_mut(id as usize) else {
+            return Err("packed id out of range of the point count");
+        };
+        if *slot != NONE {
+            return Err("duplicate packed id");
+        }
+        *slot = k as u32;
+    }
+    Ok(pos)
+}
+
 /// Folds per-point values in packed order into one value per node of
 /// `nodes`: a leaf folds its packed range from `empty`, an inner node folds
 /// its two children. Children follow their parent in preorder, so one
@@ -726,7 +641,7 @@ fn fold_nodes<T: Copy>(
 }
 
 /// The per-point keys of a packed kd-tree in packed order, plus the largest
-/// key under every node: the pruning data of [`PackedParts::nearest_denser`],
+/// key under every node: the pruning data of [`KdTree::nearest_denser`],
 /// valid only for the tree it was built from.
 #[derive(Clone, Debug)]
 pub struct MaxKeys {
@@ -742,9 +657,9 @@ impl MaxKeys {
     ///
     /// # Panics
     /// Panics if an indexed id is out of range of `key_by_id`.
-    pub fn new(tree: &PackedParts<'_>, key_by_id: &[f64]) -> Self {
+    pub fn new(tree: &KdTree, key_by_id: &[f64]) -> Self {
         let keys: Vec<f64> = tree.ids.iter().map(|&id| key_by_id[id as usize]).collect();
-        let node_max = fold_nodes(tree.nodes, &keys, f64::NEG_INFINITY, f64::max);
+        let node_max = fold_nodes(&tree.nodes, &keys, f64::NEG_INFINITY, f64::max);
         Self { keys, node_max }
     }
 
@@ -756,7 +671,7 @@ impl MaxKeys {
 
 /// The per-point labels of a packed kd-tree in packed order, plus the
 /// smallest label under every node: the label data of
-/// [`PackedParts::smallest_denser_label`], valid only for the tree it was
+/// [`KdTree::smallest_denser_label`], valid only for the tree it was
 /// built from.
 #[derive(Clone, Debug)]
 pub struct MinLabels {
@@ -773,7 +688,7 @@ impl MinLabels {
     /// # Panics
     /// Panics if an indexed id is out of range of `label_by_id`, or if a
     /// label is not below `u32::MAX`.
-    pub fn new(tree: &PackedParts<'_>, label_by_id: &[usize]) -> Self {
+    pub fn new(tree: &KdTree, label_by_id: &[usize]) -> Self {
         let labels: Vec<u32> = tree
             .ids
             .iter()
@@ -783,7 +698,7 @@ impl MinLabels {
                 label as u32
             })
             .collect();
-        let node_min = fold_nodes(tree.nodes, &labels, NONE, u32::min);
+        let node_min = fold_nodes(&tree.nodes, &labels, NONE, u32::min);
         Self { labels, node_min }
     }
 }
@@ -998,7 +913,7 @@ fn build_rec(ctx: &BuildCtx<'_, '_>, sub: Subtree<'_>, fork_levels: usize) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{brute_nn, brute_range_count, random_dataset};
+    use crate::test_util::{brute_range_count, random_dataset};
     use dpc_geometry::dist;
     use dpc_rng::StdRng;
 
@@ -1009,7 +924,6 @@ mod tests {
         assert!(tree.is_empty());
         assert_eq!(tree.range_count(&[0.0, 0.0], 10.0, None), 0);
         assert!(tree.range_search(&[0.0, 0.0], 10.0).is_empty());
-        assert!(tree.nearest_neighbor(&[0.0, 0.0], None).is_none());
     }
 
     #[test]
@@ -1019,11 +933,7 @@ mod tests {
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.range_count(&[5.0, 5.0], 1.0, None), 1);
         assert_eq!(tree.range_count(&[5.0, 5.0], 1.0, Some(0)), 0);
-        assert_eq!(
-            tree.nearest_neighbor(&[0.0, 0.0], None),
-            Some((0, dist(&[0.0, 0.0], &[5.0, 5.0])))
-        );
-        assert!(tree.nearest_neighbor(&[0.0, 0.0], Some(0)).is_none());
+        assert_eq!(tree.point(0), &[5.0, 5.0]);
     }
 
     #[test]
@@ -1117,23 +1027,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn nearest_neighbor_matches_brute_force() {
-        let ds = random_dataset(400, 2, 99);
-        let tree = KdTree::build(&ds);
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..60 {
-            let q: Vec<f64> = (0..2).map(|_| rng.gen_range(0.0..100.0)).collect();
-            let (got_id, got_d) = tree.nearest_neighbor(&q, None).unwrap();
-            let (want_id, want_d) = brute_nn(&ds, &q, None).unwrap();
-            assert!((got_d - want_d).abs() < 1e-9, "distance mismatch");
-            // Ties are possible with random data but vanishingly unlikely;
-            // compare distances rather than ids to stay robust.
-            assert!((dist(&q, ds.point(got_id)) - dist(&q, ds.point(want_id))).abs() < 1e-9);
-        }
-    }
-
-    /// `O(n)` reference for [`PackedParts::nearest_denser`]: the smallest
+    /// `O(n)` reference for [`KdTree::nearest_denser`]: the smallest
     /// `(squared distance, id)` among points whose key exceeds `key`.
     fn brute_nearest_denser(
         ds: &Dataset,
@@ -1172,8 +1066,7 @@ mod tests {
                     .map(|i| if i % 7 == 0 { f64::NEG_INFINITY } else { key(&mut rng) })
                     .collect();
                 let tree = KdTree::build(&ds);
-                let parts = tree.packed_parts();
-                let max_keys = MaxKeys::new(&parts, &keys);
+                let max_keys = MaxKeys::new(&tree, &keys);
                 let top = keys.iter().fold(f64::NEG_INFINITY, |m, &k| m.max(k));
                 // Every point against its own key (the dependent-point use),
                 // off-dataset queries with random keys, and a key above all.
@@ -1185,21 +1078,21 @@ mod tests {
                 }
                 queries.push((ds.point(0).to_vec(), top));
                 for (q, key) in &queries {
-                    let (got, visits) = parts.nearest_denser_counted(&max_keys, q, *key);
+                    let (got, visits) = tree.nearest_denser_counted(&max_keys, q, *key);
                     let want = brute_nearest_denser(&ds, &keys, q, *key);
                     assert_eq!(got, want, "dim {dim}, snapped {snapped}, {q:?} above {key}");
                     assert!(visits <= packed_node_count(ds.len()), "{visits} visits");
                 }
-                assert_eq!(parts.nearest_denser(&max_keys, ds.point(0), top), None);
+                assert_eq!(tree.nearest_denser(&max_keys, ds.point(0), top), None);
             }
         }
         let empty = Dataset::new(2);
         let tree = KdTree::build(&empty);
-        let keys = MaxKeys::new(&tree.packed_parts(), &[]);
-        assert_eq!(tree.packed_parts().nearest_denser(&keys, &[1.0, 2.0], 0.0), None);
+        let keys = MaxKeys::new(&tree, &[]);
+        assert_eq!(tree.nearest_denser(&keys, &[1.0, 2.0], 0.0), None);
     }
 
-    /// `O(n)` reference for [`PackedParts::smallest_denser_label`]: the
+    /// `O(n)` reference for [`KdTree::smallest_denser_label`]: the
     /// smallest label among points with `dist_sq ≤ radius²` and key > `key`.
     fn brute_smallest_denser_label(
         ds: &Dataset,
@@ -1241,9 +1134,8 @@ mod tests {
                     .collect();
                 let labels: Vec<usize> = (0..ds.len()).map(|_| rng.gen_range(0..60)).collect();
                 let tree = KdTree::build(&ds);
-                let parts = tree.packed_parts();
-                let max_keys = MaxKeys::new(&parts, &keys);
-                let min_labels = MinLabels::new(&parts, &labels);
+                let max_keys = MaxKeys::new(&tree, &keys);
+                let min_labels = MinLabels::new(&tree, &labels);
                 let top = keys.iter().fold(f64::NEG_INFINITY, |m, &k| m.max(k));
                 let mut queries: Vec<(Vec<f64>, f64)> =
                     (0..ds.len()).map(|i| (ds.point(i).to_vec(), keys[i])).collect();
@@ -1254,14 +1146,14 @@ mod tests {
                 for radius in [0.0, 10.0, 25.0] {
                     for (q, key) in &queries {
                         let got =
-                            parts.smallest_denser_label(&max_keys, &min_labels, q, radius, *key);
+                            tree.smallest_denser_label(&max_keys, &min_labels, q, radius, *key);
                         let want =
                             brute_smallest_denser_label(&ds, &keys, &labels, q, radius, *key);
                         assert_eq!(got, want, "dim {dim}, snapped {snapped}, r {radius}, {q:?}");
                     }
                     let q = ds.point(0);
                     assert_eq!(
-                        parts.smallest_denser_label(&max_keys, &min_labels, q, radius, top),
+                        tree.smallest_denser_label(&max_keys, &min_labels, q, radius, top),
                         None
                     );
                 }
@@ -1271,21 +1163,19 @@ mod tests {
         // beyond it does not (3-4-5 distances are exact in f64).
         let ds = Dataset::from_flat(2, vec![0.0, 0.0, 3.0, 4.0, 6.0, 0.0, -3.0, -4.0000001]);
         let tree = KdTree::build(&ds);
-        let parts = tree.packed_parts();
-        let max_keys = MaxKeys::new(&parts, &[0.0, 2.0, 5.0, 9.0]);
-        let min_labels = MinLabels::new(&parts, &[0, 7, 1, 3]);
+        let max_keys = MaxKeys::new(&tree, &[0.0, 2.0, 5.0, 9.0]);
+        let min_labels = MinLabels::new(&tree, &[0, 7, 1, 3]);
         let q = [0.0, 0.0];
-        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 5.0, 0.0), Some(7));
-        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 6.0, 0.0), Some(1));
-        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 6.0, 5.0), Some(3));
-        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 5.0, 2.0), None);
-        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, -1.0, -1.0), None);
-        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, f64::NAN, -1.0), None);
+        assert_eq!(tree.smallest_denser_label(&max_keys, &min_labels, &q, 5.0, 0.0), Some(7));
+        assert_eq!(tree.smallest_denser_label(&max_keys, &min_labels, &q, 6.0, 0.0), Some(1));
+        assert_eq!(tree.smallest_denser_label(&max_keys, &min_labels, &q, 6.0, 5.0), Some(3));
+        assert_eq!(tree.smallest_denser_label(&max_keys, &min_labels, &q, 5.0, 2.0), None);
+        assert_eq!(tree.smallest_denser_label(&max_keys, &min_labels, &q, -1.0, -1.0), None);
+        assert_eq!(tree.smallest_denser_label(&max_keys, &min_labels, &q, f64::NAN, -1.0), None);
         let empty = Dataset::new(2);
         let tree = KdTree::build(&empty);
-        let parts = tree.packed_parts();
-        let (max_keys, min_labels) = (MaxKeys::new(&parts, &[]), MinLabels::new(&parts, &[]));
-        assert_eq!(parts.smallest_denser_label(&max_keys, &min_labels, &q, 1e9, 0.0), None);
+        let (max_keys, min_labels) = (MaxKeys::new(&tree, &[]), MinLabels::new(&tree, &[]));
+        assert_eq!(tree.smallest_denser_label(&max_keys, &min_labels, &q, 1e9, 0.0), None);
     }
 
     #[test]
@@ -1297,12 +1187,11 @@ mod tests {
         let ds = Dataset::from_flat(2, [3.0, 4.0].repeat(n));
         let keys: Vec<f64> = (0..n).map(|i| ((i * 7919) % n) as f64).collect();
         let tree = KdTree::build(&ds);
-        let parts = tree.packed_parts();
-        let max_keys = MaxKeys::new(&parts, &keys);
-        let (found, visits) = parts.nearest_denser_counted(&max_keys, &[0.0, 0.0], -1.0);
+        let max_keys = MaxKeys::new(&tree, &keys);
+        let (found, visits) = tree.nearest_denser_counted(&max_keys, &[0.0, 0.0], -1.0);
         assert_eq!((found, visits), (Some((0, 5.0)), packed_node_count(n)));
         let want = (0..n).find(|&i| keys[i] > 500.0);
-        let (found, _) = parts.nearest_denser_counted(&max_keys, &[0.0, 0.0], 500.0);
+        let (found, _) = tree.nearest_denser_counted(&max_keys, &[0.0, 0.0], 500.0);
         assert_eq!(found, want.map(|i| (i, 5.0)));
     }
 
@@ -1326,7 +1215,6 @@ mod tests {
         assert_eq!(tree.range_count(&[3.0, 3.0], 0.1, None), n);
         assert_eq!(tree.range_count(&[3.0, 3.0], 0.1, Some(7)), n - 1);
         assert_eq!(tree.range_search(&[3.0, 3.0], 0.1).len(), n);
-        assert_eq!(tree.nearest_neighbor(&[0.0, 0.0], None).map(|(_, d)| d < 5.0), Some(true));
     }
 
     #[test]
@@ -1341,7 +1229,9 @@ mod tests {
             assert_eq!(tree.range_count(&q, r, None), want);
             assert_eq!(tree.range_search(&q, r).len(), want);
         }
-        let (nn, d) = tree.nearest_neighbor(&[5.4, 1.0], None).unwrap();
+        // Every key 0 above the query's −1: a plain nearest neighbour.
+        let keys = MaxKeys::new(&tree, &vec![0.0; n]);
+        let (nn, d) = tree.nearest_denser(&keys, &[5.4, 1.0], -1.0).unwrap();
         assert_eq!(nn, 5);
         assert!((d - dist(&[5.4, 1.0], &[5.0, 0.0])).abs() < 1e-12);
     }
@@ -1357,9 +1247,7 @@ mod tests {
                 tree.range_count(q, 30.0, Some(id)),
                 brute_range_count(&ds, q, 30.0, Some(id))
             );
-            let (_, d) = tree.nearest_neighbor(q, Some(id)).unwrap();
-            let (_, want) = brute_nn(&ds, q, Some(id)).unwrap();
-            assert!((d - want).abs() < 1e-12);
+            assert_eq!(tree.point(id), q);
         }
     }
 
@@ -1446,8 +1334,8 @@ mod tests {
     /// Destructure a tree into owned copies of its packed storage, the way a
     /// decoder hands parts back to [`KdTree::from_packed_parts`].
     fn parts_of(tree: &KdTree) -> OwnedParts {
-        let p = tree.packed_parts();
-        (p.dim, p.ids.to_vec(), p.coords.to_vec(), p.nodes.to_vec(), p.bounds.to_vec())
+        let (ids, coords) = (tree.ids().to_vec(), tree.coords().to_vec());
+        (tree.dim(), ids, coords, tree.nodes().to_vec(), tree.bounds().to_vec())
     }
 
     #[test]
@@ -1473,7 +1361,7 @@ mod tests {
             let (d, ids, coords, nodes, bounds) = parts_of(&tree);
             let rebuilt = KdTree::from_packed_parts(d, ids, coords, nodes, bounds).unwrap();
             assert!(rebuilt.layout_eq(&tree), "n = {n}, dim = {dim}");
-            assert_eq!(rebuilt.packed_parts().pos, tree.packed_parts().pos, "n = {n}");
+            assert_eq!(rebuilt.pos, tree.pos, "n = {n}");
         }
     }
 
@@ -1557,23 +1445,6 @@ mod tests {
         for dim in [0, 1, 3] {
             let (_, i, c, n, b) = parts.clone();
             assert!(KdTree::from_packed_parts(dim, i, c, n, b).is_err(), "dim {dim}");
-        }
-    }
-
-    #[test]
-    fn packed_parts_view_answers_like_the_tree() {
-        let ds = random_dataset(600, 3, 23);
-        let tree = KdTree::build(&ds);
-        let view = tree.packed_parts();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut buf = Vec::new();
-        for _ in 0..40 {
-            let q: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..100.0)).collect();
-            let r = rng.gen_range(1.0..40.0);
-            assert_eq!(view.range_count(&q, r, Some(3)), tree.range_count(&q, r, Some(3)));
-            view.range_search_into(&q, r, &mut buf);
-            assert_eq!(buf, tree.range_search(&q, r));
-            assert_eq!(view.nearest_neighbor(&q, None), tree.nearest_neighbor(&q, None));
         }
     }
 

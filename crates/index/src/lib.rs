@@ -8,12 +8,16 @@
 //!   point — and all query paths are allocation-free. Construction fans out
 //!   across worker threads ([`KdTree::build_parallel`]) with a bit-identical
 //!   result at every thread count. With a [`MaxKeys`] array it also answers
-//!   the one dependent-point query every algorithm uses: the nearest point
-//!   whose key (local density) is strictly greater than the query's, ties to
-//!   the smallest id ([`PackedParts::nearest_denser`]). With a [`MinLabels`]
-//!   array too, it answers Approx-DPC's cell rule: the smallest label (cell
-//!   id) among the points within a radius whose key is greater than the
-//!   query's ([`PackedParts::smallest_denser_label`]). See the module docs of
+//!   the one dependent-point query every algorithm uses, and its only
+//!   nearest-point query: the nearest point whose key (local density) is
+//!   strictly greater than the query's, ties to the smallest id
+//!   ([`KdTree::nearest_denser`]). With a [`MinLabels`] array too, it answers
+//!   Approx-DPC's cell rule: the smallest label (cell id) among the points
+//!   within a radius whose key is greater than the query's
+//!   ([`KdTree::smallest_denser_label`]). Its packed storage is readable
+//!   through accessors (`dim`, `ids`, `coords`, `nodes`, `bounds`, and
+//!   `point(id)` through the position map); a decoded tree is reassembled and
+//!   checked by [`KdTree::from_packed_parts`]. See the module docs of
 //!   [`kdtree`] for the layout.
 //! * [`IncrementalKdTree`] — the one-point-per-node arena tree supporting
 //!   **insertion and removal**: the mutable index of `StreamingDpc`, whose
@@ -29,7 +33,7 @@
 //!   threads ([`Grid::build_parallel`]) with a byte-for-byte identical CSR
 //!   layout at every thread count (the [`Grid::layout_eq`] contract).
 //! * [`batchq`] — batched range counts over the packed tree, the ρ phase of
-//!   every algorithm: a bucket of query balls (the points of adjacent grid
+//!   every algorithm: a bucket of `d_cut` balls (the points of adjacent grid
 //!   cells, via [`Grid::query_buckets`]) descends the tree **once**, pruning
 //!   with the bucket's joint bounding box and feeding each leaf's contiguous
 //!   rows to the SIMD batch kernels per still-active query. Every count is
@@ -47,7 +51,7 @@ pub mod rtree;
 pub use batchq::BatchRangeCount;
 pub use grid::{CellId, Grid, QueryBuckets};
 pub use incremental::IncrementalKdTree;
-pub use kdtree::{KdTree, MaxKeys, MinLabels, PackedNode, PackedParts};
+pub use kdtree::{KdTree, MaxKeys, MinLabels, PackedNode};
 pub use rtree::RTree;
 
 /// Brute-force reference implementations shared by the kd-tree test modules.

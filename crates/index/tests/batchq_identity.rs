@@ -41,26 +41,22 @@ fn gather_rows(data: &Dataset, ids: &[usize]) -> Vec<f64> {
 }
 
 /// Asserts the batched counts of `queries` (dataset point ids) against the
-/// single-query traversals, for the given radii and exclusions.
+/// single-query traversals, for the given radius and exclusions.
 fn assert_bucket_identity(
     data: &Dataset,
     tree: &KdTree,
     query_ids: &[usize],
-    radii: &[f64],
+    radius: f64,
     exclude: &[u32],
 ) {
-    let parts = tree.packed_parts();
     let rows = gather_rows(data, query_ids);
     let mut counts = Vec::new();
-    BatchRangeCount::new().run(&parts, &rows, radii, exclude, &mut counts);
+    BatchRangeCount::new().run(tree, &rows, radius, exclude, &mut counts);
     for (k, &i) in query_ids.iter().enumerate() {
-        let excl = match exclude.get(k) {
-            Some(&e) if e != batchq::NO_EXCLUDE => Some(e as usize),
-            _ => None,
-        };
+        let excl = (exclude[k] != batchq::NO_EXCLUDE).then_some(exclude[k] as usize);
         assert_eq!(
             counts[k],
-            tree.range_count(data.point(i), radii[k], excl),
+            tree.range_count(data.point(i), radius, excl),
             "count mismatch for query point {i}"
         );
     }
@@ -79,9 +75,8 @@ fn grid_buckets_are_bit_identical_to_per_point_queries() {
             for &cell in bucket {
                 ids.extend_from_slice(grid.points(cell));
             }
-            let radii = vec![dcut; ids.len()];
             let exclude: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
-            assert_bucket_identity(&data, &tree, &ids, &radii, &exclude);
+            assert_bucket_identity(&data, &tree, &ids, dcut, &exclude);
         }
     }
 }
@@ -95,9 +90,8 @@ fn duplicate_heavy_datasets_keep_tie_handling_identical() {
         // Radius 0 hits exact duplicates only; a positive radius spans the
         // duplicate clusters.
         for radius in [0.0, 30.0] {
-            let radii = vec![radius; ids.len()];
             let exclude: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
-            assert_bucket_identity(&data, &tree, &ids, &radii, &exclude);
+            assert_bucket_identity(&data, &tree, &ids, radius, &exclude);
         }
     }
 }
@@ -116,10 +110,11 @@ fn exact_boundary_radii_stay_closed_ball() {
         ds.push(&[10.0 + (i % 7) as f64, 20.0 + (i % 5) as f64]);
     }
     let tree = KdTree::build(&ds);
-    let ids: Vec<usize> = (0..ds.len()).collect();
-    let radii: Vec<f64> = ids.iter().map(|&i| if i < 4 { 5.0 } else { 2.0 }).collect();
-    let exclude: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
-    assert_bucket_identity(&ds, &tree, &ids, &radii, &exclude);
+    // One batch per radius: the 3-4-5 points at 5, the lattice at 2.
+    for (ids, radius) in [((0..4).collect::<Vec<usize>>(), 5.0), ((4..ds.len()).collect(), 2.0)] {
+        let exclude: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
+        assert_bucket_identity(&ds, &tree, &ids, radius, &exclude);
+    }
     // Sanity: the boundary really is exercised.
     assert_eq!(dist(ds.point(0), ds.point(1)), 5.0);
     assert_eq!(tree.range_count(ds.point(0), 5.0, Some(0)), 1);
@@ -132,33 +127,28 @@ fn adversarial_groupings_do_not_change_results() {
     // reference (so any consumer's bucketing policy is behaviour-neutral).
     let data = random_dataset(500, 3, 210);
     let tree = KdTree::build(&data);
-    let parts = tree.packed_parts();
     let mut rng = StdRng::seed_from_u64(211);
-    let mut ids: Vec<usize> = (0..data.len()).collect();
+    let mut shuffled: Vec<usize> = (0..data.len()).collect();
     // Shuffle so bucket membership is spatially incoherent.
-    rng.shuffle(&mut ids);
-    let radii: Vec<f64> = ids.iter().map(|&i| 1.0 + (i % 13) as f64).collect();
-    let exclude: Vec<u32> =
-        ids.iter().map(|&i| if i % 3 == 0 { i as u32 } else { batchq::NO_EXCLUDE }).collect();
-    // Giant bucket.
-    assert_bucket_identity(&data, &tree, &ids, &radii, &exclude);
-    // Singletons and uneven chunks.
+    rng.shuffle(&mut shuffled);
     let mut engine = BatchRangeCount::new();
     let mut counts = Vec::new();
-    for chunk in [1usize, 7, 64] {
-        for (k0, group) in ids.chunks(chunk).enumerate() {
-            let base = k0 * chunk;
-            let rows = gather_rows(&data, group);
-            engine.run(
-                &parts,
-                &rows,
-                &radii[base..base + group.len()],
-                &exclude[base..base + group.len()],
-                &mut counts,
-            );
-            for (j, &i) in group.iter().enumerate() {
-                let excl = if i % 3 == 0 { Some(i) } else { None };
-                assert_eq!(counts[j], tree.range_count(data.point(i), radii[base + j], excl));
+    // One batch family per radius, each over the points that take it.
+    for j in 0..13 {
+        let radius = 1.0 + j as f64;
+        let ids: Vec<usize> = shuffled.iter().copied().filter(|i| i % 13 == j).collect();
+        let exclude: Vec<u32> =
+            ids.iter().map(|&i| if i % 3 == 0 { i as u32 } else { batchq::NO_EXCLUDE }).collect();
+        // Giant bucket.
+        assert_bucket_identity(&data, &tree, &ids, radius, &exclude);
+        // Singletons and uneven chunks.
+        for chunk in [1usize, 7, 64] {
+            for (group, excl) in ids.chunks(chunk).zip(exclude.chunks(chunk)) {
+                engine.run(&tree, &gather_rows(&data, group), radius, excl, &mut counts);
+                for (k, &i) in group.iter().enumerate() {
+                    let want = (i % 3 == 0).then_some(i);
+                    assert_eq!(counts[k], tree.range_count(data.point(i), radius, want));
+                }
             }
         }
     }
@@ -166,19 +156,17 @@ fn adversarial_groupings_do_not_change_results() {
 
 #[test]
 fn off_dataset_queries_and_extreme_radii() {
-    // Queries that are not dataset points, zero/huge radii, and an empty
-    // exclusion slice.
+    // Queries that are not dataset points, zero/huge radii, and no exclusion.
     let data = random_dataset(600, 2, 401);
     let tree = KdTree::build(&data);
-    let parts = tree.packed_parts();
     let mut rng = StdRng::seed_from_u64(402);
     let k = 64;
     let rows: Vec<f64> = (0..k * 2).map(|_| rng.gen_range(-20.0..120.0)).collect();
-    let radii: Vec<f64> = (0..k).map(|q| [0.0, 1e-3, 5.0, 1e6][q % 4]).collect();
-    let mut counts = Vec::new();
-    BatchRangeCount::new().run(&parts, &rows, &radii, &[], &mut counts);
-    for q in 0..k {
-        let query = &rows[q * 2..(q + 1) * 2];
-        assert_eq!(counts[q], tree.range_count(query, radii[q], None));
+    let (exclude, mut counts) = (vec![batchq::NO_EXCLUDE; k], Vec::new());
+    for radius in [0.0, 1e-3, 5.0, 1e6] {
+        BatchRangeCount::new().run(&tree, &rows, radius, &exclude, &mut counts);
+        for (q, query) in rows.chunks_exact(2).enumerate() {
+            assert_eq!(counts[q], tree.range_count(query, radius, None));
+        }
     }
 }

@@ -99,7 +99,7 @@ pub trait PersistTree: Sized {
 impl PersistTree for KdTree {
     fn to_bytes(&self) -> Vec<u8> {
         let mut writer = format::ArtifactWriter::new();
-        tree::write_tree_sections(&mut writer, &self.packed_parts());
+        tree::write_tree_sections(&mut writer, self);
         writer.finish()
     }
 

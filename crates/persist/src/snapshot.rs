@@ -38,7 +38,7 @@ impl SnapshotArtifact {
         assert_eq!(model.n(), tree.len(), "model and tree point counts disagree");
         let mut writer = ArtifactWriter::new();
         write_model_sections(&mut writer, model);
-        write_tree_sections(&mut writer, &tree.packed_parts());
+        write_tree_sections(&mut writer, tree);
         let mut snap = Vec::new();
         snap.put_f64(thresholds.rho_min);
         snap.put_f64(thresholds.delta_min);
@@ -93,10 +93,9 @@ impl SnapshotArtifact {
     /// ones, and decoding has already checked that the ids are a permutation
     /// of `0..n`, so every row lands in exactly one slot.
     pub fn dataset(&self) -> Dataset {
-        let parts = self.tree.packed_parts();
-        let dim = parts.dim;
-        let mut flat = vec![0.0; parts.coords.len()];
-        for (&id, row) in parts.ids.iter().zip(parts.coords.chunks_exact(dim)) {
+        let (dim, coords) = (self.tree.dim(), self.tree.coords());
+        let mut flat = vec![0.0; coords.len()];
+        for (&id, row) in self.tree.ids().iter().zip(coords.chunks_exact(dim)) {
             flat[id as usize * dim..(id as usize + 1) * dim].copy_from_slice(row);
         }
         Dataset::from_flat(dim, flat)

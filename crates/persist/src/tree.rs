@@ -2,33 +2,33 @@
 //! and decoding it back.
 
 use dpc_core::DpcError;
-use dpc_index::{KdTree, PackedNode, PackedParts};
+use dpc_index::{KdTree, PackedNode};
 
 use crate::format::{kind, read_array, ArtifactWriter, Cursor, PayloadExt, Sections};
 
 /// Appends the sections of a tree's packed storage to an artifact under
 /// construction. Shared by the standalone tree artifact and the combined
 /// snapshot artifact. The position map is not written: decoders derive it.
-pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, parts: &PackedParts<'_>) {
+pub(crate) fn write_tree_sections(writer: &mut ArtifactWriter, tree: &KdTree) {
     let mut meta = Vec::new();
-    meta.put_u64(parts.dim as u64);
-    meta.put_u64(parts.ids.len() as u64);
-    meta.put_u64(parts.nodes.len() as u64);
+    meta.put_u64(tree.dim() as u64);
+    meta.put_u64(tree.len() as u64);
+    meta.put_u64(tree.nodes().len() as u64);
     writer.section(kind::TREE_META, meta);
 
     let mut ids = Vec::new();
-    ids.put_u32_slice(parts.ids);
+    ids.put_u32_slice(tree.ids());
     writer.section(kind::TREE_IDS, ids);
     let mut coords = Vec::new();
-    coords.put_f64_slice(parts.coords);
+    coords.put_f64_slice(tree.coords());
     writer.section(kind::TREE_COORDS, coords);
     let mut nodes = Vec::new();
-    for node in parts.nodes {
+    for node in tree.nodes() {
         nodes.put_u32_slice(&[node.start, node.end, node.right]);
     }
     writer.section(kind::TREE_NODES, nodes);
     let mut bounds = Vec::new();
-    bounds.put_f64_slice(parts.bounds);
+    bounds.put_f64_slice(tree.bounds());
     writer.section(kind::TREE_BOUNDS, bounds);
 }
 
@@ -75,10 +75,30 @@ mod tests {
 
     /// A snapshot artifact whose tree carries `ids` in place of its own, with
     /// valid checksums, so only the decoders' semantic checks can reject it.
+    /// The tree sections are written as `write_tree_sections` writes them.
     fn snapshot_with_ids(model: &DpcModel, tree: &KdTree, ids: &[u32]) -> Vec<u8> {
         let mut writer = ArtifactWriter::new();
         write_model_sections(&mut writer, model);
-        write_tree_sections(&mut writer, &PackedParts { ids, ..tree.packed_parts() });
+        let mut meta = Vec::new();
+        for count in [tree.dim(), ids.len(), tree.nodes().len()] {
+            meta.put_u64(count as u64);
+        }
+        let mut id_bytes = Vec::new();
+        id_bytes.put_u32_slice(ids);
+        let mut coords = Vec::new();
+        coords.put_f64_slice(tree.coords());
+        let mut nodes = Vec::new();
+        for node in tree.nodes() {
+            nodes.put_u32_slice(&[node.start, node.end, node.right]);
+        }
+        let mut bounds = Vec::new();
+        bounds.put_f64_slice(tree.bounds());
+        writer
+            .section(kind::TREE_META, meta)
+            .section(kind::TREE_IDS, id_bytes)
+            .section(kind::TREE_COORDS, coords)
+            .section(kind::TREE_NODES, nodes)
+            .section(kind::TREE_BOUNDS, bounds);
         let mut snap = Vec::new();
         snap.put_f64(1.0);
         snap.put_f64(2.0);
@@ -92,7 +112,7 @@ mod tests {
         let data = Dataset::from_flat(2, (0..2 * n).map(|i| ((i * 37) % 101) as f64).collect());
         let model = ExDpc::new(DpcParams::new(10.0)).fit(&data).unwrap();
         let tree = KdTree::build(&data);
-        let ids = tree.packed_parts().ids;
+        let ids = tree.ids();
         assert!(SnapshotArtifact::from_bytes(&snapshot_with_ids(&model, &tree, ids)).is_ok());
 
         let mut repeated = ids.to_vec();

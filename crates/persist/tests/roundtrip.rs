@@ -111,7 +111,7 @@ fn trees_with_duplicates_signed_zeros_and_subnormals_round_trip() {
     for i in 0..data.len() {
         let q = data.point(i);
         assert_eq!(back.range_count(q, 3.0, Some(i)), tree.range_count(q, 3.0, Some(i)));
-        assert_eq!(back.nearest_neighbor(q, Some(i)), tree.nearest_neighbor(q, Some(i)));
+        assert_eq!(back.range_search(q, 3.0), tree.range_search(q, 3.0));
     }
 }
 
@@ -124,7 +124,7 @@ fn empty_tree_round_trips() {
     assert!(back.layout_eq(&tree));
     assert!(back.is_empty());
     assert_eq!(back.range_count(&[0.0, 0.0], 1.0, None), 0);
-    assert_eq!(back.nearest_neighbor(&[0.0, 0.0], None), None);
+    assert!(back.range_search(&[0.0, 0.0], 1.0).is_empty());
 }
 
 #[test]

@@ -8,10 +8,11 @@
 //!    `(0, 1)` on top of their integer counts, so a *new* query gets the
 //!    interval midpoint `count + 0.5` — it compares against every fitted
 //!    density exactly as an equal integer count "on average", and strictly
-//!    between the counts below and above it. A query that coincides with a
-//!    fitted point (nearest neighbour at distance exactly `0`) short-circuits
-//!    to that point's own fitted `ρ`/`δ`/dependent/label, making assignment
-//!    of in-dataset points exact by construction.
+//!    between the counts below and above it. A query that coincides with
+//!    fitted points (the closed ball of radius `0` around it holds them)
+//!    short-circuits to the fitted `ρ`/`δ`/dependent/label of the smallest id
+//!    among them, making assignment of in-dataset points exact by
+//!    construction.
 //! 2. **Dependent point.** The nearest snapshot point with `ρ > ρ_q`, equal
 //!    distances going to the smallest id: one nearest-denser search of the
 //!    snapshot's kd-tree, pruned by its max-ρ array — the query the fits use,
@@ -62,26 +63,6 @@ pub fn classify_within(
     point: &[f64],
     deadline: &Deadline,
 ) -> Result<AssignResponse, ServeError> {
-    classify_prepared(snapshot, point, deadline, None)
-}
-
-/// [`classify_within`] with an optionally precomputed query density.
-///
-/// The batch path groups concurrent `Assign` points by grid cell and answers
-/// their `d_cut` range counts with one joint kd-tree descent per group
-/// (`dpc_index::batchq`); it hands the resulting `count + 0.5` in here so the
-/// classification skips its solo `range_count`. The batched engine's
-/// determinism contract makes the precomputed value bit-identical to the solo
-/// count, so batched and solo assignment agree exactly. `None` means "compute
-/// it here" — the solo path. A query that coincides with a fitted point still
-/// short-circuits to that point's fitted quantities before `rho` is ever
-/// looked at, on both paths.
-pub(crate) fn classify_prepared(
-    snapshot: &Snapshot,
-    point: &[f64],
-    deadline: &Deadline,
-    precomputed_rho: Option<f64>,
-) -> Result<AssignResponse, ServeError> {
     deadline.check()?;
     if point.len() != snapshot.dim() {
         return Err(DpcError::DimensionMismatch {
@@ -101,32 +82,30 @@ pub(crate) fn classify_prepared(
     let tree = snapshot.tree();
     let n = snapshot.n();
 
-    // A snapshot always covers at least one point (fit rejects empty data).
-    let (nn, nn_dist) =
-        tree.nearest_neighbor(point, None).expect("snapshot datasets are never empty");
-
-    if nn_dist == 0.0 {
+    let mut hits = Vec::new();
+    tree.range_search_into(point, 0.0, &mut hits);
+    if let Some(&hit) = hits.iter().min() {
         // The query *is* a fitted point: answer with its fitted quantities so
-        // in-dataset assignment agrees bit-for-bit with `extract`.
-        let rho = model.rho_at(nn);
-        let delta = model.delta_at(nn);
-        let dependent = model.dependent_at(nn);
+        // in-dataset assignment agrees bit-for-bit with `extract`. Among
+        // coinciding duplicates the smallest id answers.
+        let rho = model.rho_at(hit);
+        let delta = model.delta_at(hit);
+        let dependent = model.dependent_at(hit);
         return Ok(AssignResponse {
             epoch: snapshot.epoch(),
             n,
             rho,
             delta,
-            dependent: if dependent == nn { None } else { Some(dependent) },
-            label: clustering.assignment[nn],
+            dependent: if dependent == hit { None } else { Some(dependent) },
+            label: clustering.assignment[hit],
             would_be_center: rho >= thresholds.rho_min && delta >= thresholds.delta_min,
         });
     }
 
-    let rho = precomputed_rho
-        .unwrap_or_else(|| tree.range_count(point, snapshot.dcut(), None) as f64 + 0.5);
+    let rho = tree.range_count(point, snapshot.dcut(), None) as f64 + 0.5;
 
     deadline.check()?;
-    let found = tree.packed_parts().nearest_denser(&snapshot.max_rho, point, rho);
+    let found = tree.nearest_denser(&snapshot.max_rho, point, rho);
     let (dependent, delta) = (found.map(|(j, _)| j), found.map_or(f64::INFINITY, |(_, d)| d));
 
     let label = match dependent {
@@ -171,6 +150,37 @@ mod tests {
     }
 
     #[test]
+    fn a_query_on_fitted_duplicates_answers_for_the_smallest_id() {
+        // A blob with a copy of one point after every fifth blob point: each
+        // copy has its own jittered ρ, hence its own fitted answer, and the
+        // smallest copy id is not the first copy in packed order.
+        let blob = gaussian_blobs(&[(0.0, 0.0)], 200, 2.0, 5);
+        let dup = [0.5, -0.25];
+        let (mut data, mut copies) = (dpc_geometry::Dataset::new(2), Vec::new());
+        for i in 0..blob.len() {
+            if i % 5 == 3 {
+                copies.push(data.len());
+                data.push(&dup);
+            }
+            data.push(blob.point(i));
+        }
+        let model = ExDpc::new(DpcParams::new(4.0)).fit(&data).unwrap();
+        let th = Thresholds::new(2.0, 10.0).unwrap();
+        let snap = Snapshot::new(Arc::new(data), model, th, &Executor::single());
+        let ids = snap.tree().ids();
+        let first = ids.iter().map(|&id| id as usize).find(|id| copies.contains(id));
+        let smallest = copies[0];
+        assert_ne!(first, Some(smallest), "the smallest copy must not come first in packed order");
+
+        let r = classify(&snap, &dup).unwrap();
+        let m = snap.model();
+        assert_eq!(r.rho.to_bits(), m.rho_at(smallest).to_bits());
+        assert_eq!(r.delta.to_bits(), m.delta_at(smallest).to_bits());
+        assert_eq!(r.dependent, Some(m.dependent_at(smallest)).filter(|&d| d != smallest));
+        assert_eq!(r.label, snap.clustering().assignment[smallest]);
+    }
+
+    #[test]
     fn a_point_near_a_blob_joins_that_blob() {
         let snap = snapshot();
         // Find the label each blob's centre region carries.
@@ -196,13 +206,11 @@ mod tests {
     }
 
     /// Demands the brute-force answer over every snapshot point: `ρ_q =
-    /// count + 0.5` (unless given), the nearest point denser than `ρ_q` with
-    /// the smallest id on equal distances, and that point's label.
-    fn assert_brute_force(snap: &Snapshot, q: &[f64], given_rho: Option<f64>) {
+    /// count + 0.5`, the nearest point denser than `ρ_q` with the smallest id
+    /// on equal distances, and that point's label.
+    fn assert_brute_force(snap: &Snapshot, q: &[f64]) {
         let point = |j: usize| snap.data().point(j);
-        let rho = given_rho.unwrap_or_else(|| {
-            (0..snap.n()).filter(|&j| dist(q, point(j)) <= snap.dcut()).count() as f64 + 0.5
-        });
+        let rho = (0..snap.n()).filter(|&j| dist(q, point(j)) <= snap.dcut()).count() as f64 + 0.5;
         let best = (0..snap.n())
             .filter(|&j| snap.model().rho_at(j) > rho)
             .map(|j| (dist(q, point(j)), j))
@@ -220,8 +228,7 @@ mod tests {
             },
             would_be_center: rho >= th.rho_min && delta >= th.delta_min,
         };
-        let got = classify_prepared(snap, q, &Deadline::none(), given_rho).unwrap();
-        assert_eq!(got, want, "at {q:?}");
+        assert_eq!(classify(snap, q).unwrap(), want, "at {q:?}");
     }
 
     #[test]
@@ -233,11 +240,10 @@ mod tests {
             // anywhere around and far outside the blobs.
             let base = snap.data().point(rng.gen_range(0..snap.n()));
             let near: Vec<f64> = base.iter().map(|&c| c + rng.gen_range(-2.0..2.0)).collect();
-            assert_brute_force(&snap, &near, None);
+            assert_brute_force(&snap, &near);
             assert_brute_force(
                 &snap,
                 &[rng.gen_range(-300.0..400.0), rng.gen_range(-300.0..400.0)],
-                None,
             );
         }
         // A lattice with duplicates: queries at cell centres are equidistant
@@ -248,7 +254,7 @@ mod tests {
         let lattice =
             Snapshot::new(data, model, Thresholds::new(2.0, 3.0).unwrap(), &Executor::single());
         for (x, y) in (0..7).flat_map(|x| (0..5).map(move |y| (x as f64, y as f64))) {
-            assert_brute_force(&lattice, &[x + 0.5, y + 0.5], None);
+            assert_brute_force(&lattice, &[x + 0.5, y + 0.5]);
         }
     }
 
@@ -261,12 +267,7 @@ mod tests {
         let r = classify(&snap, &q).unwrap();
         assert_eq!((r.rho, r.label), (0.5, NOISE));
         assert!(r.delta.is_finite());
-        assert_brute_force(&snap, &q, None);
-        // The same far query pretending to out-rank the whole dataset is the
-        // globally densest point.
-        let r = classify_prepared(&snap, &q, &Deadline::none(), Some(1.0e9)).unwrap();
-        assert_eq!((r.delta, r.dependent), (f64::INFINITY, None));
-        assert_brute_force(&snap, &q, Some(1.0e9));
+        assert_brute_force(&snap, &q);
     }
 
     #[test]
@@ -279,7 +280,7 @@ mod tests {
         let snap =
             Snapshot::new(data, model, Thresholds::new(0.0, 10.0).unwrap(), &Executor::single());
         let r = classify(&snap, &[1.0, 1.0]).unwrap();
-        assert_brute_force(&snap, &[1.0, 1.0], None);
+        assert_brute_force(&snap, &[1.0, 1.0]);
         assert_eq!(r.rho, 1.5);
         assert!(r.delta.is_infinite());
         assert_eq!(r.dependent, None);

@@ -32,7 +32,6 @@
 //! [`Request::Health`] bypasses steps 1–3 by design: monitoring must keep
 //! answering exactly when the server is overloaded or degraded.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,10 +39,9 @@ use std::time::Duration;
 
 use dpc_core::{DpcAlgorithm, DpcError, DpcParams, StreamingDpc, Thresholds};
 use dpc_geometry::Dataset;
-use dpc_index::batchq::BatchRangeCount;
 use dpc_parallel::Executor;
 
-use crate::assign::classify_prepared;
+use crate::assign::classify_within;
 use crate::error::{Deadline, ServeError};
 use crate::faults::{FaultInjector, FaultPoint};
 use crate::request::{
@@ -304,7 +302,7 @@ impl DpcServer {
         let _guard = self.admit()?;
         let deadline = Deadline::start(self.config.deadline);
         let snapshot = self.store.snapshot();
-        self.dispatch(&snapshot, request, &deadline, None)
+        self.dispatch(&snapshot, request, &deadline)
     }
 
     /// Answers one request against an explicitly pinned snapshot — the
@@ -317,31 +315,23 @@ impl DpcServer {
     /// [`ServeError::Unsupported`] for [`Request::Health`], which needs the
     /// store and counters a bare snapshot does not have.
     pub fn handle_on(snapshot: &Snapshot, request: &Request) -> Result<Response, ServeError> {
-        Self::handle_within(snapshot, request, &Deadline::none(), None)
+        Self::handle_within(snapshot, request, &Deadline::none())
     }
 
     /// Answers a batch of requests, fanning the work across `executor`'s
     /// workers (work-stealing over request indexes, so a mix of cheap `Stats`
     /// and `O(n)` `Relabel`s balances itself). The whole batch is served from
     /// one pinned snapshot: every response carries the same epoch even if a
-    /// refit lands mid-batch. Each batched request passes through the same
-    /// admission/deadline/isolation path as [`DpcServer::handle`], so one
-    /// poisoned or slow request fails alone — the rest of the batch is
-    /// unaffected.
-    ///
-    /// The batch's well-formed `Assign` points are first grouped by the grid
-    /// cell they fall in (side `d_cut/√d`, the ρ-phase cell width) and their
-    /// densities answered with one joint kd-tree descent per group
-    /// ([`dpc_index::batchq`]); the batched engine's determinism contract
-    /// keeps every response bit-identical to a solo [`DpcServer::handle`]
-    /// call.
+    /// refit lands mid-batch. Each batched request then takes
+    /// [`DpcServer::handle`]'s path — admission, deadline, isolation and the
+    /// same handler — so one poisoned or slow request fails alone, and every
+    /// answer is the one a solo `handle` on that snapshot gives.
     pub fn handle_batch(
         &self,
         requests: &[Request],
         executor: &Executor,
     ) -> Vec<Result<Response, ServeError>> {
         let snapshot = self.store.snapshot();
-        let rhos = Self::precompute_assign_densities(&snapshot, requests, executor);
         executor.map_dynamic(requests.len(), |i| {
             let request = &requests[i];
             if matches!(request, Request::Health) {
@@ -349,69 +339,8 @@ impl DpcServer {
             }
             let _guard = self.admit()?;
             let deadline = Deadline::start(self.config.deadline);
-            self.dispatch(&snapshot, request, &deadline, rhos[i])
+            self.dispatch(&snapshot, request, &deadline)
         })
-    }
-
-    /// The batch `Assign` fan-in: groups the batch's valid `Assign` points by
-    /// quantized grid cell (first-appearance order, side `d_cut/√d` — the
-    /// same cell width the ρ phase uses, so spatially coherent batches share
-    /// traversals) and computes each group's `d_cut` range counts with one
-    /// [`BatchRangeCount`] descent, groups fanned across `executor`. Returns
-    /// one entry per request: `Some(count + 0.5)` — the exact value the solo
-    /// path computes — for every precomputed `Assign`, `None` otherwise
-    /// (non-`Assign` requests, malformed points, degenerate `d_cut`).
-    fn precompute_assign_densities(
-        snapshot: &Snapshot,
-        requests: &[Request],
-        executor: &Executor,
-    ) -> Vec<Option<f64>> {
-        let mut rhos: Vec<Option<f64>> = vec![None; requests.len()];
-        let dim = snapshot.dim();
-        let side = snapshot.dcut() / (dim as f64).sqrt();
-        if !(side.is_finite() && side > 0.0) {
-            return rhos;
-        }
-        let mut key_to_group: HashMap<Vec<i64>, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, request) in requests.iter().enumerate() {
-            let Request::Assign(point) = request else { continue };
-            if point.len() != dim || point.iter().any(|c| !c.is_finite()) {
-                // classify rejects these with a validation error; there is
-                // no density to precompute.
-                continue;
-            }
-            let key: Vec<i64> = point.iter().map(|&c| (c / side).floor() as i64).collect();
-            let next = groups.len();
-            let g = *key_to_group.entry(key).or_insert(next);
-            if g == next {
-                groups.push(Vec::new());
-            }
-            groups[g].push(i);
-        }
-        if groups.is_empty() {
-            return rhos;
-        }
-        let parts = snapshot.tree().packed_parts();
-        let dcut = snapshot.dcut();
-        let per_group: Vec<Vec<usize>> = executor.map_dynamic(groups.len(), |g| {
-            let mut rows = Vec::with_capacity(groups[g].len() * dim);
-            for &i in &groups[g] {
-                match &requests[i] {
-                    Request::Assign(point) => rows.extend_from_slice(point),
-                    _ => unreachable!("groups hold Assign indexes only"),
-                }
-            }
-            let mut counts = Vec::new();
-            BatchRangeCount::new().run_uniform(&parts, &rows, dcut, &[], &mut counts);
-            counts
-        });
-        for (group, counts) in groups.iter().zip(&per_group) {
-            for (&i, &count) in group.iter().zip(counts) {
-                rhos[i] = Some(count as f64 + 0.5);
-            }
-        }
-        rhos
     }
 
     /// The `Health` answer: last-good epoch, store health, counters.
@@ -446,7 +375,6 @@ impl DpcServer {
         snapshot: &Snapshot,
         request: &Request,
         deadline: &Deadline,
-        assign_rho: Option<f64>,
     ) -> Result<Response, ServeError> {
         // AssertUnwindSafe: the closure only reads the immutable snapshot and
         // the injector's atomics; there is no state a mid-handler panic could
@@ -465,7 +393,7 @@ impl DpcServer {
             if let Request::Ingest(point) = request {
                 return self.handle_ingest(point, deadline);
             }
-            Self::handle_within(snapshot, request, deadline, assign_rho)
+            Self::handle_within(snapshot, request, deadline)
         }));
         match outcome {
             Ok(result) => {
@@ -486,13 +414,11 @@ impl DpcServer {
         }
     }
 
-    /// The handler proper: one snapshot, one request, one deadline, and —
-    /// on the batch path — an optional precomputed `Assign` density.
+    /// The handler proper: one snapshot, one request, one deadline.
     fn handle_within(
         snapshot: &Snapshot,
         request: &Request,
         deadline: &Deadline,
-        assign_rho: Option<f64>,
     ) -> Result<Response, ServeError> {
         deadline.check()?;
         match request {
@@ -511,7 +437,7 @@ impl DpcServer {
                 }))
             }
             Request::Assign(point) => {
-                Ok(Response::Assign(classify_prepared(snapshot, point, deadline, assign_rho)?))
+                Ok(Response::Assign(classify_within(snapshot, point, deadline)?))
             }
             Request::Stats => {
                 let clustering = snapshot.clustering();
@@ -674,10 +600,10 @@ mod tests {
 
     #[test]
     fn batched_assigns_match_solo_assigns_bitwise() {
-        // The batch path precomputes ρ through the cell-grouped joint
-        // traversals; its determinism contract promises responses identical
-        // to solo `handle` calls — including clustered duplicates, in-dataset
-        // points (the NN short-circuit), far-away noise, and a mix with
+        // Every batched request takes the solo path against the batch's one
+        // pinned snapshot, so responses are identical to solo `handle`
+        // calls — including clustered duplicates, in-dataset points (the
+        // exact-hit short-circuit), far-away noise, and a mix with
         // non-Assign requests, at every thread count.
         let srv = server();
         let snap = srv.snapshot();

@@ -65,7 +65,7 @@ impl Snapshot {
             data.len()
         );
         let tree = KdTree::build_parallel(&data, executor);
-        let max_rho = MaxKeys::new(&tree.packed_parts(), model.rho());
+        let max_rho = MaxKeys::new(&tree, model.rho());
         let clustering = model.extract(&thresholds);
         Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 }
     }
@@ -101,7 +101,7 @@ impl Snapshot {
         let artifact = SnapshotArtifact::from_bytes(bytes)?;
         let data = Arc::new(artifact.dataset());
         let (model, tree, thresholds) = artifact.into_parts();
-        let max_rho = MaxKeys::new(&tree.packed_parts(), model.rho());
+        let max_rho = MaxKeys::new(&tree, model.rho());
         let clustering = model.extract(&thresholds);
         Ok(Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 })
     }
@@ -206,11 +206,11 @@ mod tests {
     #[test]
     fn tree_queries_read_the_snapshot_dataset() {
         let snap = fit_snapshot();
-        // Every point finds itself at distance zero.
+        // Every point finds itself in the closed ball of radius zero, and the
+        // tree's row of it is the dataset's.
         for i in (0..snap.n()).step_by(17) {
-            let (nn, d) = snap.tree().nearest_neighbor(snap.data().point(i), None).unwrap();
-            assert_eq!(d, 0.0);
-            assert_eq!(snap.data().point(nn), snap.data().point(i));
+            assert!(snap.tree().range_search(snap.data().point(i), 0.0).contains(&i));
+            assert_eq!(snap.tree().point(i), snap.data().point(i));
         }
     }
 

@@ -172,6 +172,32 @@ fn error_invalid_params_epsilon() {
 }
 
 #[test]
+fn error_invalid_params_grid_cell_side() {
+    // Parameters `validate` accepts whose grid cell side d_cut/√d
+    // (ε·d_cut/√d) underflows to 0 or overflows to ∞ on 4-d data.
+    let data = Dataset::from_flat(4, (0..40).map(|i| (i % 7) as f64).collect());
+    let tiny = DpcParams::new(5e-324);
+    let cases: Vec<(&str, Box<dyn DpcAlgorithm>)> = vec![
+        ("Approx-DPC, d_cut 5e-324", Box::new(ApproxDpc::new(tiny))),
+        ("S-Approx-DPC, d_cut 5e-324", Box::new(SApproxDpc::new(tiny))),
+        (
+            "S-Approx-DPC, d_cut 1e308, ε 10",
+            Box::new(SApproxDpc::new(DpcParams::new(1e308)).with_epsilon(10.0)),
+        ),
+    ];
+    for (name, algo) in cases {
+        let err = algo.fit(&data).unwrap_err();
+        assert!(
+            matches!(err, DpcError::InvalidParams { param: "grid cell side", .. }),
+            "{name}: {err:?}"
+        );
+        assert!(err.to_string().contains("grid cell side"), "{name}: {err}");
+    }
+    // Ex-DPC counts the same data point by point instead.
+    assert!(ExDpc::new(tiny).fit(&data).is_ok());
+}
+
+#[test]
 fn error_invalid_thresholds() {
     for (rho_min, delta_min) in [(-1.0, 5.0), (f64::NAN, 5.0), (0.0, 0.0), (0.0, f64::NAN)] {
         let err = Thresholds::new(rho_min, delta_min).unwrap_err();

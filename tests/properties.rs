@@ -12,8 +12,8 @@ use fast_dpc::baselines::Scan;
 use fast_dpc::core::framework::{descending_density_order, jittered_density};
 use fast_dpc::core::{DpcModel, Timings};
 use fast_dpc::eval::{adjusted_rand_index, rand_index};
-use fast_dpc::geometry::{dist, Dataset};
-use fast_dpc::index::{Grid, IncrementalKdTree, KdTree};
+use fast_dpc::geometry::{dist, dist_sq, Dataset};
+use fast_dpc::index::{Grid, IncrementalKdTree, KdTree, MaxKeys};
 use fast_dpc::parallel::lpt_partition;
 use fast_dpc::prelude::*;
 use fast_dpc::rng::StdRng;
@@ -65,17 +65,19 @@ fn assert_packed_matches_naive(ds: &Dataset, rng: &mut StdRng, seed: u64) {
         want.sort_unstable();
         assert_eq!(got, want, "seed {seed} case {case}");
 
-        let got_nn = tree.nearest_neighbor(&q, exclude).map(|(_, d)| d);
+        // The nearest neighbour is the nearest-denser query with the
+        // excluded point keyed −∞ and every other point 0, above the query.
+        let keys: Vec<f64> = (0..ds.len())
+            .map(|id| if Some(id) == exclude { f64::NEG_INFINITY } else { 0.0 })
+            .collect();
+        let got_nn = tree.nearest_denser(&MaxKeys::new(&tree, &keys), &q, f64::NEG_INFINITY);
         let want_nn = ds
             .iter()
             .filter(|(id, _)| Some(*id) != exclude)
-            .map(|(_, p)| dist(&q, p))
-            .min_by(|a, b| a.partial_cmp(b).unwrap());
-        match (got_nn, want_nn) {
-            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "seed {seed} case {case}"),
-            (None, None) => {}
-            other => panic!("seed {seed} case {case}: nn mismatch {other:?}"),
-        }
+            .map(|(id, p)| (dist_sq(&q, p), id))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(d, id)| (id, d.sqrt()));
+        assert_eq!(got_nn, want_nn, "seed {seed} case {case}");
     }
 }
 
@@ -404,7 +406,9 @@ fn incremental_kdtree_equals_bulk_kdtree() {
             "seed {seed}"
         );
         let a = inc.nearest_neighbor(&q, None).map(|(_, d)| d);
-        let b = bulk.nearest_neighbor(&q, None).map(|(_, d)| d);
+        // The packed tree's nearest neighbour: every key 0, above the query's.
+        let keys = MaxKeys::new(&bulk, &vec![0.0; ds.len()]);
+        let b = bulk.nearest_denser(&keys, &q, f64::NEG_INFINITY).map(|(_, d)| d);
         match (a, b) {
             (Some(da), Some(db)) => assert!((da - db).abs() < 1e-9, "seed {seed}"),
             (None, None) => {}
