@@ -1,8 +1,6 @@
 //! Microbenchmarks for the kd-tree substrate: the packed leaf-bucketed tree
-//! (`KdTree`) head-to-head against the seed's one-point-per-node arena tree
-//! (`IncrementalKdTree`) on bulk build (serial and fork-join parallel), range
-//! counting and range search, plus the arena tree's incremental-insert path,
-//! and the batched bucket kernels
+//! (`KdTree`) on bulk build (serial and fork-join parallel), range counting
+//! and range search, and the batched bucket kernels
 //! (`batch_count_*` / `batch_search_*`: the scalar reference vs the
 //! dispatching kernel, which is SIMD under `--features simd` on x86_64).
 //!
@@ -23,7 +21,7 @@ use dpc_bench::resolve_out_path;
 use dpc_bench::schema::{check_or_exit, required};
 use dpc_data::generators::{gaussian_blobs, uniform};
 use dpc_geometry::{batch, Dataset};
-use dpc_index::{IncrementalKdTree, KdTree};
+use dpc_index::KdTree;
 use dpc_parallel::Executor;
 use std::hint::black_box;
 
@@ -77,7 +75,7 @@ fn clustered_2d(n: usize) -> Dataset {
     gaussian_blobs(&centers, n.div_ceil(10), 20.0, 1)
 }
 
-/// Benchmarks one tree pairing on one dataset, returning the records.
+/// Benchmarks the packed tree on one dataset, returning the records.
 fn run_suite(
     records: &mut Vec<BenchRecord>,
     data: &Dataset,
@@ -94,22 +92,13 @@ fn run_suite(
     records.push(bench_record(&format!("packed_build_parallel_{label}"), n, d, 5, || {
         KdTree::build_parallel(data, executor).len()
     }));
-    records.push(bench_record(&format!("arena_build_{label}"), n, d, 5, || {
-        IncrementalKdTree::build(data).len()
-    }));
 
     let packed = KdTree::build(data);
-    let arena = IncrementalKdTree::build(data);
 
     let mut i = 0usize;
     records.push(bench_record(&format!("packed_range_count_{label}"), n, d, QUERIES, || {
         i = (i + 97) % n;
         black_box(packed.range_count(data.point(i), radius, Some(i)))
-    }));
-    let mut i = 0usize;
-    records.push(bench_record(&format!("arena_range_count_{label}"), n, d, QUERIES, || {
-        i = (i + 97) % n;
-        black_box(arena.range_count(data.point(i), radius, Some(i)))
     }));
 
     let mut buf: Vec<usize> = Vec::new();
@@ -117,12 +106,6 @@ fn run_suite(
     records.push(bench_record(&format!("packed_range_search_{label}"), n, d, QUERIES, || {
         i = (i + 97) % n;
         packed.range_search_into(data.point(i), radius, &mut buf);
-        black_box(buf.len())
-    }));
-    let mut i = 0usize;
-    records.push(bench_record(&format!("arena_range_search_{label}"), n, d, QUERIES, || {
-        i = (i + 97) % n;
-        arena.range_search_into(data.point(i), radius, &mut buf);
         black_box(buf.len())
     }));
 }
@@ -169,16 +152,6 @@ fn main() {
     println!("kd_tree clustered 2d (n = {}, threads = {threads})", data2.len());
     run_suite(&mut records, &data2, 10.0, "2d", &executor);
 
-    let mut inserted = 0usize;
-    records.push(bench_record("arena_incremental_insert_2d", data2.len(), 2, 5, || {
-        let mut tree = IncrementalKdTree::new(data2.dim());
-        for id in 0..data2.len() {
-            tree.insert(id, data2.point(id));
-        }
-        inserted = tree.len();
-        inserted
-    }));
-
     // Secondary workload: uniform 3-d at n/4, covering the d = 3 kernel and
     // low-selectivity queries.
     let n3 = (n / 4).max(1_000);
@@ -208,16 +181,12 @@ fn main() {
         KdTree::build_parallel(&xl, &executor).len()
     }));
 
-    // Headline numbers: query kernels packed vs the seed arena layout, and the
-    // fork-join build vs the serial build.
+    // Headline numbers: the batch kernels' SIMD dispatch vs the scalar
+    // reference, and the fork-join build vs the serial build.
     let mean_of = |name: &str| {
         records.iter().find(|r| r.kernel == name).map(|r| r.mean_secs).unwrap_or(f64::NAN)
     };
-    let speedup =
-        |kernel: &str| mean_of(&format!("arena_{kernel}")) / mean_of(&format!("packed_{kernel}"));
     println!();
-    println!("range_count speedup (2d, mean): {:.2}x", speedup("range_count_2d"));
-    println!("range_search speedup (2d, mean): {:.2}x", speedup("range_search_2d"));
     for label in ["2d", "3d"] {
         println!(
             "batch count/search simd-vs-scalar speedup ({label}, mean): {:.2}x / {:.2}x",

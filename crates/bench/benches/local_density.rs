@@ -1,6 +1,6 @@
 //! Benchmark of the local-density (ρ) kernels across algorithms: the full
-//! linear scan, the R-tree, the seed's arena kd-tree, the packed
-//! leaf-bucketed kd-tree's per-point loop, and the batched cell-clustered
+//! linear scan, the R-tree, the packed leaf-bucketed kd-tree's per-point
+//! loop, and the batched cell-clustered
 //! query engine that Ex-DPC now defaults to (`dpc_index::batchq`; serial and
 //! fan-out parallel) — plus the index construction itself (serial and
 //! fork-join parallel), which is the fixed cost every index-based variant
@@ -34,7 +34,7 @@ use dpc_bench::{default_params, BenchDataset};
 use dpc_core::framework::jittered_density;
 use dpc_core::{DpcParams, ExDpc};
 use dpc_geometry::Dataset;
-use dpc_index::{Grid, IncrementalKdTree, KdTree, RTree};
+use dpc_index::{Grid, KdTree, RTree};
 use dpc_parallel::Executor;
 
 /// The quadratic scan baseline is only timed up to this cardinality; above it
@@ -118,7 +118,6 @@ fn main() {
     records.push(bench_record("build_parallel", n, d, 5, || {
         KdTree::build_parallel(&data, &executor).len()
     }));
-    records.push(bench_record("build_arena", n, d, 5, || IncrementalKdTree::build(&data).len()));
 
     if n <= SCAN_MAX_N {
         let scan = Scan::new(params);
@@ -130,13 +129,6 @@ fn main() {
     let rtree_scan = RtreeScan::new(params);
     let rtree = RTree::build(&data);
     records.push(bench_record("rtree", n, d, 5, || rtree_scan.local_densities(&data, &rtree)));
-
-    // Seed reference: the one-point-per-node arena tree (single-threaded loop,
-    // same as the packed kernel below at threads = 1).
-    let arena = IncrementalKdTree::build(&data);
-    records.push(bench_record("exdpc_arena_kdtree", n, d, 5, || {
-        per_point_rho(&data, &params, |q, i| arena.range_count(q, params.dcut, Some(i)))
-    }));
 
     let exdpc = ExDpc::new(params);
     let kdtree = KdTree::build(&data);
@@ -169,10 +161,6 @@ fn main() {
         records.iter().find(|r| r.kernel == name).map(|r| r.mean_secs).unwrap_or(f64::NAN)
     };
     println!();
-    println!(
-        "ρ-phase speedup vs arena (mean): {:.2}x",
-        mean_of("exdpc_arena_kdtree") / mean_of("exdpc_packed_kdtree")
-    );
     println!(
         "batched ρ speedup vs per-point (serial, mean): {:.2}x",
         mean_of("exdpc_packed_kdtree") / mean_of("rho_batched_serial")

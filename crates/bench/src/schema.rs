@@ -274,7 +274,6 @@ pub mod required {
         "build",
         "build_parallel",
         "rtree",
-        "exdpc_arena_kdtree",
         "exdpc_packed_kdtree",
         "build_grid",
         "rho_batched_serial",

@@ -109,18 +109,19 @@ impl ExDpc {
     /// `fit` is this with `keys = 0..n`: keyed on the dataset index, the
     /// jitter is [`jittered_density`]'s.
     pub fn fit_keyed(&self, data: &Dataset, keys: &[u64]) -> Result<DpcModel, DpcError> {
-        self.fit_keyed_counts(data, keys).map(|(model, _)| model)
+        self.fit_keyed_parts(data, keys).map(|(model, _, _)| model)
     }
 
     /// [`ExDpc::fit_keyed`] that also returns every point's integer `d_cut`
     /// neighbour count, the one input of ρ the model does not keep (`ρ` is
     /// `fl(count + jitter)`, which can round up to `count + 1`, so the count
-    /// is not `⌊ρ⌋`). `StreamingDpc::bulk_load` seeds its counts from it.
-    pub(crate) fn fit_keyed_counts(
+    /// is not `⌊ρ⌋`), and the fit's kd-tree over `data`.
+    /// `StreamingDpc::bulk_load` seeds its counts and its index from them.
+    pub(crate) fn fit_keyed_parts(
         &self,
         data: &Dataset,
         keys: &[u64],
-    ) -> Result<(DpcModel, Vec<usize>), DpcError> {
+    ) -> Result<(DpcModel, Vec<usize>, KdTree), DpcError> {
         self.params.validate()?;
         validate_dataset(data)?;
         if keys.len() != data.len() {
@@ -158,7 +159,7 @@ impl ExDpc {
             timings,
             tree.mem_usage(),
         )?;
-        Ok((model, counts))
+        Ok((model, counts, tree))
     }
 
     /// Computes dependent points and distances given the local densities (the

@@ -79,14 +79,19 @@ impl DpcModel {
     ///
     /// The saved order is validated, not trusted: it must be a permutation of
     /// `0..n` and must visit densities in non-increasing order (exactly what
-    /// [`DpcModel::from_parts`] produces), and every dependent identifier
-    /// must be in range. A violation means the artifact does not describe a
-    /// model this type could ever have produced.
+    /// [`DpcModel::from_parts`] produces). Every dependent identifier must be
+    /// in range and name a strictly denser point, or the point itself with
+    /// δ = ∞: every fit starts each point from `(p, ∞)` and points it only
+    /// at strictly denser points, so label propagation in density order
+    /// always meets a labelled dependent. A violation means the artifact
+    /// does not describe a model this type could ever have produced. These
+    /// checks are O(n); [`DpcModel::from_parts`] makes none of them.
     ///
     /// # Errors
     /// [`DpcError::DimensionMismatch`] when the arrays disagree in length;
-    /// [`DpcError::Corrupt`] when `order` is not a valid density order or a
-    /// dependent identifier is out of range.
+    /// [`DpcError::Corrupt`] when `order` is not a valid density order, or a
+    /// dependent identifier is out of range, names a point that is not
+    /// strictly denser, or names its own point while δ is not ∞.
     #[allow(clippy::too_many_arguments)]
     pub fn from_saved_parts(
         algorithm: &'static str,
@@ -111,26 +116,26 @@ impl DpcModel {
                 got: order.len(),
             });
         }
-        if dependent.iter().any(|&q| q >= n) {
-            return Err(DpcError::Corrupt {
-                section: "model",
-                what: "dependent point identifier out of range",
-            });
+        let corrupt = |what| Err(DpcError::Corrupt { section: "model", what });
+        for (p, &q) in dependent.iter().enumerate() {
+            if q >= n {
+                return corrupt("dependent point identifier out of range");
+            }
+            if q == p && delta[p] != f64::INFINITY {
+                return corrupt("a point that is its own dependent has a δ other than ∞");
+            }
+            if q != p && rho[q].partial_cmp(&rho[p]) != Some(std::cmp::Ordering::Greater) {
+                return corrupt("a dependent point is not strictly denser than its point");
+            }
         }
         let mut seen = vec![false; n];
         for &i in &order {
             if i >= n || std::mem::replace(&mut seen[i], true) {
-                return Err(DpcError::Corrupt {
-                    section: "model",
-                    what: "density order is not a permutation",
-                });
+                return corrupt("density order is not a permutation");
             }
         }
         if order.windows(2).any(|w| rho[w[1]] > rho[w[0]]) {
-            return Err(DpcError::Corrupt {
-                section: "model",
-                what: "density order visits an increasing density",
-            });
+            return corrupt("density order visits an increasing density");
         }
         Ok(Self { algorithm, dcut, rho, delta, dependent, order, fit_timings, index_bytes })
     }
@@ -281,11 +286,23 @@ impl DpcModel {
 mod tests {
     use super::*;
 
+    /// A hand-built model whose point 3 depends on point 5, which is less
+    /// dense: a dependency no fit makes, which `from_parts` accepts
+    /// unchecked and the extract tests use to propagate noise.
     fn toy_model() -> DpcModel {
+        toy_with_dependents(vec![0, 0, 1, 5, 0, 4])
+    }
+
+    /// The toy model with point 3 depending on the denser point 2: a model
+    /// `from_saved_parts` accepts.
+    fn saved_toy() -> DpcModel {
+        toy_with_dependents(vec![0, 0, 1, 2, 0, 4])
+    }
+
+    fn toy_with_dependents(dependent: Vec<usize>) -> DpcModel {
         //            0     1     2     3     4     5
         let rho = vec![10.0, 8.0, 6.0, 1.0, 9.0, 0.5];
         let delta = vec![f64::INFINITY, 1.0, 1.0, 1.0, 6.0, 1.0];
-        let dependent = vec![0, 0, 1, 5, 0, 4];
         DpcModel::from_parts(
             "toy",
             1.0,
@@ -296,6 +313,21 @@ mod tests {
             77,
         )
         .unwrap()
+    }
+
+    /// `from_saved_parts` over `m`'s parts, with `dependent` and `delta`
+    /// replaced.
+    fn resave(m: &DpcModel, dependent: Vec<usize>, delta: Vec<f64>) -> Result<DpcModel, DpcError> {
+        DpcModel::from_saved_parts(
+            m.algorithm(),
+            m.dcut(),
+            m.rho().to_vec(),
+            delta,
+            dependent,
+            m.density_order().to_vec(),
+            Timings::default(),
+            m.index_bytes(),
+        )
     }
 
     #[test]
@@ -404,7 +436,7 @@ mod tests {
 
     #[test]
     fn from_saved_parts_round_trips_a_model() {
-        let m = toy_model();
+        let m = saved_toy();
         let saved = DpcModel::from_saved_parts(
             m.algorithm(),
             m.dcut(),
@@ -423,7 +455,7 @@ mod tests {
 
     #[test]
     fn from_saved_parts_rejects_invalid_orders() {
-        let m = toy_model();
+        let m = saved_toy();
         let build = |order: Vec<usize>| {
             DpcModel::from_saved_parts(
                 m.algorithm(),
@@ -449,23 +481,48 @@ mod tests {
         let err = build(vec![5, 3, 2, 1, 4, 0]).unwrap_err();
         assert!(matches!(err, DpcError::Corrupt { section: "model", .. }), "{err:?}");
         // An out-of-range dependent id is also refused.
-        let err = DpcModel::from_saved_parts(
-            m.algorithm(),
-            m.dcut(),
-            m.rho().to_vec(),
-            m.delta().to_vec(),
-            vec![0, 0, 1, 5, 0, 99],
-            m.density_order().to_vec(),
-            Timings::default(),
-            m.index_bytes(),
-        )
-        .unwrap_err();
+        let err = resave(&m, vec![0, 0, 1, 2, 0, 99], m.delta().to_vec()).unwrap_err();
         assert!(matches!(err, DpcError::Corrupt { section: "model", .. }), "{err:?}");
     }
 
     #[test]
-    fn layout_eq_ignores_timings_but_not_content() {
+    fn from_saved_parts_rejects_a_dependent_that_is_not_denser() {
+        let corrupt = |r: Result<DpcModel, DpcError>| {
+            matches!(r, Err(DpcError::Corrupt { section: "model", .. }))
+        };
         let m = toy_model();
+        let delta = m.delta().to_vec();
+        // The toy's 3 → 5: a less dense dependent.
+        assert!(corrupt(resave(&m, m.dependent().to_vec(), delta.clone())));
+        // An equally dense dependent is not strictly denser.
+        let mut rho = m.rho().to_vec();
+        rho[2] = rho[1];
+        let tied = DpcModel::from_saved_parts(
+            m.algorithm(),
+            m.dcut(),
+            rho,
+            delta.clone(),
+            vec![0, 0, 1, 2, 0, 4],
+            m.density_order().to_vec(),
+            Timings::default(),
+            m.index_bytes(),
+        );
+        assert!(corrupt(tied));
+        // A point that is its own dependent needs δ = ∞.
+        assert!(corrupt(resave(&m, vec![0, 0, 1, 3, 0, 4], delta.clone())));
+        let mut finite = delta.clone();
+        finite[0] = 5.0;
+        assert!(corrupt(resave(&m, vec![0, 0, 1, 2, 0, 4], finite)));
+        // The same parts with genuine dependents load.
+        assert!(resave(&m, vec![0, 0, 1, 2, 0, 4], delta.clone()).is_ok());
+        let mut own = delta;
+        own[3] = f64::INFINITY;
+        assert!(resave(&m, vec![0, 0, 1, 3, 0, 4], own).is_ok());
+    }
+
+    #[test]
+    fn layout_eq_ignores_timings_but_not_content() {
+        let m = saved_toy();
         let mut parts = (
             m.rho().to_vec(),
             m.delta().to_vec(),

@@ -7,8 +7,8 @@
 //! bounded set of points. [`StreamingDpc`] maintains the exact Ex-DPC model
 //! under point insertions and removals:
 //!
-//! * **ρ maintenance** is one range query around the touched point: every
-//!   live point inside its `d_cut` ball gets `count ± 1` and is re-jittered
+//! * **ρ maintenance** is one query around the touched point: every live
+//!   point inside its `d_cut` ball gets `count ± 1` and is re-jittered
 //!   deterministically on its **stable external id** (the monotonically
 //!   increasing id handed out by [`StreamingDpc::insert`]). Because the
 //!   jitter is a pure function of `(count, stable id, seed)`, the maintained
@@ -24,34 +24,49 @@
 //!      neighbour `q` moved from `count` to `count ± 1`: exactly the points
 //!      whose ρ lies in the open interval between `q`'s old and new ρ.
 //!
-//!   Cases 1–2 take a **full recompute**: one nearest-neighbour descent of
-//!   the incremental kd-tree that accepts only strictly denser points
-//!   ([`IncrementalKdTree::nearest_where`]). This is the query the paper asks
-//!   of its tree of denser points (§3, Lemma 2), with the density test moved
-//!   into the descent. Case 3 repairs with one distance comparison per
-//!   candidate, because a stale δ is a one-sided bound: on insert nobody's δ
-//!   can grow except through its dependent, on delete nobody's δ can shrink
-//!   except through new denser points.
+//!   Cases 1–2 take a **full recompute**: one [`KdTree::nearest_denser`]
+//!   descent of the window's packed tree, pruned on its per-node maximum ρ,
+//!   plus a scan of the insert buffer. This is the query the paper asks of
+//!   its tree of denser points (§3, Lemma 2). Case 3 repairs with one
+//!   distance comparison per candidate, because a stale δ is a one-sided
+//!   bound: on insert nobody's δ can grow except through its dependent, on
+//!   delete nobody's δ can shrink except through new denser points.
 //!
-//! **Case-3 candidates, by place.** Every update makes one range query of
-//! radius `d_cut + far_cut` around the touched point, `far_cut` being
-//! `FAR_FACTOR · d_cut` (padded against the rounding of the strict
-//! inequalities below). Its hits within `d_cut` are the ball, re-partitioned
-//! exactly; the rest are the near frontier.
+//! **Canonical ties.** Every δ comparison orders the candidates by
+//! `(squared distance, slot)`, and slots follow arrival order, so among
+//! equidistant denser points the earliest arrival wins — the smallest id of
+//! a fresh keyed fit of the window, whose points are in arrival order. A
+//! streamed dependent is therefore the one
+//! [`ExDpc::fit_keyed`](crate::ExDpc::fit_keyed) picks, not just a valid
+//! minimizer.
+//!
+//! **The index** is the static-to-dynamic transformation of Bentley & Saxe
+//! (*Decomposable searching problems I*, J. Algorithms 1980): one packed
+//! [`KdTree`] over the window as it stood at the last rebuild, plus a
+//! linearly scanned buffer of the later arrivals. Slots are renumbered in
+//! arrival order at each rebuild, so a tree id is a slot, and a freed slot
+//! is never reused while the tree still indexes it: a removed tree point
+//! stays in the tree, keyed `-∞`. Two [`MaxKeys`] key the tree — ρ, and each
+//! point's reach `(δ + d_cut)·(1 + 1e-9)` — and [`MaxKeys::set`] keeps both
+//! exact as ρ and δ move. The engine rebuilds once the buffer plus the
+//! removed tree points pass a sixteenth of the live window.
+//!
+//! **Case-3 candidates, by place.**
 //!
 //! * On insert, a point `x` that gained a denser point gained it from the
-//!   arrival or a bumped neighbour, all within `d_cut` of the arrival, so
-//!   `dist(x, arrival) < δ_x + d_cut`. Candidates with δ ≤ `far_cut` are
-//!   therefore in the query. The rest are exactly the **far list**, which
-//!   mirrors their coordinates and δ contiguously and is swept sequentially:
-//!   too spread out for spatial pruning to pay, and a minority of the window
-//!   (~11% of the `household_fit` benchmark window, ~21% of `syn_fit`'s).
+//!   arrival or a bumped neighbour, all within `d_cut` of the arrival, and
+//!   takes it only at a distance of at most δ_x; so `dist(x, arrival) ≤ δ_x +
+//!   d_cut`, and `x`'s reach covers the arrival. One reverse query
+//!   ([`KdTree::reaching_into`] plus the buffer) reports every live point
+//!   whose reach covers the arrival. Every reach exceeds `d_cut`, so its hits
+//!   within `d_cut` are the ball, and the rest are the candidates.
 //! * On delete, only a bumped neighbour `q` itself can gain denser points
 //!   (the points in its crossed interval now out-rank it), and any
-//!   improvement lies strictly within δ_q of `q`. When δ_q ≤ `far_cut`, that
-//!   is within `d_cut + far_cut` of the removed point, inside the same
-//!   query. A bumped `q` with δ_q > `far_cut` is a local density peak, and
-//!   it takes one full recompute instead.
+//!   improvement lies within δ_q of `q`. When δ_q ≤ `d_cut`, that is within
+//!   `2·d_cut` of the removed point: one range query of that radius (padded
+//!   against rounding) yields the ball and the candidates. A bumped `q` with
+//!   δ_q > `d_cut` is a local density peak, and it takes one full recompute
+//!   instead.
 //!
 //! **Case-3 candidates, by count.** The jitter lies in `(0, 1)` and rounding
 //! is monotone, so a point of count `k` has ρ = `fl(k + jitter)` in
@@ -66,19 +81,17 @@
 //! **Bulk load.** [`StreamingDpc::bulk_load`] fills a fresh engine from one
 //! keyed Ex-DPC fit of the points it keeps, with the same result as
 //! inserting them one at a time: the fit's integer counts, ρ, δ and
-//! dependents, plus a balanced tree, the reverse-dependent lists and the far
-//! list built from them.
+//! dependents, the fit's own tree as the engine's index, and the
+//! reverse-dependent lists built from the dependents.
 //!
 //! A sliding-window mode ([`StreamingDpc::with_window`]) batches expiry of
 //! the oldest points: once the window overflows by a full batch, the oldest
 //! live points are removed (each through the same exact delete path) until
 //! the window is back at capacity.
 
-use std::collections::{HashMap, VecDeque};
-
 use dpc_geometry::distance::dist_sq;
-use dpc_geometry::{dist, Dataset};
-use dpc_index::IncrementalKdTree;
+use dpc_geometry::Dataset;
+use dpc_index::{KdTree, MaxKeys};
 
 use crate::error::DpcError;
 use crate::exdpc::ExDpc;
@@ -87,16 +100,16 @@ use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
 
-/// δ threshold, as a multiple of `d_cut`, above which a point is tracked in
-/// the flat far list instead of being found by the widened frontier range
-/// query. Raising it shrinks the far list but widens (quadratically, in
-/// area) the range query; `1×` balances the two for ball populations in the
-/// localized-repair regime. Measured, the far list holds ~11% of the
-/// `household_fit` benchmark window and ~21% of `syn_fit`'s.
-const FAR_FACTOR: f64 = 1.0;
+/// The index is rebuilt once the insert buffer plus the removed tree points
+/// exceed `1 / REBUILD_RATIO` of the live window. A rebuild is `O(n log n)`
+/// and follows at least `n / 16` updates, and the buffer every query scans
+/// stays within a sixteenth of the window.
+const REBUILD_RATIO: usize = 16;
 
-/// Slot marker for "not in the far list".
-const NO_POS: u32 = u32::MAX;
+/// Relative padding of the distance bounds that decide which points an
+/// update examines, so that rounding in `δ + d_cut` cannot drop a point the
+/// exact bound admits.
+const PAD: f64 = 1.0 + 1e-9;
 
 /// Cumulative work counters of a [`StreamingDpc`] engine, from
 /// [`StreamingDpc::counters`]. The engine is sequential, so for a given
@@ -110,14 +123,15 @@ pub struct StreamingCounters {
     pub removes: u64,
     /// Ball neighbours whose count moved, summed over the operations.
     pub bumped: u64,
-    /// Unbumped frontier points tested for a density-order crossing.
+    /// Points beyond the ball tested for a density-order crossing: the
+    /// reverse query's other hits on insert, the range query's on delete.
     pub candidates: u64,
     /// Count-index entries those candidates scanned.
     pub index_scanned: u64,
-    /// Full δ recomputes (nearest-denser descents).
+    /// Full δ recomputes (one nearest-denser descent plus a buffer scan).
     pub recomputes: u64,
-    /// Far-list entries swept by inserts.
-    pub far_swept: u64,
+    /// Index rebuilds over the live window.
+    pub rebuilds: u64,
 }
 
 /// A bumped neighbour in the count index: its count moved between `key` and
@@ -158,45 +172,36 @@ fn crossings(index: &[Crossing], count: usize) -> &[Crossing] {
 pub struct StreamingDpc {
     dim: usize,
     params: DpcParams,
-    // ---- per-slot state (slot = dense internal index, reused after removal)
-    /// Coordinate rows, `dim` values per slot.
-    coords: Vec<f64>,
-    /// Stable external id of each slot.
+    // ---- per-slot state. Slots follow arrival order: an arrival takes the
+    // next slot, and a rebuild renumbers the live points `0..live` in order.
+    /// Coordinate rows, one per slot.
+    rows: Dataset,
+    /// Stable external id of each slot, increasing with the slot.
     stable: Vec<u64>,
     /// Integer `d_cut`-ball count (excluding the point itself).
     count: Vec<usize>,
     /// Jittered local density.
     rho: Vec<f64>,
-    /// Distance to the dependent point (∞ for the densest point).
-    delta: Vec<f64>,
+    /// Squared distance to the dependent point (∞ when there is none).
+    dsq: Vec<f64>,
     /// Dependent slot; equals the slot itself when no denser point exists.
     dep: Vec<u32>,
     /// Reverse-dependent lists: slots `y` with `dep[y] == slot`.
     children: Vec<Vec<u32>>,
     alive: Vec<bool>,
-    /// Scratch mark bits, one per slot (cleared after every operation).
-    mark: Vec<bool>,
-    free: Vec<u32>,
     live: usize,
-    // ---- lookup and spatial index
-    id_to_slot: HashMap<u64, u32>,
-    /// Holds every live point, keyed by slot.
-    tree: IncrementalKdTree,
-    // ---- far list: live slots with δ > FAR_FACTOR · d_cut (the local
-    // density peaks), mirrored contiguously so the insert frontier can sweep
-    // them sequentially instead of chasing them through the tree.
-    /// Slots in the far list, in arbitrary (swap-remove) order.
-    far_slots: Vec<u32>,
-    /// Coordinate mirror, `dim` values per far entry (rows never move while
-    /// a slot is live, so the mirror cannot go stale).
-    far_coords: Vec<f64>,
-    /// δ mirror, kept current by [`StreamingDpc::set_dep`].
-    far_delta: Vec<f64>,
-    /// Slot → position in `far_slots` (`NO_POS` when absent).
-    far_pos: Vec<u32>,
-    /// Stable ids in arrival order. Ids removed out of order linger until
-    /// they reach the front and are skipped lazily (`id_to_slot` miss).
-    arrivals: VecDeque<u64>,
+    /// Every slot below this one is dead: where expiry resumes its scan.
+    first_live: usize,
+    // ---- the index
+    /// The packed tree over slots `0..tree.len()`, the window at the last
+    /// rebuild; the later slots are the insert buffer.
+    tree: KdTree,
+    /// ρ of every tree slot, `-∞` once removed.
+    rho_keys: MaxKeys,
+    /// Reach `(δ + d_cut)·PAD` of every tree slot, `-∞` once removed.
+    reach_keys: MaxKeys,
+    /// Tree slots removed since the last rebuild.
+    tombstones: usize,
     /// `(capacity, batch)` for sliding-window mode.
     window: Option<(usize, usize)>,
     /// Stable ids expired by the window since the last `drain_expired`.
@@ -204,9 +209,8 @@ pub struct StreamingDpc {
     next_id: u64,
     counters: StreamingCounters,
     // ---- query scratch (kept to avoid per-operation allocation)
+    scratch_hits: Vec<usize>,
     scratch_ball: Vec<usize>,
-    scratch_near: Vec<usize>,
-    scratch_far: Vec<usize>,
     scratch_index: Vec<Crossing>,
 }
 
@@ -224,34 +228,30 @@ impl StreamingDpc {
                 requirement: "streaming dimensionality must be positive",
             });
         }
+        let tree = KdTree::build(&Dataset::new(dim));
         Ok(Self {
             dim,
             params,
-            coords: Vec::new(),
+            rows: Dataset::new(dim),
             stable: Vec::new(),
             count: Vec::new(),
             rho: Vec::new(),
-            delta: Vec::new(),
+            dsq: Vec::new(),
             dep: Vec::new(),
             children: Vec::new(),
             alive: Vec::new(),
-            mark: Vec::new(),
-            free: Vec::new(),
             live: 0,
-            id_to_slot: HashMap::new(),
-            tree: IncrementalKdTree::new(dim),
-            far_slots: Vec::new(),
-            far_coords: Vec::new(),
-            far_delta: Vec::new(),
-            far_pos: Vec::new(),
-            arrivals: VecDeque::new(),
+            first_live: 0,
+            rho_keys: MaxKeys::new(&tree, &[]),
+            reach_keys: MaxKeys::new(&tree, &[]),
+            tree,
+            tombstones: 0,
             window: None,
             expired: Vec::new(),
             next_id: 0,
             counters: StreamingCounters::default(),
+            scratch_hits: Vec::new(),
             scratch_ball: Vec::new(),
-            scratch_near: Vec::new(),
-            scratch_far: Vec::new(),
             scratch_index: Vec::new(),
         })
     }
@@ -292,7 +292,7 @@ impl StreamingDpc {
 
     /// Whether stable id `id` is live in the window.
     pub fn contains(&self, id: u64) -> bool {
-        self.id_to_slot.contains_key(&id)
+        self.slot_of(id).is_some()
     }
 
     /// Stable ids expired by the sliding window since the last call (oldest
@@ -306,31 +306,53 @@ impl StreamingDpc {
         self.counters
     }
 
-    #[inline]
-    fn row(&self, slot: u32) -> &[f64] {
-        &self.coords[slot as usize * self.dim..(slot as usize + 1) * self.dim]
+    /// The live slot of stable id `id`: stable ids increase with the slot.
+    fn slot_of(&self, id: u64) -> Option<u32> {
+        let slot = self.stable.binary_search(&id).ok()?;
+        self.alive[slot].then_some(slot as u32)
     }
 
     #[inline]
-    fn jitter(&self, count: usize, slot: u32) -> f64 {
-        jittered_density_keyed(count, self.stable[slot as usize], self.params.jitter_seed)
+    fn row(&self, slot: usize) -> &[f64] {
+        self.rows.point(slot)
+    }
+
+    /// The insert buffer: the slots after the tree's.
+    fn buffer(&self) -> std::ops::Range<usize> {
+        self.tree.len()..self.stable.len()
     }
 
     #[inline]
-    fn far_cut(&self) -> f64 {
-        self.params.dcut * FAR_FACTOR
+    fn jitter(&self, count: usize, slot: usize) -> f64 {
+        jittered_density_keyed(count, self.stable[slot], self.params.jitter_seed)
+    }
+
+    /// Slot `x`'s reach: the distance within which a new denser point can
+    /// still improve its dependent, plus `d_cut`, padded.
+    fn reach(&self, x: usize) -> f64 {
+        (self.dsq[x].sqrt() + self.params.dcut) * PAD
+    }
+
+    /// Whether candidate `y` at squared distance `d` precedes slot `x`'s
+    /// current dependent in the canonical `(squared distance, slot)` order.
+    /// No dependent ranks last, at distance ∞.
+    fn improves(&self, x: usize, d: f64, y: u32) -> bool {
+        let current = if self.dep[x] as usize == x { u32::MAX } else { self.dep[x] };
+        d < self.dsq[x] || (d == self.dsq[x] && y < current)
     }
 
     /// Changes slot `q`'s ball count by ±1 and re-jitters its ρ.
-    fn bump_count(&mut self, q: u32, up: bool) {
-        let qi = q as usize;
-        self.count[qi] = if up { self.count[qi] + 1 } else { self.count[qi] - 1 };
-        self.rho[qi] = self.jitter(self.count[qi], q);
+    fn bump_count(&mut self, q: usize, up: bool) {
+        self.count[q] = if up { self.count[q] + 1 } else { self.count[q] - 1 };
+        self.rho[q] = self.jitter(self.count[q], q);
+        if q < self.tree.len() {
+            self.rho_keys.set(&self.tree, q, self.rho[q]);
+        }
     }
 
-    /// Points `x`'s dependent at slot `j` with distance `d`, maintaining the
-    /// reverse-dependent lists and the far-list mirror of δ. `j == x` clears
-    /// the dependent (`d` must then be ∞).
+    /// Points `x`'s dependent at slot `j` with squared distance `d`,
+    /// maintaining the reverse-dependent lists and `x`'s reach. `j == x`
+    /// clears the dependent (`d` must then be ∞).
     fn set_dep(&mut self, x: u32, j: u32, d: f64) {
         let xi = x as usize;
         let old = self.dep[xi];
@@ -341,82 +363,60 @@ impl StreamingDpc {
             }
         }
         self.dep[xi] = j;
-        self.delta[xi] = d;
+        self.dsq[xi] = d;
         if j != x {
             self.children[j as usize].push(x);
         }
-        self.far_sync(x);
-    }
-
-    /// Re-syncs slot `x`'s far-list membership (and δ mirror) with its
-    /// current δ.
-    fn far_sync(&mut self, x: u32) {
-        let xi = x as usize;
-        let pos = self.far_pos[xi];
-        if self.delta[xi] > self.far_cut() {
-            if pos == NO_POS {
-                self.far_pos[xi] = self.far_slots.len() as u32;
-                self.far_slots.push(x);
-                self.far_coords.extend_from_slice(&self.coords[xi * self.dim..(xi + 1) * self.dim]);
-                self.far_delta.push(self.delta[xi]);
-            } else {
-                self.far_delta[pos as usize] = self.delta[xi];
-            }
-        } else if pos != NO_POS {
-            self.far_drop(x);
+        if xi < self.tree.len() {
+            let reach = self.reach(xi);
+            self.reach_keys.set(&self.tree, xi, reach);
         }
-    }
-
-    /// Removes slot `x` from the far list if present (swap-remove, keeping
-    /// the mirrors dense).
-    fn far_drop(&mut self, x: u32) {
-        let xi = x as usize;
-        let pos = self.far_pos[xi] as usize;
-        if self.far_pos[xi] == NO_POS {
-            return;
-        }
-        let last = self.far_slots.len() - 1;
-        self.far_slots.swap_remove(pos);
-        self.far_delta.swap_remove(pos);
-        for k in 0..self.dim {
-            self.far_coords[pos * self.dim + k] = self.far_coords[last * self.dim + k];
-        }
-        self.far_coords.truncate(last * self.dim);
-        if pos < self.far_slots.len() {
-            self.far_pos[self.far_slots[pos] as usize] = pos as u32;
-        }
-        self.far_pos[xi] = NO_POS;
     }
 
     /// Exact δ for live slot `x`: its nearest strictly denser live point, by
-    /// one kd-tree descent that accepts only denser ids. When none exists
-    /// `x` is the densest live point (δ = ∞, its own dependent).
+    /// one nearest-denser descent of the tree (removed points are keyed
+    /// `-∞`) and a scan of the buffer, ties to the smaller slot. When none
+    /// exists `x` is the densest live point (δ = ∞, its own dependent).
     fn recompute_delta(&mut self, x: u32) {
         self.counters.recomputes += 1;
-        let rx = self.rho[x as usize];
-        let rho = &self.rho;
-        match self.tree.nearest_where(self.row(x), |j| rho[j] > rx) {
-            Some((j, d)) => self.set_dep(x, j as u32, d),
+        let (rx, p) = (self.rho[x as usize], self.row(x as usize));
+        let mut best = self
+            .tree
+            .nearest_denser(&self.rho_keys, p, rx)
+            .map(|(j, _)| (dist_sq(p, self.row(j)), j as u32));
+        // Buffer slots exceed every tree slot and ascend, so a tie keeps the
+        // candidate already found.
+        for b in self.buffer() {
+            if self.alive[b] && self.rho[b] > rx {
+                let d = dist_sq(p, self.row(b));
+                if best.is_none_or(|(bd, _)| d < bd) {
+                    best = Some((d, b as u32));
+                }
+            }
+        }
+        match best {
+            Some((d, j)) => self.set_dep(x, j, d),
             None => self.set_dep(x, x, f64::INFINITY),
         }
     }
 
-    /// The one range query of an update, around `p` at radius
-    /// `d_cut + far_cut` (padded so that the strict `dist < δ + d_cut`
-    /// bounds of the module docs hold despite rounding): `near` receives
-    /// every hit, `ball` the hits within `d_cut` (closed, Definition 1).
-    fn frontier_query(&self, p: &[f64], near: &mut Vec<usize>, ball: &mut Vec<usize>) {
-        let dcut = self.params.dcut;
-        self.tree.range_search_into(p, (dcut + self.far_cut()) * (1.0 + 1e-9), near);
+    /// Moves the hits within `d_cut` of `p` (closed, Definition 1) from
+    /// `hits` to `ball`.
+    fn split_ball(&self, p: &[f64], hits: &mut Vec<usize>, ball: &mut Vec<usize>) {
+        let dcut_sq = self.params.dcut * self.params.dcut;
         ball.clear();
-        ball.extend(
-            near.iter().copied().filter(|&x| dist_sq(p, self.row(x as u32)) <= dcut * dcut),
-        );
+        hits.retain(|&x| {
+            let inside = dist_sq(p, self.row(x)) <= dcut_sq;
+            if inside {
+                ball.push(x);
+            }
+            !inside
+        });
     }
 
     /// Inserts a point and returns its stable id. Exact maintenance:
     ///
-    /// 1. ρ: the frontier query around the arrival; every ball neighbour
+    /// 1. ρ: the reverse query around the arrival; every ball neighbour
     ///    gets `count + 1` and the new point's own count is the ball size.
     /// 2. δ of the new point: its nearest denser ball neighbour, or a full
     ///    recompute when no neighbour is denser. A full recompute for every
@@ -426,11 +426,14 @@ impl StreamingDpc {
     ///    `c + 1` becomes a *new* denser point exactly for the unbumped
     ///    points whose ρ lies in `(fl(c + j_q), ρ_q)`, and the new point
     ///    itself is a candidate denser point for anything less dense. The
-    ///    candidates are the unbumped hits of the frontier query and the
-    ///    far-list entries that can reach the arrival; each looks up the
-    ///    neighbours it can cross in the count index and repairs with one
-    ///    distance comparison per crossing — on insert a stale δ is always
-    ///    an upper bound.
+    ///    candidates are the reverse query's hits beyond the ball; each
+    ///    looks up the neighbours it can cross in the count index and
+    ///    repairs with one distance comparison per crossing — on insert a
+    ///    stale δ is always an upper bound.
+    ///
+    /// The insert ends with the window's expiry and, when the buffer and
+    /// the removed tree points have grown past a sixteenth of the window,
+    /// an index rebuild.
     pub fn insert(&mut self, point: &[f64]) -> Result<u64, DpcError> {
         if point.len() != self.dim {
             return Err(DpcError::DimensionMismatch {
@@ -447,50 +450,46 @@ impl StreamingDpc {
         self.next_id += 1;
         self.counters.inserts += 1;
 
-        // The frontier query runs *before* the new point enters the tree.
-        let mut near = std::mem::take(&mut self.scratch_near);
+        // The reverse query runs *before* the new point is stored.
+        let mut hits = std::mem::take(&mut self.scratch_hits);
         let mut ball = std::mem::take(&mut self.scratch_ball);
-        self.frontier_query(point, &mut near, &mut ball);
+        self.tree.reaching_into(&self.reach_keys, point, &mut hits);
+        for b in self.buffer().filter(|&b| self.alive[b]) {
+            let reach = self.reach(b);
+            if dist_sq(point, self.row(b)) <= reach * reach {
+                hits.push(b);
+            }
+        }
+        self.split_ball(point, &mut hits, &mut ball);
         self.counters.bumped += ball.len() as u64;
 
-        let s = self.alloc_slot(id, point);
         for &q in &ball {
-            self.bump_count(q as u32, true);
+            self.bump_count(q, true);
         }
+        let s = self.push_slot(id, point, ball.len());
         let si = s as usize;
-        self.count[si] = ball.len();
-        self.rho[si] = self.jitter(self.count[si], s);
-        self.tree.insert(si, point);
-        self.arrivals.push_back(id);
-
-        self.mark[si] = true;
-        for &q in &ball {
-            self.mark[q] = true;
-        }
 
         // Case 1: δ of the arrival. A denser neighbour inside the ball beats
-        // every point beyond `d_cut`, so the tree is only consulted when the
-        // arrival out-densifies its whole neighbourhood.
-        let mut best: Option<(u32, f64)> = None;
+        // every point beyond `d_cut`, so the index is only consulted when
+        // the arrival out-densifies its whole neighbourhood.
         for &j in &ball {
             if self.rho[j] > self.rho[si] {
-                let d = dist(point, self.row(j as u32));
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((j as u32, d));
+                let d = dist_sq(point, self.row(j));
+                if self.improves(si, d, j as u32) {
+                    self.set_dep(s, j as u32, d);
                 }
             }
         }
-        match best {
-            Some((j, d)) => self.set_dep(s, j, d),
-            None => self.recompute_delta(s),
+        if self.dep[si] == s {
+            self.recompute_delta(s);
         }
 
         // Case 2: neighbours whose dependent stopped being strictly denser
         // when their own ρ rose.
-        for &qi in &ball {
-            let d = self.dep[qi] as usize;
-            if d != qi && self.rho[d] <= self.rho[qi] {
-                self.recompute_delta(qi as u32);
+        for &q in &ball {
+            let d = self.dep[q] as usize;
+            if d != q && self.rho[d] <= self.rho[q] {
+                self.recompute_delta(q as u32);
             }
         }
 
@@ -499,91 +498,64 @@ impl StreamingDpc {
         // count changes preserve their relative order).
         for &q in &ball {
             if self.rho[q] < self.rho[si] {
-                let d = dist(self.row(q as u32), point);
-                if d < self.delta[q] {
+                let d = dist_sq(self.row(q), point);
+                if self.improves(q, d, s) {
                     self.set_dep(q as u32, s, d);
                 }
             }
         }
 
-        // Case 3 outside the ball. Candidates with a small δ are the query's
-        // other hits, each marked once repaired. The rest are the far-list
-        // entries that can reach the arrival: collected after the near
-        // repairs (which only shrink a δ, so they add nobody to the list)
-        // and before their own (which edit the list under the sweep).
+        // Case 3 beyond the ball: the reverse query's other hits.
         let mut index = std::mem::take(&mut self.scratch_index);
         index.clear();
         for &q in &ball {
-            let q = q as u32;
-            let key = self.count[q as usize] - 1;
-            let (lo, hi) = (self.jitter(key, q), self.rho[q as usize]);
-            index.push(Crossing { key, slot: q, lo, hi });
+            let key = self.count[q] - 1;
+            let (lo, hi) = (self.jitter(key, q), self.rho[q]);
+            index.push(Crossing { key, slot: q as u32, lo, hi });
         }
         index.sort_unstable_by_key(|e| (e.key, e.slot));
-        for &xi in &near {
-            if !self.mark[xi] {
-                self.mark[xi] = true;
-                self.repair_candidate(xi as u32, s, &index);
-            }
+        for &x in &hits {
+            self.repair_candidate(x, s, &index);
         }
-        let mut far = std::mem::take(&mut self.scratch_far);
-        far.clear();
-        self.counters.far_swept += self.far_slots.len() as u64;
-        for k in 0..self.far_slots.len() {
-            let xi = self.far_slots[k] as usize;
-            if self.mark[xi] {
-                continue;
-            }
-            let reach = (self.far_delta[k] + self.params.dcut) * (1.0 + 1e-9);
-            let c = &self.far_coords[k * self.dim..(k + 1) * self.dim];
-            if dist_sq(point, c) <= reach * reach {
-                far.push(xi);
-            }
-        }
-        for &xi in &far {
-            self.repair_candidate(xi as u32, s, &index);
-        }
-        self.scratch_far = far;
         self.scratch_index = index;
-
-        self.mark[si] = false;
-        for &x in &near {
-            self.mark[x] = false;
-        }
-        self.scratch_near = near;
+        self.scratch_hits = hits;
         self.scratch_ball = ball;
 
         if let Some((capacity, batch)) = self.window {
             if self.live >= capacity + batch {
                 while self.live > capacity {
-                    let oldest = self.pop_oldest_live().expect("live > capacity > 0");
-                    self.expired.push(oldest);
+                    while !self.alive[self.first_live] {
+                        self.first_live += 1;
+                    }
+                    self.expired.push(self.stable[self.first_live]);
+                    self.remove_slot(self.first_live as u32);
                 }
             }
         }
+        self.maybe_rebuild();
         Ok(id)
     }
 
     /// Case-3 repair of the unbumped point `x` after slot `s` was inserted:
     /// the arrival, and every bumped neighbour whose crossed interval holds
-    /// ρ_x, are denser candidates, each taken if strictly nearer than δ_x.
-    fn repair_candidate(&mut self, x: u32, s: u32, index: &[Crossing]) {
+    /// ρ_x, are denser candidates, each taken if it precedes `x`'s
+    /// dependent in the canonical order.
+    fn repair_candidate(&mut self, x: usize, s: u32, index: &[Crossing]) {
         self.counters.candidates += 1;
-        let xi = x as usize;
-        let rx = self.rho[xi];
+        let rx = self.rho[x];
         if rx < self.rho[s as usize] {
-            let d = dist(self.row(x), self.row(s));
-            if d < self.delta[xi] {
-                self.set_dep(x, s, d);
+            let d = dist_sq(self.row(x), self.row(s as usize));
+            if self.improves(x, d, s) {
+                self.set_dep(x as u32, s, d);
             }
         }
-        let hits = crossings(index, self.count[xi]);
+        let hits = crossings(index, self.count[x]);
         self.counters.index_scanned += hits.len() as u64;
         for e in hits {
             if e.lo < rx && rx < e.hi {
-                let d = dist(self.row(x), self.row(e.slot));
-                if d < self.delta[xi] {
-                    self.set_dep(x, e.slot, d);
+                let d = dist_sq(self.row(x), self.row(e.slot as usize));
+                if self.improves(x, d, e.slot) {
+                    self.set_dep(x as u32, e.slot, d);
                 }
             }
         }
@@ -592,47 +564,42 @@ impl StreamingDpc {
     /// Removes the point with stable id `id`. Returns `false` when the id is
     /// not live. Exact maintenance mirrors `insert`:
     ///
-    /// 1. ρ: the frontier query around the removed coordinates; every ball
-    ///    neighbour gets `count - 1`.
+    /// 1. ρ: one range query of radius `2·d_cut` around the removed
+    ///    coordinates; every ball neighbour gets `count - 1`.
     /// 2. A full δ recompute for every point whose dependent was the removed
     ///    point, and for every follower of a neighbour whose ρ fell to or
     ///    below the follower's.
     /// 3. Frontier repair: a neighbour `q` whose count fell from `c + 1` to
     ///    `c` gains as denser points exactly the unbumped points with ρ in
     ///    `(ρ_q, fl(c + 1 + j_q))`, and only δ_q itself can shrink. Any
-    ///    improvement lies strictly within δ_q of `q`: when δ_q ≤ `far_cut`
-    ///    it is one of the query's hits, found through the count index and
-    ///    taken with one distance comparison (on delete a stale δ is always
+    ///    improvement lies within δ_q of `q`: when δ_q ≤ `d_cut` it is one
+    ///    of the query's hits, found through the count index and taken
+    ///    with one distance comparison (on delete a stale δ is always
     ///    attained by a surviving denser point, so it can only improve);
     ///    otherwise `q` is a local peak and takes a full recompute.
+    ///
+    /// Like an insert, a remove may end with an index rebuild.
     pub fn remove(&mut self, id: u64) -> bool {
-        let Some(&slot) = self.id_to_slot.get(&id) else { return false };
+        let Some(slot) = self.slot_of(id) else { return false };
         self.remove_slot(slot);
+        self.maybe_rebuild();
         true
-    }
-
-    /// Pops the oldest live stable id off the arrival queue and removes it.
-    fn pop_oldest_live(&mut self) -> Option<u64> {
-        while let Some(id) = self.arrivals.pop_front() {
-            if let Some(&slot) = self.id_to_slot.get(&id) {
-                self.remove_slot(slot);
-                return Some(id);
-            }
-            // Removed out of order earlier; skip lazily.
-        }
-        None
     }
 
     fn remove_slot(&mut self, slot: u32) {
         let si = slot as usize;
         debug_assert!(self.alive[si]);
         self.counters.removes += 1;
-        let px: Vec<f64> = self.row(slot).to_vec();
 
         // Detach the slot from every structure first, so the query below
         // sees exactly the surviving window.
-        self.tree.remove(si);
-        self.far_drop(slot);
+        self.alive[si] = false;
+        self.live -= 1;
+        if si < self.tree.len() {
+            self.tombstones += 1;
+            self.rho_keys.set(&self.tree, si, f64::NEG_INFINITY);
+            self.reach_keys.set(&self.tree, si, f64::NEG_INFINITY);
+        }
         let dep = self.dep[si];
         if dep != slot {
             let list = &mut self.children[dep as usize];
@@ -641,20 +608,22 @@ impl StreamingDpc {
             }
         }
         let orphans = std::mem::take(&mut self.children[si]);
-        self.id_to_slot.remove(&self.stable[si]);
-        self.alive[si] = false;
-        self.live -= 1;
-        self.free.push(slot);
 
-        let mut near = std::mem::take(&mut self.scratch_near);
+        let mut hits = std::mem::take(&mut self.scratch_hits);
         let mut ball = std::mem::take(&mut self.scratch_ball);
-        self.frontier_query(&px, &mut near, &mut ball);
+        let p = self.row(si);
+        let radius = 2.0 * self.params.dcut * PAD;
+        self.tree.range_search_into(p, radius, &mut hits);
+        hits.retain(|&x| self.alive[x]);
+        for b in self.buffer() {
+            if self.alive[b] && dist_sq(p, self.row(b)) <= radius * radius {
+                hits.push(b);
+            }
+        }
+        self.split_ball(p, &mut hits, &mut ball);
         self.counters.bumped += ball.len() as u64;
         for &q in &ball {
-            self.bump_count(q as u32, false);
-        }
-        for &q in &ball {
-            self.mark[q] = true;
+            self.bump_count(q, false);
         }
 
         // Case 2 repairs. Collect before recomputing: recomputes edit the
@@ -676,97 +645,118 @@ impl StreamingDpc {
         // crossed interval. A local peak recomputes, unless case 2 just did;
         // every other neighbour enters the count index, and the query's
         // unbumped hits look up the neighbours they now out-rank.
+        let dcut_sq = self.params.dcut * self.params.dcut;
         let mut index = std::mem::take(&mut self.scratch_index);
         index.clear();
         for &b in &ball {
             let q = b as u32;
-            if self.delta[b] <= self.far_cut() {
+            if self.dsq[b] <= dcut_sq {
                 let key = self.count[b];
-                let (lo, hi) = (self.rho[b], self.jitter(key + 1, q));
+                let (lo, hi) = (self.rho[b], self.jitter(key + 1, b));
                 index.push(Crossing { key, slot: q, lo, hi });
             } else if !stale.contains(&q) {
                 self.recompute_delta(q);
             }
         }
         index.sort_unstable_by_key(|e| (e.key, e.slot));
-        for &xi in &near {
-            if self.mark[xi] {
-                continue; // bumped alongside q — relative order unchanged
-            }
+        for &x in &hits {
             self.counters.candidates += 1;
-            let rx = self.rho[xi];
-            let hits = crossings(&index, self.count[xi]);
-            self.counters.index_scanned += hits.len() as u64;
-            for e in hits {
+            let rx = self.rho[x];
+            let found = crossings(&index, self.count[x]);
+            self.counters.index_scanned += found.len() as u64;
+            for e in found {
+                let q = e.slot as usize;
                 if e.lo < rx && rx < e.hi {
-                    let d = dist(self.row(xi as u32), self.row(e.slot));
-                    if d < self.delta[e.slot as usize] {
-                        self.set_dep(e.slot, xi as u32, d);
+                    let d = dist_sq(self.row(q), self.row(x));
+                    if self.improves(q, d, x as u32) {
+                        self.set_dep(e.slot, x as u32, d);
                     }
                 }
             }
         }
         self.scratch_index = index;
-
-        for &q in &ball {
-            self.mark[q] = false;
-        }
-        self.scratch_near = near;
+        self.scratch_hits = hits;
         self.scratch_ball = ball;
     }
 
-    /// Allocates (or reuses) a slot for stable id `id`, leaving ρ/δ at their
-    /// pre-insert placeholders.
-    fn alloc_slot(&mut self, id: u64, point: &[f64]) -> u32 {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let si = slot as usize;
-                self.coords[si * self.dim..(si + 1) * self.dim].copy_from_slice(point);
-                self.stable[si] = id;
-                slot
-            }
-            None => {
-                let slot = self.stable.len() as u32;
-                self.coords.extend_from_slice(point);
-                self.stable.push(id);
-                self.count.push(0);
-                self.rho.push(0.0);
-                self.delta.push(0.0);
-                self.dep.push(0);
-                self.children.push(Vec::new());
-                self.alive.push(false);
-                self.mark.push(false);
-                self.far_pos.push(NO_POS);
-                slot
-            }
-        };
-        let si = slot as usize;
-        self.count[si] = 0;
-        self.rho[si] = 0.0;
-        self.delta[si] = f64::INFINITY;
-        self.dep[si] = slot;
-        debug_assert!(self.children[si].is_empty());
-        debug_assert_eq!(self.far_pos[si], NO_POS);
-        self.alive[si] = true;
+    /// Appends slot `slot = stable.len()` for stable id `id` with ball count
+    /// `count`, its ρ jittered and no dependent yet.
+    fn push_slot(&mut self, id: u64, point: &[f64], count: usize) -> u32 {
+        let slot = self.stable.len() as u32;
+        self.rows.push(point);
+        self.stable.push(id);
+        self.count.push(count);
+        self.rho.push(jittered_density_keyed(count, id, self.params.jitter_seed));
+        self.dsq.push(f64::INFINITY);
+        self.dep.push(slot);
+        self.children.push(Vec::new());
+        self.alive.push(true);
         self.live += 1;
-        self.id_to_slot.insert(id, slot);
         slot
+    }
+
+    /// Rebuilds the index once the buffer plus the removed tree points pass
+    /// `1 / REBUILD_RATIO` of the live window.
+    fn maybe_rebuild(&mut self) {
+        let pending = self.buffer().len() + self.tombstones;
+        if pending * REBUILD_RATIO > self.live {
+            self.rebuild();
+        }
+    }
+
+    /// Renumbers the live slots `0..live` in arrival order and builds the
+    /// tree and its keys over them; the buffer and the tombstones empty.
+    fn rebuild(&mut self) {
+        self.counters.rebuilds += 1;
+        let keep: Vec<usize> = (0..self.stable.len()).filter(|&s| self.alive[s]).collect();
+        let mut new_slot = vec![u32::MAX; self.stable.len()];
+        for (new, &old) in keep.iter().enumerate() {
+            new_slot[old] = new as u32;
+        }
+        self.rows = self.rows.select(&keep);
+        self.stable = keep.iter().map(|&s| self.stable[s]).collect();
+        self.count = keep.iter().map(|&s| self.count[s]).collect();
+        self.rho = keep.iter().map(|&s| self.rho[s]).collect();
+        self.dsq = keep.iter().map(|&s| self.dsq[s]).collect();
+        self.dep = keep.iter().map(|&s| new_slot[self.dep[s] as usize]).collect();
+        // A live point's reverse dependents are live: a removal unlinks the
+        // removed point from its dependent's list.
+        self.children = keep
+            .iter()
+            .map(|&s| {
+                let mut list = std::mem::take(&mut self.children[s]);
+                list.iter_mut().for_each(|y| *y = new_slot[*y as usize]);
+                list
+            })
+            .collect();
+        self.install(KdTree::build(&self.rows));
+    }
+
+    /// Makes `tree`, built over every slot (all live), the index, keyed by
+    /// ρ and by reach.
+    fn install(&mut self, tree: KdTree) {
+        let reach: Vec<f64> = (0..self.stable.len()).map(|x| self.reach(x)).collect();
+        self.rho_keys = MaxKeys::new(&tree, &self.rho);
+        self.reach_keys = MaxKeys::new(&tree, &reach);
+        self.tree = tree;
+        self.alive = vec![true; self.stable.len()];
+        self.tombstones = 0;
+        self.first_live = 0;
     }
 
     /// Loads `data`'s points into an engine that has never taken a point,
     /// with the same outcome as inserting them in order: the same
-    /// [`StreamingDpc::len`], [`StreamingDpc::to_parts`] (dependents up to
-    /// ties at equal distance), [`StreamingDpc::drain_expired`] and next
-    /// stable id. In sliding-window mode with `n ≥ capacity + batch` points
-    /// the engine keeps the last `capacity + (n − capacity) mod batch` and
-    /// reports the rest as expired, oldest first.
+    /// [`StreamingDpc::len`], [`StreamingDpc::to_parts`],
+    /// [`StreamingDpc::drain_expired`] and next stable id. In sliding-window
+    /// mode with `n ≥ capacity + batch` points the engine keeps the last
+    /// `capacity + (n − capacity) mod batch` and reports the rest as expired,
+    /// oldest first.
     ///
     /// The kept points take one [`ExDpc::fit_keyed`] at `params.threads`,
     /// keyed by their stable ids; the engine's counts, ρ, δ and dependents
-    /// come from it, its tree is built balanced in one pass, and the
-    /// reverse-dependent lists and the far list follow from δ and the
-    /// dependents. An empty `data` loads nothing. The counters are not
-    /// touched.
+    /// come from it, the fit's tree becomes the engine's index, and the
+    /// reverse-dependent lists follow from the dependents. An empty `data`
+    /// loads nothing. The counters are not touched.
     ///
     /// # Errors
     /// [`DpcError::InvalidParams`] when the engine has taken a point before,
@@ -801,31 +791,29 @@ impl StreamingDpc {
         };
         let kept = Dataset::from_flat(self.dim, data.flat()[first * self.dim..].to_vec());
         let keys: Vec<u64> = (first as u64..n as u64).collect();
-        let (model, counts) = ExDpc::new(self.params).fit_keyed_counts(&kept, &keys)?;
+        let (model, counts, tree) = ExDpc::new(self.params).fit_keyed_parts(&kept, &keys)?;
 
         let m = kept.len();
-        self.tree = IncrementalKdTree::build(&kept);
-        self.coords = kept.flat().to_vec();
-        self.count = counts;
-        self.rho = model.rho().to_vec();
-        self.delta = model.delta().to_vec();
         self.dep = model.dependent().iter().map(|&d| d as u32).collect();
+        // The exact squared distances the fit compared (δ is their root).
+        self.dsq = (0..m)
+            .map(|x| match self.dep[x] as usize {
+                d if d == x => f64::INFINITY,
+                d => dist_sq(kept.point(x), kept.point(d)),
+            })
+            .collect();
         self.children = vec![Vec::new(); m];
         for (y, &d) in self.dep.iter().enumerate() {
             if d as usize != y {
                 self.children[d as usize].push(y as u32);
             }
         }
-        self.alive = vec![true; m];
-        self.mark = vec![false; m];
-        self.far_pos = vec![NO_POS; m];
+        self.rows = kept;
+        self.count = counts;
+        self.rho = model.rho().to_vec();
         self.live = m;
-        self.id_to_slot = keys.iter().enumerate().map(|(slot, &id)| (id, slot as u32)).collect();
-        self.arrivals = keys.iter().copied().collect();
         self.stable = keys;
-        for x in 0..m as u32 {
-            self.far_sync(x);
-        }
+        self.install(tree);
         self.expired.extend(0..first as u64);
         self.next_id = n as u64;
         Ok(())
@@ -834,44 +822,31 @@ impl StreamingDpc {
     /// Exports the surviving window in arrival order as
     /// `(dataset, stable ids, model)`. The model is what
     /// [`ExDpc::fit_keyed`](crate::ExDpc::fit_keyed) would produce on that
-    /// dataset with those ids as keys (bit-identical ρ and δ); dependent
-    /// identifiers are remapped from internal slots to arrival positions.
-    /// The model's index bytes count the live points' share of the
-    /// incremental tree alone, so they do not depend on how the engine was
-    /// loaded.
+    /// dataset with those ids as keys (bit-identical ρ and δ, the same
+    /// dependents); dependent identifiers are remapped from internal slots
+    /// to arrival positions. The model's index bytes are the index's bytes
+    /// per live point (a packed row, an id and a position entry, and two
+    /// keys) times the live count, so they depend on the window alone, not
+    /// on how the engine was loaded or when it last rebuilt.
     ///
     /// Returns [`DpcError::EmptyDataset`] when the window is empty.
     pub fn to_parts(&self) -> Result<(Dataset, Vec<u64>, DpcModel), DpcError> {
         if self.live == 0 {
             return Err(DpcError::EmptyDataset);
         }
-        let mut data = Dataset::with_capacity(self.dim, self.live);
-        let mut ids = Vec::with_capacity(self.live);
-        let mut slots = Vec::with_capacity(self.live);
+        let slots: Vec<usize> = (0..self.stable.len()).filter(|&s| self.alive[s]).collect();
         let mut pos_of_slot = vec![u32::MAX; self.stable.len()];
-        for &id in &self.arrivals {
-            if let Some(&slot) = self.id_to_slot.get(&id) {
-                pos_of_slot[slot as usize] = slots.len() as u32;
-                data.push(self.row(slot));
-                ids.push(id);
-                slots.push(slot);
-            }
+        for (pos, &s) in slots.iter().enumerate() {
+            pos_of_slot[s] = pos as u32;
         }
-        debug_assert_eq!(slots.len(), self.live);
-        let rho: Vec<f64> = slots.iter().map(|&s| self.rho[s as usize]).collect();
-        let delta: Vec<f64> = slots.iter().map(|&s| self.delta[s as usize]).collect();
-        let dependent: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .map(|(pos, &s)| {
-                let d = self.dep[s as usize];
-                if d == s {
-                    pos
-                } else {
-                    pos_of_slot[d as usize] as usize
-                }
-            })
-            .collect();
+        let ids: Vec<u64> = slots.iter().map(|&s| self.stable[s]).collect();
+        let rho: Vec<f64> = slots.iter().map(|&s| self.rho[s]).collect();
+        let delta: Vec<f64> = slots.iter().map(|&s| self.dsq[s].sqrt()).collect();
+        let dependent: Vec<usize> =
+            slots.iter().map(|&s| pos_of_slot[self.dep[s] as usize] as usize).collect();
+        let per_point = self.dim * std::mem::size_of::<f64>()
+            + 2 * std::mem::size_of::<u32>()
+            + 2 * std::mem::size_of::<f64>();
         let model = DpcModel::from_parts(
             "Streaming-DPC",
             self.params.dcut,
@@ -879,21 +854,21 @@ impl StreamingDpc {
             delta,
             dependent,
             Timings::default(),
-            self.tree.live_bytes(),
+            self.live * per_point,
         )?;
-        Ok((data, ids, model))
+        Ok((self.rows.select(&slots), ids, model))
     }
 
     /// Approximate heap memory used by the engine, in bytes.
     pub fn mem_usage(&self) -> usize {
         self.tree.mem_usage()
-            + self.coords.capacity() * std::mem::size_of::<f64>()
-            + self.stable.capacity() * std::mem::size_of::<u64>()
+            + self.rho_keys.mem_usage()
+            + self.reach_keys.mem_usage()
+            + self.rows.mem_usage()
+            + (self.stable.capacity() + self.count.capacity()) * std::mem::size_of::<u64>()
+            + (self.rho.capacity() + self.dsq.capacity()) * std::mem::size_of::<f64>()
+            + self.dep.capacity() * std::mem::size_of::<u32>()
             + self.children.iter().map(|c| c.capacity() * 4).sum::<usize>()
-            + self.arrivals.capacity() * std::mem::size_of::<u64>()
-            + self.far_coords.capacity() * std::mem::size_of::<f64>()
-            + (self.far_slots.capacity() + self.far_pos.capacity()) * std::mem::size_of::<u32>()
-            + self.far_delta.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -902,11 +877,18 @@ mod tests {
     use super::*;
     use crate::framework::select_and_assign;
     use crate::params::Thresholds;
+    use dpc_geometry::dist;
     use dpc_rng::StdRng;
 
-    /// Brute-force oracle: exact ρ/δ per the definitions, jittered on the
-    /// stable ids.
-    fn brute(points: &[Vec<f64>], keys: &[u64], dcut: f64, seed: u64) -> (Vec<f64>, Vec<f64>) {
+    /// Brute-force oracle: exact ρ, δ and dependents per the definitions,
+    /// jittered on the stable ids. The dependent is the nearest strictly
+    /// denser point, the earliest (smallest position) among equals.
+    fn brute(
+        points: &[Vec<f64>],
+        keys: &[u64],
+        dcut: f64,
+        seed: u64,
+    ) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
         let n = points.len();
         let rho: Vec<f64> = (0..n)
             .map(|i| {
@@ -915,38 +897,29 @@ mod tests {
                 jittered_density_keyed(count, keys[i], seed)
             })
             .collect();
-        let delta: Vec<f64> = (0..n)
+        let nearest: Vec<Option<(f64, usize)>> = (0..n)
             .map(|i| {
                 (0..n)
                     .filter(|&j| rho[j] > rho[i])
-                    .map(|j| dist(&points[i], &points[j]))
-                    .fold(f64::INFINITY, f64::min)
+                    .map(|j| (dist_sq(&points[i], &points[j]), j))
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             })
             .collect();
-        (rho, delta)
+        let delta = nearest.iter().map(|b| b.map_or(f64::INFINITY, |(d, _)| d.sqrt())).collect();
+        let dependent = nearest.iter().enumerate().map(|(i, b)| b.map_or(i, |(_, j)| j)).collect();
+        (rho, delta, dependent)
     }
 
     /// Asserts the engine state equals the brute-force oracle on the live
-    /// window: bitwise ρ, bitwise δ, and a dependent that actually attains δ
-    /// with strictly higher ρ.
+    /// window: bitwise ρ and δ, and the same dependents.
     fn assert_matches_oracle(engine: &StreamingDpc, seed: u64) {
         let (data, ids, model) = engine.to_parts().unwrap();
         let points: Vec<Vec<f64>> = (0..data.len()).map(|i| data.point(i).to_vec()).collect();
-        let (rho, delta) = brute(&points, &ids, engine.dcut(), seed);
+        let (rho, delta, dependent) = brute(&points, &ids, engine.dcut(), seed);
         for i in 0..data.len() {
             assert_eq!(model.rho()[i].to_bits(), rho[i].to_bits(), "ρ mismatch at {i}");
             assert_eq!(model.delta()[i].to_bits(), delta[i].to_bits(), "δ mismatch at {i}");
-            let dep = model.dependent()[i];
-            if dep == i {
-                assert!(model.delta()[i].is_infinite(), "self-dependent must have δ = ∞");
-            } else {
-                assert!(model.rho()[dep] > model.rho()[i], "dependent must be denser at {i}");
-                assert_eq!(
-                    dist(data.point(i), data.point(dep)).to_bits(),
-                    model.delta()[i].to_bits(),
-                    "dependent must attain δ at {i}"
-                );
-            }
+            assert_eq!(model.dependent()[i], dependent[i], "dependent mismatch at {i}");
         }
     }
 
@@ -1069,10 +1042,11 @@ mod tests {
         assert_eq!(clustering.assignment, assignment);
     }
 
-    /// Exact counters on a 1-d fixture traced by hand. d_cut = far_cut = 1,
-    /// so the frontier query reaches ~2. The jitter seed is the first one
-    /// that orders the jitters of ids 0 > 1 > 3 > 2; every "denser" below
-    /// follows from that order and the counts.
+    /// Exact counters on a 1-d fixture traced by hand. d_cut = 1, and while
+    /// the window holds fewer than 16 points every insert and remove ends
+    /// with a rebuild. The jitter seed is the first one that orders the
+    /// jitters of ids 0 > 1 > 3 > 2; every "denser" below follows from that
+    /// order and the counts.
     #[test]
     fn counters_match_a_hand_trace() {
         let j = |id: u64, seed: u64| jittered_density_keyed(0, id, seed);
@@ -1088,32 +1062,34 @@ mod tests {
                 c.candidates,
                 c.index_scanned,
                 c.recomputes,
-                c.far_swept,
+                c.rebuilds,
             ];
-            assert_eq!(got, want, "{step}: [ins, rem, bumped, cand, scanned, recomp, far]");
+            assert_eq!(got, want, "{step}: [ins, rem, bumped, cand, scanned, recomp, rebuilds]");
         };
-        // id 0 at 0.0: an empty query; the recompute finds no denser point
-        // (δ = ∞, so 0 enters the far list, which the sweep then skips).
+        // id 0 at 0.0: the reverse query finds nothing; the recompute finds
+        // no denser point (δ = ∞, so 0's reach is ∞).
         engine.insert(&[0.0]).unwrap();
         expect(engine.counters(), [1, 0, 0, 0, 0, 1, 1], "insert 0");
-        // id 1 at 0.5: ball {0}; both counts become 1, 0 is denser, so 1
-        // depends on it from the ball. The sweep sees {0}, marked.
+        // id 1 at 0.5: the query finds 0, in the ball; both counts become 1,
+        // 0 is denser, so 1 depends on it from the ball.
         engine.insert(&[0.5]).unwrap();
         expect(engine.counters(), [2, 0, 1, 0, 0, 1, 2], "insert 1");
-        // id 2 at 1.8: query {0, 1}, empty ball; 2 recomputes (δ 1.3 to 1,
-        // so it joins the far list). Candidates 0 and 1 find an empty index;
-        // the sweep sees {0, 2}, both marked.
+        // id 2 at 1.8: the query finds 0 (reach ∞) and 1 (reach 1.5), both
+        // beyond the ball; 2 recomputes (δ 1.3 to 1). Candidates 0 and 1
+        // find an empty index.
         engine.insert(&[1.8]).unwrap();
-        expect(engine.counters(), [3, 0, 1, 2, 0, 2, 4], "insert 2");
-        // id 3 at 1.2: query {0, 1, 2}, ball {1, 2} (counts 2 and 1), 3's
-        // count is 2 and 1 is denser, so 3 depends on 1. 1's dependent 0 is
-        // no longer denser: 1 recomputes to δ = ∞. Candidate 0 (count 1)
-        // scans the entries of keys 0 and 1 — 2's and 1's — and crosses 1:
-        // δ_0 = 0.5. The sweep sees {1}, marked.
+        expect(engine.counters(), [3, 0, 1, 2, 0, 2, 3], "insert 2");
+        // id 3 at 1.2: the query finds 0, 1 and 2 (reach 2.3); the ball is
+        // {1, 2} (counts 2 and 1), 3's count is 2 and 1 is denser, so 3
+        // depends on 1. 1's dependent 0 is no longer denser: 1 recomputes
+        // to δ = ∞. Candidate 0 (count 1) takes 3 (δ_0 = 1.2), then scans
+        // the entries of keys 0 and 1 — 2's and 1's — and crosses 1:
+        // δ_0 = 0.5.
         engine.insert(&[1.2]).unwrap();
-        expect(engine.counters(), [4, 0, 3, 3, 2, 3, 5], "insert 3");
-        // Remove id 1: ball {0, 3} (counts 0 and 1), both orphans of 1, so
-        // both recompute, and neither recomputes again as a local peak.
+        expect(engine.counters(), [4, 0, 3, 3, 2, 3, 4], "insert 3");
+        // Remove id 1: the range query (radius 2) finds 0, 2 and 3; the
+        // ball is {0, 3} (counts 0 and 1), both orphans of 1, so both
+        // recompute, and neither recomputes again as a local peak.
         // Candidate 2 finds an empty index.
         assert!(engine.remove(1));
         expect(engine.counters(), [4, 1, 5, 4, 2, 5, 5], "remove 1");
@@ -1121,7 +1097,7 @@ mod tests {
         // as dense, so 0 recomputes (δ = ∞). 3 is a local peak (δ = ∞)
         // and recomputes (δ 1.2). Candidate 0 finds an empty index.
         assert!(engine.remove(2));
-        expect(engine.counters(), [4, 2, 6, 5, 2, 7, 5], "remove 2");
+        expect(engine.counters(), [4, 2, 6, 5, 2, 7, 6], "remove 2");
         assert_matches_oracle(&engine, seed);
     }
 

@@ -62,9 +62,15 @@
 //!   ball, plus on the per-node smallest label of [`MinLabels`]: Approx-DPC's
 //!   first denser neighbour cell of a cell's densest point.
 //!
-//! The tree is immutable; the streaming engine's mutable index is the
-//! separate [`IncrementalKdTree`](crate::IncrementalKdTree) arena tree.
-//! Keeping mutation out of this type is what allows the packed layout.
+//! * **Changing keys and the reverse query.** The points and the layout
+//!   never change after a build; the keys may. [`MaxKeys::set`] changes one
+//!   point's key, raising the maxima on its root-to-leaf path when the key
+//!   rises and leaving them as upper bounds when it falls, so every query
+//!   stays exact. [`KdTree::reaching_into`] reads the keys as per-point
+//!   reaches and reports every point whose closed reach covers the query.
+//!   The streaming engine keeps its window this way: one packed tree from
+//!   its last rebuild, keyed by ρ and by reach, with removed points keyed
+//!   `-∞`.
 
 use dpc_geometry::batch;
 use dpc_geometry::distance::{dist_sq, max_dist_sq_to_rect, min_dist_sq_to_rect};
@@ -596,6 +602,50 @@ impl KdTree {
         }
         (best != NONE).then_some(best as usize)
     }
+
+    /// Collects, into `out` (cleared first), the identifiers of the points
+    /// whose **closed reach** covers `query`: `dist_sq(query, p) ≤ key²`
+    /// for a key of at least 0, the key being the point's reach in `reach`,
+    /// which must have been built from this tree. A negative key never
+    /// matches, `-∞` included (although it squares to `+∞`); a key of 0
+    /// matches only a coincident point; `+∞` matches from anywhere.
+    ///
+    /// This reverses a range query: a point is reported when the query lies
+    /// in *its* ball, not the other way round. A subtree is skipped when its
+    /// largest key is negative or its box lies beyond that key. Result order
+    /// follows the packed layout.
+    pub fn reaching_into(&self, reach: &MaxKeys, query: &[f64], out: &mut Vec<usize>) {
+        debug_assert_eq!(reach.node_max.len(), self.nodes.len(), "keys built from another tree");
+        out.clear();
+        if self.nodes.is_empty() {
+            return;
+        }
+        let dim = self.dim;
+        let mut stack = [0u32; STACK_CAP];
+        let mut top = 1usize;
+        while top > 0 {
+            top -= 1;
+            let node_idx = stack[top] as usize;
+            let r = reach.node_max[node_idx];
+            let (lo, hi) = self.node_bounds(node_idx);
+            if r < 0.0 || min_dist_sq_to_rect(query, lo, hi) > r * r {
+                continue;
+            }
+            let node = &self.nodes[node_idx];
+            if node.is_leaf() {
+                for k in node.start as usize..node.end as usize {
+                    let r = reach.keys[k];
+                    if r >= 0.0 && dist_sq(query, &self.coords[k * dim..(k + 1) * dim]) <= r * r {
+                        out.push(self.ids[k] as usize);
+                    }
+                }
+            } else {
+                stack[top] = node_idx as u32 + 1;
+                stack[top + 1] = node.right;
+                top += 2;
+            }
+        }
+    }
 }
 
 /// The position map of a tree's packed ids: `pos[id]` is the packed position
@@ -661,6 +711,30 @@ impl MaxKeys {
         let keys: Vec<f64> = tree.ids.iter().map(|&id| key_by_id[id as usize]).collect();
         let node_max = fold_nodes(&tree.nodes, &keys, f64::NEG_INFINITY, f64::max);
         Self { keys, node_max }
+    }
+
+    /// Sets point `id`'s key to `key`. A key that rises raises the maxima on
+    /// the point's root-to-leaf path; one that falls leaves them in place as
+    /// upper bounds, which prune less but never lose an answer, so every
+    /// query stays exact. `tree` must be the tree the keys were built from.
+    ///
+    /// # Panics
+    /// Panics if `id` is not below `tree.len()`.
+    pub fn set(&mut self, tree: &KdTree, id: usize, key: f64) {
+        debug_assert_eq!(self.node_max.len(), tree.nodes.len(), "keys built from another tree");
+        let k = tree.pos[id] as usize;
+        if std::mem::replace(&mut self.keys[k], key) >= key {
+            return;
+        }
+        let mut idx = 0usize;
+        loop {
+            self.node_max[idx] = self.node_max[idx].max(key);
+            let node = &tree.nodes[idx];
+            if node.is_leaf() {
+                return;
+            }
+            idx = if k < tree.nodes[idx + 1].end as usize { idx + 1 } else { node.right as usize };
+        }
     }
 
     /// Heap bytes of the two arrays.
@@ -1193,6 +1267,142 @@ mod tests {
         let want = (0..n).find(|&i| keys[i] > 500.0);
         let (found, _) = tree.nearest_denser_counted(&max_keys, &[0.0, 0.0], 500.0);
         assert_eq!(found, want.map(|i| (i, 5.0)));
+    }
+
+    /// Random or lattice-snapped points, in `dim` dimensions.
+    fn maybe_snapped(n: usize, dim: usize, seed: u64, snapped: bool) -> Dataset {
+        let ds = random_dataset(n, dim, seed);
+        if !snapped {
+            return ds;
+        }
+        Dataset::from_flat(dim, ds.flat().iter().map(|c| (c / 10.0).floor() * 10.0).collect())
+    }
+
+    #[test]
+    fn set_keys_keep_nearest_denser_exact() {
+        for dim in [2usize, 3, 8] {
+            for snapped in [false, true] {
+                let mut rng = StdRng::seed_from_u64(900 + dim as u64 + snapped as u64);
+                let ds = maybe_snapped(300, dim, 90 + dim as u64, snapped);
+                // Integer keys on the lattice: equal distances and equal keys,
+                // so the smallest-id tie decides many answers.
+                let key = |rng: &mut StdRng| {
+                    if snapped {
+                        rng.gen_range(0..20) as f64
+                    } else {
+                        20.0 * rng.gen_f64()
+                    }
+                };
+                let mut keys: Vec<f64> = (0..ds.len()).map(|_| key(&mut rng)).collect();
+                let tree = KdTree::build(&ds);
+                let mut max_keys = MaxKeys::new(&tree, &keys);
+                let (mut raised, mut lowered) = (0, 0);
+                for round in 0..6 {
+                    // Raise, lower or hide 60 points, in random order: a
+                    // lowered key leaves stale maxima that must stay bounds.
+                    for _ in 0..60 {
+                        let id = rng.gen_range(0..ds.len());
+                        let new = if rng.gen_range(0..4) == 0 {
+                            f64::NEG_INFINITY
+                        } else {
+                            key(&mut rng)
+                        };
+                        raised += usize::from(new > keys[id]);
+                        lowered += usize::from(new < keys[id]);
+                        keys[id] = new;
+                        max_keys.set(&tree, id, new);
+                    }
+                    let mut queries: Vec<(Vec<f64>, f64)> =
+                        (0..ds.len()).map(|i| (ds.point(i).to_vec(), keys[i])).collect();
+                    for _ in 0..50 {
+                        let q = (0..dim).map(|_| 120.0 * rng.gen_f64() - 10.0).collect();
+                        queries.push((q, key(&mut rng)));
+                    }
+                    for (q, key) in &queries {
+                        let got = tree.nearest_denser(&max_keys, q, *key);
+                        let want = brute_nearest_denser(&ds, &keys, q, *key);
+                        assert_eq!(got, want, "dim {dim}, snapped {snapped}, round {round}");
+                    }
+                }
+                assert!(raised > 100 && lowered > 100, "{raised} raised, {lowered} lowered");
+                // Hiding every point answers nothing, whatever maxima remain.
+                for id in 0..ds.len() {
+                    max_keys.set(&tree, id, f64::NEG_INFINITY);
+                }
+                assert_eq!(tree.nearest_denser(&max_keys, ds.point(0), -1e300), None);
+            }
+        }
+    }
+
+    /// `O(n)` reference for [`KdTree::reaching_into`], in id order.
+    fn brute_reaching(ds: &Dataset, reach: &[f64], q: &[f64]) -> Vec<usize> {
+        ds.iter()
+            .filter(|&(id, p)| reach[id] >= 0.0 && dist_sq(q, p) <= reach[id] * reach[id])
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    #[test]
+    fn reaching_into_matches_brute_force() {
+        for dim in [2usize, 3, 8] {
+            for snapped in [false, true] {
+                let mut rng = StdRng::seed_from_u64(950 + dim as u64 + snapped as u64);
+                let ds = maybe_snapped(300, dim, 40 + dim as u64, snapped);
+                // Lattice reaches are multiples of 10, so many points lie at
+                // exactly their reach from a lattice query. Keys of −∞, 0
+                // and ∞ are mixed in.
+                let reach_of = |rng: &mut StdRng| match rng.gen_range(0..12) {
+                    0 => f64::NEG_INFINITY,
+                    1 => 0.0,
+                    2 => f64::INFINITY,
+                    _ if snapped => 10.0 * rng.gen_range(0..4) as f64,
+                    _ => 30.0 * rng.gen_f64(),
+                };
+                let mut reach: Vec<f64> = (0..ds.len()).map(|_| reach_of(&mut rng)).collect();
+                let tree = KdTree::build(&ds);
+                let mut keys = MaxKeys::new(&tree, &reach);
+                let mut out = vec![7usize; 3]; // stale content must be cleared
+                for round in 0..3 {
+                    let mut queries: Vec<Vec<f64>> =
+                        (0..ds.len()).map(|i| ds.point(i).to_vec()).collect();
+                    for _ in 0..50 {
+                        queries.push((0..dim).map(|_| 120.0 * rng.gen_f64() - 10.0).collect());
+                    }
+                    for q in &queries {
+                        tree.reaching_into(&keys, q, &mut out);
+                        out.sort_unstable();
+                        let want = brute_reaching(&ds, &reach, q);
+                        assert_eq!(out, want, "dim {dim}, snapped {snapped}, round {round}");
+                    }
+                    for _ in 0..80 {
+                        let id = rng.gen_range(0..ds.len());
+                        reach[id] = reach_of(&mut rng);
+                        keys.set(&tree, id, reach[id]);
+                    }
+                }
+            }
+        }
+        // Closed at exactly the reach (3-4-5 distances are exact in f64); a
+        // −∞ reach never matches, not even at distance 0; a 0 reach matches
+        // only a coincident query.
+        let ds = Dataset::from_flat(
+            2,
+            vec![3.0, 4.0, 6.0, 0.0, -3.0, -4.0000001, 0.0, 0.0, 0.0, 0.0, 1e300, 0.0],
+        );
+        let reach = [5.0, 5.0, 5.0, 0.0, f64::NEG_INFINITY, f64::INFINITY];
+        let tree = KdTree::build(&ds);
+        let keys = MaxKeys::new(&tree, &reach);
+        let mut out = Vec::new();
+        tree.reaching_into(&keys, &[0.0, 0.0], &mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![0, 3, 5]);
+        tree.reaching_into(&keys, &[0.0, 1e-100], &mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![0, 5]);
+        let empty = KdTree::build(&Dataset::new(2));
+        let keys = MaxKeys::new(&empty, &[]);
+        empty.reaching_into(&keys, &[0.0, 0.0], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

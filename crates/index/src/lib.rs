@@ -14,17 +14,16 @@
 //!   ([`KdTree::nearest_denser`]). With a [`MinLabels`] array too, it answers
 //!   Approx-DPC's cell rule: the smallest label (cell id) among the points
 //!   within a radius whose key is greater than the query's
-//!   ([`KdTree::smallest_denser_label`]). Its packed storage is readable
-//!   through accessors (`dim`, `ids`, `coords`, `nodes`, `bounds`, and
-//!   `point(id)` through the position map); a decoded tree is reassembled and
-//!   checked by [`KdTree::from_packed_parts`]. See the module docs of
-//!   [`kdtree`] for the layout.
-//! * [`IncrementalKdTree`] — the one-point-per-node arena tree supporting
-//!   **insertion and removal**: the mutable index of `StreamingDpc`, whose
-//!   δ recomputes are its filtered nearest-neighbour descent
-//!   ([`IncrementalKdTree::nearest_where`]). It also keeps the seed's bulk
-//!   construction, so property tests can replay the seed pipeline against the
-//!   packed tree.
+//!   ([`KdTree::smallest_denser_label`]). Keys change in place
+//!   ([`MaxKeys::set`]), and read as per-point reaches they answer the
+//!   reverse query: every point whose closed reach covers a query point
+//!   ([`KdTree::reaching_into`]). `StreamingDpc` keeps its mutable window on
+//!   one packed tree this way, plus an insert buffer and periodic rebuilds.
+//!   Its packed storage is readable through accessors (`dim`, `ids`,
+//!   `coords`, `nodes`, `bounds`, and `point(id)` through the position map);
+//!   a decoded tree is reassembled and checked by
+//!   [`KdTree::from_packed_parts`]. See the module docs of [`kdtree`] for
+//!   the layout.
 //! * [`RTree`] — an STR bulk-loaded R-tree used by the `R-tree + Scan` baseline
 //!   of the paper's evaluation (Table 6).
 //! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Ex-DPC, Approx-DPC) or
@@ -44,13 +43,11 @@
 
 pub mod batchq;
 pub mod grid;
-pub mod incremental;
 pub mod kdtree;
 pub mod rtree;
 
 pub use batchq::BatchRangeCount;
 pub use grid::{CellId, Grid, QueryBuckets};
-pub use incremental::IncrementalKdTree;
 pub use kdtree::{KdTree, MaxKeys, MinLabels, PackedNode};
 pub use rtree::RTree;
 
@@ -70,13 +67,5 @@ pub(crate) mod test_util {
     /// `O(n)` reference range count (closed ball) with optional exclusion.
     pub fn brute_range_count(ds: &Dataset, q: &[f64], r: f64, exclude: Option<usize>) -> usize {
         ds.iter().filter(|(id, p)| Some(*id) != exclude && dist(q, p) <= r).count()
-    }
-
-    /// `O(n)` reference nearest neighbour with optional exclusion.
-    pub fn brute_nn(ds: &Dataset, q: &[f64], exclude: Option<usize>) -> Option<(usize, f64)> {
-        ds.iter()
-            .filter(|(id, _)| Some(*id) != exclude)
-            .map(|(id, p)| (id, dist(q, p)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
     }
 }

@@ -39,11 +39,22 @@ fn fixture_dataset() -> Dataset {
     data
 }
 
+/// A random model that loads: each dependent a random strictly denser point,
+/// or the point itself with δ = ∞ when none is denser.
 fn fixture_model(n: usize) -> DpcModel {
     let mut rng = StdRng::seed_from_u64(42);
     let rho: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..50.0)).collect();
-    let delta: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..5.0)).collect();
-    let dependent: Vec<usize> = (0..n).map(|_| (rng.next_u64() % n as u64) as usize).collect();
+    let mut delta: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..5.0)).collect();
+    let dependent: Vec<usize> = (0..n)
+        .map(|i| {
+            let denser: Vec<usize> = (0..n).filter(|&j| rho[j] > rho[i]).collect();
+            if denser.is_empty() {
+                delta[i] = f64::INFINITY;
+                return i;
+            }
+            denser[(rng.next_u64() % denser.len() as u64) as usize]
+        })
+        .collect();
     DpcModel::from_parts("Ex-DPC", 2.0, rho, delta, dependent, Timings::default(), 64).unwrap()
 }
 

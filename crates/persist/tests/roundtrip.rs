@@ -43,8 +43,10 @@ fn shifted(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// A structurally valid random model: densities drawn at random (including
-/// the edge floats the format must carry bit-exactly), dependent points any
-/// in-range identifier, density order derived by `from_parts` itself.
+/// the edge floats the format must carry bit-exactly), each dependent a
+/// random strictly denser point, or the point itself with δ = ∞ when none
+/// is denser (as every fit makes it), density order derived by `from_parts`
+/// itself.
 fn random_model(n: usize, seed: u64) -> DpcModel {
     let mut rng = StdRng::seed_from_u64(seed);
     let rho: Vec<f64> = (0..n)
@@ -55,8 +57,17 @@ fn random_model(n: usize, seed: u64) -> DpcModel {
             _ => rng.gen_range(0.0..100.0),
         })
         .collect();
-    let delta: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..10.0)).collect();
-    let dependent: Vec<usize> = (0..n).map(|_| (rng.next_u64() % n as u64) as usize).collect();
+    let mut delta: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..10.0)).collect();
+    let dependent: Vec<usize> = (0..n)
+        .map(|i| {
+            let denser: Vec<usize> = (0..n).filter(|&j| rho[j] > rho[i]).collect();
+            if denser.is_empty() {
+                delta[i] = f64::INFINITY;
+                return i;
+            }
+            denser[(rng.next_u64() % denser.len() as u64) as usize]
+        })
+        .collect();
     let timings =
         Timings { rho_secs: rng.gen_f64(), delta_secs: rng.gen_f64(), assign_secs: rng.gen_f64() };
     DpcModel::from_parts("Ex-DPC", rng.gen_range(0.5..5.0), rho, delta, dependent, timings, 1234)

@@ -8,7 +8,7 @@
 //! boundary case is genuinely exercised in `f64`.
 
 use fast_dpc::geometry::dist;
-use fast_dpc::index::{IncrementalKdTree, KdTree, RTree};
+use fast_dpc::index::{KdTree, RTree};
 use fast_dpc::prelude::*;
 
 /// 6×6 integer lattice: rich in pairs at squared distance exactly 25.
@@ -46,16 +46,11 @@ fn every_index_counts_boundary_points() {
     let ds = lattice();
     let kd = KdTree::build(&ds);
     let rt = RTree::build(&ds);
-    let mut inc = IncrementalKdTree::new(ds.dim());
-    for i in 0..ds.len() {
-        inc.insert(i, ds.point(i));
-    }
     for i in 0..ds.len() {
         let want = brute_inclusive(&ds, i, 5.0);
         let q = ds.point(i);
         assert_eq!(kd.range_count(q, 5.0, Some(i)), want, "kd-tree at {i}");
         assert_eq!(rt.range_count(q, 5.0, Some(i)), want, "R-tree at {i}");
-        assert_eq!(inc.range_count(q, 5.0, Some(i)), want, "incremental at {i}");
         // Reporting queries include the query point itself.
         assert_eq!(kd.range_search(q, 5.0).len(), want + 1, "kd-tree search at {i}");
         assert_eq!(rt.range_search(q, 5.0).len(), want + 1, "R-tree search at {i}");
@@ -80,6 +75,32 @@ fn every_exact_algorithm_counts_boundary_points() {
             // ρ is the integer count plus the deterministic jitter in (0, 1).
             assert_eq!(model.rho()[i].floor() as usize, w, "{name}: ρ at point {i}");
         }
+    }
+}
+
+/// The streaming engine on the lattice: inserted point by point, with a few
+/// removals, it must count the closed ball and pick the dependents a fresh
+/// keyed fit picks. Equidistant denser points abound on a lattice, so this
+/// also pins the canonical tie, the earliest arrival among equals.
+#[test]
+fn streaming_engine_counts_boundary_points() {
+    let ds = lattice();
+    let params = DpcParams::new(5.0);
+    let mut engine = StreamingDpc::new(params, 2).unwrap();
+    for (i, p) in ds.iter() {
+        assert_eq!(engine.insert(p).unwrap(), i as u64);
+        if i % 9 == 8 {
+            assert!(engine.remove(i as u64 - 4));
+        }
+    }
+    let (window, ids, model) = engine.to_parts().unwrap();
+    assert_eq!(window.len(), ds.len() - 4);
+    let fresh = ExDpc::new(params).fit_keyed(&window, &ids).unwrap();
+    for i in 0..window.len() {
+        assert_eq!(model.rho()[i].floor() as usize, brute_inclusive(&window, i, 5.0), "ρ at {i}");
+        assert_eq!(model.rho()[i].to_bits(), fresh.rho()[i].to_bits(), "ρ bits at {i}");
+        assert_eq!(model.delta()[i].to_bits(), fresh.delta()[i].to_bits(), "δ at {i}");
+        assert_eq!(model.dependent()[i], fresh.dependent()[i], "dependent at {i}");
     }
 }
 

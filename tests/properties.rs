@@ -9,11 +9,11 @@
 //! reproducible), no external dependency.
 
 use fast_dpc::baselines::Scan;
-use fast_dpc::core::framework::{descending_density_order, jittered_density};
+use fast_dpc::core::framework::jittered_density;
 use fast_dpc::core::{DpcModel, Timings};
 use fast_dpc::eval::{adjusted_rand_index, rand_index};
 use fast_dpc::geometry::{dist, dist_sq, Dataset};
-use fast_dpc::index::{Grid, IncrementalKdTree, KdTree, MaxKeys};
+use fast_dpc::index::{Grid, KdTree, MaxKeys};
 use fast_dpc::parallel::lpt_partition;
 use fast_dpc::prelude::*;
 use fast_dpc::rng::StdRng;
@@ -116,9 +116,10 @@ fn packed_kdtree_handles_degenerate_inputs() {
     }
 }
 
-/// Replicates the seed pipeline — arena kd-tree range counts for ρ, then the
-/// incremental-insertion nearest-neighbour pass for δ — and proves the packed
-/// fit produces a bit-identical model and clustering.
+/// Computes the model from the definitions — every ρ a brute-force count of
+/// the closed `d_cut` ball, every dependent the nearest strictly denser point
+/// by a scan, equal distances to the smallest id — and proves the packed fit
+/// produces a bit-identical model and clustering.
 #[test]
 fn packed_fit_is_bit_identical_to_seed_tree_fit() {
     for seed in 0..CASES / 2 {
@@ -127,36 +128,26 @@ fn packed_fit_is_bit_identical_to_seed_tree_fit() {
         let dcut = rng.gen_range(2.0..30.0);
         let params = DpcParams::new(dcut);
 
-        // Seed ρ: one arena-tree range count per point.
-        let arena = IncrementalKdTree::build(&ds);
         let rho: Vec<f64> = (0..ds.len())
             .map(|i| {
-                let count = arena.range_count(ds.point(i), dcut, Some(i));
-                jittered_density(count, i, params.jitter_seed)
+                let count = ds.iter().filter(|&(j, p)| j != i && dist(ds.point(i), p) <= dcut);
+                jittered_density(count.count(), i, params.jitter_seed)
             })
             .collect();
-        // Seed δ: destroy the tree, re-insert in descending density order.
-        let order = descending_density_order(&rho);
         let mut dependent: Vec<usize> = (0..ds.len()).collect();
         let mut delta = vec![f64::INFINITY; ds.len()];
-        let mut inc = IncrementalKdTree::new(ds.dim());
-        inc.insert(order[0], ds.point(order[0]));
-        for &i in order.iter().skip(1) {
-            let (nn, d) = inc.nearest_neighbor(ds.point(i), None).unwrap();
-            dependent[i] = nn;
-            delta[i] = d;
-            inc.insert(i, ds.point(i));
+        for i in 0..ds.len() {
+            let nearest = (0..ds.len())
+                .filter(|&j| rho[j] > rho[i])
+                .map(|j| (dist_sq(ds.point(i), ds.point(j)), j))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            if let Some((d, j)) = nearest {
+                (dependent[i], delta[i]) = (j, d.sqrt());
+            }
         }
-        let seed_model = DpcModel::from_parts(
-            "seed",
-            dcut,
-            rho,
-            delta,
-            dependent,
-            Timings::default(),
-            arena.mem_usage(),
-        )
-        .unwrap();
+        let seed_model =
+            DpcModel::from_parts("seed", dcut, rho, delta, dependent, Timings::default(), 0)
+                .unwrap();
 
         let model = ExDpc::new(params).fit(&ds).unwrap();
         assert_eq!(model.rho(), seed_model.rho(), "seed {seed}: ρ not bit-identical");
@@ -386,34 +377,6 @@ fn kdtree_range_count_matches_brute_force() {
             ds.iter().filter(|(_, p)| dist(&q, p) <= radius).map(|(i, _)| i).collect();
         want.sort_unstable();
         assert_eq!(found, want, "seed {seed}");
-    }
-}
-
-#[test]
-fn incremental_kdtree_equals_bulk_kdtree() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xB220 + seed);
-        let ds = random_dataset(&mut rng, 100);
-        let bulk = KdTree::build(&ds);
-        let mut inc = IncrementalKdTree::new(ds.dim());
-        for id in 0..ds.len() {
-            inc.insert(id, ds.point(id));
-        }
-        let q = [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)];
-        assert_eq!(
-            inc.range_count(&q, 10.0, None),
-            bulk.range_count(&q, 10.0, None),
-            "seed {seed}"
-        );
-        let a = inc.nearest_neighbor(&q, None).map(|(_, d)| d);
-        // The packed tree's nearest neighbour: every key 0, above the query's.
-        let keys = MaxKeys::new(&bulk, &vec![0.0; ds.len()]);
-        let b = bulk.nearest_denser(&keys, &q, f64::NEG_INFINITY).map(|(_, d)| d);
-        match (a, b) {
-            (Some(da), Some(db)) => assert!((da - db).abs() < 1e-9, "seed {seed}"),
-            (None, None) => {}
-            _ => panic!("seed {seed}: one tree found a neighbour, the other did not"),
-        }
     }
 }
 

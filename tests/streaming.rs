@@ -8,12 +8,12 @@
 //! derive δ from the same `dist` kernel, so any drift in the incremental
 //! repair shows up as a bit difference, not an epsilon.
 //!
-//! Dependent identifiers are compared as *valid minimizers* (the dependent is
-//! strictly denser and attains δ) rather than by exact id: with injected
-//! duplicate points several candidates can sit at distance exactly δ (e.g.
-//! 0), and which one a kd-tree traversal reports is tie-order dependent in
-//! both implementations.
+//! Dependent identifiers are compared exactly. With injected duplicate
+//! points several candidates can sit at distance exactly δ (e.g. 0); the
+//! engine breaks such ties as the fit does, towards the earliest arrival,
+//! which is the smallest position of the exported window.
 
+use fast_dpc::core::StreamingCounters;
 use fast_dpc::prelude::*;
 use fast_dpc::rng::StdRng;
 
@@ -36,25 +36,11 @@ fn assert_matches_fresh_fit(engine: &StreamingDpc, params: DpcParams, label: &st
                 fresh.delta()[i].to_bits(),
                 "{label}: δ mismatch at {i} (threads {threads})"
             );
-            // Valid-minimizer check for the dependent (ids can differ only
-            // among equidistant candidates, which both sides may pick freely).
-            let dep = streamed.dependent()[i];
-            if dep == i {
-                assert!(
-                    streamed.delta()[i].is_infinite(),
-                    "{label}: self-dependent needs δ = ∞ at {i}"
-                );
-            } else {
-                assert!(
-                    streamed.rho()[dep] > streamed.rho()[i],
-                    "{label}: dependent not denser at {i}"
-                );
-                assert_eq!(
-                    fast_dpc::geometry::dist(window.point(i), window.point(dep)).to_bits(),
-                    streamed.delta()[i].to_bits(),
-                    "{label}: dependent does not attain δ at {i}"
-                );
-            }
+            assert_eq!(
+                streamed.dependent()[i],
+                fresh.dependent()[i],
+                "{label}: dependent mismatch at {i} (threads {threads})"
+            );
         }
         // Extraction labels: integer ρ_min keeps coincident duplicates (equal
         // counts, different jitter) on the same side of the noise threshold.
@@ -181,17 +167,9 @@ fn explicit_removals_compose_with_window_expiry() {
     assert_matches_fresh_fit(&engine, params, "mixed removal/expiry final");
 }
 
-/// Asserts two engines hold the same window: ids, rows, ρ and δ bits, index
-/// bytes and the expiry log. Dependents must be identical when the window
-/// has no duplicate points (`exact_dependents`); with duplicates, several
-/// points can sit at distance exactly δ, so each side's dependent need only
-/// be a valid minimizer.
-fn assert_same_window(
-    bulk: &mut StreamingDpc,
-    inserted: &mut StreamingDpc,
-    exact_dependents: bool,
-    label: &str,
-) {
+/// Asserts two engines hold the same window: ids, rows, the expiry log and
+/// `layout_eq` models (ρ and δ bits, dependents, order and index bytes).
+fn assert_same_window(bulk: &mut StreamingDpc, inserted: &mut StreamingDpc, label: &str) {
     assert_eq!(bulk.drain_expired(), inserted.drain_expired(), "{label}: expired ids");
     assert_eq!(bulk.len(), inserted.len(), "{label}: len");
     if bulk.is_empty() {
@@ -205,22 +183,9 @@ fn assert_same_window(
     assert_eq!(bits(data_a.flat()), bits(data_b.flat()), "{label}: rows");
     assert_eq!(bits(model_a.rho()), bits(model_b.rho()), "{label}: ρ");
     assert_eq!(bits(model_a.delta()), bits(model_b.delta()), "{label}: δ");
+    assert_eq!(model_a.dependent(), model_b.dependent(), "{label}: dependents");
     assert_eq!(model_a.index_bytes(), model_b.index_bytes(), "{label}: index bytes");
-    if exact_dependents {
-        assert!(model_a.layout_eq(&model_b), "{label}: models differ");
-    }
-    for model in [&model_a, &model_b] {
-        for i in 0..model.n() {
-            let dep = model.dependent()[i];
-            if dep == i {
-                assert!(model.delta()[i].is_infinite(), "{label}: self-dependent at {i}");
-            } else {
-                assert!(model.rho()[dep] > model.rho()[i], "{label}: dependent not denser at {i}");
-                let d = fast_dpc::geometry::dist(data_a.point(i), data_a.point(dep));
-                assert_eq!(d.to_bits(), model.delta()[i].to_bits(), "{label}: δ not attained");
-            }
-        }
-    }
+    assert!(model_a.layout_eq(&model_b), "{label}: models differ");
 }
 
 /// Loads `n0` points into one engine by `bulk_load` and into another by
@@ -267,7 +232,7 @@ fn bulk_load_matches_insert_load(
     for (_, p) in initial.iter() {
         inserted.insert(p).unwrap();
     }
-    assert_same_window(&mut bulk, &mut inserted, !duplicates, &format!("{label}, loaded"));
+    assert_same_window(&mut bulk, &mut inserted, &format!("{label}, loaded"));
     if n0 > 0 {
         assert!(
             matches!(bulk.bulk_load(&initial), Err(DpcError::InvalidParams { .. })),
@@ -288,10 +253,10 @@ fn bulk_load_matches_insert_load(
         }
         live.retain(|&id| inserted.contains(id));
         if step % 60 == 59 {
-            assert_same_window(&mut bulk, &mut inserted, !duplicates, &format!("{label}, {step}"));
+            assert_same_window(&mut bulk, &mut inserted, &format!("{label}, {step}"));
         }
     }
-    assert_same_window(&mut bulk, &mut inserted, !duplicates, &format!("{label}, final"));
+    assert_same_window(&mut bulk, &mut inserted, &format!("{label}, final"));
     assert_matches_fresh_fit(&bulk, params, &format!("{label}, bulk-loaded"));
 }
 
@@ -308,4 +273,48 @@ fn bulk_load_matches_insert_load_under_one_stream() {
             bulk_load_matches_insert_load(dim, dcut, 120, None, duplicates, seed);
         }
     }
+}
+
+/// A long stream whose x only grows, through a small sliding window: every
+/// arrival lands beyond the points the tree indexed at its last rebuild,
+/// and expiry empties the tree from its far end. Coordinates sit on a
+/// lattice, so equidistant denser points abound. The window must equal a
+/// fresh keyed fit at checkpoints, and the rebuilds must follow the rebuild
+/// rule: once the window is full, more than a sixteenth of it in updates
+/// between two rebuilds — never one per insert.
+#[test]
+fn long_drifting_stream_matches_fresh_fit() {
+    let (capacity, batch) = (240usize, 16usize);
+    let params = DpcParams::new(1.0).with_jitter_seed(0xd41f7);
+    let mut engine = StreamingDpc::new(params, 2).unwrap().with_window(capacity, batch);
+    let mut rng = StdRng::seed_from_u64(66);
+    let total = 6_000u64;
+    let mut full: Option<StreamingCounters> = None;
+    for i in 0..total {
+        let p = [i as f64 * 0.25, 0.5 * rng.gen_range(0..6) as f64];
+        assert_eq!(engine.insert(&p).unwrap(), i);
+        if engine.len() >= capacity && full.is_none() {
+            full = Some(engine.counters());
+        }
+        if i % 500 == 499 {
+            assert_matches_fresh_fit(&engine, params, &format!("drifting stream at {i}"));
+        }
+    }
+    let expired = engine.drain_expired();
+    assert_eq!(expired.len() + engine.len(), total as usize);
+    assert!(expired.iter().enumerate().all(|(k, &id)| id == k as u64), "oldest first");
+
+    let (start, end) = (full.expect("the window fills"), engine.counters());
+    assert_eq!((end.inserts, end.removes), (total, total - engine.len() as u64));
+    // Each update adds at most one point to the buffer or one tombstone to
+    // the tree, and a rebuild waits for more than `live / 16 ≥ capacity / 16`
+    // of them.
+    let updates = (end.inserts + end.removes) - (start.inserts + start.removes);
+    let rebuilds = end.rebuilds - start.rebuilds;
+    assert!(rebuilds > 0, "a drifting window must rebuild");
+    assert!(
+        rebuilds <= updates / (capacity as u64 / 16 + 1) + 1,
+        "{rebuilds} rebuilds over {updates} updates"
+    );
+    assert!(end.rebuilds * 4 < end.inserts, "{} rebuilds for {} inserts", end.rebuilds, total);
 }
