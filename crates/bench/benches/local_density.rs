@@ -1,19 +1,18 @@
 //! Benchmark of the local-density (ρ) kernels across algorithms: the full
 //! linear scan, the R-tree, the packed leaf-bucketed kd-tree's per-point
-//! loop, and the batched cell-clustered
-//! query engine that Ex-DPC now defaults to (`dpc_index::batchq`; serial and
-//! fan-out parallel) — plus the index construction itself (serial and
-//! fork-join parallel), which is the fixed cost every index-based variant
-//! pays before any ρ work.
+//! loop, and the fits' ρ path, `ExDpc::local_densities` (buckets of
+//! consecutive packed points through `dpc_index::batchq`; serial and fan-out
+//! parallel) — plus the index construction itself (serial and fork-join
+//! parallel), which is the fixed cost every index-based variant pays before
+//! any ρ work, and the grid build that Approx-DPC adds.
 //!
 //! Index construction is accounted separately from query work on both sides:
-//! the per-point kernel runs against a prebuilt kd-tree (construction in the
-//! `build*` kernels), and the batched kernels run against the same prebuilt
-//! tree plus a prebuilt grid (construction in the `build_grid` kernel) — each
-//! batched timing covers bucket formation, the joint traversals, and the
-//! jittered scatter. A second `_xl` tier (default one million points) records
-//! the same ρ kernels at a scale where traversal sharing, not constant
-//! factors, dominates.
+//! the per-point kernel and the batched kernels run against the same
+//! prebuilt kd-tree (construction in the `build*` kernels) — each batched
+//! timing covers bucket formation, the joint traversals, and the jittered
+//! scatter. A second `_xl` tier (default one million points) records the
+//! same ρ kernels at a scale where traversal sharing, not constant factors,
+//! dominates.
 //!
 //! Results are written to `BENCH_local_density.json` (schema in
 //! `crates/bench/README.md`) so the ρ-phase trajectory is recorded PR over PR.
@@ -63,17 +62,16 @@ fn xl_tier(xl_n: usize, threads: usize, records: &mut Vec<BenchRecord>) {
     let executor = Executor::new(threads);
     let kdtree = KdTree::build_parallel(&data, &executor);
     let params = default_params(&dataset, 1);
-    let grid = Grid::build_parallel(&data, params.dcut / (d as f64).sqrt(), &executor);
     let exdpc_serial = ExDpc::new(params);
     let exdpc_parallel = ExDpc::new(default_params(&dataset, threads));
     records.push(bench_record("exdpc_packed_kdtree_xl", xl_n, d, 2, || {
         per_point_rho(&data, &params, |q, i| kdtree.range_count(q, params.dcut, Some(i)))
     }));
     records.push(bench_record("rho_batched_serial_xl", xl_n, d, 2, || {
-        exdpc_serial.local_densities_with_grid(&data, &kdtree, &grid)
+        exdpc_serial.local_densities(&data, &kdtree)
     }));
     records.push(bench_record("rho_batched_parallel_xl", xl_n, d, 2, || {
-        exdpc_parallel.local_densities_with_grid(&data, &kdtree, &grid)
+        exdpc_parallel.local_densities(&data, &kdtree)
     }));
 }
 
@@ -136,23 +134,22 @@ fn main() {
         per_point_rho(&data, &params, |q, i| kdtree.range_count(q, params.dcut, Some(i)))
     }));
 
-    // The grid the batched engine buckets queries by: its construction is the
-    // batched path's analogue of the `build*` kernels above.
+    // The grid of side `d_cut/√d` that Approx-DPC builds next to its tree
+    // for its cells; Ex-DPC's ρ needs no grid.
     let side = params.dcut / (d as f64).sqrt();
     records.push(bench_record("build_grid", n, d, 5, || {
         Grid::build_parallel(&data, side, &executor).num_cells()
     }));
-    let grid = Grid::build_parallel(&data, side, &executor);
 
-    // The batched default (one joint traversal per cell bucket), serial and
-    // fanned out, against the prebuilt tree and grid; timings cover bucket
-    // formation, the joint traversals, and the jittered scatter.
+    // The fits' ρ path (one joint traversal per bucket of consecutive packed
+    // points), serial and fanned out, against the prebuilt tree; timings
+    // cover bucket formation, the joint traversals, and the jittered scatter.
     records.push(bench_record("rho_batched_serial", n, d, 5, || {
-        exdpc.local_densities_with_grid(&data, &kdtree, &grid)
+        exdpc.local_densities(&data, &kdtree)
     }));
     let exdpc_parallel = ExDpc::new(default_params(&dataset, threads));
     records.push(bench_record("rho_batched_parallel", n, d, 5, || {
-        exdpc_parallel.local_densities_with_grid(&data, &kdtree, &grid)
+        exdpc_parallel.local_densities(&data, &kdtree)
     }));
 
     xl_tier(xl_n, threads, &mut records);

@@ -5,10 +5,12 @@
 //!
 //! * **Joint range search** (§4.2) — points in the same grid cell (side
 //!   `d_cut/√d`) have heavily overlapping query balls, so the paper searches
-//!   once per cell and scans the result for each member. Here the batched
-//!   count engine of Ex-DPC's ρ phase plays that role: each bucket of
-//!   adjacent cells descends the kd-tree once, and every count is the exact
-//!   Definition 1 count, so the densities are Ex-DPC's bit for bit.
+//!   once per cell and scans the result for each member. Here Ex-DPC's ρ
+//!   path plays that role: each run of 64 consecutive packed points, which
+//!   the tree keeps close together, descends the kd-tree once, and every
+//!   count is the exact Definition 1 count, so the densities are Ex-DPC's bit
+//!   for bit. The grid serves only the cells, their `p*(c)` and their minimum
+//!   densities.
 //! * **Cell-based dependent-point approximation** (§4.3) — a point that is not
 //!   the densest of its cell takes the cell's densest point `p*(c)` as its
 //!   approximate dependent point (distance at most `d_cut`). The cell's
@@ -26,7 +28,7 @@
 //!   with one kd-tree each; here every point of `P'` asks the ρ-phase kd-tree
 //!   the same nearest-denser query Ex-DPC uses, so no further index is built.
 //!
-//! The ρ ranges of the count engine, the per-cell queries and the `P'`
+//! The ρ buckets of the count engine, the per-cell queries and the `P'`
 //! queries are all scheduled dynamically, so no phase needs the cost-based
 //! partitioning of §4.5.
 
@@ -38,7 +40,7 @@ use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    cell_side, jittered_density, leading_counts, resolve_dependents, validate_dataset,
+    cell_side, jittered_density, neighbour_counts, resolve_dependents, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -72,9 +74,9 @@ impl ApproxDpc {
         &self.params
     }
 
-    /// Local-density phase on a grid of cell side `side`: exact densities
-    /// through the batched counts of Ex-DPC, then one sweep over the cells
-    /// for `p*(c)` and `min ρ(c)`.
+    /// Local-density phase: exact densities through the batched counts of
+    /// Ex-DPC, then one sweep over the cells of a grid of side `side` for
+    /// `p*(c)` and `min ρ(c)`.
     fn densities(
         &self,
         data: &Dataset,
@@ -87,7 +89,7 @@ impl ApproxDpc {
         // Bit-identical to the serial build at every thread count, so the
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, executor);
-        let counts = leading_counts(tree, &grid, dcut, usize::MAX, executor);
+        let counts = neighbour_counts(tree, dcut, |_| true, executor);
         let rho: Vec<f64> = counts
             .into_iter()
             .enumerate()

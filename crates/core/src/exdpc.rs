@@ -1,10 +1,10 @@
 //! Ex-DPC: the exact kd-tree based algorithm (§3).
 //!
 //! * **Local density** — one range count per point with radius `d_cut` against
-//!   the packed static [`KdTree`] (Lemma 1: `O(n(n^{1-1/d} + ρ_avg))`). The
-//!   loop is embarrassingly parallel and is scheduled dynamically so that
-//!   points in dense regions (whose range searches return more results) do not
-//!   serialise behind a static split.
+//!   the packed static [`KdTree`] (Lemma 1: `O(n(n^{1-1/d} + ρ_avg))`), and no
+//!   other index. Runs of consecutive packed points share one batched descent,
+//!   and the runs are scheduled dynamically so that points in dense regions
+//!   (whose range counts cost more) do not serialise behind a static split.
 //! * **Dependent points** — the paper destroys the tree and re-inserts the
 //!   points one at a time in decreasing density order, so that a
 //!   nearest-neighbour query made just before `p_i` is inserted sees exactly
@@ -23,7 +23,7 @@ use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    cell_side, jittered_density, jittered_density_keyed, leading_counts, resolve_dependents,
+    jittered_density, jittered_density_keyed, neighbour_counts, resolve_dependents,
     validate_dataset,
 };
 use crate::model::DpcModel;
@@ -49,54 +49,32 @@ impl ExDpc {
     }
 
     /// Computes the jittered local density of every point (the `ρ` phase on
-    /// its own). Exposed so benchmarks can time the phases separately
-    /// (Table 6).
+    /// its own) on `tree`, built over `data`. Exposed so benchmarks can time
+    /// the phases separately (Table 6).
     ///
-    /// This is the batched default: queries are clustered into grid cells
-    /// (side `d_cut/√d`), each cell bucket descends the tree once through
-    /// `dpc_index::batchq`, and buckets fan out across the configured worker
-    /// threads. Results are bit-identical to one [`KdTree::range_count`] per
-    /// point at every thread count — batched counts equal single-query counts
-    /// exactly, and the bucket order is fixed by the grid's CSR layout, which
-    /// is itself thread-invariant.
+    /// It is the ρ path of `fit`: runs of consecutive packed points each
+    /// descend the tree once through `dpc_index::batchq`, and the runs fan out
+    /// across the configured worker threads. Results are bit-identical to one
+    /// [`KdTree::range_count`] per point at every thread count, since batched
+    /// counts equal single-query counts exactly.
     pub fn local_densities(&self, data: &Dataset, tree: &KdTree) -> Vec<f64> {
+        debug_assert_eq!(data.len(), tree.len());
+        let executor = Executor::new(self.params.threads);
         let seed = self.params.jitter_seed;
-        let counts = self.neighbor_counts(data, tree);
+        let counts = neighbour_counts(tree, self.params.dcut, |_| true, &executor);
         counts.into_iter().enumerate().map(|(p, count)| jittered_density(count, p, seed)).collect()
     }
 
-    /// [`ExDpc::local_densities`] against a caller-built grid (cell side
-    /// `d_cut/√d`). Splitting the grid construction out lets callers that
-    /// already hold a grid — and benchmarks that account for index
-    /// construction separately, as they do for the kd-tree — time or reuse
-    /// the pure query phase.
+    /// [`ExDpc::local_densities`], which needs no grid: `grid` is ignored.
+    /// Benchmark-only: `perfbench`'s traced replay calls it, and it goes once
+    /// that replay reads the fit's own timings.
     pub fn local_densities_with_grid(
         &self,
         data: &Dataset,
         tree: &KdTree,
-        grid: &Grid,
+        _grid: &Grid,
     ) -> Vec<f64> {
-        debug_assert_eq!(data.len(), tree.len());
-        let executor = Executor::new(self.params.threads);
-        let seed = self.params.jitter_seed;
-        let counts = leading_counts(tree, grid, self.params.dcut, usize::MAX, &executor);
-        counts.into_iter().enumerate().map(|(p, count)| jittered_density(count, p, seed)).collect()
-    }
-
-    /// Every point's `d_cut` neighbour count, the ρ path of
-    /// [`ExDpc::local_densities`] and [`ExDpc::fit_keyed`] (hence `fit`):
-    /// batched over a grid of side `d_cut/√d`, or one `range_count` per point
-    /// when `d_cut` is too degenerate to seed a grid (a tiny valid `d_cut`
-    /// whose side underflows to 0, or an invalid one from a direct caller).
-    fn neighbor_counts(&self, data: &Dataset, tree: &KdTree) -> Vec<usize> {
-        let executor = Executor::new(self.params.threads);
-        let dcut = self.params.dcut;
-        let Ok(side) = cell_side(dcut, 1.0, data.dim()) else {
-            return executor
-                .map_dynamic(data.len(), |i| tree.range_count(data.point(i), dcut, Some(i)));
-        };
-        let grid = Grid::build_parallel(data, side, &executor);
-        leading_counts(tree, &grid, dcut, usize::MAX, &executor)
+        self.local_densities(data, tree)
     }
 
     /// [`DpcAlgorithm::fit`] with the jitter keyed on caller-supplied stable
@@ -138,7 +116,7 @@ impl ExDpc {
         let tree = KdTree::build_parallel(data, &executor);
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
-        let counts = self.neighbor_counts(data, &tree);
+        let counts = neighbour_counts(&tree, dcut, |_| true, &executor);
         let rho: Vec<f64> = counts
             .iter()
             .zip(keys)
@@ -312,7 +290,7 @@ mod tests {
 
     #[test]
     fn batched_rho_is_bit_identical_to_per_point_loop() {
-        // The batched default ρ phase (grid buckets + joint traversals) must
+        // The batched ρ phase (packed-order buckets + joint traversals) must
         // reproduce the per-point reference loop bit for bit, at every thread
         // count — the model-level determinism contract of the batched engine.
         let sets = [

@@ -1,25 +1,20 @@
-//! Steps shared by every DPC algorithm: input validation, density
-//! tie-breaking, centre/noise selection, and cluster-label propagation (§2.1
-//! and §2.2, step 4).
+//! Steps shared by every DPC algorithm: input validation, the `d_cut`
+//! neighbour counts behind ρ, density tie-breaking, the dependent-point
+//! queries, centre/noise selection, and cluster-label propagation (§2.1 and
+//! §2.2, step 4).
 
 use crate::error::DpcError;
 use crate::params::Thresholds;
 use crate::result::NOISE;
 use dpc_geometry::Dataset;
-use dpc_index::batchq::{self, BatchRangeCount};
-use dpc_index::{Grid, KdTree, MaxKeys};
+use dpc_index::{BatchRangeCount, KdTree, MaxKeys};
 use dpc_parallel::Executor;
 
-/// Upper bound on the number of query balls handed to one batched traversal.
-/// A degenerate grid (every point in one cell) would otherwise make the
-/// per-node active sets — and the traversal scratch — grow with `n`; counts
-/// are query-independent, so chunking is behaviour-neutral.
-const BATCH_CHUNK: usize = 512;
-
-/// Ranges of query buckets per worker thread in [`leading_counts`]: enough
-/// for a worker that drew cheap ranges to claim more, few enough that each
-/// range still spans many buckets.
-const RANGES_PER_THREAD: usize = 8;
+/// Query points per batched descent in [`neighbour_counts`]: enough
+/// neighbouring queries to share the upper levels of one descent, few enough
+/// that the bucket's joint box stays tight and its per-node active lists
+/// short.
+const BUCKET: usize = 64;
 
 /// Validates a dataset for fitting: rejects an empty dataset
 /// ([`DpcError::EmptyDataset`]) and any NaN/±∞ coordinate
@@ -41,8 +36,8 @@ pub fn validate_dataset(data: &Dataset) -> Result<(), DpcError> {
     Ok(())
 }
 
-/// The side `scale·d_cut/√d` of a grid cell: `scale = 1` for the grid of
-/// Ex-DPC and Approx-DPC, `scale = ε` for S-Approx-DPC's finer grid.
+/// The side `scale·d_cut/√d` of a grid cell: `scale = 1` for Approx-DPC's
+/// grid, `scale = ε` for S-Approx-DPC's finer grid.
 ///
 /// # Errors
 /// [`DpcError::InvalidParams`] naming the grid cell side when the side is
@@ -105,73 +100,43 @@ pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
     order
 }
 
-/// The closed-ball `d_cut` neighbour count of each of the leading `lead`
-/// points of every cell of `grid`, the point itself left out (Definition 1):
-/// all points for Ex-DPC and Approx-DPC (`lead = usize::MAX`), each cell's
-/// picked point for S-Approx-DPC (`lead = 1`). Indexed by point id; every
-/// other point reads 0.
+/// The closed-ball `d_cut` neighbour count of every point `p` with
+/// `is_query(p)`, the point itself left out (Definition 1): every point for
+/// Ex-DPC and Approx-DPC, each cell's picked point for S-Approx-DPC. Indexed
+/// by point id; every other point reads 0.
 ///
-/// Each bucket of [`Grid::query_buckets`] descends `tree` once through
-/// [`BatchRangeCount`], with its query rows gathered from the tree's packed
-/// rows (bit copies of the dataset's) by [`KdTree::point`]. The buckets
-/// are cut into [`RANGES_PER_THREAD`] contiguous ranges per worker, of equal
-/// query count, which the workers claim dynamically: a query's cost grows
-/// with its count, so equal query counts are far from equal work. Every count
+/// The packed tree already orders its points in space, so the query points,
+/// taken in packed order, are cut into buckets of [`BUCKET`] consecutive
+/// ones, each descending `tree` once through [`BatchRangeCount`] with its
+/// rows gathered from the tree's packed rows (bit copies of the dataset's).
+/// The workers claim buckets dynamically: a query's cost grows with its
+/// count, so equal shares of buckets are far from equal work. Every count
 /// equals the single-query `range_count` and lands in its point's slot, so
 /// the result is the same under every schedule and at every thread count.
-pub(crate) fn leading_counts(
+pub(crate) fn neighbour_counts(
     tree: &KdTree,
-    grid: &Grid,
     dcut: f64,
-    lead: usize,
+    is_query: impl Fn(usize) -> bool,
     executor: &Executor,
 ) -> Vec<usize> {
-    let leading = |cell| {
-        let members = grid.points(cell);
-        &members[..lead.min(members.len())]
-    };
-    let buckets = grid.query_buckets();
-    let mut prefix = Vec::with_capacity(buckets.len() + 1);
-    prefix.push(0usize);
-    for bucket in buckets.iter() {
-        let queries: usize = bucket.iter().map(|&c| leading(c).len()).sum();
-        prefix.push(prefix.last().unwrap() + queries);
-    }
-    let ranges = match executor.threads() {
-        1 => 1,
-        threads => threads * RANGES_PER_THREAD,
-    };
-    let bounds = batchq::balanced_ranges(&prefix, ranges);
-    let dim = tree.dim();
-    // One count vector per range, in bucket order (bucket → cells → leading
-    // points).
-    let per_range: Vec<Vec<usize>> = executor.map_dynamic(bounds.len() - 1, |r| {
-        let mut engine = BatchRangeCount::new();
-        let mut rows: Vec<f64> = Vec::new();
-        let mut excl: Vec<u32> = Vec::new();
-        let mut chunk_counts: Vec<usize> = Vec::new();
-        let mut counts = Vec::with_capacity(prefix[bounds[r + 1]] - prefix[bounds[r]]);
-        for b in bounds[r]..bounds[r + 1] {
-            rows.clear();
-            excl.clear();
-            for &cell in buckets.bucket(b) {
-                for &p in leading(cell) {
-                    rows.extend_from_slice(tree.point(p));
-                    excl.push(p as u32);
-                }
-            }
-            for (rows, excl) in rows.chunks(BATCH_CHUNK * dim).zip(excl.chunks(BATCH_CHUNK)) {
-                engine.run(tree, rows, dcut, excl, &mut chunk_counts);
-                counts.extend_from_slice(&chunk_counts);
-            }
+    let (dim, ids, coords) = (tree.dim(), tree.ids(), tree.coords());
+    // The packed rows of the query points, in packed order.
+    let queries: Vec<usize> = (0..ids.len()).filter(|&row| is_query(ids[row] as usize)).collect();
+    let buckets: Vec<&[usize]> = queries.chunks(BUCKET).collect();
+    let per_bucket: Vec<Vec<usize>> = executor.map_dynamic(buckets.len(), |b| {
+        let mut rows = Vec::with_capacity(buckets[b].len() * dim);
+        let mut excl = Vec::with_capacity(buckets[b].len());
+        for &row in buckets[b] {
+            rows.extend_from_slice(&coords[row * dim..(row + 1) * dim]);
+            excl.push(ids[row]);
         }
+        let mut counts = Vec::new();
+        BatchRangeCount::new().run(tree, &rows, dcut, &excl, &mut counts);
         counts
     });
-    // Back from bucket order to point order.
     let mut counts = vec![0usize; tree.len()];
-    let leading_points = buckets.flat_cells().iter().flat_map(|&cell| leading(cell));
-    for (&p, &count) in leading_points.zip(per_range.iter().flatten()) {
-        counts[p] = count;
+    for (&row, &count) in queries.iter().zip(per_bucket.iter().flatten()) {
+        counts[ids[row] as usize] = count;
     }
     counts
 }

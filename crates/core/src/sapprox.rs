@@ -11,8 +11,8 @@
 //! turns point clustering into cell clustering: the number of range queries
 //! drops from `n` to `|G'|`, which is what produces the near-linear scaling of
 //! Figure 7 and the `ε` ↔ time trade-off of Table 5. The picked points' counts
-//! are batched over the grid's query buckets by the helper Ex-DPC's ρ phase
-//! uses.
+//! go through Ex-DPC's ρ path, batched in packed order like every point's
+//! there; the grid serves only the cells and their picked points.
 //!
 //! Dependent points of a picked point `p` of cell `c` follow the two phases of
 //! §5:
@@ -47,7 +47,7 @@ use dpc_index::{Grid, KdTree, MaxKeys};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{cell_side, jittered_density, leading_counts, validate_dataset};
+use crate::framework::{cell_side, jittered_density, neighbour_counts, validate_dataset};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
@@ -120,8 +120,14 @@ impl DpcAlgorithm for SApproxDpc {
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, &executor);
         // One range count per cell, for its (deterministically) picked point:
-        // the first point mapped into the cell, i.e. its smallest id.
-        let counts = leading_counts(&tree, &grid, dcut, 1, &executor);
+        // the first point mapped into the cell, i.e. its smallest id. The
+        // counts read the picks in packed order, so they are marked by id
+        // first instead of looked up through the grid per point.
+        let mut is_picked = vec![false; n];
+        for cell in grid.cell_ids() {
+            is_picked[grid.points(cell)[0]] = true;
+        }
+        let counts = neighbour_counts(&tree, dcut, |p| is_picked[p], &executor);
 
         // Per-point densities: picked points keep their jittered count; the
         // other points of a cell inherit the un-jittered count, which is

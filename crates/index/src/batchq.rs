@@ -6,8 +6,8 @@
 //! traversal: the upper levels of the tree are identical, and nearby leaves
 //! are visited by most of the bucket. [`BatchRangeCount`] exploits that by
 //! descending the tree **once per bucket** of query balls — for Approx-DPC
-//! this is the joint range search of §4.2, with a bucket of cells in place of
-//! one cell:
+//! this is the joint range search of §4.2, with a bucket of consecutive
+//! packed points in place of one cell:
 //!
 //! - at every node, a joint test against the bucket's bounding box (plus the
 //!   radius) prunes the whole bucket in `O(d)` before any per-query work, and
@@ -272,32 +272,6 @@ fn count_rec(
     scratch.pool.push(still);
 }
 
-/// Splits `prefix.len() - 1` weighted buckets into at most `ranges`
-/// contiguous ranges of roughly equal cumulative weight. `prefix` is the
-/// exclusive prefix sum of per-bucket weights (so `prefix[0] == 0` and
-/// `prefix[b + 1] - prefix[b]` is bucket `b`'s weight). Returns monotone
-/// bounds `[0, …, num_buckets]`; consecutive bounds may coincide (an empty
-/// range) when a single bucket dominates.
-///
-/// The returned partition depends only on `prefix` and `ranges`, and batched
-/// results are bucket-independent (see the module docs), so callers running
-/// one task per range get bit-identical results under every schedule.
-pub fn balanced_ranges(prefix: &[usize], ranges: usize) -> Vec<usize> {
-    assert!(!prefix.is_empty(), "prefix sum must at least contain the leading 0");
-    let num_buckets = prefix.len() - 1;
-    let total = prefix[num_buckets];
-    let ranges = ranges.max(1).min(num_buckets.max(1));
-    let mut bounds = Vec::with_capacity(ranges + 1);
-    bounds.push(0usize);
-    for r in 1..ranges {
-        let target = r * total / ranges;
-        let b = prefix.partition_point(|&o| o < target).min(num_buckets);
-        bounds.push(b.max(*bounds.last().unwrap()));
-    }
-    bounds.push(num_buckets);
-    bounds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,22 +335,5 @@ mod tests {
         let mut counts = vec![99usize];
         BatchRangeCount::new().run(&tree, &[], 1.0, &[], &mut counts);
         assert!(counts.is_empty());
-    }
-
-    #[test]
-    fn balanced_ranges_partition_all_buckets() {
-        for workers in 1..10 {
-            let weights = [3usize, 0, 7, 1, 1, 20, 2, 5];
-            let mut prefix = vec![0usize];
-            for w in weights {
-                prefix.push(prefix.last().unwrap() + w);
-            }
-            let bounds = balanced_ranges(&prefix, workers);
-            assert_eq!(bounds[0], 0);
-            assert_eq!(*bounds.last().unwrap(), weights.len());
-            assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-            assert!(bounds.len() <= workers + 1);
-        }
-        assert_eq!(balanced_ranges(&[0], 4), vec![0, 0]);
     }
 }

@@ -518,6 +518,12 @@ impl Grid {
     /// adjacent cells whose points (or centres) form one bucket of query
     /// balls sharing a single tree descent.
     ///
+    /// Benchmark-only: no fit calls it (their ρ buckets are runs of
+    /// consecutive packed tree points), but `perfbench`'s traced replay reads
+    /// its [`QueryBuckets::len`]. It goes, with [`QueryBuckets`] and
+    /// [`Grid::neighbors_within`], once that replay reads the fit's own
+    /// timings.
+    ///
     /// Formation is a deterministic greedy sweep in cell-id order: a cell
     /// with at least [`MIN_BUCKET_POINTS`] points anchors a singleton bucket;
     /// a smaller cell absorbs still-unassigned small neighbours (Chebyshev

@@ -421,19 +421,12 @@ impl KdTree {
         count
     }
 
-    /// Collects the identifiers of points whose distance to `query` is at most
-    /// `radius` (closed ball). The query point itself (if it is indexed) is
-    /// included because its distance is zero; callers that need to exclude it
-    /// filter by id.
-    pub fn range_search(&self, query: &[f64], radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.range_search_into(query, radius, &mut out);
-        out
-    }
-
-    /// Same as [`KdTree::range_search`] but appends into a caller-provided
-    /// buffer, allowing reuse across many queries (S-Approx-DPC lists the
-    /// `d_cut` ball of each local peak this way). The buffer is cleared first.
+    /// Collects into `out` the identifiers of points whose distance to
+    /// `query` is at most `radius` (closed ball). The query point itself (if
+    /// it is indexed) is included because its distance is zero; callers that
+    /// need to exclude it filter by id. The buffer is cleared first and is
+    /// meant to be reused across queries (S-Approx-DPC lists the `d_cut` ball
+    /// of each local peak this way).
     ///
     /// Result order follows the packed layout, not point-identifier order.
     pub fn range_search_into(&self, query: &[f64], radius: f64, out: &mut Vec<usize>) {
@@ -997,7 +990,9 @@ mod tests {
         let tree = KdTree::build(&ds);
         assert!(tree.is_empty());
         assert_eq!(tree.range_count(&[0.0, 0.0], 10.0, None), 0);
-        assert!(tree.range_search(&[0.0, 0.0], 10.0).is_empty());
+        let mut found = vec![7];
+        tree.range_search_into(&[0.0, 0.0], 10.0, &mut found);
+        assert!(found.is_empty());
     }
 
     #[test]
@@ -1045,7 +1040,8 @@ mod tests {
         let tree = KdTree::build(&ds);
         assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, None), 500);
         assert_eq!(tree.range_count(&[50.0, 50.0], 1e6, Some(123)), 499);
-        let found = tree.range_search(&[50.0, 50.0], 1e6);
+        let mut found = Vec::new();
+        tree.range_search_into(&[50.0, 50.0], 1e6, &mut found);
         assert_eq!(found.len(), 500);
     }
 
@@ -1054,10 +1050,11 @@ mod tests {
         let ds = random_dataset(250, 3, 11);
         let tree = KdTree::build(&ds);
         let mut rng = StdRng::seed_from_u64(3);
+        let mut got = Vec::new();
         for _ in 0..30 {
             let q: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..100.0)).collect();
             let r = rng.gen_range(5.0..50.0);
-            let mut got = tree.range_search(&q, r);
+            tree.range_search_into(&q, r, &mut got);
             got.sort_unstable();
             let mut want: Vec<usize> =
                 ds.iter().filter(|(_, p)| dist(&q, p) <= r).map(|(id, _)| id).collect();
@@ -1073,11 +1070,14 @@ mod tests {
         let tree = KdTree::build(&ds);
         assert_eq!(tree.range_count(ds.point(0), 0.0, None), 1);
         assert_eq!(tree.range_count(ds.point(0), 0.0, Some(0)), 0);
-        assert_eq!(tree.range_search(ds.point(0), 0.0), vec![0]);
+        let mut found = Vec::new();
+        tree.range_search_into(ds.point(0), 0.0, &mut found);
+        assert_eq!(found, vec![0]);
         // Negative and NaN radii find nothing.
         assert_eq!(tree.range_count(ds.point(0), -1.0, None), 0);
         assert_eq!(tree.range_count(ds.point(0), f64::NAN, None), 0);
-        assert!(tree.range_search(ds.point(0), -1.0).is_empty());
+        tree.range_search_into(ds.point(0), -1.0, &mut found);
+        assert!(found.is_empty());
     }
 
     #[test]
@@ -1092,7 +1092,8 @@ mod tests {
         // Points 1..=4 are at distance exactly 5 from the origin.
         assert_eq!(tree.range_count(&[0.0, 0.0], 5.0, None), 5);
         assert_eq!(tree.range_count(&[0.0, 0.0], 5.0, Some(0)), 4);
-        let mut found = tree.range_search(&[0.0, 0.0], 5.0);
+        let mut found = Vec::new();
+        tree.range_search_into(&[0.0, 0.0], 5.0, &mut found);
         found.sort_unstable();
         assert_eq!(found, vec![0, 1, 2, 3, 4]);
         assert_eq!(
@@ -1424,7 +1425,9 @@ mod tests {
         assert_eq!(tree.len(), n);
         assert_eq!(tree.range_count(&[3.0, 3.0], 0.1, None), n);
         assert_eq!(tree.range_count(&[3.0, 3.0], 0.1, Some(7)), n - 1);
-        assert_eq!(tree.range_search(&[3.0, 3.0], 0.1).len(), n);
+        let mut found = Vec::new();
+        tree.range_search_into(&[3.0, 3.0], 0.1, &mut found);
+        assert_eq!(found.len(), n);
     }
 
     #[test]
@@ -1433,11 +1436,13 @@ mod tests {
         let coords: Vec<f64> = (0..n).flat_map(|i| [i as f64, 0.0]).collect();
         let ds = Dataset::from_flat(2, coords);
         let tree = KdTree::build(&ds);
+        let mut found = Vec::new();
         for (q, r, want) in
             [([10.0, 0.0], 2.5, 5usize), ([0.0, 0.0], 1.5, 2), ([n as f64, 0.0], 3.5, 3)]
         {
             assert_eq!(tree.range_count(&q, r, None), want);
-            assert_eq!(tree.range_search(&q, r).len(), want);
+            tree.range_search_into(&q, r, &mut found);
+            assert_eq!(found.len(), want);
         }
         // Every key 0 above the query's −1: a plain nearest neighbour.
         let keys = MaxKeys::new(&tree, &vec![0.0; n]);

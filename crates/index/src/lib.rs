@@ -26,18 +26,19 @@
 //!   the layout.
 //! * [`RTree`] — an STR bulk-loaded R-tree used by the `R-tree + Scan` baseline
 //!   of the paper's evaluation (Table 6).
-//! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Ex-DPC, Approx-DPC) or
-//!   `ε·d_cut/√d` (S-Approx-DPC). Cells are created online, only for occupied
-//!   regions, exactly as §4.1 describes. Construction shards across worker
-//!   threads ([`Grid::build_parallel`]) with a byte-for-byte identical CSR
-//!   layout at every thread count (the [`Grid::layout_eq`] contract).
+//! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Approx-DPC) or
+//!   `ε·d_cut/√d` (S-Approx-DPC), which holds their cells, not their ρ
+//!   queries. Cells are created online, only for occupied regions, exactly as
+//!   §4.1 describes. Construction shards across worker threads
+//!   ([`Grid::build_parallel`]) with a byte-for-byte identical CSR layout at
+//!   every thread count (the [`Grid::layout_eq`] contract).
 //! * [`batchq`] — batched range counts over the packed tree, the ρ phase of
-//!   every algorithm: a bucket of `d_cut` balls (the points of adjacent grid
-//!   cells, via [`Grid::query_buckets`]) descends the tree **once**, pruning
-//!   with the bucket's joint bounding box and feeding each leaf's contiguous
-//!   rows to the SIMD batch kernels per still-active query. Every count is
-//!   bit-identical to the corresponding single-query call — see the module's
-//!   determinism contract.
+//!   every algorithm: a bucket of `d_cut` balls (consecutive query points in
+//!   the tree's packed order, which is already spatial) descends the tree
+//!   **once**, pruning with the bucket's joint bounding box and feeding each
+//!   leaf's contiguous rows to the SIMD batch kernels per still-active query.
+//!   Every count is bit-identical to the corresponding single-query call —
+//!   see the module's determinism contract.
 
 #![forbid(unsafe_code)]
 

@@ -4,13 +4,13 @@
 //! bit-identical to the corresponding single-query `range_count` (with the
 //! same per-query exclusion handling), no matter how the queries are grouped
 //! into buckets. The suite sweeps 2/3/8 dimensions,
-//! duplicate-heavy and exact-boundary-radius datasets, grid-derived buckets
-//! and adversarial groupings, and runs identically under the default (scalar)
-//! and `simd` feature builds.
+//! duplicate-heavy and exact-boundary-radius datasets, the packed-order
+//! buckets the fits use and adversarial groupings, and runs identically
+//! under the default (scalar) and `simd` feature builds.
 
 use dpc_geometry::{dist, Dataset};
 use dpc_index::batchq::{self, BatchRangeCount};
-use dpc_index::{Grid, KdTree};
+use dpc_index::KdTree;
 use dpc_parallel::Executor;
 use dpc_rng::StdRng;
 
@@ -63,20 +63,17 @@ fn assert_bucket_identity(
 }
 
 #[test]
-fn grid_buckets_are_bit_identical_to_per_point_queries() {
+fn packed_runs_are_bit_identical_to_per_point_queries() {
+    // The fits' grouping: runs of 64 consecutive packed ids, the last one
+    // ragged (900, 700 and 300 are not multiples of 64).
     for &(n, dim, seed) in &[(900usize, 2usize, 101u64), (700, 3, 102), (300, 8, 103)] {
         let data = random_dataset(n, dim, seed);
         let dcut = 8.0;
         let tree = KdTree::build_parallel(&data, &Executor::new(4));
-        let grid = Grid::build(&data, dcut / (dim as f64).sqrt());
-        let buckets = grid.query_buckets();
-        for bucket in buckets.iter() {
-            let mut ids: Vec<usize> = Vec::new();
-            for &cell in bucket {
-                ids.extend_from_slice(grid.points(cell));
-            }
-            let exclude: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
-            assert_bucket_identity(&data, &tree, &ids, dcut, &exclude);
+        assert_ne!(n % 64, 0);
+        for run in tree.ids().chunks(64) {
+            let ids: Vec<usize> = run.iter().map(|&i| i as usize).collect();
+            assert_bucket_identity(&data, &tree, &ids, dcut, run);
         }
     }
 }

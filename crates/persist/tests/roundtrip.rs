@@ -119,10 +119,13 @@ fn trees_with_duplicates_signed_zeros_and_subnormals_round_trip() {
     assert!(back.layout_eq(&tree));
     // The decoded tree answers queries with no dataset at all — identically
     // to the tree that was encoded.
+    let (mut got, mut want) = (Vec::new(), Vec::new());
     for i in 0..data.len() {
         let q = data.point(i);
         assert_eq!(back.range_count(q, 3.0, Some(i)), tree.range_count(q, 3.0, Some(i)));
-        assert_eq!(back.range_search(q, 3.0), tree.range_search(q, 3.0));
+        back.range_search_into(q, 3.0, &mut got);
+        tree.range_search_into(q, 3.0, &mut want);
+        assert_eq!(got, want);
     }
 }
 
@@ -135,7 +138,9 @@ fn empty_tree_round_trips() {
     assert!(back.layout_eq(&tree));
     assert!(back.is_empty());
     assert_eq!(back.range_count(&[0.0, 0.0], 1.0, None), 0);
-    assert!(back.range_search(&[0.0, 0.0], 1.0).is_empty());
+    let mut found = vec![7];
+    back.range_search_into(&[0.0, 0.0], 1.0, &mut found);
+    assert!(found.is_empty());
 }
 
 #[test]

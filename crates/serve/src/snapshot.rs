@@ -208,8 +208,10 @@ mod tests {
         let snap = fit_snapshot();
         // Every point finds itself in the closed ball of radius zero, and the
         // tree's row of it is the dataset's.
+        let mut found = Vec::new();
         for i in (0..snap.n()).step_by(17) {
-            assert!(snap.tree().range_search(snap.data().point(i), 0.0).contains(&i));
+            snap.tree().range_search_into(snap.data().point(i), 0.0, &mut found);
+            assert!(found.contains(&i));
             assert_eq!(snap.tree().point(i), snap.data().point(i));
         }
     }

@@ -46,13 +46,15 @@ fn every_index_counts_boundary_points() {
     let ds = lattice();
     let kd = KdTree::build(&ds);
     let rt = RTree::build(&ds);
+    let mut found = Vec::new();
     for i in 0..ds.len() {
         let want = brute_inclusive(&ds, i, 5.0);
         let q = ds.point(i);
         assert_eq!(kd.range_count(q, 5.0, Some(i)), want, "kd-tree at {i}");
         assert_eq!(rt.range_count(q, 5.0, Some(i)), want, "R-tree at {i}");
         // Reporting queries include the query point itself.
-        assert_eq!(kd.range_search(q, 5.0).len(), want + 1, "kd-tree search at {i}");
+        kd.range_search_into(q, 5.0, &mut found);
+        assert_eq!(found.len(), want + 1, "kd-tree search at {i}");
         assert_eq!(rt.range_search(q, 5.0).len(), want + 1, "R-tree search at {i}");
     }
 }

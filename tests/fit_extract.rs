@@ -9,6 +9,8 @@
 //! 2. **Error paths** — every `DpcError` variant is reachable through the
 //!    public API and none of them panics.
 
+use fast_dpc::core::framework::jittered_density;
+use fast_dpc::geometry::dist;
 use fast_dpc::prelude::*;
 
 /// The threshold grid the equivalence tests sweep: the paper's interactive
@@ -193,8 +195,33 @@ fn error_invalid_params_grid_cell_side() {
         );
         assert!(err.to_string().contains("grid cell side"), "{name}: {err}");
     }
-    // Ex-DPC counts the same data point by point instead.
-    assert!(ExDpc::new(tiny).fit(&data).is_ok());
+    // Ex-DPC needs no grid, so no cell side can degenerate: its ρ is the
+    // closed-ball count of Definition 1 at both extremes. At d_cut 5e-324 a
+    // point counts its exact duplicates (points 0–2 recur as 7–9), at d_cut
+    // 1e308 every other point.
+    let n = data.len();
+    let duplicates: Vec<usize> = (0..n)
+        .map(|i| (0..n).filter(|&j| j != i && data.point(j) == data.point(i)).count())
+        .collect();
+    assert_eq!(duplicates.iter().sum::<usize>(), 6);
+    for (dcut, want) in [(5e-324, duplicates), (1e308, vec![n - 1; n])] {
+        for threads in [1usize, 4] {
+            let params = DpcParams::new(dcut).with_threads(threads);
+            let model = ExDpc::new(params).fit(&data).unwrap();
+            for (i, &want) in want.iter().enumerate() {
+                let count = (0..n)
+                    .filter(|&j| j != i && dist(data.point(i), data.point(j)) <= dcut)
+                    .count();
+                assert_eq!(count, want, "d_cut {dcut}, point {i}");
+                let rho = jittered_density(count, i, params.jitter_seed);
+                assert_eq!(
+                    model.rho()[i].to_bits(),
+                    rho.to_bits(),
+                    "d_cut {dcut}, threads {threads}, point {i}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -50,6 +50,7 @@ fn assert_packed_matches_naive(ds: &Dataset, rng: &mut StdRng, seed: u64) {
     let dim = ds.dim();
     let tree = KdTree::build(ds);
     assert_eq!(tree.len(), ds.len(), "seed {seed}");
+    let mut got = Vec::new();
     for case in 0..6 {
         let q: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..100.0)).collect();
         let r = rng.gen_range(0.1..80.0);
@@ -58,7 +59,7 @@ fn assert_packed_matches_naive(ds: &Dataset, rng: &mut StdRng, seed: u64) {
             ds.iter().filter(|(id, p)| Some(*id) != exclude && dist(&q, p) <= r).count();
         assert_eq!(tree.range_count(&q, r, exclude), want_count, "seed {seed} case {case}");
 
-        let mut got = tree.range_search(&q, r);
+        tree.range_search_into(&q, r, &mut got);
         got.sort_unstable();
         let mut want: Vec<usize> =
             ds.iter().filter(|(_, p)| dist(&q, p) <= r).map(|(id, _)| id).collect();
@@ -363,6 +364,7 @@ fn parallel_grid_build_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn kdtree_range_count_matches_brute_force() {
+    let mut found = Vec::new();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xA110 + seed);
         let ds = random_dataset(&mut rng, 120);
@@ -371,7 +373,7 @@ fn kdtree_range_count_matches_brute_force() {
         let radius = rng.gen_range(0.1..60.0);
         let expected = ds.iter().filter(|(_, p)| dist(&q, p) <= radius).count();
         assert_eq!(tree.range_count(&q, radius, None), expected, "seed {seed}");
-        let mut found = tree.range_search(&q, radius);
+        tree.range_search_into(&q, radius, &mut found);
         found.sort_unstable();
         let mut want: Vec<usize> =
             ds.iter().filter(|(_, p)| dist(&q, p) <= radius).map(|(i, _)| i).collect();
