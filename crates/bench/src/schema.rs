@@ -282,6 +282,15 @@ pub mod required {
         "rho_batched_serial_xl",
         "rho_batched_parallel_xl",
     ];
+    /// `BENCH_dependent_point.json` (`benches/dependent_point.rs`). The
+    /// Scan baseline's `scan_early_termination` is only timed at small `n`,
+    /// so it is not required.
+    pub const DEPENDENT_POINT: &[&str] = &[
+        "nearest_denser_id_order",
+        "nearest_denser_packed_order",
+        "exdpc_dependent_points_serial",
+        "exdpc_dependent_points_parallel",
+    ];
     /// `BENCH_e2e.json` (`benches/end_to_end.rs`).
     pub const END_TO_END: &[&str] = &[
         "build",
@@ -600,6 +609,7 @@ mod tests {
             ("BENCH_kdtree.json", "kd_tree", required::KD_TREE),
             ("BENCH_grid_build.json", "grid_build", required::GRID_BUILD),
             ("BENCH_local_density.json", "local_density", required::LOCAL_DENSITY),
+            ("BENCH_dependent_point.json", "dependent_point", required::DEPENDENT_POINT),
             ("BENCH_e2e.json", "end_to_end", required::END_TO_END),
             ("BENCH_serve.json", "serve", required::SERVE),
             ("BENCH_cold_load.json", "cold_load", required::COLD_LOAD),

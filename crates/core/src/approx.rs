@@ -28,9 +28,13 @@
 //!   with one kd-tree each; here every point of `P'` asks the ρ-phase kd-tree
 //!   the same nearest-denser query Ex-DPC uses, so no further index is built.
 //!
-//! The ρ buckets of the count engine, the per-cell queries and the `P'`
-//! queries are all scheduled dynamically, so no phase needs the cost-based
-//! partitioning of §4.5.
+//! The ρ buckets of the count engine, the per-cell queries from each `p*(c)`
+//! and the `P'` queries all run in the kd-tree's packed order, each on its
+//! packed row, so consecutive queries search neighbouring subtrees. The
+//! workers claim them dynamically, so no phase needs the cost-based
+//! partitioning of §4.5. Each δ answer is a minimum over a fixed set (the
+//! smallest label; the nearest denser point, ties to the smallest id), so the
+//! order cannot change it.
 
 use std::time::Instant;
 
@@ -40,7 +44,8 @@ use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    cell_side, jittered_density, neighbour_counts, resolve_dependents, validate_dataset,
+    cell_side, jittered_density, neighbour_counts, packed_queries, resolve_dependents,
+    validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -118,7 +123,6 @@ impl ApproxDpc {
     /// Returns `(dependent, delta)`.
     fn dependents(
         &self,
-        data: &Dataset,
         tree: &KdTree,
         executor: &Executor,
         rho: &[f64],
@@ -133,14 +137,22 @@ impl ApproxDpc {
         let keys: Vec<f64> = cell_of.iter().map(|&c| min_rho[c]).collect();
         let max_keys = MaxKeys::new(tree, &keys);
         let labels = MinLabels::new(tree, cell_of);
-        let denser_cell: Vec<Option<usize>> = executor.map_dynamic(grid.num_cells(), |c| {
-            let star = p_star[c];
-            tree.smallest_denser_label(&max_keys, &labels, data.point(star), dcut, rho[star])
+        let first_denser = |row: &[f64], star: u32| {
+            tree.smallest_denser_label(&max_keys, &labels, row, dcut, rho[star as usize])
+        };
+        let is_star = |p: usize| p_star[cell_of[p]] == p;
+        let found = packed_queries(tree, is_star, executor, |rows, ids| {
+            let rows = rows.chunks_exact(tree.dim());
+            rows.zip(ids).map(|(row, &star)| first_denser(row, star)).collect()
         });
+        let mut denser_cell: Vec<Option<usize>> = vec![None; grid.num_cells()];
+        for (star, c2) in found {
+            denser_cell[cell_of[star]] = c2;
+        }
 
         let mut dependent: Vec<usize> = (0..n).collect();
         let mut delta = vec![f64::INFINITY; n];
-        let mut residual: Vec<usize> = Vec::new();
+        let mut residual = vec![false; n];
         for p in 0..n {
             let c = cell_of[p];
             let approx =
@@ -151,13 +163,13 @@ impl ApproxDpc {
                     dependent[p] = q;
                     delta[p] = dcut;
                 }
-                None => residual.push(p),
+                None => residual[p] = true,
             }
         }
 
         // Exact computation for P' (§4.3, "Exact computation"). The globally
         // densest point finds no denser point and keeps δ = ∞, q = itself.
-        resolve_dependents(data, tree, rho, &residual, executor, &mut dependent, &mut delta);
+        resolve_dependents(tree, rho, |p| residual[p], executor, &mut dependent, &mut delta);
         (dependent, delta)
     }
 }
@@ -180,7 +192,7 @@ impl DpcAlgorithm for ApproxDpc {
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let (dependent, delta) = self.dependents(data, &tree, &executor, &rho, &cells);
+        let (dependent, delta) = self.dependents(&tree, &executor, &rho, &cells);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         let index_bytes = tree.mem_usage() + cells.grid.mem_usage();

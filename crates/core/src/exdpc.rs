@@ -13,7 +13,9 @@
 //!   nearest-denser query per point ([`KdTree::nearest_denser`]) return the
 //!   same exact dependent point, with equal distances going to the smallest
 //!   id. The `n` queries are independent, so the phase runs on every worker
-//!   thread.
+//!   thread. Like the ρ queries, they run in the tree's packed order, each on
+//!   its packed row, so consecutive queries search neighbouring subtrees; an
+//!   answer is a canonical minimum, so the order cannot change it.
 
 use std::time::Instant;
 
@@ -125,7 +127,7 @@ impl ExDpc {
         timings.rho_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let (dependent, delta) = dependents(data, &tree, &rho, &executor);
+        let (dependent, delta) = dependents(&tree, &rho, &executor);
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         let model = DpcModel::from_parts(
@@ -144,25 +146,20 @@ impl ExDpc {
     /// `δ` phase on its own). Returns `(dependent, delta)`.
     ///
     /// Builds the packed kd-tree over `data`, then answers one nearest-denser
-    /// query per point; `fit` runs the same queries on its ρ-phase tree.
+    /// query per point, in the tree's packed order; `fit` runs the same
+    /// queries on its ρ-phase tree and reads no `data` for them.
     pub fn dependent_points(&self, data: &Dataset, rho: &[f64]) -> (Vec<usize>, Vec<f64>) {
         let executor = Executor::new(self.params.threads);
-        dependents(data, &KdTree::build_parallel(data, &executor), rho, &executor)
+        dependents(&KdTree::build_parallel(data, &executor), rho, &executor)
     }
 }
 
-/// The δ phase over `tree`, built over `data`: every point's nearest denser
-/// point. The densest point keeps `δ = ∞` and depends on itself.
-fn dependents(
-    data: &Dataset,
-    tree: &KdTree,
-    rho: &[f64],
-    executor: &Executor,
-) -> (Vec<usize>, Vec<f64>) {
-    let all: Vec<usize> = (0..rho.len()).collect();
-    let mut dependent = all.clone();
+/// The δ phase over `tree`: every point's nearest denser point. The densest
+/// point keeps `δ = ∞` and depends on itself.
+fn dependents(tree: &KdTree, rho: &[f64], executor: &Executor) -> (Vec<usize>, Vec<f64>) {
+    let mut dependent: Vec<usize> = (0..rho.len()).collect();
     let mut delta = vec![f64::INFINITY; rho.len()];
-    resolve_dependents(data, tree, rho, &all, executor, &mut dependent, &mut delta);
+    resolve_dependents(tree, rho, |_| true, executor, &mut dependent, &mut delta);
     (dependent, delta)
 }
 

@@ -10,10 +10,10 @@ use dpc_geometry::Dataset;
 use dpc_index::{BatchRangeCount, KdTree, MaxKeys};
 use dpc_parallel::Executor;
 
-/// Query points per batched descent in [`neighbour_counts`]: enough
-/// neighbouring queries to share the upper levels of one descent, few enough
-/// that the bucket's joint box stays tight and its per-node active lists
-/// short.
+/// Query points per task of [`packed_queries`]: for the batched counts of
+/// [`neighbour_counts`], enough neighbouring queries to share the upper levels
+/// of one descent, few enough that the bucket's joint box stays tight and its
+/// per-node active lists short.
 const BUCKET: usize = 64;
 
 /// Validates a dataset for fitting: rejects an empty dataset
@@ -100,69 +100,90 @@ pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
     order
 }
 
+/// Answers one query per point `p` with `is_query(p)` and yields the
+/// `(p, answer)` pairs, in `tree`'s packed order.
+///
+/// The packed tree already orders its points in space, so consecutive query
+/// points, taken in packed order, descend into the same subtrees and find
+/// their nodes warm in the cache. They are cut into tasks of [`BUCKET`]
+/// consecutive ones, which the workers claim dynamically: a query's cost
+/// varies with where it lies, so equal shares are far from equal work.
+/// `answer(rows, ids)` gets one task's packed coordinate rows (bit copies of
+/// the dataset's rows, `ids.len()·dim` values) and point ids, and returns one
+/// answer per point, in order. Every answer must depend on its point alone;
+/// then the pairs are the same under every schedule and at every thread
+/// count.
+pub(crate) fn packed_queries<'t, R: Send + 't>(
+    tree: &'t KdTree,
+    is_query: impl Fn(usize) -> bool,
+    executor: &Executor,
+    answer: impl Fn(&[f64], &[u32]) -> Vec<R> + Sync,
+) -> impl Iterator<Item = (usize, R)> + 't {
+    let (dim, ids, coords) = (tree.dim(), tree.ids(), tree.coords());
+    let queries: Vec<usize> = (0..ids.len()).filter(|&row| is_query(ids[row] as usize)).collect();
+    let tasks: Vec<&[usize]> = queries.chunks(BUCKET).collect();
+    let per_task: Vec<Vec<R>> = executor.map_dynamic(tasks.len(), |t| {
+        let mut rows = Vec::with_capacity(tasks[t].len() * dim);
+        let mut task_ids = Vec::with_capacity(tasks[t].len());
+        for &row in tasks[t] {
+            rows.extend_from_slice(&coords[row * dim..(row + 1) * dim]);
+            task_ids.push(ids[row]);
+        }
+        answer(&rows, &task_ids)
+    });
+    let query_ids = queries.into_iter().map(|row| ids[row] as usize);
+    query_ids.zip(per_task.into_iter().flatten())
+}
+
 /// The closed-ball `d_cut` neighbour count of every point `p` with
 /// `is_query(p)`, the point itself left out (Definition 1): every point for
 /// Ex-DPC and Approx-DPC, each cell's picked point for S-Approx-DPC. Indexed
 /// by point id; every other point reads 0.
 ///
-/// The packed tree already orders its points in space, so the query points,
-/// taken in packed order, are cut into buckets of [`BUCKET`] consecutive
-/// ones, each descending `tree` once through [`BatchRangeCount`] with its
-/// rows gathered from the tree's packed rows (bit copies of the dataset's).
-/// The workers claim buckets dynamically: a query's cost grows with its
-/// count, so equal shares of buckets are far from equal work. Every count
-/// equals the single-query `range_count` and lands in its point's slot, so
-/// the result is the same under every schedule and at every thread count.
+/// Each task of [`packed_queries`] is one bucket that descends `tree` once
+/// through [`BatchRangeCount`]. Every count equals the single-query
+/// `range_count`, so the result is the same at every thread count.
 pub(crate) fn neighbour_counts(
     tree: &KdTree,
     dcut: f64,
     is_query: impl Fn(usize) -> bool,
     executor: &Executor,
 ) -> Vec<usize> {
-    let (dim, ids, coords) = (tree.dim(), tree.ids(), tree.coords());
-    // The packed rows of the query points, in packed order.
-    let queries: Vec<usize> = (0..ids.len()).filter(|&row| is_query(ids[row] as usize)).collect();
-    let buckets: Vec<&[usize]> = queries.chunks(BUCKET).collect();
-    let per_bucket: Vec<Vec<usize>> = executor.map_dynamic(buckets.len(), |b| {
-        let mut rows = Vec::with_capacity(buckets[b].len() * dim);
-        let mut excl = Vec::with_capacity(buckets[b].len());
-        for &row in buckets[b] {
-            rows.extend_from_slice(&coords[row * dim..(row + 1) * dim]);
-            excl.push(ids[row]);
-        }
+    let found = packed_queries(tree, is_query, executor, |rows, ids| {
         let mut counts = Vec::new();
-        BatchRangeCount::new().run(tree, &rows, dcut, &excl, &mut counts);
+        BatchRangeCount::new().run(tree, rows, dcut, ids, &mut counts);
         counts
     });
     let mut counts = vec![0usize; tree.len()];
-    for (&row, &count) in queries.iter().zip(per_bucket.iter().flatten()) {
-        counts[ids[row] as usize] = count;
+    for (p, count) in found {
+        counts[p] = count;
     }
     counts
 }
 
-/// Sets `dependent[p]`/`delta[p]` of every `p` in `queries` to its exact
-/// dependent point (Definition 2): the nearest point of `tree` (built over
-/// `data`) whose key (`keys[id]`: ρ, or `-∞` to hide a point) is strictly
-/// greater than `p`'s, ties to the smallest id. A query no key exceeds keeps
-/// its entries. The query rows are read from `data` in id order. The
-/// independent queries fan out with `map_dynamic`, so the result does not
-/// depend on the thread count.
+/// Sets `dependent[p]`/`delta[p]` of every `p` with `is_query(p)` to its
+/// exact dependent point (Definition 2): the nearest point of `tree` whose
+/// key (`keys[id]`: ρ, or `-∞` to hide a point) is strictly greater than
+/// `p`'s, ties to the smallest id. A query no key exceeds keeps its entries.
+/// The queries run through [`packed_queries`], each on its packed row. Every
+/// answer is a canonical minimum, so neither the query order nor the thread
+/// count changes the result.
 pub(crate) fn resolve_dependents(
-    data: &Dataset,
     tree: &KdTree,
     keys: &[f64],
-    queries: &[usize],
+    is_query: impl Fn(usize) -> bool,
     executor: &Executor,
     dependent: &mut [usize],
     delta: &mut [f64],
 ) {
     let max_keys = MaxKeys::new(tree, keys);
-    let found = executor.map_dynamic(queries.len(), |k| {
-        let p = queries[k];
-        tree.nearest_denser(&max_keys, data.point(p), keys[p])
+    let found = packed_queries(tree, is_query, executor, |rows, ids| {
+        let rows = rows.chunks_exact(tree.dim());
+        rows.zip(ids)
+            .map(|(row, &p)| tree.nearest_denser(&max_keys, row, keys[p as usize]))
+            .collect()
     });
-    for (&p, found) in queries.iter().zip(found) {
+    for (p, found) in found {
         if let Some((q, d)) = found {
             dependent[p] = q;
             delta[p] = d;

@@ -38,7 +38,11 @@
 //!   the nearest denser picked point of those cells wins, equal distances to
 //!   the smaller cell id. If no cell of `N(c)` is denser, `q` stands: phase 2.
 //!
-//! Distances are compared squared, as the query compares them.
+//! Distances are compared squared, as the query compares them. The picked
+//! points' queries, and the `d_cut` searches of the local peaks among them,
+//! run in the tree's packed order, each on its packed row, as their counts
+//! do; every answer is a canonical minimum, so the order cannot change it.
+//! A point that is not picked takes its cell's picked point without a query.
 
 use std::time::Instant;
 
@@ -47,15 +51,13 @@ use dpc_index::{Grid, KdTree, MaxKeys};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
-use crate::framework::{cell_side, jittered_density, neighbour_counts, validate_dataset};
+use crate::framework::{
+    cell_side, jittered_density, neighbour_counts, packed_queries, validate_dataset,
+};
 use crate::model::DpcModel;
 use crate::params::DpcParams;
 use crate::result::Timings;
 use crate::DpcAlgorithm;
-
-/// Points per δ-phase task; a task reuses one scratch buffer for the `d_cut`
-/// searches of its local peaks.
-const DELTA_TASK: usize = 256;
 
 /// The S-Approx-DPC algorithm of §5.
 #[derive(Clone, Copy, Debug)]
@@ -152,16 +154,18 @@ impl DpcAlgorithm for SApproxDpc {
 
         // ---- Dependent point phase (Lemma 5) ----
         let start = Instant::now();
+        // A point that is not picked depends on its cell's picked point, at
+        // most the cell diameter `ε·d_cut` away. A picked point reads δ = ∞,
+        // its own dependent, until its query below finds a denser one.
+        let picked_of = |p: usize| grid.points(grid.cell_of(p))[0];
+        let mut dependent: Vec<usize> = (0..n).map(picked_of).collect();
+        let away = |p: usize| dist(data.point(p), data.point(dependent[p]));
+        let mut delta: Vec<f64> =
+            (0..n).map(|p| if is_picked[p] { f64::INFINITY } else { away(p) }).collect();
         let max_keys = MaxKeys::new(&tree, &keys);
         let dcut_sq = dcut * dcut;
-        let dependent_of = |p: usize, ball: &mut Vec<usize>| {
-            let point = data.point(p);
-            let picked = grid.points(grid.cell_of(p))[0];
-            if p != picked {
-                // At most the cell diameter `ε·d_cut` away.
-                return Some((picked, dist(point, data.point(picked))));
-            }
-            let nearest = tree.nearest_denser(&max_keys, point, keys[p]);
+        let dependent_of = |point: &[f64], key: f64, ball: &mut Vec<usize>| {
+            let nearest = tree.nearest_denser(&max_keys, point, key);
             if let Some((q, _)) = nearest {
                 if dist_sq(point, data.point(q)) <= dcut_sq {
                     return nearest;
@@ -172,9 +176,8 @@ impl DpcAlgorithm for SApproxDpc {
             // distances to the smaller cell id, which holds the smaller id.
             tree.range_search_into(point, dcut, ball);
             let mut best: Option<(usize, f64)> = None;
-            for &o in ball.iter() {
-                let q = grid.points(grid.cell_of(o))[0];
-                if keys[q] > keys[p] {
+            for q in ball.iter().map(|&o| picked_of(o)) {
+                if keys[q] > key {
                     let d = dist_sq(point, data.point(q));
                     if best.is_none_or(|(b, bd)| d < bd || (d == bd && q < b)) {
                         best = Some((q, d));
@@ -183,22 +186,20 @@ impl DpcAlgorithm for SApproxDpc {
             }
             best.map(|(q, d)| (q, d.sqrt())).or(nearest)
         };
-        // Tasks of `DELTA_TASK` points, each reusing one scratch ball.
-        let found: Vec<Vec<Option<(usize, f64)>>> =
-            executor.map_dynamic(n.div_ceil(DELTA_TASK), |t| {
-                let mut ball = Vec::new();
-                (t * DELTA_TASK..n.min((t + 1) * DELTA_TASK))
-                    .map(|p| dependent_of(p, &mut ball))
-                    .collect()
-            });
-        // The densest picked point finds no denser one: δ = ∞, its own
-        // dependent.
-        let (dependent, delta) = found
-            .into_iter()
-            .flatten()
-            .enumerate()
-            .map(|(p, f)| f.unwrap_or((p, f64::INFINITY)))
-            .unzip();
+        // A task of picked points reuses one scratch ball for the `d_cut`
+        // searches of its local peaks.
+        let picked = |p: usize| is_picked[p];
+        let found = packed_queries(&tree, picked, &executor, |rows, ids| {
+            let mut ball = Vec::new();
+            let rows = rows.chunks_exact(tree.dim());
+            rows.zip(ids).map(|(row, &p)| dependent_of(row, keys[p as usize], &mut ball)).collect()
+        });
+        for (p, found) in found {
+            if let Some((q, d)) = found {
+                dependent[p] = q;
+                delta[p] = d;
+            }
+        }
         timings.delta_secs = start.elapsed().as_secs_f64();
 
         DpcModel::from_parts(self.name(), dcut, rho, delta, dependent, timings, index_bytes)
