@@ -1,4 +1,4 @@
-//! Microbenchmarks for the uniform grid: serial vs fork-join parallel CSR
+//! Microbenchmarks for the uniform grid: serial vs sharded parallel CSR
 //! construction (the last index-construction phase on the approximate fit
 //! paths to parallelise), plus the paper's joint range search of Approx-DPC
 //! (one kd-tree query per cell, §4.2) versus per-point range searches (Ex-DPC
@@ -19,7 +19,7 @@
 //! `side = d_cut/√d` (the Approx-DPC geometry, few points per cell), and a
 //! clustered Gaussian-blob set (many points per cell, scatter-dominated).
 //!
-//! The parallel-build kernels measure the fork-join win only on multi-core
+//! The parallel-build kernels measure the sharding win only on multi-core
 //! hosts; on a single-CPU container they record spawn overhead (≈ 1.0×).
 
 use dpc_bench::micro::{bench_record, write_bench_json, BenchRecord};

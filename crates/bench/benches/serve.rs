@@ -192,20 +192,16 @@ fn main() {
                 // Warm-up pass (untimed), then the timed repetitions.
                 for timed in [false, true, true, true] {
                     let start = Instant::now();
-                    let per_worker: Vec<Vec<f64>> = pool.map_chunks(requests.len(), |range| {
-                        let mut worker_lat = Vec::with_capacity(range.len());
-                        for i in range {
-                            let t0 = Instant::now();
-                            let response =
-                                server.handle(&requests[i]).expect("well-formed request");
-                            worker_lat.push(t0.elapsed().as_secs_f64());
-                            assert!(response.epoch() >= 1, "torn epoch");
-                        }
-                        worker_lat
+                    let batch_lat: Vec<f64> = pool.map_dynamic(requests.len(), |i| {
+                        let t0 = Instant::now();
+                        let response = server.handle(&requests[i]).expect("well-formed request");
+                        let lat = t0.elapsed().as_secs_f64();
+                        assert!(response.epoch() >= 1, "torn epoch");
+                        lat
                     });
                     if timed {
                         batch_walls.push(start.elapsed().as_secs_f64());
-                        latencies.extend(per_worker.into_iter().flatten());
+                        latencies.extend(batch_lat);
                     }
                 }
                 stop.store(true, Ordering::Relaxed);
@@ -325,25 +321,21 @@ fn main() {
 
             for timed in [false, true, true, true] {
                 let start = Instant::now();
-                let per_worker: Vec<Vec<f64>> = pool.map_chunks(requests.len(), |range| {
-                    let mut worker_lat = Vec::with_capacity(range.len());
-                    for i in range {
-                        let t0 = Instant::now();
-                        match faulty_server.handle(&requests[i]) {
-                            Ok(response) => assert!(response.epoch() >= 1, "torn epoch"),
-                            // The two degraded-mode outcomes the section is
-                            // here to measure; anything else is a bug.
-                            Err(ServeError::Overloaded { .. })
-                            | Err(ServeError::DeadlineExceeded { .. }) => {}
-                            Err(other) => panic!("unexpected serve error: {other}"),
-                        }
-                        worker_lat.push(t0.elapsed().as_secs_f64());
+                let batch_lat: Vec<f64> = pool.map_dynamic(requests.len(), |i| {
+                    let t0 = Instant::now();
+                    match faulty_server.handle(&requests[i]) {
+                        Ok(response) => assert!(response.epoch() >= 1, "torn epoch"),
+                        // The two degraded-mode outcomes the section is here
+                        // to measure; anything else is a bug.
+                        Err(ServeError::Overloaded { .. })
+                        | Err(ServeError::DeadlineExceeded { .. }) => {}
+                        Err(other) => panic!("unexpected serve error: {other}"),
                     }
-                    worker_lat
+                    t0.elapsed().as_secs_f64()
                 });
                 if timed {
                     batch_walls.push(start.elapsed().as_secs_f64());
-                    latencies.extend(per_worker.into_iter().flatten());
+                    latencies.extend(batch_lat);
                 }
             }
             stop.store(true, Ordering::Relaxed);

@@ -182,7 +182,7 @@ impl DpcAlgorithm for ApproxDpc {
     fn fit(&self, data: &Dataset) -> Result<DpcModel, DpcError> {
         self.params.validate()?;
         validate_dataset(data)?;
-        let side = cell_side(self.params.dcut, 1.0, data.dim())?;
+        let side = cell_side(data, self.params.dcut, 1.0)?;
         let executor = Executor::new(self.params.threads);
         let mut timings = Timings::default();
 

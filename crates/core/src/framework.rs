@@ -7,7 +7,7 @@ use crate::error::DpcError;
 use crate::params::Thresholds;
 use crate::result::NOISE;
 use dpc_geometry::Dataset;
-use dpc_index::{BatchRangeCount, KdTree, MaxKeys};
+use dpc_index::{BatchRangeCount, Grid, KdTree, MaxKeys};
 use dpc_parallel::Executor;
 
 /// Query points per task of [`packed_queries`]: for the batched counts of
@@ -36,22 +36,29 @@ pub fn validate_dataset(data: &Dataset) -> Result<(), DpcError> {
     Ok(())
 }
 
-/// The side `scale·d_cut/√d` of a grid cell: `scale = 1` for Approx-DPC's
-/// grid, `scale = ε` for S-Approx-DPC's finer grid.
+/// The side `scale·d_cut/√d` of a grid cell over `data`: `scale = 1` for
+/// Approx-DPC's grid, `scale = ε` for S-Approx-DPC's finer grid.
 ///
 /// # Errors
 /// [`DpcError::InvalidParams`] naming the grid cell side when the side is
-/// not positive and finite. Valid parameters can still produce such a side:
-/// a tiny `d_cut` underflows to 0, and a huge `d_cut` or `ε` overflows to ∞.
-pub(crate) fn cell_side(dcut: f64, scale: f64, dim: usize) -> Result<f64, DpcError> {
-    let side = scale * dcut / (dim as f64).sqrt();
-    if side.is_finite() && side > 0.0 {
+/// not positive and finite, or when the data's bounding box spans 2^53 cells
+/// or more on an axis ([`Grid::keys_fit`]). Valid parameters can still
+/// produce such a side: a tiny `d_cut` underflows to 0, a huge `d_cut` or `ε`
+/// overflows to ∞, and a `d_cut` tiny against the data's extent leaves cell
+/// keys that no longer tell adjacent cells apart.
+pub(crate) fn cell_side(data: &Dataset, dcut: f64, scale: f64) -> Result<f64, DpcError> {
+    let side = scale * dcut / (data.dim() as f64).sqrt();
+    if side.is_finite()
+        && side > 0.0
+        && data.bounding_rect().is_none_or(|rect| Grid::keys_fit(&rect, side))
+    {
         return Ok(side);
     }
     Err(DpcError::InvalidParams {
         param: "grid cell side",
         value: side,
-        requirement: "d_cut/√d (ε·d_cut/√d for S-Approx-DPC) must be positive and finite",
+        requirement: "d_cut/√d (ε·d_cut/√d for S-Approx-DPC) must be positive and finite, \
+                      and the data's bounding box must span fewer than 2^53 cells per axis",
     })
 }
 

@@ -109,7 +109,7 @@ impl DpcAlgorithm for SApproxDpc {
         }
         validate_dataset(data)?;
         let dcut = self.params.dcut;
-        let side = cell_side(dcut, self.epsilon, data.dim())?;
+        let side = cell_side(data, dcut, self.epsilon)?;
         let executor = Executor::new(self.params.threads);
         let mut timings = Timings::default();
         let n = data.len();

@@ -1,6 +1,5 @@
 //! A flat, row-major dataset container.
 
-use crate::point::Point;
 use crate::rect::Rect;
 
 /// An in-memory set of `n` points in `d`-dimensional space.
@@ -46,22 +45,6 @@ impl Dataset {
         Self { dim, coords }
     }
 
-    /// Builds a dataset from owned points.
-    ///
-    /// # Panics
-    /// Panics if the points do not all share the same dimensionality or if the
-    /// slice is empty (use [`Dataset::new`] for an empty dataset).
-    pub fn from_points(points: &[Point]) -> Self {
-        assert!(!points.is_empty(), "use Dataset::new for an empty dataset");
-        let dim = points[0].dim();
-        let mut coords = Vec::with_capacity(points.len() * dim);
-        for p in points {
-            assert_eq!(p.dim(), dim, "all points must share the same dimensionality");
-            coords.extend_from_slice(p.coords());
-        }
-        Self { dim, coords }
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.coords.len() / self.dim
@@ -85,11 +68,6 @@ impl Dataset {
     pub fn point(&self, id: usize) -> &[f64] {
         let start = id * self.dim;
         &self.coords[start..start + self.dim]
-    }
-
-    /// Returns point `id` as an owned [`Point`].
-    pub fn point_owned(&self, id: usize) -> Point {
-        Point::new(self.point(id).to_vec())
     }
 
     /// Appends a point given as a coordinate slice and returns its identifier.
@@ -152,7 +130,6 @@ mod tests {
         assert_eq!(ds.dim(), 2);
         assert!(!ds.is_empty());
         assert_eq!(ds.point(1), &[1.0, 1.0]);
-        assert_eq!(ds.point_owned(2), Point::new2(2.0, 4.0));
     }
 
     #[test]
@@ -177,15 +154,6 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn from_flat_validates_length() {
         let _ = Dataset::from_flat(2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn from_points_round_trip() {
-        let pts = vec![Point::new2(0.5, 1.5), Point::new2(-1.0, 2.0)];
-        let ds = Dataset::from_points(&pts);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds.point_owned(0), pts[0]);
-        assert_eq!(ds.point_owned(1), pts[1]);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Geometric primitives shared by every crate in the `fast-dpc` workspace.
 //!
 //! Density-Peaks Clustering operates on a set of `n` points in a low-dimensional
-//! Euclidean space. This crate provides the point representation, distance
-//! computations, axis-aligned rectangles (used by the kd-tree and R-tree), and a
-//! small dataset container with the bookkeeping that the clustering algorithms
-//! need (per-dimension domain, cardinality, dimensionality).
+//! Euclidean space. This crate provides the dataset container with the
+//! bookkeeping that the clustering algorithms need (per-dimension domain,
+//! cardinality, dimensionality), distance computations, and axis-aligned
+//! rectangles (R-tree node bounds and a dataset's bounding box).
 //!
-//! The representation is deliberately simple: a [`Point`] is a boxed slice of
-//! `f64` coordinates. The paper assumes low dimensionality (2–8 in the
-//! evaluation), so a flat `Vec<f64>`-backed dataset with row-major layout keeps
-//! cache behaviour predictable without introducing const-generic dimensions into
-//! every public signature.
+//! The representation is deliberately simple: a point is a `&[f64]` row of a
+//! [`Dataset`], whose coordinates live in one flat row-major `Vec<f64>`. The
+//! paper assumes low dimensionality (2–8 in the evaluation), so that layout
+//! keeps cache behaviour predictable without introducing const-generic
+//! dimensions into every public signature.
 //!
 //! # Radius-boundary semantics
 //!
@@ -40,7 +40,7 @@
 //!
 //! The crate denies `unsafe_code`. The x86-64 SIMD kernels of [`batch`] (the
 //! `simd` feature) and the two dispatchers that call them are the only items
-//! allowed to use it, so `dataset`, `distance`, `point` and `rect` stay safe
+//! allowed to use it, so `dataset`, `distance` and `rect` stay safe
 //! Rust by construction.
 
 #![deny(unsafe_code)]
@@ -48,12 +48,10 @@
 pub mod batch;
 pub mod dataset;
 pub mod distance;
-pub mod point;
 pub mod rect;
 
 pub use dataset::Dataset;
 pub use distance::{dist, dist_sq};
-pub use point::Point;
 pub use rect::Rect;
 
 #[cfg(test)]
@@ -62,11 +60,11 @@ mod tests {
 
     #[test]
     fn reexports_are_usable() {
-        let a = Point::new(vec![0.0, 0.0]);
-        let b = Point::new(vec![3.0, 4.0]);
-        assert_eq!(dist(a.coords(), b.coords()), 5.0);
-        let r = Rect::from_points(&[a.clone(), b.clone()]);
-        assert!(r.contains(a.coords()));
-        assert!(r.contains(b.coords()));
+        let data = Dataset::from_flat(2, vec![0.0, 0.0, 3.0, 4.0]);
+        let (a, b) = (data.point(0), data.point(1));
+        assert_eq!(dist(a, b), 5.0);
+        let r = Rect::from_rows([a, b]);
+        assert!(r.contains(a));
+        assert!(r.contains(b));
     }
 }

@@ -1,13 +1,12 @@
 //! Axis-aligned rectangles (minimum bounding rectangles).
 
 use crate::distance::{max_dist_sq_to_rect, min_dist_sq_to_rect};
-use crate::point::Point;
 
 /// An axis-aligned rectangle in `d` dimensions, stored as per-dimension
 /// `(lo, hi)` bounds.
 ///
-/// Used as the bounding volume of kd-tree subtrees and R-tree nodes, and as the
-/// cell extent of the uniform grids built by Approx-DPC / S-Approx-DPC.
+/// Used as the bounding volume of R-tree nodes and as a dataset's bounding box,
+/// which gives the uniform grids of Approx-DPC / S-Approx-DPC their origin.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Rect {
     lo: Box<[f64]>,
@@ -27,33 +26,6 @@ impl Rect {
             assert!(lo[i] <= hi[i], "lo[{i}] > hi[{i}] ({} > {})", lo[i], hi[i]);
         }
         Self { lo: lo.into_boxed_slice(), hi: hi.into_boxed_slice() }
-    }
-
-    /// The degenerate rectangle covering a single coordinate.
-    pub fn from_coords(coords: &[f64]) -> Self {
-        Self::new(coords.to_vec(), coords.to_vec())
-    }
-
-    /// The minimum bounding rectangle of a non-empty point set.
-    ///
-    /// # Panics
-    /// Panics if `points` is empty.
-    pub fn from_points(points: &[Point]) -> Self {
-        assert!(!points.is_empty(), "cannot bound an empty point set");
-        let dim = points[0].dim();
-        let mut lo = vec![f64::INFINITY; dim];
-        let mut hi = vec![f64::NEG_INFINITY; dim];
-        for p in points {
-            for (i, &c) in p.coords().iter().enumerate() {
-                if c < lo[i] {
-                    lo[i] = c;
-                }
-                if c > hi[i] {
-                    hi[i] = c;
-                }
-            }
-        }
-        Self::new(lo, hi)
     }
 
     /// The minimum bounding rectangle of a set of coordinate rows.
@@ -96,41 +68,15 @@ impl Rect {
         self.lo.len()
     }
 
-    /// The centre coordinate of the rectangle.
-    pub fn center(&self) -> Vec<f64> {
-        self.lo.iter().zip(self.hi.iter()).map(|(a, b)| 0.5 * (a + b)).collect()
-    }
-
     /// Side length along dimension `axis`.
     pub fn extent(&self, axis: usize) -> f64 {
         self.hi[axis] - self.lo[axis]
-    }
-
-    /// The (hyper-)volume, i.e. the product of side lengths.
-    pub fn volume(&self) -> f64 {
-        self.lo.iter().zip(self.hi.iter()).map(|(a, b)| b - a).product()
-    }
-
-    /// The margin (sum of side lengths), used by R-tree split heuristics.
-    pub fn margin(&self) -> f64 {
-        self.lo.iter().zip(self.hi.iter()).map(|(a, b)| b - a).sum()
     }
 
     /// Whether the rectangle contains the coordinate (closed on all faces).
     pub fn contains(&self, p: &[f64]) -> bool {
         debug_assert_eq!(p.len(), self.dim());
         p.iter().zip(self.lo.iter().zip(self.hi.iter())).all(|(&c, (&lo, &hi))| c >= lo && c <= hi)
-    }
-
-    /// Whether two rectangles intersect (closed).
-    pub fn intersects(&self, other: &Rect) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        for i in 0..self.dim() {
-            if self.hi[i] < other.lo[i] || other.hi[i] < self.lo[i] {
-                return false;
-            }
-        }
-        true
     }
 
     /// Whether the **closed** ball `B̄(center, radius)` intersects the
@@ -152,24 +98,6 @@ impl Rect {
         let hi = self.hi.iter().zip(other.hi.iter()).map(|(a, b)| a.max(*b)).collect::<Vec<_>>();
         Rect::new(lo, hi)
     }
-
-    /// Grows the rectangle in place so that it covers `p`.
-    pub fn expand_to(&mut self, p: &[f64]) {
-        debug_assert_eq!(p.len(), self.dim());
-        for (i, &c) in p.iter().enumerate() {
-            if c < self.lo[i] {
-                self.lo[i] = c;
-            }
-            if c > self.hi[i] {
-                self.hi[i] = c;
-            }
-        }
-    }
-
-    /// The increase in volume that would result from expanding to cover `other`.
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).volume() - self.volume()
-    }
 }
 
 #[cfg(test)]
@@ -184,11 +112,8 @@ mod tests {
     fn basic_accessors() {
         let r = Rect::new(vec![0.0, -1.0], vec![2.0, 3.0]);
         assert_eq!(r.dim(), 2);
-        assert_eq!(r.center(), vec![1.0, 1.0]);
         assert_eq!(r.extent(0), 2.0);
         assert_eq!(r.extent(1), 4.0);
-        assert_eq!(r.volume(), 8.0);
-        assert_eq!(r.margin(), 6.0);
     }
 
     #[test]
@@ -207,19 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_tests() {
-        let a = unit();
-        let b = Rect::new(vec![0.5, 0.5], vec![2.0, 2.0]);
-        let c = Rect::new(vec![2.0, 2.0], vec![3.0, 3.0]);
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        // Touching rectangles intersect (closed semantics).
-        let d = Rect::new(vec![1.0, 0.0], vec![2.0, 1.0]);
-        assert!(a.intersects(&d));
-    }
-
-    #[test]
     fn ball_tests() {
         let r = unit();
         assert!(r.intersects_ball(&[0.5, 0.5], 0.1));
@@ -233,26 +145,14 @@ mod tests {
     }
 
     #[test]
-    fn union_and_enlargement() {
+    fn union_covers_both() {
         let a = unit();
         let b = Rect::new(vec![2.0, 2.0], vec![3.0, 3.0]);
-        let u = a.union(&b);
-        assert_eq!(u, Rect::new(vec![0.0, 0.0], vec![3.0, 3.0]));
-        assert_eq!(a.enlargement(&b), 9.0 - 1.0);
+        assert_eq!(a.union(&b), Rect::new(vec![0.0, 0.0], vec![3.0, 3.0]));
     }
 
     #[test]
-    fn from_points_and_expand() {
-        let pts = vec![Point::new2(1.0, 5.0), Point::new2(-2.0, 0.0), Point::new2(4.0, 2.0)];
-        let r = Rect::from_points(&pts);
-        assert_eq!(r, Rect::new(vec![-2.0, 0.0], vec![4.0, 5.0]));
-        let mut r2 = Rect::from_coords(&[0.0, 0.0]);
-        r2.expand_to(&[3.0, -1.0]);
-        assert_eq!(r2, Rect::new(vec![0.0, -1.0], vec![3.0, 0.0]));
-    }
-
-    #[test]
-    fn from_rows_matches_from_points() {
+    fn from_rows_bounds_every_row() {
         let rows: Vec<Vec<f64>> = vec![vec![1.0, 5.0], vec![-2.0, 0.0], vec![4.0, 2.0]];
         let r = Rect::from_rows(rows.iter().map(|r| r.as_slice()));
         assert_eq!(r, Rect::new(vec![-2.0, 0.0], vec![4.0, 5.0]));

@@ -24,7 +24,9 @@
 //!   key-assignment pass over contiguous point ranges (one splitmix64
 //!   linear-probing table per shard), merges the shard tables into the global
 //!   cell-id assignment in global first-appearance order, prefix-sums the
-//!   counts into `offsets`, and scatters the packed ids per cell range.
+//!   counts into `offsets`, and scatters the packed ids per cell range. Each
+//!   parallel pass is one [`Executor::map_dynamic`] over the shards or the
+//!   cell ranges, and each item fills its own part of the output in place.
 //!   [`Grid::build`] is the same build on one thread, and a dataset too small
 //!   to repay a spawn runs as one shard. The **determinism contract**,
 //!   pinned by the grid layout-identity test suite: the result is
@@ -41,7 +43,9 @@
 //! asks one kd-tree query per cell for the first denser cell of `N(c)`, and
 //! S-Approx-DPC lists `N(c)` only for local peaks, from one `d_cut` search.
 
-use dpc_geometry::Dataset;
+use std::sync::Mutex;
+
+use dpc_geometry::{Dataset, Rect};
 use dpc_parallel::Executor;
 
 /// Identifier of a grid cell (dense index, `0..grid.num_cells()`).
@@ -180,6 +184,22 @@ fn prefix_sum(counts: &[usize]) -> Vec<usize> {
     offsets
 }
 
+/// Cuts `buf` into consecutive parts of the given lengths, each behind its
+/// own lock, so every item of one [`Executor::map_dynamic`] fills its part in
+/// place. Each lock is taken once, by the one item that owns the part.
+fn locked_parts<T>(
+    mut buf: &mut [T],
+    lens: impl IntoIterator<Item = usize>,
+) -> Vec<Mutex<&mut [T]>> {
+    lens.into_iter()
+        .map(|len| {
+            let (part, rest) = std::mem::take(&mut buf).split_at_mut(len);
+            buf = rest;
+            Mutex::new(part)
+        })
+        .collect()
+}
+
 /// One shard of the key-assignment pass: the keys met in one contiguous point
 /// range, interned in shard-local first-appearance order.
 struct Shard {
@@ -202,16 +222,19 @@ impl Grid {
     /// thread: [`Grid::build_parallel`] on [`Executor::single`].
     ///
     /// # Panics
-    /// Panics if `side` is not strictly positive and finite.
+    /// As [`Grid::build_parallel`].
     pub fn build(data: &Dataset, side: f64) -> Self {
         Self::build_parallel(data, side, &Executor::single())
     }
 
     /// Builds the grid for `data` on the executor's workers: the
-    /// key-assignment pass is sharded over contiguous point ranges (one local
-    /// splitmix64 linear-probing table each), the shard tables are merged
-    /// into the global cell-id assignment in global first-appearance order,
-    /// and the counting-sort scatter runs in parallel per cell range.
+    /// key-assignment pass is sharded over contiguous point ranges, one shard
+    /// per worker with a local splitmix64 linear-probing table, the shard
+    /// tables are merged into the global cell-id assignment in global
+    /// first-appearance order, and the counting-sort scatter runs in parallel
+    /// per cell range. Each parallel pass is one [`Executor::map_dynamic`]
+    /// whose items fill disjoint parts of the output in place: every shard
+    /// its slice of the point→cell map, every cell range its packed span.
     ///
     /// The result is **byte-for-byte identical** at every thread count (see
     /// [`Grid::layout_eq`]):
@@ -229,7 +252,8 @@ impl Grid {
     /// the same passes as one shard with zero spawns.
     ///
     /// # Panics
-    /// Panics if `side` is not strictly positive and finite.
+    /// Panics if `side` is not strictly positive and finite, or if the data
+    /// spans 2^53 cells or more on an axis ([`Grid::keys_fit`]).
     pub fn build_parallel(data: &Dataset, side: f64, executor: &Executor) -> Self {
         assert!(side.is_finite() && side > 0.0, "cell side must be positive and finite");
         let n = data.len();
@@ -238,13 +262,19 @@ impl Grid {
         let dim = data.dim();
         // The origin is the dataset's bounding-box low corner.
         let origin = match data.bounding_rect() {
-            Some(rect) => rect.lo().to_vec(),
+            Some(rect) => {
+                assert!(Self::keys_fit(&rect, side), "the data must span fewer than 2^53 cells");
+                rect.lo().to_vec()
+            }
             None => vec![0.0; dim],
         };
 
-        // Pass 1 (parallel): shard the key assignment over contiguous point
-        // ranges; each shard resolves its points against its own local table.
-        let mut shards: Vec<Shard> = executor.map_chunks(n, |range| {
+        // Pass 1 (parallel, one shard per worker): shard the key assignment
+        // over contiguous point ranges; each shard resolves its points against
+        // its own local table.
+        let num_shards = executor.threads();
+        let mut shards: Vec<Shard> = executor.map_dynamic(num_shards, |s| {
+            let range = s * n / num_shards..(s + 1) * n / num_shards;
             let mut keys: Vec<i64> = Vec::new();
             let mut table: Vec<u32> = Vec::new();
             let mut counts: Vec<usize> = Vec::new();
@@ -278,17 +308,13 @@ impl Grid {
         // shards are walked in point order, so the first shard that knows a
         // key holds its global first appearance; cell ids are assigned in that
         // same order, making `first_global` strictly increasing.
-        let (mut keys, mut table, mut counts, mut first_global) = match shards.first_mut() {
-            Some(first) => (
-                std::mem::take(&mut first.keys),
-                std::mem::take(&mut first.table),
-                std::mem::take(&mut first.counts),
-                std::mem::take(&mut first.first_seen),
-            ),
-            None => Default::default(),
-        };
+        let first = &mut shards[0];
+        let mut keys = std::mem::take(&mut first.keys);
+        let mut table = std::mem::take(&mut first.table);
+        let mut counts = std::mem::take(&mut first.counts);
+        let mut first_global = std::mem::take(&mut first.first_seen);
         let mut local_to_global: Vec<Vec<u32>> = vec![(0..counts.len() as u32).collect()];
-        for shard in shards.iter().skip(1) {
+        for shard in &shards[1..] {
             let mut map = Vec::with_capacity(shard.counts.len());
             for (lid, &local_count) in shard.counts.iter().enumerate() {
                 let key = &shard.keys[lid * dim..(lid + 1) * dim];
@@ -308,78 +334,71 @@ impl Grid {
         }
 
         // Point→cell map (parallel): translate each shard's local ids through
-        // its merge map into the shard's disjoint slice of the global array.
-        let mut point_cell = vec![0usize; n];
-        {
-            let mut tasks = Vec::with_capacity(shards.len());
-            let mut rest: &mut [usize] = &mut point_cell;
-            for (shard, map) in shards.iter().zip(&local_to_global) {
-                let (mine, tail) = rest.split_at_mut(shard.point_local.len());
-                rest = tail;
-                tasks.push(move || {
-                    for (dst, &lid) in mine.iter_mut().zip(&shard.point_local) {
-                        *dst = map[lid as usize] as usize;
-                    }
-                });
+        // its merge map into the shard's part of the global array.
+        let mut point_cell = vec![0; n];
+        let parts = locked_parts(&mut point_cell, shards.iter().map(|s| s.point_local.len()));
+        executor.map_dynamic(shards.len(), |s| {
+            let map = &local_to_global[s];
+            let mut part = parts[s].lock().expect("only this item locks its part");
+            for (dst, &lid) in part.iter_mut().zip(&shards[s].point_local) {
+                *dst = map[lid as usize] as CellId;
             }
-            executor.fan_out(tasks);
-        }
+        });
+        drop(parts);
 
         // Pass 2 (parallel): prefix-sum offsets, then scatter per cell range.
         // The packed span of a contiguous cell range is itself contiguous, so
-        // every task owns a disjoint slice of `packed`; range boundaries are
+        // every range fills its own part of `packed`; range boundaries are
         // chosen on cell borders so the spans balance by point count. Each
-        // task scans only the point→cell slice that can contain its cells:
+        // range scans only the point→cell slice that can contain its cells:
         // cell ids follow first-appearance order, so every point before
         // `first_global[lo]` belongs to a cell below `lo`, and the scan stops
-        // as soon as the task's span is full.
+        // as soon as the range's span is full.
         let num_cells = counts.len();
         let offsets = prefix_sum(&counts);
-        let mut packed = vec![0usize; n];
-        {
-            let workers = executor.threads().min(num_cells.max(1));
-            let mut bounds = Vec::with_capacity(workers + 1);
-            bounds.push(0usize);
-            for w in 1..workers {
-                let target = w * n / workers;
-                let cell = offsets.partition_point(|&o| o < target).min(num_cells);
-                bounds.push(cell.max(*bounds.last().unwrap()));
+        let ranges = executor.threads().min(num_cells.max(1));
+        let mut bounds = Vec::with_capacity(ranges + 1);
+        bounds.push(0usize);
+        for r in 1..ranges {
+            let cell = offsets.partition_point(|&o| o < r * n / ranges).min(num_cells);
+            bounds.push(cell.max(*bounds.last().unwrap()));
+        }
+        bounds.push(num_cells);
+        let mut packed = vec![0; n];
+        let spans =
+            locked_parts(&mut packed, bounds.windows(2).map(|w| offsets[w[1]] - offsets[w[0]]));
+        executor.map_dynamic(ranges, |r| {
+            let (lo, hi) = (bounds[r], bounds[r + 1]);
+            let mut span = spans[r].lock().expect("only this item locks its span");
+            let mut remaining = span.len();
+            if remaining == 0 {
+                return;
             }
-            bounds.push(num_cells);
-            let point_cell = &point_cell;
-            let mut tasks = Vec::with_capacity(workers);
-            let mut packed_rest: &mut [usize] = &mut packed;
-            for w in 0..workers {
-                let (lo, hi) = (bounds[w], bounds[w + 1]);
-                let span = offsets[hi] - offsets[lo];
-                let (packed_mine, packed_tail) = packed_rest.split_at_mut(span);
-                packed_rest = packed_tail;
-                if span == 0 {
+            let base = offsets[lo];
+            let mut cursor: Vec<usize> = offsets[lo..hi].iter().map(|&o| o - base).collect();
+            for (p, &c) in point_cell.iter().enumerate().skip(first_global[lo]) {
+                if c < lo || c >= hi {
                     continue;
                 }
-                let base = offsets[lo];
-                let start_p = first_global[lo];
-                let mut cursor: Vec<usize> = offsets[lo..hi].to_vec();
-                tasks.push(move || {
-                    let mut remaining = span;
-                    for (off, &c) in point_cell[start_p..].iter().enumerate() {
-                        if c < lo || c >= hi {
-                            continue;
-                        }
-                        let p = start_p + off;
-                        let slot = cursor[c - lo] - base;
-                        cursor[c - lo] += 1;
-                        packed_mine[slot] = p;
-                        remaining -= 1;
-                        if remaining == 0 {
-                            break;
-                        }
-                    }
-                });
+                span[cursor[c - lo]] = p;
+                cursor[c - lo] += 1;
+                remaining -= 1;
+                if remaining == 0 {
+                    break;
+                }
             }
-            executor.fan_out(tasks);
-        }
+        });
+        drop(spans);
         Self { dim, side, origin, keys, offsets, packed, table, point_cell }
+    }
+
+    /// Whether a grid of cell side `side` over the box `bounds` keeps every
+    /// cell key exact: fewer than 2^53 cells on every axis. From 2^53 cells
+    /// an `f64` key no longer tells adjacent cells apart, and from 2^63 the
+    /// `i64` cast saturates, so distant points would share a cell. An extent
+    /// that overflows to ∞ fails too.
+    pub fn keys_fit(bounds: &Rect, side: f64) -> bool {
+        (0..bounds.dim()).all(|axis| bounds.extent(axis) / side < 9_007_199_254_740_992.0)
     }
 
     /// The interned key of cell `cid` (valid for any already-interned id).
@@ -774,6 +793,13 @@ mod tests {
     fn zero_side_panics() {
         let ds = square_dataset();
         let _ = Grid::build(&ds, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^53 cells")]
+    fn inexact_keys_panic() {
+        let ds = Dataset::from_flat(2, vec![0.0, 0.0, 7e5, 0.0, 1e6, 0.0]);
+        let _ = Grid::build(&ds, 1e-13);
     }
 
     #[test]

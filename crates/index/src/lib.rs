@@ -29,9 +29,11 @@
 //! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Approx-DPC) or
 //!   `ε·d_cut/√d` (S-Approx-DPC), which holds their cells, not their ρ
 //!   queries. Cells are created online, only for occupied regions, exactly as
-//!   §4.1 describes. Construction shards across worker threads
-//!   ([`Grid::build_parallel`]) with a byte-for-byte identical CSR layout at
-//!   every thread count (the [`Grid::layout_eq`] contract).
+//!   §4.1 describes. Construction shards across worker threads, one
+//!   `map_dynamic` item per shard or cell range ([`Grid::build_parallel`]),
+//!   with a byte-for-byte identical CSR layout at every thread count (the
+//!   [`Grid::layout_eq`] contract). Cell keys are exact only while the data
+//!   spans fewer than 2^53 cells per axis ([`Grid::keys_fit`]).
 //! * [`batchq`] — batched range counts over the packed tree, the ρ phase of
 //!   every algorithm: a bucket of `d_cut` balls (consecutive query points in
 //!   the tree's packed order, which is already spatial) descends the tree

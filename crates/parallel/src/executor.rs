@@ -104,68 +104,9 @@ impl Executor {
             std::thread::scope(|scope| {
                 let right = scope.spawn(b);
                 let left = a();
-                match right.join() {
-                    Ok(rb) => (left, rb),
-                    // Re-raise the original payload so the panic message and
-                    // location survive the thread boundary.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
+                (left, join_or_resume(right))
             })
         }
-    }
-
-    /// Runs every closure of `tasks` exactly once, fanning them out across the
-    /// executor's workers (a scoped fan-out / sharded-reduce primitive: the
-    /// caller pre-splits its output into disjoint `&mut` shards, moves one
-    /// shard into each task, and every task writes only what it owns).
-    ///
-    /// Tasks are assigned to workers in contiguous runs (worker `w` takes
-    /// tasks `w·⌈k/W⌉..`), so a caller that orders its tasks by expected cost
-    /// gets a static block schedule; the per-task work must therefore be
-    /// roughly balanced — which shard-sized decompositions are by
-    /// construction. On a single-threaded executor every task runs inline, in
-    /// index order, with no spawn and no synchronisation.
-    ///
-    /// # Panics
-    /// The first panicking task's payload (in spawn order) is resumed on the
-    /// calling thread after every worker has been joined; remaining tasks in
-    /// the panicking worker's bucket are skipped, tasks on other workers run
-    /// to completion.
-    ///
-    /// Unlike [`Executor::map_chunks`], which hands out index *ranges* to a
-    /// shared `Fn`, this primitive takes owning `FnOnce` closures — the shape
-    /// needed when each task must capture a different mutable borrow (the
-    /// parallel CSR grid build in `dpc-index` scatters into per-cell-range
-    /// slices this way).
-    pub fn fan_out<F>(&self, mut tasks: Vec<F>)
-    where
-        F: FnOnce() + Send,
-    {
-        if self.threads == 1 || tasks.len() <= 1 {
-            for task in tasks {
-                task();
-            }
-            return;
-        }
-        let workers = self.threads.min(tasks.len());
-        let run = tasks.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            while !tasks.is_empty() {
-                let take = run.min(tasks.len());
-                let bucket: Vec<F> = tasks.drain(..take).collect();
-                handles.push(scope.spawn(move || {
-                    for task in bucket {
-                        task();
-                    }
-                }));
-            }
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
     }
 
     /// Computes `f(i)` for every `i in 0..n` with dynamic self-scheduling and
@@ -215,44 +156,6 @@ impl Executor {
         });
         scatter(n, partials)
     }
-
-    /// Splits `0..n` into `threads` contiguous chunks and runs `f(chunk_range)`
-    /// on each, returning the results in chunk order. Useful where every item
-    /// costs roughly the same and each chunk builds a partial result (the
-    /// grid build in `dpc-index` interns each chunk's cell keys this way).
-    ///
-    /// # Panics
-    /// The first panicking worker's payload (in spawn order) is resumed on the
-    /// calling thread once the region has been joined (module docs).
-    pub fn map_chunks<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(std::ops::Range<usize>) -> R + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(n);
-        let chunk = n.div_ceil(workers);
-        if workers == 1 {
-            return vec![f(0..n)];
-        }
-        let mut out = Vec::with_capacity(workers);
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let start = w * chunk;
-                    let end = ((w + 1) * chunk).min(n);
-                    scope.spawn(move || f(start..end))
-                })
-                .collect();
-            for handle in handles {
-                out.push(join_or_resume(handle));
-            }
-        });
-        out
-    }
 }
 
 /// Joins a scoped worker, resuming its panic payload on the calling thread —
@@ -283,7 +186,6 @@ fn scatter<R>(n: usize, partials: Vec<Vec<(usize, R)>>) -> Vec<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn dynamic_chunk_is_adaptive_but_never_zero() {
@@ -308,12 +210,15 @@ mod tests {
 
     #[test]
     fn map_dynamic_preserves_index_order() {
-        for threads in [1usize, 3, 8] {
+        // Fewer items than workers (1, 2 and 3 at 2 and 8 threads) is the
+        // shape of the grid build's shard and scatter passes.
+        let cases = [(1, 257), (3, 257), (8, 257), (2, 1), (2, 2), (2, 3), (8, 1), (8, 2), (8, 3)];
+        for (threads, n) in cases {
             let ex = Executor::new(threads);
-            let out = ex.map_dynamic(257, |i| i * i);
-            assert_eq!(out.len(), 257);
+            let out = ex.map_dynamic(n, |i| i * i);
+            assert_eq!(out.len(), n, "threads {threads}");
             for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, i * i);
+                assert_eq!(*v, i * i, "threads {threads}, n {n}");
             }
         }
     }
@@ -322,76 +227,6 @@ mod tests {
     fn map_dynamic_empty() {
         let out: Vec<u32> = Executor::new(4).map_dynamic(0, |_| 1);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn map_chunks_covers_range_without_overlap() {
-        for threads in [1usize, 3, 7] {
-            let ex = Executor::new(threads);
-            let ranges = ex.map_chunks(100, |r| r);
-            let mut seen = [false; 100];
-            for r in ranges {
-                for i in r {
-                    assert!(!seen[i]);
-                    seen[i] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s));
-        }
-    }
-
-    #[test]
-    fn fan_out_runs_every_task_once() {
-        for threads in [1usize, 2, 3, 8] {
-            let ex = Executor::new(threads);
-            let hits: Vec<AtomicU64> = (0..37).map(|_| AtomicU64::new(0)).collect();
-            let tasks: Vec<_> = (0..37)
-                .map(|i| {
-                    let hits = &hits;
-                    move || {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-                .collect();
-            ex.fan_out(tasks);
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn fan_out_tasks_own_disjoint_mutable_shards() {
-        // The intended use: pre-split one output buffer, move one shard into
-        // each task, write in parallel, observe the whole buffer afterwards.
-        for threads in [1usize, 2, 4] {
-            let ex = Executor::new(threads);
-            let mut out = vec![0usize; 100];
-            {
-                let mut tasks = Vec::new();
-                let mut rest: &mut [usize] = &mut out;
-                let mut base = 0usize;
-                for len in [10usize, 25, 5, 60] {
-                    let (mine, tail) = rest.split_at_mut(len);
-                    rest = tail;
-                    let start = base;
-                    base += len;
-                    tasks.push(move || {
-                        for (k, slot) in mine.iter_mut().enumerate() {
-                            *slot = start + k;
-                        }
-                    });
-                }
-                ex.fan_out(tasks);
-            }
-            assert!(out.iter().enumerate().all(|(i, &v)| v == i), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn fan_out_empty_and_single() {
-        Executor::new(4).fan_out(Vec::<fn()>::new());
-        let mut ran = false;
-        Executor::new(4).fan_out(vec![|| ran = true]);
-        assert!(ran);
     }
 
     #[test]
@@ -438,10 +273,10 @@ mod tests {
         assert!(right.iter().all(|&v| v == 2));
     }
 
-    /// The module-level panic contract, exercised across every primitive at
-    /// the ISSUE-mandated thread counts: the caller catches the *original*
-    /// payload (message preserved), sibling workers are joined first, and the
-    /// executor stays usable afterwards.
+    /// The module-level panic contract, exercised across both primitives at
+    /// 1 and 4 threads: the caller catches the *original* payload (message
+    /// preserved), sibling workers are joined first, and the executor stays
+    /// usable afterwards.
     #[test]
     fn worker_panics_resume_on_the_caller_with_their_payload() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -466,21 +301,6 @@ mod tests {
                     }),
                 ),
                 (
-                    "fan_out",
-                    Box::new(|| {
-                        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..8)
-                            .map(|i| -> Box<dyn FnOnce() + Send> {
-                                if i == 5 {
-                                    Box::new(|| panic!("boom fan_out"))
-                                } else {
-                                    Box::new(|| ())
-                                }
-                            })
-                            .collect();
-                        ex.fan_out(tasks);
-                    }),
-                ),
-                (
                     "map_dynamic",
                     Box::new(|| {
                         drop(ex.map_dynamic(64, |i| {
@@ -488,17 +308,6 @@ mod tests {
                                 panic!("boom map_dynamic")
                             }
                             i
-                        }))
-                    }),
-                ),
-                (
-                    "map_chunks",
-                    Box::new(|| {
-                        drop(ex.map_chunks(64, |r| {
-                            if r.contains(&13) {
-                                panic!("boom map_chunks")
-                            }
-                            r.len()
                         }))
                     }),
                 ),

@@ -96,7 +96,7 @@ pub mod prelude {
     };
     pub use dpc_data::generators::{gaussian_blobs, random_walk, s_set};
     pub use dpc_eval::{adjusted_rand_index, rand_index};
-    pub use dpc_geometry::{Dataset, Point};
+    pub use dpc_geometry::Dataset;
     pub use dpc_parallel::Executor;
     pub use dpc_persist::{PersistModel, PersistTree, SnapshotArtifact};
     pub use dpc_serve::{

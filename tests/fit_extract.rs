@@ -176,19 +176,27 @@ fn error_invalid_params_epsilon() {
 #[test]
 fn error_invalid_params_grid_cell_side() {
     // Parameters `validate` accepts whose grid cell side d_cut/√d
-    // (ε·d_cut/√d) underflows to 0 or overflows to ∞ on 4-d data.
+    // (ε·d_cut/√d) underflows to 0 or overflows to ∞ on 4-d data, or spans
+    // 2^53 or more cells of the data's extent: there cell keys no longer tell
+    // adjacent cells apart, and from 2^63 they saturate, so points 3e5 apart
+    // would share a cell.
     let data = Dataset::from_flat(4, (0..40).map(|i| (i % 7) as f64).collect());
+    let wide = Dataset::from_flat(2, vec![0.0, 0.0, 7e5, 0.0, 1e6, 0.0, 1e6, 0.0]);
     let tiny = DpcParams::new(5e-324);
-    let cases: Vec<(&str, Box<dyn DpcAlgorithm>)> = vec![
-        ("Approx-DPC, d_cut 5e-324", Box::new(ApproxDpc::new(tiny))),
-        ("S-Approx-DPC, d_cut 5e-324", Box::new(SApproxDpc::new(tiny))),
+    let narrow = DpcParams::new(1e-13);
+    let cases: Vec<(&str, &Dataset, Box<dyn DpcAlgorithm>)> = vec![
+        ("Approx-DPC, d_cut 5e-324", &data, Box::new(ApproxDpc::new(tiny))),
+        ("S-Approx-DPC, d_cut 5e-324", &data, Box::new(SApproxDpc::new(tiny))),
         (
             "S-Approx-DPC, d_cut 1e308, ε 10",
+            &data,
             Box::new(SApproxDpc::new(DpcParams::new(1e308)).with_epsilon(10.0)),
         ),
+        ("Approx-DPC, 1e6 wide, d_cut 1e-13", &wide, Box::new(ApproxDpc::new(narrow))),
+        ("S-Approx-DPC, 1e6 wide, d_cut 1e-13", &wide, Box::new(SApproxDpc::new(narrow))),
     ];
-    for (name, algo) in cases {
-        let err = algo.fit(&data).unwrap_err();
+    for (name, data, algo) in cases {
+        let err = algo.fit(data).unwrap_err();
         assert!(
             matches!(err, DpcError::InvalidParams { param: "grid cell side", .. }),
             "{name}: {err:?}"
@@ -286,8 +294,17 @@ fn error_non_finite_coordinate_on_every_fit_path() {
 fn finite_extreme_magnitudes_still_fit() {
     // The non-finite check must not reject huge-but-finite coordinates.
     let data = Dataset::from_flat(2, vec![0.0, 0.0, 1e300, -1e300, 1.0, 1.0, 2.0, 0.5]);
-    for algo in all_algorithms(DpcParams::new(2.0)) {
+    for algo in all_algorithms(DpcParams::new(1e290)) {
         assert!(algo.fit(&data).is_ok(), "{} rejected finite input", algo.name());
+    }
+    // At d_cut 2 a grid would span ~1e300 cells per axis: the two grid fits
+    // reject that cell side, and every other fit still succeeds.
+    for algo in all_algorithms(DpcParams::new(2.0)) {
+        match algo.fit(&data) {
+            Err(DpcError::InvalidParams { param: "grid cell side", .. })
+                if matches!(algo.name(), "Approx-DPC" | "S-Approx-DPC") => {}
+            other => assert!(other.is_ok(), "{}: {:?}", algo.name(), other.err()),
+        }
     }
 }
 

@@ -14,7 +14,6 @@ use fast_dpc::core::{DpcModel, Timings};
 use fast_dpc::eval::{adjusted_rand_index, rand_index};
 use fast_dpc::geometry::{dist, dist_sq, Dataset};
 use fast_dpc::index::{Grid, KdTree, MaxKeys};
-use fast_dpc::parallel::lpt_partition;
 use fast_dpc::prelude::*;
 use fast_dpc::rng::StdRng;
 
@@ -488,24 +487,5 @@ fn rand_index_properties() {
         assert!((rand_index(&a, &a) - 1.0).abs() < 1e-12, "seed {seed}");
         assert!(adjusted_rand_index(&a, &a) > 0.999, "seed {seed}");
         assert!(adjusted_rand_index(&a, &b) <= 1.0 + 1e-12, "seed {seed}");
-    }
-}
-
-#[test]
-fn lpt_partition_respects_graham_bound() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xCD80 + seed);
-        let tasks = rng.gen_range(1..120);
-        let costs: Vec<f64> = (0..tasks).map(|_| rng.gen_range(0.0..100.0)).collect();
-        let bins = rng.gen_range(1..12);
-        let p = lpt_partition(&costs, bins);
-        let total: f64 = costs.iter().sum();
-        let max_cost = costs.iter().cloned().fold(0.0, f64::max);
-        let lower = (total / bins as f64).max(max_cost);
-        // Graham's bound: makespan ≤ (4/3 − 1/(3m)) · OPT ≤ 1.5 · lower bound.
-        assert!(p.max_load() <= 1.5 * lower + 1e-9, "seed {seed}");
-        // And every task is assigned exactly once.
-        let assigned: usize = p.groups.iter().map(|g| g.len()).sum();
-        assert_eq!(assigned, costs.len(), "seed {seed}");
     }
 }
