@@ -12,6 +12,13 @@
 //! points, the stream repairs the `d_cut` neighbourhoods of the `batch`
 //! arrivals and the `batch` expiries.
 //!
+//! Kernels: `ingest_sustained` (one batch of arrivals with its expiry),
+//! `ingest_publish` (the same stream, each batch followed by one
+//! `to_indexed_parts` — the export a streaming server publishes through,
+//! which rebuilds the index over the window and hands out the window with
+//! its tree), `ingest_churn` (explicit removals racing the inserts, no
+//! window) and `refit_per_window` (the baseline).
+//!
 //! Flags: `--n <window>` (default 20,000 — the sliding-window capacity, and
 //! the refit baseline's dataset size), `--batch <points>` (default 250 —
 //! arrivals absorbed per measured iteration, and the window's expiry batch;
@@ -111,6 +118,18 @@ fn main() {
             next += 1;
         }
         engine.drain_expired().len()
+    }));
+
+    // The same stream, published after each batch as a streaming server
+    // publishes: the index rebuilt over the window and exported with it.
+    records.push(bench_record("ingest_publish", n, 2, 8, || {
+        for _ in 0..batch {
+            engine.insert(&stream_point(next)).expect("finite stream point");
+            next += 1;
+        }
+        engine.drain_expired();
+        let (window, _ids, _model, tree) = engine.to_indexed_parts().expect("non-empty window");
+        window.len() + tree.len()
     }));
 
     // Churn without a window: explicit removals race the inserts (the

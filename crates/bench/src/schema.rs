@@ -367,9 +367,11 @@ pub mod required {
         "full_refit_xl",
     ];
     /// `BENCH_ingest.json` (`benches/ingest.rs`): sustained sliding-window
-    /// ingest and insert/remove churn through the streaming engine, against
-    /// the refit-the-whole-window-per-batch baseline.
-    pub const INGEST: &[&str] = &["ingest_sustained", "ingest_churn", "refit_per_window"];
+    /// ingest, the same stream with an indexed export per batch, and
+    /// insert/remove churn through the streaming engine, against the
+    /// refit-the-whole-window-per-batch baseline.
+    pub const INGEST: &[&str] =
+        &["ingest_sustained", "ingest_publish", "ingest_churn", "refit_per_window"];
 }
 
 /// Looks a key up in an object, requiring it to be present exactly once.

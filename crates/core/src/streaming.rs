@@ -49,7 +49,13 @@
 //! stays in the tree, keyed `-∞`. Two [`MaxKeys`] key the tree — ρ, and each
 //! point's reach `(δ + d_cut)·(1 + 1e-9)` — and [`MaxKeys::set`] keeps both
 //! exact as ρ and δ move. The engine rebuilds once the buffer plus the
-//! removed tree points pass a sixteenth of the live window.
+//! removed tree points pass a sixteenth of the live window, and at every
+//! indexed export ([`StreamingDpc::to_indexed_parts`]) that finds updates
+//! pending. Each rebuild is one [`KdTree::build_parallel`] on `params.threads`
+//! workers. The tree sits behind an `Arc` and is never changed in place:
+//! updates move only the engine's keys, and a rebuild replaces the tree. So
+//! an exported tree can serve a published snapshot while the engine streams
+//! on.
 //!
 //! **Case-3 candidates, by place.**
 //!
@@ -89,9 +95,12 @@
 //! live points are removed (each through the same exact delete path) until
 //! the window is back at capacity.
 
+use std::sync::Arc;
+
 use dpc_geometry::distance::dist_sq;
 use dpc_geometry::Dataset;
 use dpc_index::{KdTree, MaxKeys};
+use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::exdpc::ExDpc;
@@ -101,9 +110,11 @@ use crate::params::DpcParams;
 use crate::result::Timings;
 
 /// The index is rebuilt once the insert buffer plus the removed tree points
-/// exceed `1 / REBUILD_RATIO` of the live window. A rebuild is `O(n log n)`
-/// and follows at least `n / 16` updates, and the buffer every query scans
-/// stays within a sixteenth of the window.
+/// exceed `1 / REBUILD_RATIO` of the live window, and at an indexed export
+/// with any update pending. A threshold rebuild is `O(n log n)` and follows
+/// at least `n / 16` updates, so the buffer every query scans stays within a
+/// sixteenth of the window; an engine exported every `k` updates scans at
+/// most `k`.
 const REBUILD_RATIO: usize = 16;
 
 /// Relative padding of the distance bounds that decide which points an
@@ -194,8 +205,9 @@ pub struct StreamingDpc {
     first_live: usize,
     // ---- the index
     /// The packed tree over slots `0..tree.len()`, the window at the last
-    /// rebuild; the later slots are the insert buffer.
-    tree: KdTree,
+    /// rebuild; the later slots are the insert buffer. Shared with the
+    /// exports of [`StreamingDpc::to_indexed_parts`], so never mutated.
+    tree: Arc<KdTree>,
     /// ρ of every tree slot, `-∞` once removed.
     rho_keys: MaxKeys,
     /// Reach `(δ + d_cut)·PAD` of every tree slot, `-∞` once removed.
@@ -217,8 +229,8 @@ pub struct StreamingDpc {
 impl StreamingDpc {
     /// Creates an empty engine for `dim`-dimensional points. `params`
     /// contributes `d_cut` and the jitter seed; its `threads` run the fit of
-    /// [`StreamingDpc::bulk_load`]. Inserts and removes are sequential: each
-    /// is a small, order-dependent repair.
+    /// [`StreamingDpc::bulk_load`] and every index rebuild. Inserts and
+    /// removes are sequential: each is a small, order-dependent repair.
     pub fn new(params: DpcParams, dim: usize) -> Result<Self, DpcError> {
         params.validate()?;
         if dim == 0 {
@@ -228,7 +240,7 @@ impl StreamingDpc {
                 requirement: "streaming dimensionality must be positive",
             });
         }
-        let tree = KdTree::build(&Dataset::new(dim));
+        let tree = Arc::new(KdTree::build(&Dataset::new(dim)));
         Ok(Self {
             dim,
             params,
@@ -695,17 +707,24 @@ impl StreamingDpc {
         slot
     }
 
+    /// Inserts into the buffer plus removals of tree points since the last
+    /// rebuild: zero exactly when the tree indexes every slot and every slot
+    /// is live.
+    fn pending(&self) -> usize {
+        self.buffer().len() + self.tombstones
+    }
+
     /// Rebuilds the index once the buffer plus the removed tree points pass
     /// `1 / REBUILD_RATIO` of the live window.
     fn maybe_rebuild(&mut self) {
-        let pending = self.buffer().len() + self.tombstones;
-        if pending * REBUILD_RATIO > self.live {
+        if self.pending() * REBUILD_RATIO > self.live {
             self.rebuild();
         }
     }
 
     /// Renumbers the live slots `0..live` in arrival order and builds the
-    /// tree and its keys over them; the buffer and the tombstones empty.
+    /// tree (on `params.threads` workers) and its keys over them; the buffer
+    /// and the tombstones empty.
     fn rebuild(&mut self) {
         self.counters.rebuilds += 1;
         let keep: Vec<usize> = (0..self.stable.len()).filter(|&s| self.alive[s]).collect();
@@ -729,7 +748,8 @@ impl StreamingDpc {
                 list
             })
             .collect();
-        self.install(KdTree::build(&self.rows));
+        let executor = Executor::new(self.params.threads);
+        self.install(KdTree::build_parallel(&self.rows, &executor));
     }
 
     /// Makes `tree`, built over every slot (all live), the index, keyed by
@@ -738,7 +758,7 @@ impl StreamingDpc {
         let reach: Vec<f64> = (0..self.stable.len()).map(|x| self.reach(x)).collect();
         self.rho_keys = MaxKeys::new(&tree, &self.rho);
         self.reach_keys = MaxKeys::new(&tree, &reach);
-        self.tree = tree;
+        self.tree = Arc::new(tree);
         self.alive = vec![true; self.stable.len()];
         self.tombstones = 0;
         self.first_live = 0;
@@ -857,6 +877,30 @@ impl StreamingDpc {
             self.live * per_point,
         )?;
         Ok((self.rows.select(&slots), ids, model))
+    }
+
+    /// [`StreamingDpc::to_parts`] plus the engine's index over the exported
+    /// window, for a caller that serves the window and would otherwise build
+    /// a second tree over it. With inserts or removals pending, the index is
+    /// first rebuilt over exactly the live window (counted in
+    /// [`StreamingCounters::rebuilds`]); the tree's ids are then the exported
+    /// dataset's positions, and it is [`KdTree::layout_eq`] to
+    /// [`KdTree::build`] of that dataset. A second call with no update in
+    /// between rebuilds nothing and returns the same `Arc`. The engine never
+    /// changes a tree it has exported: its next rebuild replaces it.
+    ///
+    /// Returns [`DpcError::EmptyDataset`] when the window is empty.
+    pub fn to_indexed_parts(
+        &mut self,
+    ) -> Result<(Dataset, Vec<u64>, DpcModel, Arc<KdTree>), DpcError> {
+        if self.live == 0 {
+            return Err(DpcError::EmptyDataset);
+        }
+        if self.pending() > 0 {
+            self.rebuild();
+        }
+        let (data, ids, model) = self.to_parts()?;
+        Ok((data, ids, model, Arc::clone(&self.tree)))
     }
 
     /// Approximate heap memory used by the engine, in bytes.

@@ -26,7 +26,12 @@
 //!
 //! `parse_sections` performs the full container validation and is the only
 //! entry point: nothing downstream touches a payload byte the container has
-//! not bounds-checked and checksummed first.
+//! not bounds-checked and checksummed first. It reads each byte once: it
+//! checks the section table's structure before any payload, then makes one
+//! pass over `bytes[32..]` that advances the file checksum throughout and a
+//! section checksum inside each payload the table placed. FNV-1a is one
+//! multiply per byte, a serial chain, so the two independent chains of that
+//! pass cost about what one alone does.
 
 use dpc_core::DpcError;
 
@@ -82,15 +87,21 @@ pub mod kind {
     pub const SNAP_META: u32 = 48;
 }
 
+/// FNV-1a 64's offset basis: the hash of no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64's prime.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 /// FNV-1a 64-bit over a byte slice — dependency-free, byte-order independent,
 /// and plenty for integrity checking (corruption detection, not cryptography).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+    bytes.iter().fold(FNV_BASIS, |hash, &b| fnv1a_step(hash, b))
+}
+
+/// One FNV-1a step: the hash of the bytes so far followed by `b`.
+fn fnv1a_step(hash: u64, b: u8) -> u64 {
+    (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
 }
 
 /// Decodes a section payload of `N`-byte native-endian elements into an
@@ -112,11 +123,14 @@ pub(crate) fn read_array<T, const N: usize>(
     Ok(bytes.chunks_exact(N).map(element).collect())
 }
 
-/// A validated section: its kind and its checksummed payload bytes.
+/// A section-table entry that passed the structural checks: its payload is
+/// `bytes[offset..end]`, after the table and its predecessor, in bounds.
 #[derive(Debug)]
-struct Section<'a> {
+struct Section {
     kind: u32,
-    payload: &'a [u8],
+    offset: usize,
+    end: usize,
+    checksum: u64,
 }
 
 /// The validated section table of one artifact. Obtained from
@@ -124,13 +138,15 @@ struct Section<'a> {
 /// bounds checks and both checksums.
 #[derive(Debug)]
 pub(crate) struct Sections<'a> {
-    sections: Vec<Section<'a>>,
+    bytes: &'a [u8],
+    sections: Vec<Section>,
 }
 
 impl<'a> Sections<'a> {
     /// The payload of the first section of `kind`, if present.
     pub(crate) fn get(&self, kind: u32) -> Option<&'a [u8]> {
-        self.sections.iter().find(|s| s.kind == kind).map(|s| s.payload)
+        let bytes = self.bytes;
+        self.sections.iter().find(|s| s.kind == kind).map(|s| &bytes[s.offset..s.end])
     }
 
     /// The payload of the section of `kind`, or a typed error naming the
@@ -155,6 +171,11 @@ fn header_u64(bytes: &[u8], offset: usize) -> u64 {
 /// ordering, duplicate kinds, per-section checksum) — and returns the
 /// validated table. Fully bounds-checked: no byte beyond `bytes.len()` is
 /// ever addressed, and no payload is exposed before its checksum passes.
+///
+/// The errors come in that order whatever fails: a file checksum mismatch
+/// first, then a section checksum mismatch among the entries before the
+/// first structurally invalid one, then that entry's error, then bytes after
+/// the last section.
 pub(crate) fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, DpcError> {
     if bytes.len() < FIXED_HEADER {
         return Err(DpcError::TruncatedArtifact { needed: FIXED_HEADER, have: bytes.len() });
@@ -184,10 +205,58 @@ pub(crate) fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, DpcError> {
     if bytes.len() < table_end {
         return Err(DpcError::TruncatedArtifact { needed: table_end, have: bytes.len() });
     }
-    if header_u64(bytes, 24) != fnv1a(&bytes[FIXED_HEADER..]) {
+    let mut sections = Vec::with_capacity(count);
+    let structural = place_sections(bytes, count, table_end, &mut sections).err();
+
+    // One pass over everything the file checksum covers, hashing each placed
+    // payload for its own checksum on the way.
+    let mut file = FNV_BASIS;
+    let mut cursor = FIXED_HEADER;
+    let mut section_mismatch = false;
+    for section in &sections {
+        file = bytes[cursor..section.offset].iter().fold(file, |hash, &b| fnv1a_step(hash, b));
+        let (state, payload) = bytes[section.offset..section.end]
+            .iter()
+            .fold((file, FNV_BASIS), |(f, p), &b| (fnv1a_step(f, b), fnv1a_step(p, b)));
+        file = state;
+        section_mismatch |= payload != section.checksum;
+        cursor = section.end;
+    }
+    file = bytes[cursor..].iter().fold(file, |hash, &b| fnv1a_step(hash, b));
+    if header_u64(bytes, 24) != file {
         return Err(DpcError::Corrupt { section: "header", what: "file checksum mismatch" });
     }
-    let mut sections = Vec::with_capacity(count);
+    if section_mismatch {
+        return Err(DpcError::Corrupt {
+            section: "section table",
+            what: "section checksum mismatch",
+        });
+    }
+    if let Some(error) = structural {
+        return Err(error);
+    }
+    // The last section must reach the end of the buffer: the section count
+    // sits in the fixed header *outside* the whole-file checksum range, so
+    // without this check a corrupted (smaller) count could silently drop
+    // trailing sections while the leading ones still decode.
+    if cursor != bytes.len() {
+        return Err(DpcError::Corrupt {
+            section: "section table",
+            what: "unclaimed bytes after the last section",
+        });
+    }
+    Ok(Sections { bytes, sections })
+}
+
+/// The structural checks of the section table, entry by entry, without
+/// reading a payload byte: pushes each entry that passes to `sections` and
+/// stops at the first that does not, returning its error.
+fn place_sections(
+    bytes: &[u8],
+    count: usize,
+    table_end: usize,
+    sections: &mut Vec<Section>,
+) -> Result<(), DpcError> {
     let mut previous_end = table_end;
     for i in 0..count {
         let entry = FIXED_HEADER + i * TABLE_ENTRY;
@@ -228,30 +297,13 @@ pub(crate) fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, DpcError> {
         if end > bytes.len() {
             return Err(DpcError::TruncatedArtifact { needed: end, have: bytes.len() });
         }
-        if sections.iter().any(|s: &Section<'_>| s.kind == kind) {
+        if sections.iter().any(|s| s.kind == kind) {
             return Err(DpcError::Corrupt { section: "section table", what: "duplicate section" });
         }
-        let payload = &bytes[offset..end];
-        if fnv1a(payload) != checksum {
-            return Err(DpcError::Corrupt {
-                section: "section table",
-                what: "section checksum mismatch",
-            });
-        }
-        sections.push(Section { kind, payload });
+        sections.push(Section { kind, offset, end, checksum });
         previous_end = end;
     }
-    // The last section must reach the end of the buffer: the section count
-    // sits in the fixed header *outside* the whole-file checksum range, so
-    // without this check a corrupted (smaller) count could silently drop
-    // trailing sections while the leading ones still decode.
-    if previous_end != bytes.len() {
-        return Err(DpcError::Corrupt {
-            section: "section table",
-            what: "unclaimed bytes after the last section",
-        });
-    }
-    Ok(Sections { sections })
+    Ok(())
 }
 
 /// Assembles an artifact from `(kind, payload)` pairs: lays the payloads out
@@ -510,6 +562,15 @@ mod tests {
         assert!(matches!(
             parse_sections(&bad).unwrap_err(),
             DpcError::Corrupt { what: "file checksum mismatch", .. }
+        ));
+
+        // A forged file: the payload byte flipped and the file checksum
+        // rewritten over it. Only the section's own checksum catches it.
+        let file_sum = fnv1a(&bad[FIXED_HEADER..]);
+        bad[24..32].copy_from_slice(&file_sum.to_ne_bytes());
+        assert!(matches!(
+            parse_sections(&bad).unwrap_err(),
+            DpcError::Corrupt { section: "section table", what: "section checksum mismatch" }
         ));
 
         // Truncations at every prefix length must be typed errors, not panics.

@@ -34,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write;
 use std::path::Path;
 
 use dpc_core::{DpcError, DpcModel};
@@ -116,18 +117,52 @@ pub fn read_artifact_file(path: &Path) -> Result<Vec<u8>, DpcError> {
 }
 
 /// Writes an artifact buffer to `path` atomically: the bytes land in a
-/// sibling temporary file which is then renamed over the target, so a crash
-/// mid-write leaves either the old artifact or none — never a torn one (a
-/// torn artifact would still be *detected* by the checksums, but never
-/// installed).
+/// sibling temporary file, which is synced to disk and then renamed over the
+/// target, and the parent directory is synced after the rename. So a crash
+/// or power loss mid-write leaves either the old artifact or the new one —
+/// never a torn one (a torn artifact would still be *detected* by the
+/// checksums, but never installed). On failure the temporary file is
+/// removed.
 pub fn write_artifact_file(path: &Path, bytes: &[u8]) -> Result<(), DpcError> {
-    let io = |message: std::io::Error| DpcError::Io {
-        op: "write artifact file",
-        message: message.to_string(),
-    };
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes).map_err(io)?;
-    std::fs::rename(&tmp, path).map_err(io)
+    let replace = || -> std::io::Result<()> {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    };
+    let written = replace().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    });
+    // The rename is durable once the directory entry is.
+    #[cfg(unix)]
+    let written = written.and_then(|()| {
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()
+    });
+    written.map_err(|e| DpcError::Io { op: "write artifact file", message: e.to_string() })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_write_leaves_no_temporary_file() {
+        let dir = std::env::temp_dir().join(format!("dpc_persist_write_{}", std::process::id()));
+        let target = dir.join("artifact.dpca");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        let err = write_artifact_file(&target, b"bytes").unwrap_err();
+        assert!(matches!(err, DpcError::Io { op: "write artifact file", .. }), "{err:?}");
+        assert!(!dir.join("artifact.dpca.tmp").exists(), "the temporary file must be removed");
+
+        let fresh = dir.join("fresh.dpca");
+        write_artifact_file(&fresh, b"bytes").unwrap();
+        assert_eq!(read_artifact_file(&fresh).unwrap(), b"bytes");
+        assert!(!dir.join("fresh.dpca.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

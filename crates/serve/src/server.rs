@@ -134,8 +134,6 @@ struct StreamingIngest {
     /// Publish (install the streamed state as a new epoch) every this many
     /// ingests; `≥ 1`.
     publish_every: usize,
-    /// Executor used to build the published snapshot's kd-tree.
-    executor: Executor,
 }
 
 /// A clustering server: a [`ModelStore`] plus the request dispatch over it.
@@ -210,7 +208,9 @@ impl DpcServer {
     /// the streamed state as a new epoch every `publish_every` ingests — the
     /// stream advances epochs without ever refitting from scratch. The seed
     /// is one [`StreamingDpc::bulk_load`]: a keyed Ex-DPC fit of the points
-    /// at `params.threads`.
+    /// at `params.threads`. The same `params.threads` run the engine's index
+    /// rebuilds, one of which happens at every publish; the published
+    /// snapshot shares the rebuilt tree instead of building its own.
     ///
     /// `window` is the optional sliding-window configuration
     /// `(capacity, batch)` (see [`StreamingDpc::with_window`]): the engine
@@ -250,12 +250,8 @@ impl DpcServer {
         // Seeding can already expire the oldest points of an over-capacity
         // snapshot; those expiries predate any client ingest.
         engine.drain_expired();
-        self.streaming = Some(Mutex::new(StreamingIngest {
-            engine,
-            since_publish: 0,
-            publish_every,
-            executor: Executor::single(),
-        }));
+        self.streaming =
+            Some(Mutex::new(StreamingIngest { engine, since_publish: 0, publish_every }));
         Ok(self)
     }
 
@@ -469,7 +465,10 @@ impl DpcServer {
 
     /// The ingest handler: absorbs one point into the streaming engine and —
     /// every `publish_every` ingests — publishes the streamed state as a new
-    /// serving epoch.
+    /// serving epoch. A publish rebuilds the engine's index over the window
+    /// ([`StreamingDpc::to_indexed_parts`]) and the snapshot shares that tree,
+    /// so the engine's insert buffer never holds more than `publish_every`
+    /// arrivals.
     ///
     /// The window mutex is recovered from poisoning rather than propagated:
     /// the only panic that can land while it is held is the injected
@@ -493,10 +492,9 @@ impl DpcServer {
         let published = guard.since_publish >= guard.publish_every;
         let epoch = if published {
             guard.since_publish = 0;
-            let (data, _ids, model) = guard.engine.to_parts()?;
+            let (data, _ids, model, tree) = guard.engine.to_indexed_parts()?;
             let thresholds = self.store.snapshot().thresholds();
-            let snapshot = Snapshot::new(Arc::new(data), model, thresholds, &guard.executor);
-            self.store.install(snapshot)
+            self.store.install(Snapshot::with_tree(Arc::new(data), model, tree, thresholds))
         } else {
             self.store.epoch()
         };
@@ -517,6 +515,7 @@ mod tests {
     use crate::health::Health;
     use dpc_core::{DpcParams, ExDpc, NOISE};
     use dpc_data::generators::gaussian_blobs;
+    use dpc_index::KdTree;
 
     fn server() -> DpcServer {
         let data = gaussian_blobs(&[(0.0, 0.0), (60.0, 60.0), (0.0, 60.0)], 60, 2.0, 9);
@@ -743,6 +742,10 @@ mod tests {
             if r.published {
                 published_at.push(i);
                 assert_eq!(r.epoch, srv.epoch(), "published response names the new epoch");
+                // The epoch serves the engine's rebuilt tree: the one a fresh
+                // build over its dataset lays out.
+                let snap = srv.snapshot();
+                assert!(snap.tree().layout_eq(&KdTree::build(snap.data())), "epoch {}", r.epoch);
             }
         }
         assert_eq!(published_at, vec![4, 9], "publish every 5 ingests");

@@ -12,7 +12,12 @@
 //! one epoch and half of another.
 //!
 //! The kd-tree owns its packed coordinate rows and borrows nothing, so the
-//! snapshot holds its dataset and its tree side by side in safe Rust.
+//! snapshot holds its dataset and its tree side by side in safe Rust. It
+//! holds the tree through an `Arc`: a fitted or loaded epoch owns the tree it
+//! built or decoded, and a published streaming epoch shares the tree the
+//! streaming engine rebuilt over the same window
+//! ([`StreamingDpc::to_indexed_parts`](dpc_core::StreamingDpc::to_indexed_parts)),
+//! so a publish builds one tree, not two.
 
 use std::sync::Arc;
 
@@ -26,7 +31,7 @@ use dpc_persist::SnapshotArtifact;
 /// permuted coordinates, and the clustering cached for the snapshot's default
 /// thresholds. Immutable after construction; shared by `Arc`.
 pub struct Snapshot {
-    tree: KdTree,
+    tree: Arc<KdTree>,
     /// The fitted ρ over `tree`'s nodes: the pruning data of `Assign`'s
     /// nearest-denser search.
     pub(crate) max_rho: MaxKeys,
@@ -46,7 +51,8 @@ impl Snapshot {
     /// on: builds the packed kd-tree over the data (fanning construction out
     /// across `executor`'s workers) with its max-ρ array, and caches the
     /// clustering for `thresholds`. The epoch is `0` until
-    /// [`ModelStore::install`](crate::ModelStore) stamps it.
+    /// [`ModelStore::install`](crate::ModelStore) stamps it. A published
+    /// streaming epoch skips the build: it shares the engine's tree.
     ///
     /// # Panics
     /// Panics if `model.n() != data.len()` — the model must describe exactly
@@ -57,6 +63,22 @@ impl Snapshot {
         thresholds: Thresholds,
         executor: &Executor,
     ) -> Self {
+        let tree = Arc::new(KdTree::build_parallel(&data, executor));
+        Self::with_tree(data, model, tree, thresholds)
+    }
+
+    /// The one assembly path of every snapshot: `tree` must be the packed
+    /// tree over `data` (ids are dataset positions). Derives the max-ρ array
+    /// of its nodes and caches the clustering for `thresholds`.
+    ///
+    /// # Panics
+    /// Panics if `model.n() != data.len()`, as [`Snapshot::new`] does.
+    pub(crate) fn with_tree(
+        data: Arc<Dataset>,
+        model: DpcModel,
+        tree: Arc<KdTree>,
+        thresholds: Thresholds,
+    ) -> Self {
         assert_eq!(
             model.n(),
             data.len(),
@@ -64,7 +86,7 @@ impl Snapshot {
             model.n(),
             data.len()
         );
-        let tree = KdTree::build_parallel(&data, executor);
+        debug_assert_eq!(tree.len(), data.len(), "the tree must index the dataset");
         let max_rho = MaxKeys::new(&tree, model.rho());
         let clustering = model.extract(&thresholds);
         Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 }
@@ -101,9 +123,7 @@ impl Snapshot {
         let artifact = SnapshotArtifact::from_bytes(bytes)?;
         let data = Arc::new(artifact.dataset());
         let (model, tree, thresholds) = artifact.into_parts();
-        let max_rho = MaxKeys::new(&tree, model.rho());
-        let clustering = model.extract(&thresholds);
-        Ok(Self { tree, max_rho, data, model, clustering, thresholds, epoch: 0 })
+        Ok(Self::with_tree(data, model, Arc::new(tree), thresholds))
     }
 
     /// The epoch this snapshot was installed as (unique and monotonically

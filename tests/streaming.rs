@@ -13,7 +13,10 @@
 //! engine breaks such ties as the fit does, towards the earliest arrival,
 //! which is the smallest position of the exported window.
 
+use std::sync::Arc;
+
 use fast_dpc::core::StreamingCounters;
+use fast_dpc::index::KdTree;
 use fast_dpc::prelude::*;
 use fast_dpc::rng::StdRng;
 
@@ -168,15 +171,24 @@ fn explicit_removals_compose_with_window_expiry() {
 }
 
 /// Asserts two engines hold the same window: ids, rows, the expiry log and
-/// `layout_eq` models (ρ and δ bits, dependents, order and index bytes).
+/// `layout_eq` models (ρ and δ bits, dependents, order and index bytes). The
+/// bulk-loaded engine exports through `to_indexed_parts`, which also rebuilds
+/// its index, so from the first checkpoint on the two engines rebuild on
+/// different schedules; the exported tree must be a fresh build's layout,
+/// and a second export with no update in between must hand out the same tree
+/// without rebuilding.
 fn assert_same_window(bulk: &mut StreamingDpc, inserted: &mut StreamingDpc, label: &str) {
     assert_eq!(bulk.drain_expired(), inserted.drain_expired(), "{label}: expired ids");
     assert_eq!(bulk.len(), inserted.len(), "{label}: len");
     if bulk.is_empty() {
-        assert!(bulk.to_parts().is_err() && inserted.to_parts().is_err(), "{label}: empty");
+        assert!(
+            matches!(bulk.to_indexed_parts(), Err(DpcError::EmptyDataset))
+                && matches!(inserted.to_parts(), Err(DpcError::EmptyDataset)),
+            "{label}: empty"
+        );
         return;
     }
-    let (data_a, ids_a, model_a) = bulk.to_parts().unwrap();
+    let (data_a, ids_a, model_a, tree) = bulk.to_indexed_parts().unwrap();
     let (data_b, ids_b, model_b) = inserted.to_parts().unwrap();
     assert_eq!(ids_a, ids_b, "{label}: ids");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -186,6 +198,12 @@ fn assert_same_window(bulk: &mut StreamingDpc, inserted: &mut StreamingDpc, labe
     assert_eq!(model_a.dependent(), model_b.dependent(), "{label}: dependents");
     assert_eq!(model_a.index_bytes(), model_b.index_bytes(), "{label}: index bytes");
     assert!(model_a.layout_eq(&model_b), "{label}: models differ");
+    assert!(tree.layout_eq(&KdTree::build(&data_a)), "{label}: exported tree");
+
+    let rebuilds = bulk.counters().rebuilds;
+    let (_, _, _, again) = bulk.to_indexed_parts().unwrap();
+    assert!(Arc::ptr_eq(&tree, &again), "{label}: a repeated export shares its tree");
+    assert_eq!(bulk.counters().rebuilds, rebuilds, "{label}: a repeated export rebuilds nothing");
 }
 
 /// Loads `n0` points into one engine by `bulk_load` and into another by
