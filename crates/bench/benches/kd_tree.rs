@@ -2,7 +2,8 @@
 //! (`KdTree`) on bulk build (serial and fork-join parallel), range counting
 //! and range search, and the batched bucket kernels
 //! (`batch_count_*` / `batch_search_*`: the scalar reference vs the
-//! dispatching kernel, which is SIMD under `--features simd` on x86_64).
+//! dispatching kernel, which is SIMD under `--features simd` on x86_64 and,
+//! in the default build, the fixed-dimension count loop for d ∈ {2, 3, 4, 8}).
 //!
 //! Results are written to `BENCH_kdtree.json` (schema in `crates/bench/README.md`)
 //! so the perf trajectory of the local-density hot path is recorded PR over PR.
@@ -14,7 +15,8 @@
 //! emitted JSON against the schema and exit non-zero on drift). The dataset is
 //! clustered 2-d (Gaussian blobs) — the shape the paper's workloads have and
 //! the one where subtree-count pruning matters — plus a uniform 3-d set
-//! covering the generic kernel path.
+//! covering the `d = 3` kernels, and a uniform 4-d set (`household_fit`'s
+//! dimensionality) for the batch kernels only.
 
 use dpc_bench::micro::{bench_record, write_bench_json, BenchRecord};
 use dpc_bench::resolve_out_path;
@@ -35,7 +37,8 @@ const BATCH_ROWS: usize = 4_096;
 /// Benchmarks the batched bucket kernels over one contiguous strip of the
 /// dataset's row-major coordinates: the scalar reference against the
 /// dispatching kernel (SIMD when the `simd` feature is on and the CPU has
-/// SSE2/AVX2; the same scalar path otherwise, keeping the kernel set stable).
+/// SSE2/AVX2; otherwise the fixed-dimension count loop for d ∈ {2, 3, 4, 8}
+/// and the scalar path for the rest, keeping the kernel set stable).
 fn run_batch_suite(records: &mut Vec<BenchRecord>, data: &Dataset, radius: f64, label: &str) {
     let d = data.dim();
     let rows_n = BATCH_ROWS.min(data.len());
@@ -159,16 +162,20 @@ fn main() {
     println!("kd_tree uniform 3d (n = {n3})");
     run_suite(&mut records, &data3, 60.0, "3d", &executor);
 
-    // Batched bucket kernels, scalar vs SIMD dispatch, on both workloads.
+    // Batched bucket kernels, scalar vs the dispatcher, on the 2-d and 3-d sets.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     println!(
         "batch dispatch path: {}",
         if std::arch::is_x86_feature_detected!("avx2") { "avx2" } else { "sse2" }
     );
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    println!("batch dispatch path: scalar (simd feature off or non-x86_64)");
+    println!("batch dispatch path: fixed-dimension count, scalar search");
     run_batch_suite(&mut records, &data2, 10.0, "2d");
     run_batch_suite(&mut records, &data3, 60.0, "3d");
+    // Uniform 4-d, `household_fit`'s dimensionality, for the batch kernels
+    // only: a radius of 120 holds about 0.1% of the cube, as 60 does in 3-d.
+    let data4 = uniform(n3, 4, 1_000.0, 7);
+    run_batch_suite(&mut records, &data4, 120.0, "4d");
 
     // Build scaling: the parallel fork-join build against the serial build at
     // a cardinality where construction is the dominant fixed cost of the
@@ -181,15 +188,15 @@ fn main() {
         KdTree::build_parallel(&xl, &executor).len()
     }));
 
-    // Headline numbers: the batch kernels' SIMD dispatch vs the scalar
+    // Headline numbers: the batch kernels' dispatcher vs the scalar
     // reference, and the fork-join build vs the serial build.
     let mean_of = |name: &str| {
         records.iter().find(|r| r.kernel == name).map(|r| r.mean_secs).unwrap_or(f64::NAN)
     };
     println!();
-    for label in ["2d", "3d"] {
+    for label in ["2d", "3d", "4d"] {
         println!(
-            "batch count/search simd-vs-scalar speedup ({label}, mean): {:.2}x / {:.2}x",
+            "batch count/search dispatcher-vs-scalar speedup ({label}, mean): {:.2}x / {:.2}x",
             mean_of(&format!("batch_count_scalar_{label}"))
                 / mean_of(&format!("batch_count_simd_{label}")),
             mean_of(&format!("batch_search_scalar_{label}"))

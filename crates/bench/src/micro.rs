@@ -224,5 +224,6 @@ mod tests {
         // Two records → exactly one separating comma between result objects.
         assert_eq!(text.matches("{\"kernel\"").count(), 2);
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir(&dir).unwrap();
     }
 }

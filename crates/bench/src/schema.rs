@@ -259,6 +259,8 @@ pub mod required {
         "batch_count_simd_2d",
         "batch_search_scalar_2d",
         "batch_search_simd_2d",
+        "batch_count_scalar_4d",
+        "batch_count_simd_4d",
     ];
     /// `BENCH_grid_build.json` (`benches/grid_build.rs`).
     pub const GRID_BUILD: &[&str] = &[
@@ -557,6 +559,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(validate_bench_json(&text, "kd_tree", &[]).unwrap(), records);
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

@@ -13,20 +13,28 @@
 //!
 //! # SIMD
 //!
-//! With the `simd` cargo feature enabled on `x86_64`, the kernels process four
-//! rows per iteration with AVX2 (detected at runtime) or two rows with SSE2
-//! (baseline on `x86_64`), with dedicated layouts for `d = 2` and `d = 3` and a
-//! lane-strided path for any other dimensionality. Everywhere else — feature
-//! disabled, other architectures — the scalar reference implementations run.
+//! In the default build, [`count_within`] runs a fixed-dimension loop for
+//! `d ∈ {2, 3, 4, 8}` (the paper's Syn, Airline, Household/PAMAP2 and Sensor):
+//! a const-generic copy of [`count_within_scalar`] whose row length the
+//! compiler knows, so an optimised build vectorises it across rows on baseline
+//! SSE2, in safe code. Every other `dim`, and [`search_within_into`], run the
+//! scalar reference implementations.
 //!
-//! The vector paths are **bit-identical** to the scalar ones by construction:
-//! each lane performs exactly the per-axis operations of
-//! [`dist_sq`] in the same order (IEEE 754 arithmetic
-//! is deterministic per operation, and no FMA contraction is introduced), the
-//! `≤` predicate maps to ordered non-signalling vector compares (false for
-//! NaN, exactly like the scalar `<=`), and reporting drains the hits in row
-//! order. The property tests in `tests/batch_identity.rs` assert bitwise
-//! equality across the paths.
+//! With the `simd` cargo feature enabled on `x86_64`, both kernels instead
+//! process four rows per iteration with AVX2 (detected at runtime) or two rows
+//! with SSE2 (baseline on `x86_64`), with dedicated layouts for `d = 2` and
+//! `d = 3` and a lane-strided path for any other dimensionality. On other
+//! architectures the feature changes nothing.
+//!
+//! Every path is **bit-identical** to the scalar one by construction. Each
+//! row, or vector lane, performs exactly the per-axis operations of
+//! [`dist_sq`] in the same order: `(q[a] − row[a])²` summed from `0.0` in
+//! ascending axis order. IEEE 754 arithmetic is deterministic per operation,
+//! and no FMA contraction is introduced. The `≤` predicate maps to ordered
+//! non-signalling compares (false for NaN, exactly like the scalar `<=`), and
+//! reporting drains the hits in row order. Only the integer count is summed
+//! in another order, which cannot change it. The property tests in
+//! `tests/batch_identity.rs` assert bitwise equality across the paths.
 //!
 //! The crate denies `unsafe_code`; the SIMD dispatch in [`count_within`] and
 //! [`search_within_into`] and the `x86` module are the only places allowed
@@ -39,9 +47,11 @@
 //! per caller), and the debug assertions **are** the contract. See the crate
 //! docs for the release-mode behaviour of a violating call: memory-safe but
 //! unspecified — depending on the dispatch path it may panic on an
-//! out-of-bounds index or silently iterate fewer axes (the scalar fallback
-//! reaches `dist_sq_generic`'s truncating `zip`, and the lane-strided SIMD
-//! paths iterate the query's length). Never rely on either outcome.
+//! out-of-bounds index or silently iterate fewer axes (the fixed-dimension
+//! count loop panics on a query shorter than `dim` and reads only the first
+//! `dim` axes of a longer one, the scalar fallback reaches
+//! `dist_sq_generic`'s truncating `zip`, and the lane-strided SIMD paths
+//! iterate the query's length). Never rely on either outcome.
 
 use crate::distance::dist_sq;
 
@@ -49,7 +59,10 @@ use crate::distance::dist_sq;
 /// Euclidean distance to `query` is **at most** `r_sq` (closed ball).
 ///
 /// Rows containing NaN never match (every comparison with NaN is false), and a
-/// NaN `r_sq` matches nothing.
+/// NaN `r_sq` matches nothing. The default build runs the fixed-dimension loop
+/// for `dim ∈ {2, 3, 4, 8}` and [`count_within_scalar`] otherwise; the `simd`
+/// feature runs the x86 kernels for every `dim`. Every path returns the
+/// scalar reference's count (see the module docs).
 #[inline]
 #[allow(unsafe_code)]
 pub fn count_within(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) -> usize {
@@ -63,8 +76,38 @@ pub fn count_within(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) -> usize
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
-        count_within_scalar(query, rows, dim, r_sq)
+        match dim {
+            2 => count_within_fixed::<2>(query, rows, r_sq),
+            3 => count_within_fixed::<3>(query, rows, r_sq),
+            4 => count_within_fixed::<4>(query, rows, r_sq),
+            8 => count_within_fixed::<8>(query, rows, r_sq),
+            _ => count_within_scalar(query, rows, dim, r_sq),
+        }
     }
+}
+
+/// [`count_within_scalar`] with the row length known to the compiler: each
+/// row's terms `(q[a] − row[a])²` are summed from `0.0` in ascending axis
+/// order (the operands and order of [`dist_sq`], so every count is
+/// bit-identical) and counted without a branch, which lets the loop run
+/// several rows per vector iteration.
+///
+/// # Panics
+/// Panics if `query` is shorter than `D`.
+#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[inline]
+fn count_within_fixed<const D: usize>(query: &[f64], rows: &[f64], r_sq: f64) -> usize {
+    let q: [f64; D] = std::array::from_fn(|a| query[a]);
+    rows.chunks_exact(D)
+        .map(|row| {
+            let mut acc = 0.0;
+            for a in 0..D {
+                let diff = q[a] - row[a];
+                acc += diff * diff;
+            }
+            (acc <= r_sq) as usize
+        })
+        .sum()
 }
 
 /// Appends the indices of the rows within the closed ball (`dist² ≤ r_sq`) to
@@ -92,7 +135,7 @@ pub fn search_within_into(
 }
 
 /// Scalar reference implementation of [`count_within`]. Public so property
-/// tests and benchmarks can pin the SIMD paths against it.
+/// tests and benchmarks can pin the fixed-dimension and SIMD paths against it.
 #[inline]
 pub fn count_within_scalar(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) -> usize {
     debug_batch_contract(query, rows, dim);

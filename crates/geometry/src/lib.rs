@@ -31,7 +31,9 @@
 //! logic errors: they are `debug_assert!`ed in [`distance`] and [`batch`],
 //! and the debug assertions are the contract. Release builds stay memory-safe
 //! but the outcome is unspecified per path: the unrolled `d = 2`/`d = 3`
-//! kernels panic on an out-of-bounds index when a slice is short, while
+//! kernels, and the fixed-dimension count loop that [`batch::count_within`]
+//! runs for `d ∈ {2, 3, 4, 8}` in the default build, panic on an
+//! out-of-bounds index when the query is short, while
 //! [`distance::dist_sq_generic`] (and the dispatchers that reach it, batched
 //! included) iterates the shorter slice and silently under-counts axes.
 //! Callers must never rely on either behaviour.

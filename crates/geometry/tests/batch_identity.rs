@@ -2,11 +2,13 @@
 //!
 //! The dispatching kernels of `dpc_geometry::batch` must be **bit-identical**
 //! to the scalar reference implementations, whatever path the dispatcher takes
-//! (scalar with the `simd` feature off; SSE2/AVX2 with it on). The inputs
-//! sweep the dimensionalities of the paper's workloads (2, 3) plus a generic
-//! one (8), with duplicates, collinear rows, `±0.0`, subnormals and `1e±150`
-//! magnitudes, and radii placed *exactly* on row distances so the closed-ball
-//! boundary is exercised bit-for-bit.
+//! (with the `simd` feature off, the fixed-dimension count loop for d ∈ {2, 3,
+//! 4, 8} and the scalar loops otherwise; SSE2/AVX2 with it on). The inputs
+//! sweep the dimensionalities of the paper's workloads (2, 3, 4, 8) plus 5,
+//! the first one the count dispatcher leaves to the generic loop, with
+//! duplicates, collinear rows, `±0.0`, subnormals and `1e±150` magnitudes, and
+//! radii placed *exactly* on row distances so the closed-ball boundary is
+//! exercised bit-for-bit.
 //!
 //! The suite runs with the `simd` feature both on and off (CI builds both);
 //! with it on, on `x86_64`, the SSE2 and AVX2 widths are additionally pinned
@@ -105,7 +107,7 @@ fn check_identity(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) {
 #[test]
 fn simd_and_scalar_kernels_are_bit_identical() {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    for dim in [2usize, 3, 8] {
+    for dim in [2usize, 3, 4, 5, 8] {
         // Row counts straddle the 4-wide and 2-wide chunk remainders and the
         // kd-tree leaf-bucket size.
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 33, 64] {
@@ -124,7 +126,7 @@ fn simd_and_scalar_kernels_are_bit_identical() {
 fn boundary_rows_are_included_on_every_path() {
     // A 3-4-5 row at squared distance exactly 25 must be inside the closed
     // ball on every dispatch path and at every chunk position.
-    for dim in [2usize, 3] {
+    for dim in [2usize, 3, 4, 8] {
         for n in 1..=20usize {
             for pos in 0..n {
                 let mut rows = vec![0.0f64; n * dim];

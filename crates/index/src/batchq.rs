@@ -42,12 +42,14 @@ use crate::kdtree::{KdTree, NONE};
 pub const NO_EXCLUDE: u32 = NONE;
 
 /// Subtree spans at or below this many points are counted as one contiguous
-/// SIMD row-block per still-active query instead of being descended further
-/// (a "virtual leaf"). Counting is order-independent — the block scan finds
-/// exactly the points the remaining descent would have found — so this only
-/// trades tree bookkeeping for wide distance evaluation. 256 rows ≈ one `d_cut` ball at the densities the ρ
-/// phase sees, past the point where per-node pruning can retire enough of
-/// the block to beat scanning it.
+/// row-block per still-active query, in one `dpc_geometry::batch::count_within`
+/// call (vectorised across rows at the paper's dimensionalities), instead of
+/// being descended further (a "virtual leaf"). Counting is order-independent —
+/// the block scan finds exactly the points the remaining descent would have
+/// found — so this only trades tree bookkeeping for wide distance evaluation.
+/// 256 rows ≈ one `d_cut` ball at the densities the ρ phase sees, past the
+/// point where per-node pruning can retire enough of the block to beat
+/// scanning it.
 const VIRTUAL_LEAF_SPAN: usize = 256;
 
 /// Squared minimum distance between the rects `[qlo, qhi]` and `[lo, hi]`.

@@ -38,7 +38,8 @@
 //!   every algorithm: a bucket of `d_cut` balls (consecutive query points in
 //!   the tree's packed order, which is already spatial) descends the tree
 //!   **once**, pruning with the bucket's joint bounding box and feeding each
-//!   leaf's contiguous rows to the SIMD batch kernels per still-active query.
+//!   leaf's contiguous rows to the batch count kernel per still-active
+//!   query.
 //!   Every count is bit-identical to the corresponding single-query call —
 //!   see the module's determinism contract.
 

@@ -6,7 +6,7 @@
 //! into buckets. The suite sweeps 2/3/8 dimensions,
 //! duplicate-heavy and exact-boundary-radius datasets, the packed-order
 //! buckets the fits use and adversarial groupings, and runs identically
-//! under the default (scalar) and `simd` feature builds.
+//! under the default and `simd` feature builds.
 
 use dpc_geometry::{dist, Dataset};
 use dpc_index::batchq::{self, BatchRangeCount};
