@@ -1,9 +1,9 @@
 //! Microbenchmarks for the kd-tree substrate: the packed leaf-bucketed tree
 //! (`KdTree`) on bulk build (serial and fork-join parallel), range counting
-//! and range search, and the batched bucket kernels
-//! (`batch_count_*` / `batch_search_*`: the scalar reference vs the
-//! dispatching kernel, which is SIMD under `--features simd` on x86_64 and,
-//! in the default build, the fixed-dimension count loop for d ∈ {2, 3, 4, 8}).
+//! and range search, and the batched bucket kernels: `batch_count_scalar_*`
+//! (the scalar count reference) against `batch_count_fixed_*` (the
+//! dispatching count kernel, which runs the fixed-dimension loop for
+//! d ∈ {2, 3, 4, 8}), and `batch_search_*`.
 //!
 //! Results are written to `BENCH_kdtree.json` (schema in `crates/bench/README.md`)
 //! so the perf trajectory of the local-density hot path is recorded PR over PR.
@@ -35,10 +35,9 @@ const QUERIES: usize = 2_000;
 const BATCH_ROWS: usize = 4_096;
 
 /// Benchmarks the batched bucket kernels over one contiguous strip of the
-/// dataset's row-major coordinates: the scalar reference against the
-/// dispatching kernel (SIMD when the `simd` feature is on and the CPU has
-/// SSE2/AVX2; otherwise the fixed-dimension count loop for d ∈ {2, 3, 4, 8}
-/// and the scalar path for the rest, keeping the kernel set stable).
+/// dataset's row-major coordinates: the scalar count reference against the
+/// dispatching count kernel (the fixed-dimension loop for d ∈ {2, 3, 4, 8}),
+/// and the search kernel.
 fn run_batch_suite(records: &mut Vec<BenchRecord>, data: &Dataset, radius: f64, label: &str) {
     let d = data.dim();
     let rows_n = BATCH_ROWS.min(data.len());
@@ -50,20 +49,13 @@ fn run_batch_suite(records: &mut Vec<BenchRecord>, data: &Dataset, radius: f64, 
         black_box(batch::count_within_scalar(data.point(i), rows, d, r_sq))
     }));
     let mut i = 0usize;
-    records.push(bench_record(&format!("batch_count_simd_{label}"), rows_n, d, QUERIES, || {
+    records.push(bench_record(&format!("batch_count_fixed_{label}"), rows_n, d, QUERIES, || {
         i = (i + 97) % rows_n;
         black_box(batch::count_within(data.point(i), rows, d, r_sq))
     }));
     let mut hits: Vec<usize> = Vec::new();
     let mut i = 0usize;
-    records.push(bench_record(&format!("batch_search_scalar_{label}"), rows_n, d, QUERIES, || {
-        i = (i + 97) % rows_n;
-        hits.clear();
-        batch::search_within_into_scalar(data.point(i), rows, d, r_sq, &mut hits);
-        black_box(hits.len())
-    }));
-    let mut i = 0usize;
-    records.push(bench_record(&format!("batch_search_simd_{label}"), rows_n, d, QUERIES, || {
+    records.push(bench_record(&format!("batch_search_{label}"), rows_n, d, QUERIES, || {
         i = (i + 97) % rows_n;
         hits.clear();
         batch::search_within_into(data.point(i), rows, d, r_sq, &mut hits);
@@ -163,13 +155,6 @@ fn main() {
     run_suite(&mut records, &data3, 60.0, "3d", &executor);
 
     // Batched bucket kernels, scalar vs the dispatcher, on the 2-d and 3-d sets.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    println!(
-        "batch dispatch path: {}",
-        if std::arch::is_x86_feature_detected!("avx2") { "avx2" } else { "sse2" }
-    );
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    println!("batch dispatch path: fixed-dimension count, scalar search");
     run_batch_suite(&mut records, &data2, 10.0, "2d");
     run_batch_suite(&mut records, &data3, 60.0, "3d");
     // Uniform 4-d, `household_fit`'s dimensionality, for the batch kernels
@@ -188,7 +173,7 @@ fn main() {
         KdTree::build_parallel(&xl, &executor).len()
     }));
 
-    // Headline numbers: the batch kernels' dispatcher vs the scalar
+    // Headline numbers: the count kernel's dispatcher vs the scalar
     // reference, and the fork-join build vs the serial build.
     let mean_of = |name: &str| {
         records.iter().find(|r| r.kernel == name).map(|r| r.mean_secs).unwrap_or(f64::NAN)
@@ -196,11 +181,9 @@ fn main() {
     println!();
     for label in ["2d", "3d", "4d"] {
         println!(
-            "batch count/search dispatcher-vs-scalar speedup ({label}, mean): {:.2}x / {:.2}x",
+            "batch count dispatcher-vs-scalar speedup ({label}, mean): {:.2}x",
             mean_of(&format!("batch_count_scalar_{label}"))
-                / mean_of(&format!("batch_count_simd_{label}")),
-            mean_of(&format!("batch_search_scalar_{label}"))
-                / mean_of(&format!("batch_search_simd_{label}")),
+                / mean_of(&format!("batch_count_fixed_{label}")),
         );
     }
     println!(

@@ -256,11 +256,10 @@ pub mod required {
         "packed_range_count_2d",
         "packed_range_search_2d",
         "batch_count_scalar_2d",
-        "batch_count_simd_2d",
-        "batch_search_scalar_2d",
-        "batch_search_simd_2d",
+        "batch_count_fixed_2d",
+        "batch_search_2d",
         "batch_count_scalar_4d",
-        "batch_count_simd_4d",
+        "batch_count_fixed_4d",
     ];
     /// `BENCH_grid_build.json` (`benches/grid_build.rs`).
     pub const GRID_BUILD: &[&str] = &[

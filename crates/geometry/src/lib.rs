@@ -32,20 +32,12 @@
 //! and the debug assertions are the contract. Release builds stay memory-safe
 //! but the outcome is unspecified per path: the unrolled `d = 2`/`d = 3`
 //! kernels, and the fixed-dimension count loop that [`batch::count_within`]
-//! runs for `d ∈ {2, 3, 4, 8}` in the default build, panic on an
-//! out-of-bounds index when the query is short, while
-//! [`distance::dist_sq_generic`] (and the dispatchers that reach it, batched
-//! included) iterates the shorter slice and silently under-counts axes.
-//! Callers must never rely on either behaviour.
-//!
-//! # Unsafe code
-//!
-//! The crate denies `unsafe_code`. The x86-64 SIMD kernels of [`batch`] (the
-//! `simd` feature) and the two dispatchers that call them are the only items
-//! allowed to use it, so `dataset`, `distance` and `rect` stay safe
-//! Rust by construction.
+//! runs for `d ∈ {2, 3, 4, 8}`, panic on an out-of-bounds index when the
+//! query is short, while [`distance::dist_sq_generic`] (and the dispatchers
+//! that reach it, batched included) iterates the shorter slice and silently
+//! under-counts axes. Callers must never rely on either behaviour.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod dataset;

@@ -30,10 +30,8 @@
 //!   1 < 32` for any `n` addressable by `u32`), and reporting queries append
 //!   into a caller-reusable buffer via [`KdTree::range_search_into`]. Leaf
 //!   scans go through the batched kernels of `dpc_geometry::batch` — one query
-//!   against the bucket's contiguous rows. In the default build the count
-//!   kernel runs a fixed-dimension loop that the compiler vectorises for
-//!   `d ∈ {2, 3, 4, 8}`; the `simd` feature of `dpc-geometry` swaps in
-//!   hand-written SSE2/AVX2 kernels for both the count and the search.
+//!   against the bucket's contiguous rows. The count kernel runs a
+//!   fixed-dimension loop that the compiler vectorises for `d ∈ {2, 3, 4, 8}`.
 //!
 //! The index stores `O(n)` identifiers, their position map, `O(n·d)` packed
 //! coordinates and `O(n/LEAF_BUCKET)` nodes — `O(n)` space for fixed `d`, as

@@ -5,8 +5,7 @@
 //! same per-query exclusion handling), no matter how the queries are grouped
 //! into buckets. The suite sweeps 2/3/8 dimensions,
 //! duplicate-heavy and exact-boundary-radius datasets, the packed-order
-//! buckets the fits use and adversarial groupings, and runs identically
-//! under the default and `simd` feature builds.
+//! buckets the fits use and adversarial groupings.
 
 use dpc_geometry::{dist, Dataset};
 use dpc_index::batchq::{self, BatchRangeCount};

@@ -4,8 +4,8 @@
 //! `ρ.to_bits()`, `δ.to_bits()` and the dependent id of every point, in id
 //! order. A digest moves when any bit of any model moves, so a change meant
 //! to keep the models (a faster ρ path, a different δ query) must leave every
-//! row below as it is, at 1 and at 2 worker threads, with and without the
-//! `simd` feature.
+//! row below as it is, at 1 and at 2 worker threads, in debug and in release
+//! builds.
 //!
 //! The inputs mirror the two kinds of data the algorithms are tuned on: a 2-d
 //! Syn random walk and a sample of the 4-d Household surrogate. The walk
