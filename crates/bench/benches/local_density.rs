@@ -1,25 +1,25 @@
 //! Benchmark of the local-density (ρ) kernels across algorithms: the full
 //! linear scan, the R-tree, the packed leaf-bucketed kd-tree's per-point
-//! loop, and the fits' ρ path, `ExDpc::local_densities` (buckets of
-//! consecutive packed points through `dpc_index::batchq`; serial and fan-out
-//! parallel) — plus the index construction itself (serial and fork-join
-//! parallel), which is the fixed cost every index-based variant pays before
-//! any ρ work, and the grid build that Approx-DPC adds.
+//! loop, and the fits' ρ path, `ExDpc::local_densities` (one dual-tree
+//! self-join, `dpc_index::selfjoin`; serial and on `--threads` workers) —
+//! plus the index construction itself (serial and fork-join parallel), which
+//! is the fixed cost every index-based variant pays before any ρ work, and
+//! the grid build that Approx-DPC adds.
 //!
 //! Index construction is accounted separately from query work on both sides:
-//! the per-point kernel and the batched kernels run against the same
-//! prebuilt kd-tree (construction in the `build*` kernels) — each batched
-//! timing covers bucket formation, the joint traversals, and the jittered
-//! scatter. A second `_xl` tier (default one million points) records the
-//! same ρ kernels at a scale where traversal sharing, not constant factors,
-//! dominates.
+//! the per-point kernel and the self-join kernels run against the same
+//! prebuilt kd-tree (construction in the `build*` kernels) — each self-join
+//! timing covers the task cut, the pair walks, the merge of the task counts,
+//! and the jittered scatter. A second `_xl` tier (default one million
+//! points) records the same ρ kernels at a scale where the walk, not
+//! constant factors, dominates.
 //!
 //! Results are written to `BENCH_local_density.json` (schema in
 //! `crates/bench/README.md`) so the ρ-phase trajectory is recorded PR over PR.
 //!
 //! Flags: `--n <points>` (default 100,000), `--xl-n <points>` (default
 //! 1,000,000; the `_xl` tier), `--threads <T>` (default: available hardware
-//! parallelism; used by the parallel-build and `rho_batched_parallel`
+//! parallelism; used by the parallel-build and `rho_selfjoin_parallel`
 //! kernels — the remaining ρ kernels run single-threaded so the trajectory
 //! measures the kernels, not the scheduler), `--out <json>` (default
 //! `BENCH_local_density.json`), `--check` (validate the emitted JSON and exit
@@ -53,7 +53,7 @@ fn per_point_rho(
 }
 
 /// The three ρ kernels of the `_xl` tier: the per-point packed-tree loop and
-/// the batched engine at 1 and `threads` workers. Two repetitions — the tier
+/// the self-join at 1 and `threads` workers. Two repetitions — the tier
 /// exists to record the large-`n` shape, not tight variance.
 fn xl_tier(xl_n: usize, threads: usize, records: &mut Vec<BenchRecord>) {
     let dataset = BenchDataset::Syn;
@@ -67,10 +67,10 @@ fn xl_tier(xl_n: usize, threads: usize, records: &mut Vec<BenchRecord>) {
     records.push(bench_record("exdpc_packed_kdtree_xl", xl_n, d, 2, || {
         per_point_rho(&data, &params, |q, i| kdtree.range_count(q, params.dcut, Some(i)))
     }));
-    records.push(bench_record("rho_batched_serial_xl", xl_n, d, 2, || {
+    records.push(bench_record("rho_selfjoin_serial_xl", xl_n, d, 2, || {
         exdpc_serial.local_densities(&data, &kdtree)
     }));
-    records.push(bench_record("rho_batched_parallel_xl", xl_n, d, 2, || {
+    records.push(bench_record("rho_selfjoin_parallel_xl", xl_n, d, 2, || {
         exdpc_parallel.local_densities(&data, &kdtree)
     }));
 }
@@ -141,14 +141,15 @@ fn main() {
         Grid::build_parallel(&data, side, &executor).num_cells()
     }));
 
-    // The fits' ρ path (one joint traversal per bucket of consecutive packed
-    // points), serial and fanned out, against the prebuilt tree; timings
-    // cover bucket formation, the joint traversals, and the jittered scatter.
-    records.push(bench_record("rho_batched_serial", n, d, 5, || {
+    // The fits' ρ path (one self-join over the tree), serial and on
+    // `threads` workers, against the prebuilt tree; timings cover the task
+    // cut, the pair walks, the merge of the task counts, and the jittered
+    // scatter.
+    records.push(bench_record("rho_selfjoin_serial", n, d, 5, || {
         exdpc.local_densities(&data, &kdtree)
     }));
     let exdpc_parallel = ExDpc::new(default_params(&dataset, threads));
-    records.push(bench_record("rho_batched_parallel", n, d, 5, || {
+    records.push(bench_record("rho_selfjoin_parallel", n, d, 5, || {
         exdpc_parallel.local_densities(&data, &kdtree)
     }));
 
@@ -159,18 +160,18 @@ fn main() {
     };
     println!();
     println!(
-        "batched ρ speedup vs per-point (serial, mean): {:.2}x",
-        mean_of("exdpc_packed_kdtree") / mean_of("rho_batched_serial")
+        "self-join ρ speedup vs per-point (serial, mean): {:.2}x",
+        mean_of("exdpc_packed_kdtree") / mean_of("rho_selfjoin_serial")
     );
     println!(
-        "batched ρ speedup vs per-point ({} threads, mean): {:.2}x",
+        "self-join ρ speedup vs per-point ({} threads, mean): {:.2}x",
         threads,
-        mean_of("exdpc_packed_kdtree") / mean_of("rho_batched_parallel")
+        mean_of("exdpc_packed_kdtree") / mean_of("rho_selfjoin_parallel")
     );
     println!(
-        "batched ρ speedup vs per-point at n = {} (serial, mean): {:.2}x",
+        "self-join ρ speedup vs per-point at n = {} (serial, mean): {:.2}x",
         xl_n,
-        mean_of("exdpc_packed_kdtree_xl") / mean_of("rho_batched_serial_xl")
+        mean_of("exdpc_packed_kdtree_xl") / mean_of("rho_selfjoin_serial_xl")
     );
     println!(
         "parallel build speedup ({} threads, mean): {:.2}x",

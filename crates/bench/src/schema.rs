@@ -277,11 +277,11 @@ pub mod required {
         "rtree",
         "exdpc_packed_kdtree",
         "build_grid",
-        "rho_batched_serial",
-        "rho_batched_parallel",
+        "rho_selfjoin_serial",
+        "rho_selfjoin_parallel",
         "exdpc_packed_kdtree_xl",
-        "rho_batched_serial_xl",
-        "rho_batched_parallel_xl",
+        "rho_selfjoin_serial_xl",
+        "rho_selfjoin_parallel_xl",
     ];
     /// `BENCH_dependent_point.json` (`benches/dependent_point.rs`). The
     /// Scan baseline's `scan_early_termination` is only timed at small `n`,

@@ -6,11 +6,12 @@
 //! * **Joint range search** (§4.2) — points in the same grid cell (side
 //!   `d_cut/√d`) have heavily overlapping query balls, so the paper searches
 //!   once per cell and scans the result for each member. Here Ex-DPC's ρ
-//!   path plays that role: each run of 64 consecutive packed points, which
-//!   the tree keeps close together, descends the kd-tree once, and every
-//!   count is the exact Definition 1 count, so the densities are Ex-DPC's bit
-//!   for bit. The grid serves only the cells, their `p*(c)` and their minimum
-//!   densities.
+//!   path plays that role and goes further: one dual-tree self-join over the
+//!   kd-tree ([`selfjoin::count_all_within`]) shares the search between
+//!   whole nodes of nearby points and decides each pair of points once, for
+//!   both ends. Every count is the exact Definition 1 count, so the
+//!   densities are Ex-DPC's bit for bit. The grid serves only the cells,
+//!   their `p*(c)` and their minimum densities.
 //! * **Cell-based dependent-point approximation** (§4.3) — a point that is not
 //!   the densest of its cell takes the cell's densest point `p*(c)` as its
 //!   approximate dependent point (distance at most `d_cut`). The cell's
@@ -28,10 +29,10 @@
 //!   with one kd-tree each; here every point of `P'` asks the ρ-phase kd-tree
 //!   the same nearest-denser query Ex-DPC uses, so no further index is built.
 //!
-//! The ρ buckets of the count engine, the per-cell queries from each `p*(c)`
-//! and the `P'` queries all run in the kd-tree's packed order, each on its
-//! packed row, so consecutive queries search neighbouring subtrees. The
-//! workers claim them dynamically, so no phase needs the cost-based
+//! The per-cell queries from each `p*(c)` and the `P'` queries run in the
+//! kd-tree's packed order, each on its packed row, so consecutive queries
+//! search neighbouring subtrees. The workers claim them, and the
+//! self-join's tasks, dynamically, so no phase needs the cost-based
 //! partitioning of §4.5. Each δ answer is a minimum over a fixed set (the
 //! smallest label; the nearest denser point, ties to the smallest id), so the
 //! order cannot change it.
@@ -39,13 +40,12 @@
 use std::time::Instant;
 
 use dpc_geometry::Dataset;
-use dpc_index::{Grid, KdTree, MaxKeys, MinLabels};
+use dpc_index::{selfjoin, Grid, KdTree, MaxKeys, MinLabels};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    cell_side, jittered_density, neighbour_counts, packed_queries, resolve_dependents,
-    validate_dataset,
+    cell_side, jittered_density, packed_queries, resolve_dependents, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -79,9 +79,9 @@ impl ApproxDpc {
         &self.params
     }
 
-    /// Local-density phase: exact densities through the batched counts of
-    /// Ex-DPC, then one sweep over the cells of a grid of side `side` for
-    /// `p*(c)` and `min ρ(c)`.
+    /// Local-density phase: exact densities through Ex-DPC's self-join, then
+    /// one sweep over the cells of a grid of side `side` for `p*(c)` and
+    /// `min ρ(c)`.
     fn densities(
         &self,
         data: &Dataset,
@@ -94,7 +94,7 @@ impl ApproxDpc {
         // Bit-identical to the serial build at every thread count, so the
         // whole fit stays deterministic across --threads.
         let grid = Grid::build_parallel(data, side, executor);
-        let counts = neighbour_counts(tree, dcut, |_| true, executor);
+        let counts = selfjoin::count_all_within(tree, dcut, executor);
         let rho: Vec<f64> = counts
             .into_iter()
             .enumerate()

@@ -1,10 +1,13 @@
 //! Ex-DPC: the exact kd-tree based algorithm (§3).
 //!
-//! * **Local density** — one range count per point with radius `d_cut` against
-//!   the packed static [`KdTree`] (Lemma 1: `O(n(n^{1-1/d} + ρ_avg))`), and no
-//!   other index. Runs of consecutive packed points share one batched descent,
-//!   and the runs are scheduled dynamically so that points in dense regions
-//!   (whose range counts cost more) do not serialise behind a static split.
+//! * **Local density** — every point's `d_cut` neighbour count on the packed
+//!   static [`KdTree`], and no other index. The paper makes one range count
+//!   per point (Lemma 1: `O(n(n^{1-1/d} + ρ_avg))`); here one dual-tree
+//!   self-join ([`selfjoin::count_all_within`]) decides each pair of points
+//!   once and credits both ends, with counts bit-identical to the per-point
+//!   range counts. Its tasks are scheduled dynamically, so that pairs of
+//!   nodes in dense regions (which cost more) do not serialise behind a
+//!   static split.
 //! * **Dependent points** — the paper destroys the tree and re-inserts the
 //!   points one at a time in decreasing density order, so that a
 //!   nearest-neighbour query made just before `p_i` is inserted sees exactly
@@ -20,13 +23,12 @@
 use std::time::Instant;
 
 use dpc_geometry::Dataset;
-use dpc_index::{Grid, KdTree};
+use dpc_index::{selfjoin, Grid, KdTree};
 use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    jittered_density, jittered_density_keyed, neighbour_counts, resolve_dependents,
-    validate_dataset,
+    jittered_density, jittered_density_keyed, resolve_dependents, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -54,16 +56,16 @@ impl ExDpc {
     /// its own) on `tree`, built over `data`. Exposed so benchmarks can time
     /// the phases separately (Table 6).
     ///
-    /// It is the ρ path of `fit`: runs of consecutive packed points each
-    /// descend the tree once through `dpc_index::batchq`, and the runs fan out
-    /// across the configured worker threads. Results are bit-identical to one
-    /// [`KdTree::range_count`] per point at every thread count, since batched
-    /// counts equal single-query counts exactly.
+    /// It is the ρ path of `fit`: one self-join over `tree`
+    /// ([`selfjoin::count_all_within`]) on the configured worker threads.
+    /// Results are bit-identical to one [`KdTree::range_count`] per point at
+    /// every thread count, since the self-join's counts equal single-query
+    /// counts exactly.
     pub fn local_densities(&self, data: &Dataset, tree: &KdTree) -> Vec<f64> {
         debug_assert_eq!(data.len(), tree.len());
         let executor = Executor::new(self.params.threads);
         let seed = self.params.jitter_seed;
-        let counts = neighbour_counts(tree, self.params.dcut, |_| true, &executor);
+        let counts = selfjoin::count_all_within(tree, self.params.dcut, &executor);
         counts.into_iter().enumerate().map(|(p, count)| jittered_density(count, p, seed)).collect()
     }
 
@@ -118,7 +120,7 @@ impl ExDpc {
         let tree = KdTree::build_parallel(data, &executor);
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
-        let counts = neighbour_counts(&tree, dcut, |_| true, &executor);
+        let counts = selfjoin::count_all_within(&tree, dcut, &executor);
         let rho: Vec<f64> = counts
             .iter()
             .zip(keys)
@@ -287,9 +289,9 @@ mod tests {
 
     #[test]
     fn batched_rho_is_bit_identical_to_per_point_loop() {
-        // The batched ρ phase (packed-order buckets + joint traversals) must
-        // reproduce the per-point reference loop bit for bit, at every thread
-        // count — the model-level determinism contract of the batched engine.
+        // The ρ phase (one self-join over the tree) must reproduce the
+        // per-point reference loop bit for bit, at every thread count — the
+        // model-level determinism contract of the self-join.
         let sets = [
             uniform(700, 2, 100.0, 31),
             uniform(500, 3, 60.0, 32),

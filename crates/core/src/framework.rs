@@ -1,5 +1,6 @@
-//! Steps shared by every DPC algorithm: input validation, the `d_cut`
-//! neighbour counts behind ρ, density tie-breaking, the dependent-point
+//! Steps shared by every DPC algorithm: input validation, S-Approx-DPC's
+//! `d_cut` neighbour counts (Ex-DPC and Approx-DPC count every point's
+//! through `dpc_index::selfjoin`), density tie-breaking, the dependent-point
 //! queries, centre/noise selection, and cluster-label propagation (§2.1 and
 //! §2.2, step 4).
 
@@ -143,9 +144,10 @@ pub(crate) fn packed_queries<'t, R: Send + 't>(
 }
 
 /// The closed-ball `d_cut` neighbour count of every point `p` with
-/// `is_query(p)`, the point itself left out (Definition 1): every point for
-/// Ex-DPC and Approx-DPC, each cell's picked point for S-Approx-DPC. Indexed
-/// by point id; every other point reads 0.
+/// `is_query(p)`, the point itself left out (Definition 1): S-Approx-DPC's
+/// picked points, one per cell. Indexed by point id; every other point reads
+/// 0. (A fit that needs every point's count runs the self-join of
+/// `dpc_index::selfjoin` instead, which decides each pair once.)
 ///
 /// Each task of [`packed_queries`] is one bucket that descends `tree` once
 /// through [`BatchRangeCount`]. Every count equals the single-query

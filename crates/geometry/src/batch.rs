@@ -1,45 +1,60 @@
 //! Batched distance kernels over contiguous row-major coordinate buffers.
 //!
 //! The packed kd-tree stores its points as row-major rows, each leaf bucket a
-//! contiguous strip, and the hot inner loop of the ρ phase (Definition 1) is
-//! always the same shape: *one query against a whole bucket of rows*. This
-//! module is that loop, implemented once, audited once, and used by every
-//! caller:
+//! contiguous strip, and the hot inner loops of the ρ phase (Definition 1)
+//! come in two shapes: *one query against a whole bucket of rows*, and *every
+//! pair between two buckets* (or within one). This module is those loops,
+//! implemented once, audited once, and used by every caller:
 //!
 //! * [`count_within`] — how many rows lie in the **closed** ball
 //!   `dist²(query, row) ≤ r_sq` (the paper's `dist ≤ d_cut` predicate);
 //! * [`search_within_into`] — the row indices of those rows, appended in row
-//!   order to a caller-reusable buffer.
+//!   order to a caller-reusable buffer;
+//! * [`count_pairs_block`] and [`count_pairs_triangle`] — the leaf kernels of
+//!   the kd-tree self-join (`dpc_index::selfjoin`): every pair of rows, one
+//!   from each block or `i < j` within one, whose distance is within the
+//!   closed ball credits **both** rows. Each pair's distance is computed
+//!   once.
 //!
 //! # Vectorisation
 //!
-//! [`count_within`] runs a fixed-dimension loop for `d ∈ {2, 3, 4, 8}` (the
-//! paper's Syn, Airline, Household/PAMAP2 and Sensor): a const-generic copy of
-//! [`count_within_scalar`] whose row length the compiler knows, so an
-//! optimised build vectorises it across rows on baseline SSE2, in safe code.
-//! Every other `dim` runs [`count_within_scalar`], and [`search_within_into`]
-//! is a scalar loop.
+//! [`count_within`] and [`count_pairs_block`] run a fixed-dimension loop for
+//! `d ∈ {2, 3, 4, 8}` (the paper's Syn, Airline, Household/PAMAP2 and
+//! Sensor): a const-generic copy of the scalar loop whose row length the
+//! compiler knows, so an optimised build vectorises it across rows on
+//! baseline SSE2, in safe code. Every other `dim` runs the scalar loop, and
+//! [`search_within_into`] is a scalar loop.
 //!
-//! The fixed loop is **bit-identical** to the scalar reference by
+//! The fixed loops are **bit-identical** to the scalar reference by
 //! construction. Each row performs exactly the per-axis operations of
 //! [`dist_sq`] in the same order: `(q[a] − row[a])²` summed from `0.0` in
 //! ascending axis order. IEEE 754 arithmetic is deterministic per operation,
 //! and no FMA contraction is introduced. The `<=` predicate is false for NaN,
-//! as in the scalar loop. Only the integer count is summed in another order,
-//! which cannot change it. The property tests in `tests/batch_identity.rs`
-//! assert bitwise equality across the paths.
+//! as in the scalar loop. Only the integer counts are summed in another
+//! order, which cannot change them. The property tests in
+//! `tests/batch_identity.rs` assert bitwise equality across the paths.
+//!
+//! # Symmetry
+//!
+//! A pair kernel decides each pair once, so it must decide it as either end's
+//! own query would. It does: `fl(a − b) = −fl(b − a)` (round-to-nearest is
+//! symmetric in sign), the squares of the two are equal, and so
+//! `dist_sq(a, b)` and `dist_sq(b, a)` are the same bits. A pair kernel's
+//! credit to row `i` is therefore [`count_within`] of row `i` against the
+//! other rows, bit for bit.
 //!
 //! # Slice-length contract
 //!
 //! All kernels require `query.len() == dim`, `dim > 0` and
-//! `rows.len() % dim == 0`; these are `debug_assert!`ed here (one place, not
-//! per caller), and the debug assertions **are** the contract. See the crate
-//! docs for the release-mode behaviour of a violating call: memory-safe but
-//! unspecified — depending on the dispatch path it may panic on an
-//! out-of-bounds index or silently iterate fewer axes (the fixed-dimension
-//! count loop panics on a query shorter than `dim` and reads only the first
-//! `dim` axes of a longer one, and the scalar loops reach
-//! `dist_sq_generic`'s truncating `zip`). Never rely on either outcome.
+//! `rows.len() % dim == 0`, and the pair kernels one count per row; these are
+//! `debug_assert!`ed here (one place, not per caller), and the debug
+//! assertions **are** the contract. See the crate docs for the release-mode
+//! behaviour of a violating call: memory-safe but unspecified — depending on
+//! the dispatch path it may panic on an out-of-bounds index or silently
+//! iterate fewer axes (the fixed-dimension count loop panics on a query
+//! shorter than `dim` and reads only the first `dim` axes of a longer one,
+//! and the scalar loops reach `dist_sq_generic`'s truncating `zip`). Never
+//! rely on either outcome.
 
 use crate::distance::dist_sq;
 
@@ -119,6 +134,85 @@ pub fn count_within_scalar(query: &[f64], rows: &[f64], dim: usize, r_sq: f64) -
     c
 }
 
+/// Credits both ends of every pair `(a row i of a, a row j of b)` within the
+/// closed ball (`dist² ≤ r_sq`): `counts_a[i] += 1` and `counts_b[j] += 1`.
+/// Each pair's distance is computed once, and `counts_a[i]` gains exactly
+/// what `count_within(row i, b, dim, r_sq)` returns (module docs, Symmetry).
+/// A NaN `r_sq` credits nothing. Runs the fixed-dimension loop for
+/// `dim ∈ {2, 3, 4, 8}` and a scalar loop otherwise.
+#[inline]
+pub fn count_pairs_block(
+    a: &[f64],
+    b: &[f64],
+    dim: usize,
+    r_sq: f64,
+    counts_a: &mut [u32],
+    counts_b: &mut [u32],
+) {
+    debug_pair_contract(a, dim, counts_a);
+    debug_pair_contract(b, dim, counts_b);
+    match dim {
+        2 => count_pairs_block_fixed::<2>(a, b, r_sq, counts_a, counts_b),
+        3 => count_pairs_block_fixed::<3>(a, b, r_sq, counts_a, counts_b),
+        4 => count_pairs_block_fixed::<4>(a, b, r_sq, counts_a, counts_b),
+        8 => count_pairs_block_fixed::<8>(a, b, r_sq, counts_a, counts_b),
+        _ => {
+            for (row, count_a) in a.chunks_exact(dim).zip(counts_a) {
+                for (other, count_b) in b.chunks_exact(dim).zip(counts_b.iter_mut()) {
+                    if dist_sq(row, other) <= r_sq {
+                        *count_a += 1;
+                        *count_b += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Credits both ends of every pair `i < j` of rows within the closed ball
+/// (`dist² ≤ r_sq`): `counts[i] += 1` and `counts[j] += 1`, each distance
+/// computed once. A row is never paired with itself, so `counts[i]` gains
+/// the row's closed-ball count among the other rows. A NaN `r_sq` credits
+/// nothing.
+#[inline]
+pub fn count_pairs_triangle(rows: &[f64], dim: usize, r_sq: f64, counts: &mut [u32]) {
+    debug_pair_contract(rows, dim, counts);
+    for i in 0..counts.len() {
+        let (head, tail) = counts.split_at_mut(i + 1);
+        let (row, rest) = rows[i * dim..].split_at(dim);
+        count_pairs_block(row, rest, dim, r_sq, &mut head[i..], tail);
+    }
+}
+
+/// The scalar block loop with the row length known to the compiler: the
+/// operands and order of [`dist_sq`], so every credit is bit-identical, and
+/// each hit added without a branch, which lets the inner loop run several
+/// rows of `b` per vector iteration.
+#[inline]
+fn count_pairs_block_fixed<const D: usize>(
+    a: &[f64],
+    b: &[f64],
+    r_sq: f64,
+    counts_a: &mut [u32],
+    counts_b: &mut [u32],
+) {
+    for (row, count_a) in a.chunks_exact(D).zip(counts_a) {
+        let q: [f64; D] = std::array::from_fn(|k| row[k]);
+        let mut hits = 0u32;
+        for (other, count_b) in b.chunks_exact(D).zip(counts_b.iter_mut()) {
+            let mut acc = 0.0;
+            for k in 0..D {
+                let diff = q[k] - other[k];
+                acc += diff * diff;
+            }
+            let hit = (acc <= r_sq) as u32;
+            hits += hit;
+            *count_b += hit;
+        }
+        *count_a += hits;
+    }
+}
+
 /// The shared `debug_assert!` half of the slice-length contract (see the
 /// module docs for the release-mode half).
 #[inline]
@@ -126,6 +220,13 @@ fn debug_batch_contract(query: &[f64], rows: &[f64], dim: usize) {
     debug_assert!(dim > 0, "dimensionality must be positive");
     debug_assert_eq!(query.len(), dim, "query dimensionality mismatch");
     debug_assert_eq!(rows.len() % dim, 0, "rows buffer is not a whole number of rows");
+}
+
+/// The pair kernels' half of the slice-length contract: one count per row.
+#[inline]
+fn debug_pair_contract(rows: &[f64], dim: usize, counts: &[u32]) {
+    debug_assert!(dim > 0, "dimensionality must be positive");
+    debug_assert_eq!(rows.len(), counts.len() * dim, "one count per row");
 }
 
 #[cfg(test)]

@@ -114,6 +114,43 @@ pub fn max_dist_sq_to_rect(p: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
     acc
 }
 
+/// Squared minimum distance between the rectangles `[alo, ahi]` and
+/// `[blo, bhi]`: `0.0` when they overlap.
+///
+/// A lower bound on `fl(dist_sq(a, b))` for every `a` in the first rectangle
+/// and `b` in the second, and on `min_dist_sq_to_rect(a, blo, bhi)`: each
+/// per-axis gap is a rounded difference of bounds, which rounding keeps
+/// monotone in its operands, and the squares are summed from `0.0` in
+/// ascending axis order, as [`dist_sq`] sums them. So `> r²` here proves
+/// that no pair of points lies within the closed ball.
+#[inline]
+pub fn min_dist_sq_rect_rect(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for a in 0..alo.len() {
+        let d = (blo[a] - ahi[a]).max(alo[a] - bhi[a]).max(0.0);
+        acc += d * d;
+    }
+    acc
+}
+
+/// Squared maximum distance between the rectangles `[alo, ahi]` and
+/// `[blo, bhi]`: between their two farthest corners.
+///
+/// An upper bound on `fl(dist_sq(a, b))` for every `a` in the first rectangle
+/// and `b` in the second, and on `max_dist_sq_to_rect(a, blo, bhi)`, by the
+/// same monotone-rounding argument as [`min_dist_sq_rect_rect`]. So `≤ r²`
+/// here proves that every pair lies within the closed ball.
+#[inline]
+pub fn max_dist_sq_rect_rect(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for a in 0..alo.len() {
+        // Both rects are non-empty, so the max of the two spans is ≥ 0.
+        let d = (bhi[a] - alo[a]).max(ahi[a] - blo[a]);
+        acc += d * d;
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +229,28 @@ mod tests {
         let hi = [1.0, 2.0, 3.0];
         let q = [5.0, -3.0, 0.5];
         assert!(min_dist_sq_to_rect(&q, &lo, &hi) <= max_dist_sq_to_rect(&q, &lo, &hi));
+    }
+
+    #[test]
+    fn rect_rect_bounds_enclose_every_pair() {
+        let (alo, ahi) = ([0.0, 0.0], [2.0, 1.0]);
+        let (blo, bhi) = ([5.0, -3.0], [6.0, 4.0]);
+        // A gap of 3 on x and none on y; the farthest corners lie 6 apart on
+        // x and 4 on y.
+        assert_eq!(min_dist_sq_rect_rect(&alo, &ahi, &blo, &bhi), 9.0);
+        assert_eq!(max_dist_sq_rect_rect(&alo, &ahi, &blo, &bhi), 36.0 + 16.0);
+        assert_eq!(min_dist_sq_rect_rect(&alo, &ahi, &alo, &ahi), 0.0);
+        assert_eq!(max_dist_sq_rect_rect(&alo, &ahi, &alo, &ahi), 5.0);
+        let corners = |lo: [f64; 2], hi: [f64; 2]| {
+            [[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]]
+        };
+        for a in corners(alo, ahi) {
+            for b in corners(blo, bhi) {
+                let d = dist_sq(&a, &b);
+                assert!(min_dist_sq_rect_rect(&alo, &ahi, &blo, &bhi) <= d);
+                assert!(d <= max_dist_sq_rect_rect(&alo, &ahi, &blo, &bhi));
+            }
+        }
     }
 
     #[test]

@@ -4,14 +4,17 @@
 //! **bit-identical** to the scalar reference, whatever path it takes (the
 //! fixed-dimension loop for d ∈ {2, 3, 4, 8}, the scalar loop otherwise), and
 //! the search kernel must report exactly the rows that a brute-force
-//! `dist_sq(query, row) <= r_sq` filter keeps, in row order. The inputs
-//! sweep the dimensionalities of the paper's workloads (2, 3, 4, 8) plus 5,
-//! the first one the count dispatcher leaves to the generic loop, with
-//! duplicates, collinear rows, `±0.0`, subnormals and `1e±150` magnitudes, and
-//! radii placed *exactly* on row distances so the closed-ball boundary is
-//! exercised bit-for-bit.
+//! `dist_sq(query, row) <= r_sq` filter keeps, in row order. The pair
+//! kernels of the self-join, block and triangle, must give both ends of
+//! every pair the counts of a brute-force `dist_sq(a, b) <= r_sq` double
+//! loop, for every d from 1 to 8, with empty blocks, rows at exactly `r²`
+//! and a NaN `r²`. The single-query inputs sweep the dimensionalities of the
+//! paper's workloads (2, 3, 4, 8) plus 5, the first one the count dispatcher
+//! leaves to the generic loop. Every input mixes duplicates, collinear rows,
+//! `±0.0`, subnormals and `1e±150` magnitudes, and radii placed *exactly* on
+//! row distances so the closed-ball boundary is exercised bit-for-bit.
 //!
-//! The compiler vectorises the fixed-dimension loop only in optimised builds,
+//! The compiler vectorises the fixed-dimension loops only in optimised builds,
 //! so the suite runs on both the dev and the release profile (CI runs both).
 
 use dpc_geometry::batch;
@@ -137,5 +140,104 @@ fn duplicates_and_signed_zeros_count_consistently() {
     for query in [[0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]] {
         assert_eq!(batch::count_within(&query, &rows, 2, 0.0), 3);
         check_identity(&query, &rows, 2, 0.0);
+    }
+}
+
+/// The brute-force pair reference: both ends' counts of every pair `(i, j)`
+/// of `a × b` with `dist_sq(a_i, b_j) <= r_sq`.
+fn brute_block(a: &[f64], b: &[f64], dim: usize, r_sq: f64) -> (Vec<u32>, Vec<u32>) {
+    let (mut ca, mut cb) = (vec![0u32; a.len() / dim], vec![0u32; b.len() / dim]);
+    for (i, x) in a.chunks_exact(dim).enumerate() {
+        for (j, y) in b.chunks_exact(dim).enumerate() {
+            if dist_sq(x, y) <= r_sq {
+                ca[i] += 1;
+                cb[j] += 1;
+            }
+        }
+    }
+    (ca, cb)
+}
+
+/// Asserts the block kernel on `a × b` and the triangle kernel on `a` and on
+/// `b` against the brute-force double loop, on both sides' counts.
+fn check_pair_identity(a: &[f64], b: &[f64], dim: usize, r_sq: f64) {
+    let (want_a, want_b) = brute_block(a, b, dim, r_sq);
+    let (mut got_a, mut got_b) = (vec![0u32; a.len() / dim], vec![0u32; b.len() / dim]);
+    batch::count_pairs_block(a, b, dim, r_sq, &mut got_a, &mut got_b);
+    assert_eq!((&got_a, &got_b), (&want_a, &want_b), "block (d={dim}, r²={r_sq})");
+    for rows in [a, b] {
+        // The triangle's reference: each row's count among the other rows.
+        let want: Vec<u32> = rows
+            .chunks_exact(dim)
+            .enumerate()
+            .map(|(i, x)| {
+                let others = rows.chunks_exact(dim).enumerate().filter(|&(j, _)| j != i);
+                others.filter(|(_, y)| dist_sq(x, y) <= r_sq).count() as u32
+            })
+            .collect();
+        let mut got = vec![0u32; rows.len() / dim];
+        batch::count_pairs_triangle(rows, dim, r_sq, &mut got);
+        assert_eq!(got, want, "triangle (d={dim}, r²={r_sq})");
+    }
+}
+
+#[test]
+fn pair_kernels_match_a_brute_double_loop() {
+    let mut rng = StdRng::seed_from_u64(0x9A1E5);
+    for dim in 1..=8usize {
+        // Block sizes around the kd-tree's leaf bucket, empty blocks included.
+        for (na, nb) in [(0usize, 0usize), (0, 5), (4, 0), (1, 1), (3, 7), (16, 16), (15, 17)] {
+            for _ in 0..4 {
+                let a = build_rows(&mut rng, na, dim);
+                let b = build_rows(&mut rng, nb, dim);
+                let mut radii = vec![0.0, 1.0, 25.0, 1e300, f64::INFINITY, f64::NAN];
+                // Rows at exactly r²: the squared distances of some pairs.
+                for (x, y) in a.chunks_exact(dim).zip(b.chunks_exact(dim).rev()) {
+                    radii.push(dist_sq(x, y));
+                }
+                for r_sq in radii {
+                    check_pair_identity(&a, &b, dim, r_sq);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pair_kernels_count_rows_at_exactly_r_sq_on_both_ends() {
+    // One 3-4-5 pair at squared distance exactly 25 in every dimension, at
+    // every position of two 1–20-row blocks; every other row is far away.
+    for dim in 2..=8usize {
+        for n in 1..=20usize {
+            for pos in 0..n {
+                let mut a = vec![0.0f64; n * dim];
+                let mut b = vec![0.0f64; n * dim];
+                for k in 0..n {
+                    a[k * dim] = 1000.0 * (k + 1) as f64;
+                    b[k * dim] = -1000.0 * (k + 1) as f64;
+                }
+                a[pos * dim] = 0.0;
+                (b[pos * dim], b[pos * dim + 1]) = (3.0, 4.0);
+                let (mut ca, mut cb) = (vec![0u32; n], vec![0u32; n]);
+                batch::count_pairs_block(&a, &b, dim, 25.0, &mut ca, &mut cb);
+                let mut want = vec![0u32; n];
+                want[pos] = 1;
+                assert_eq!((&ca, &cb), (&want, &want), "d={dim} n={n} pos={pos}");
+                check_pair_identity(&a, &b, dim, 25.0);
+                check_pair_identity(&a, &b, dim, 25.0 - 1e-12);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_nan_r_sq_credits_nothing() {
+    let mut rng = StdRng::seed_from_u64(0x0A4);
+    for dim in 1..=8usize {
+        let rows = build_rows(&mut rng, 17, dim);
+        let (mut ca, mut cb) = (vec![0u32; 17], vec![0u32; 17]);
+        batch::count_pairs_block(&rows, &rows, dim, f64::NAN, &mut ca, &mut cb);
+        batch::count_pairs_triangle(&rows, dim, f64::NAN, &mut ca);
+        assert!(ca.iter().chain(&cb).all(|&c| c == 0), "d={dim}");
     }
 }

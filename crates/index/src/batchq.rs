@@ -1,13 +1,13 @@
 //! Batched range counts over a packed kd-tree.
 //!
-//! The ρ phase of every DPC variant issues one range count per query point:
-//! one for every point (Ex-DPC, Approx-DPC) or for each grid cell's picked
-//! point (S-Approx-DPC). Spatially adjacent queries share almost their entire
-//! traversal: the upper levels of the tree are identical, and nearby leaves
-//! are visited by most of the bucket. [`BatchRangeCount`] exploits that by
-//! descending the tree **once per bucket** of query balls — for Approx-DPC
-//! this is the joint range search of §4.2, with a bucket of consecutive
-//! packed points in place of one cell:
+//! S-Approx-DPC's ρ phase issues one range count per grid cell, for the
+//! cell's picked point; it is this module's one fit caller. (Ex-DPC and
+//! Approx-DPC need every point's count, which the self-join of
+//! [`crate::selfjoin`] finds with each pair decided once.) Spatially adjacent
+//! queries share almost their entire traversal: the upper levels of the tree
+//! are identical, and nearby leaves are visited by most of the bucket.
+//! [`BatchRangeCount`] exploits that by descending the tree **once per
+//! bucket** of query balls, a bucket of consecutive packed points:
 //!
 //! - at every node, a joint test against the bucket's bounding box (plus the
 //!   radius) prunes the whole bucket in `O(d)` before any per-query work, and
@@ -32,7 +32,9 @@
 //! results.
 
 use dpc_geometry::batch;
-use dpc_geometry::distance::{dist_sq, max_dist_sq_to_rect, min_dist_sq_to_rect};
+use dpc_geometry::distance::{
+    dist_sq, max_dist_sq_rect_rect, max_dist_sq_to_rect, min_dist_sq_rect_rect, min_dist_sq_to_rect,
+};
 
 use crate::kdtree::{KdTree, NONE};
 
@@ -51,37 +53,6 @@ pub const NO_EXCLUDE: u32 = NONE;
 /// point where per-node pruning can retire enough of the block to beat
 /// scanning it.
 const VIRTUAL_LEAF_SPAN: usize = 256;
-
-/// Squared minimum distance between the rects `[qlo, qhi]` and `[lo, hi]`.
-///
-/// A lower bound on `min_dist_sq_to_rect(q, lo, hi)` for every point `q`
-/// inside `[qlo, qhi]`, so a joint prune implies every individual query would
-/// have pruned.
-#[inline]
-fn min_dist_sq_rect_rect(qlo: &[f64], qhi: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for a in 0..qlo.len() {
-        let d = (lo[a] - qhi[a]).max(qlo[a] - hi[a]).max(0.0);
-        acc += d * d;
-    }
-    acc
-}
-
-/// Squared maximum distance between the rects `[qlo, qhi]` and `[lo, hi]`.
-///
-/// An upper bound on `max_dist_sq_to_rect(q, lo, hi)` for every point `q`
-/// inside `[qlo, qhi]`, so a joint containment implies every individual query
-/// covers the node.
-#[inline]
-fn max_dist_sq_rect_rect(qlo: &[f64], qhi: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for a in 0..qlo.len() {
-        // Both rects are non-empty, so the max of the two spans is ≥ 0.
-        let d = (hi[a] - qlo[a]).max(qhi[a] - lo[a]);
-        acc += d * d;
-    }
-    acc
-}
 
 /// Shared scratch for one batched traversal: the bucket's joint bounding box
 /// and a pool of recycled active-query lists (one live list per recursion

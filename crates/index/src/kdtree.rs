@@ -1,9 +1,12 @@
 //! A packed, static, leaf-bucketed kd-tree over the points of a [`Dataset`].
 //!
 //! This is the workhorse index of the local-density phase — the dominant cost
-//! of every algorithm in the paper (Ex-DPC and Approx-DPC issue one range
-//! count per point, S-Approx-DPC one per cell's picked point) — so its layout
-//! is chosen for query throughput rather than for updatability:
+//! of every algorithm in the paper — so its layout is chosen for query
+//! throughput rather than for updatability. Ex-DPC and Approx-DPC count every
+//! point's `d_cut` neighbours with one dual-tree self-join over the tree's
+//! node pairs ([`crate::selfjoin`]), S-Approx-DPC one range count per cell's
+//! picked point ([`crate::batchq`]), and both prune and contain with the
+//! node boxes below:
 //!
 //! * **Packed leaf buckets.** Bulk construction permutes the point identifiers
 //!   into one contiguous array, recursively median-split until a subtree holds

@@ -34,14 +34,20 @@
 //!   with a byte-for-byte identical CSR layout at every thread count (the
 //!   [`Grid::layout_eq`] contract). Cell keys are exact only while the data
 //!   spans fewer than 2^53 cells per axis ([`Grid::keys_fit`]).
-//! * [`batchq`] — batched range counts over the packed tree, the ρ phase of
-//!   every algorithm: a bucket of `d_cut` balls (consecutive query points in
+//! * [`selfjoin`] — every point's closed-ball neighbour count, the ρ phase
+//!   of Ex-DPC and Approx-DPC, as one dual-tree self-join over the packed
+//!   tree ([`selfjoin::count_all_within`]): each pair of points within the
+//!   radius is decided once, at its nodes' lowest common ancestor, and
+//!   credits both ends. Every count is bit-identical to the point's own
+//!   [`KdTree::range_count`] — see the module's exactness argument.
+//! * [`batchq`] — batched range counts over the packed tree for a chosen
+//!   subset of query points, S-Approx-DPC's ρ phase (one count per cell's
+//!   picked point): a bucket of `d_cut` balls (consecutive query points in
 //!   the tree's packed order, which is already spatial) descends the tree
 //!   **once**, pruning with the bucket's joint bounding box and feeding each
 //!   leaf's contiguous rows to the batch count kernel per still-active
-//!   query.
-//!   Every count is bit-identical to the corresponding single-query call —
-//!   see the module's determinism contract.
+//!   query. Every count is bit-identical to the corresponding single-query
+//!   call — see the module's determinism contract.
 
 #![forbid(unsafe_code)]
 
@@ -49,6 +55,7 @@ pub mod batchq;
 pub mod grid;
 pub mod kdtree;
 pub mod rtree;
+pub mod selfjoin;
 
 pub use batchq::BatchRangeCount;
 pub use grid::{CellId, Grid, QueryBuckets};
