@@ -1,73 +1,63 @@
-//! Microbenchmarks for the uniform grid: serial vs sharded parallel CSR
-//! construction (the last index-construction phase on the approximate fit
-//! paths to parallelise), plus the paper's joint range search of Approx-DPC
-//! (one kd-tree query per cell, §4.2) versus per-point range searches (Ex-DPC
-//! style).
+//! Microbenchmarks for the uniform grid: its one-pass CSR construction
+//! (`Grid::build`) on two shapes of data, plus the paper's joint range search
+//! of Approx-DPC (one kd-tree query per cell, §4.2) versus per-point range
+//! searches (Ex-DPC style).
 //!
 //! Results are written to `BENCH_grid_build.json` (schema in
 //! `crates/bench/README.md`) so the grid-construction trajectory is recorded
-//! PR over PR. `Grid::build` is `Grid::build_parallel` on one thread, and the
-//! layout is byte-for-byte identical at every thread count (the `layout_eq`
-//! contract), so the two build kernels time the same output layout.
+//! PR over PR.
 //!
-//! Flags: `--n <points>` (default 20,000), `--threads <T>` (default:
-//! available hardware parallelism; the parallel-build kernels), `--out
-//! <json>` (default `BENCH_grid_build.json`; relative paths resolve against
-//! the workspace root, not the `crates/bench` cwd `cargo bench` uses),
-//! `--check` (validate the emitted JSON against the schema and exit non-zero
-//! on drift). Workloads: the 2-d random-walk surrogate (13 walkers) with
-//! `side = d_cut/√d` (the Approx-DPC geometry, few points per cell), and a
-//! clustered Gaussian-blob set (many points per cell, scatter-dominated).
+//! Flags: `--n <points>` (default 20,000), `--out <json>` (default
+//! `BENCH_grid_build.json`; relative paths resolve against the workspace
+//! root, not the `crates/bench` cwd `cargo bench` uses), `--check` (validate
+//! the emitted JSON against the schema and exit non-zero on drift).
+//! Workloads: a seeded shuffle of the 2-d random-walk surrogate (13 walkers)
+//! with `side = d_cut/√d` (the Approx-DPC geometry, few points per cell), and
+//! a clustered Gaussian-blob set (many points per cell, scatter-dominated).
 //!
-//! The parallel-build kernels measure the sharding win only on multi-core
-//! hosts; on a single-CPU container they record spawn overhead (≈ 1.0×).
+//! The walk is shuffled because id order then says nothing about where a
+//! point lies, as in a random sample of a population: in generation order
+//! consecutive ids follow the walk, so the build meets each cell in one run
+//! of points, which a sample does not.
 
+use dpc_bench::datasets::DATASET_SEED;
 use dpc_bench::micro::{bench_record, write_bench_json, BenchRecord};
 use dpc_bench::resolve_out_path;
 use dpc_bench::schema::{check_or_exit, required};
 use dpc_data::generators::{gaussian_blobs, random_walk};
 use dpc_geometry::dist;
 use dpc_index::{Grid, KdTree};
-use dpc_parallel::Executor;
+use dpc_rng::StdRng;
 
 const DCUT: f64 = 250.0;
 
 fn main() {
     let mut n = 20_000usize;
-    let mut threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
     let mut out = resolve_out_path("BENCH_grid_build.json");
     let mut check = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--n" => n = args.next().expect("--n requires a value").parse().expect("--n <points>"),
-            "--threads" => {
-                threads =
-                    args.next().expect("--threads requires a value").parse().expect("--threads <T>")
-            }
             "--out" => out = resolve_out_path(&args.next().expect("--out requires a path")),
             "--check" => check = true,
             "--bench" => {} // appended by `cargo bench`
-            other => panic!(
-                "unknown argument: {other} (flags: --n <points> --threads <T> --out <json> --check)"
-            ),
+            other => panic!("unknown argument: {other} (flags: --n <points> --out <json> --check)"),
         }
     }
-    let executor = Executor::new(threads);
     let mut records: Vec<BenchRecord> = Vec::new();
 
-    // Primary workload: the 2-d random-walk surrogate (13 walkers) at the
-    // Approx-DPC cell side d_cut/√d — many small cells.
-    let data = random_walk(n, 13, 1e5, 3);
+    // Primary workload: the shuffled 2-d random-walk surrogate (13 walkers)
+    // at the Approx-DPC cell side d_cut/√d — many small cells.
+    let mut order: Vec<usize> = (0..n).collect();
+    StdRng::seed_from_u64(DATASET_SEED).shuffle(&mut order);
+    let data = random_walk(n, 13, 1e5, 3).select(&order);
     let d = data.dim();
     let side = DCUT / (d as f64).sqrt();
-    println!("grid_build (n = {n}, d = {d}, d_cut = {DCUT}, threads = {threads})");
+    println!("grid_build (shuffled walk n = {n}, d = {d}, d_cut = {DCUT})");
 
     records
         .push(bench_record("grid_build_serial", n, d, 10, || Grid::build(&data, side).num_cells()));
-    records.push(bench_record("grid_build_parallel", n, d, 10, || {
-        Grid::build_parallel(&data, side, &executor).num_cells()
-    }));
 
     // Low-dimensional workload: clustered 2-d (many points per cell, the
     // shape where the scatter pass dominates the key hashing).
@@ -79,14 +69,11 @@ fn main() {
     records.push(bench_record("grid_build_serial_blobs", data2.len(), 2, 10, || {
         Grid::build(&data2, side2).num_cells()
     }));
-    records.push(bench_record("grid_build_parallel_blobs", data2.len(), 2, 10, || {
-        Grid::build_parallel(&data2, side2, &executor).num_cells()
-    }));
 
     // The joint range search the grid exists for, against the per-point
     // baseline (carried over from the pre-trajectory grid bench).
     let tree = KdTree::build(&data);
-    let grid = Grid::build_parallel(&data, side, &executor);
+    let grid = Grid::build(&data, side);
 
     records.push(bench_record("per_point_range_searches", n, d, 5, || {
         let mut total = 0usize;
@@ -115,11 +102,6 @@ fn main() {
         records.iter().find(|r| r.kernel == name).map(|r| r.mean_secs).unwrap_or(f64::NAN)
     };
     println!();
-    println!(
-        "parallel grid build speedup ({threads} threads, mean): {:.2}x (walk) / {:.2}x (blobs)",
-        mean_of("grid_build_serial") / mean_of("grid_build_parallel"),
-        mean_of("grid_build_serial_blobs") / mean_of("grid_build_parallel_blobs")
-    );
     println!(
         "joint range search speedup over per-point (mean): {:.2}x",
         mean_of("per_point_range_searches") / mean_of("joint_range_search_per_cell")

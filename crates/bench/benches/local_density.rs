@@ -137,9 +137,7 @@ fn main() {
     // The grid of side `d_cut/√d` that Approx-DPC builds next to its tree
     // for its cells; Ex-DPC's ρ needs no grid.
     let side = params.dcut / (d as f64).sqrt();
-    records.push(bench_record("build_grid", n, d, 5, || {
-        Grid::build_parallel(&data, side, &executor).num_cells()
-    }));
+    records.push(bench_record("build_grid", n, d, 5, || Grid::build(&data, side).num_cells()));
 
     // The fits' ρ path (one self-join over the tree), serial and on
     // `threads` workers, against the prebuilt tree; timings cover the task

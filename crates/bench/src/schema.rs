@@ -264,9 +264,7 @@ pub mod required {
     /// `BENCH_grid_build.json` (`benches/grid_build.rs`).
     pub const GRID_BUILD: &[&str] = &[
         "grid_build_serial",
-        "grid_build_parallel",
         "grid_build_serial_blobs",
-        "grid_build_parallel_blobs",
         "per_point_range_searches",
         "joint_range_search_per_cell",
     ];

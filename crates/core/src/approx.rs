@@ -91,9 +91,7 @@ impl ApproxDpc {
     ) -> (Vec<f64>, Cells) {
         let dcut = self.params.dcut;
         let seed = self.params.jitter_seed;
-        // Bit-identical to the serial build at every thread count, so the
-        // whole fit stays deterministic across --threads.
-        let grid = Grid::build_parallel(data, side, executor);
+        let grid = Grid::build(data, side);
         let counts = selfjoin::count_all_within(tree, dcut, executor);
         let rho: Vec<f64> = counts
             .into_iter()

@@ -237,8 +237,7 @@ impl DpcModel {
     /// bit-identical `ρ`/`δ`/dependent/order arrays plus index-byte
     /// accounting. Floats are compared by bit pattern (`to_bits`), so NaN
     /// payloads, `±0.0` and subnormals all count — this is the contract the
-    /// persistence round-trip tests pin, mirroring `KdTree::layout_eq` and
-    /// `Grid::layout_eq`.
+    /// persistence round-trip tests pin, mirroring `KdTree::layout_eq`.
     ///
     /// [`Timings`] are deliberately excluded: they are wall-clock provenance
     /// of one particular fit, not part of the model's layout, and can never

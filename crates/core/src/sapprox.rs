@@ -118,9 +118,7 @@ impl DpcAlgorithm for SApproxDpc {
         // ---- Local density phase (Corollary 1) ----
         let start = Instant::now();
         let tree = KdTree::build_parallel(data, &executor);
-        // Bit-identical to the serial build at every thread count, so the
-        // whole fit stays deterministic across --threads.
-        let grid = Grid::build_parallel(data, side, &executor);
+        let grid = Grid::build(data, side);
         // One range count per cell, for its (deterministically) picked point:
         // the first point mapped into the cell, i.e. its smallest id. The
         // counts read the picks in packed order, so they are marked by id

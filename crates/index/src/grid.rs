@@ -20,20 +20,19 @@
 //! * **Open-addressing key table.** Key → cell-id probes go through a small
 //!   linear-probing table whose slots store only cell ids; comparisons read
 //!   the interned key buffer, so a lookup allocates nothing.
-//! * **One counting-sort build.** [`Grid::build_parallel`] shards the
-//!   key-assignment pass over contiguous point ranges (one splitmix64
-//!   linear-probing table per shard), merges the shard tables into the global
-//!   cell-id assignment in global first-appearance order, prefix-sums the
-//!   counts into `offsets`, and scatters the packed ids per cell range. Each
-//!   parallel pass is one [`Executor::map_dynamic`] over the shards or the
-//!   cell ranges, and each item fills its own part of the output in place.
-//!   [`Grid::build`] is the same build on one thread, and a dataset too small
-//!   to repay a spawn runs as one shard. The **determinism contract**,
-//!   pinned by the grid layout-identity test suite: the result is
-//!   **byte-for-byte identical** at every thread count — same interned key
-//!   buffer, key table, CSR `offsets`/packed ids and point→cell map, floats
-//!   compared by bit pattern ([`Grid::layout_eq`] is the bitwise
-//!   comparison).
+//! * **One counting-sort build.** [`Grid::build`] makes one pass over the
+//!   points in id order. It computes each point's key, interns a key when a
+//!   point first meets it, counts every cell's points and records the
+//!   point→cell map. A prefix sum turns the counts into `offsets`, and one
+//!   counting-sort scatter in point order fills `packed`. So cell ids follow
+//!   **first-appearance order** (cell `c`'s first point is below cell
+//!   `c + 1`'s), and every cell lists its points ascending. Approx-DPC's
+//!   smallest-cell-id rule and S-Approx-DPC's pick of each cell's first
+//!   point rest on that order; `tests/properties.rs` checks the whole layout
+//!   against a `HashMap` reference. The build runs on the calling thread. A
+//!   sharded build, one key table per worker, read no faster at 2 threads on
+//!   the benchmark's fit inputs: the shards met most cells again, and their
+//!   merge interned those keys a second time.
 //!
 //! The grid stores the point membership of every cell and the reverse mapping
 //! from point id to cell id. Algorithm-specific per-cell metadata (Approx-DPC's
@@ -43,8 +42,6 @@
 //! asks one kd-tree query per cell for the first denser cell of `N(c)`, and
 //! S-Approx-DPC lists `N(c)` only for local peaks, from one `d_cut` search.
 
-use std::sync::Mutex;
-
 use dpc_geometry::{Dataset, Rect};
 use dpc_parallel::Executor;
 
@@ -53,11 +50,6 @@ pub type CellId = usize;
 
 /// Empty slot marker of the open-addressing key table.
 const EMPTY: u32 = u32::MAX;
-
-/// Minimum dataset size before [`Grid::build_parallel`] shards the build:
-/// below this the scoped spawns cost more than the per-point hashing they
-/// hand out, so the build runs as one shard (bit-identical either way).
-const MIN_PARALLEL_POINTS: usize = 4096;
 
 /// Bucket-formation target of [`Grid::query_buckets`]: cells keep merging
 /// neighbours until a bucket covers at least this many points (a bucket
@@ -86,8 +78,7 @@ pub struct Grid {
     /// Interned cell keys: `dim` values per cell, in cell-id order.
     keys: Vec<i64>,
     /// CSR offsets: cell `c` covers `packed[offsets[c]..offsets[c + 1]]`.
-    /// `num_cells() + 1` entries once built — `[0]` for an empty dataset;
-    /// only the transient value inside `build`'s first pass is empty.
+    /// `num_cells() + 1` entries, `[0]` for an empty dataset.
     offsets: Vec<usize>,
     /// Point identifiers grouped by cell, ascending within each cell.
     packed: Vec<usize>,
@@ -143,10 +134,6 @@ fn probe_table(keys: &[i64], table: &[u32], dim: usize, key: &[i64]) -> Option<u
 /// Appends `key` to the flat `keys` buffer as the next cell id and inserts it
 /// into `table`, growing (and rehashing from the interned keys) when the load
 /// factor would exceed 3/4. Returns the new id.
-///
-/// The shard-local tables and their merge intern through this one function,
-/// so the growth schedule (and with it the final table bytes) depends only on
-/// the sequence of interned keys, never on who interned them.
 fn intern_key(keys: &mut Vec<i64>, table: &mut Vec<u32>, dim: usize, key: &[i64]) -> usize {
     let cid = keys.len() / dim;
     keys.extend_from_slice(key);
@@ -184,81 +171,16 @@ fn prefix_sum(counts: &[usize]) -> Vec<usize> {
     offsets
 }
 
-/// Cuts `buf` into consecutive parts of the given lengths, each behind its
-/// own lock, so every item of one [`Executor::map_dynamic`] fills its part in
-/// place. Each lock is taken once, by the one item that owns the part.
-fn locked_parts<T>(
-    mut buf: &mut [T],
-    lens: impl IntoIterator<Item = usize>,
-) -> Vec<Mutex<&mut [T]>> {
-    lens.into_iter()
-        .map(|len| {
-            let (part, rest) = std::mem::take(&mut buf).split_at_mut(len);
-            buf = rest;
-            Mutex::new(part)
-        })
-        .collect()
-}
-
-/// One shard of the key-assignment pass: the keys met in one contiguous point
-/// range, interned in shard-local first-appearance order.
-struct Shard {
-    /// Flat interned keys, `dim` values per local cell.
-    keys: Vec<i64>,
-    /// The shard's linear-probing table over `keys`.
-    table: Vec<u32>,
-    /// Members of each local cell within the shard's range.
-    counts: Vec<usize>,
-    /// Local cell id of every point of the range, in point order.
-    point_local: Vec<u32>,
-    /// Global index of the first point of each local cell (the point that
-    /// interned it). Feeds the global first-appearance table that lets the
-    /// scatter pass skip straight to each cell range's first point.
-    first_seen: Vec<usize>,
-}
-
 impl Grid {
-    /// Builds the grid for `data` with the given cell side length on one
-    /// thread: [`Grid::build_parallel`] on [`Executor::single`].
-    ///
-    /// # Panics
-    /// As [`Grid::build_parallel`].
-    pub fn build(data: &Dataset, side: f64) -> Self {
-        Self::build_parallel(data, side, &Executor::single())
-    }
-
-    /// Builds the grid for `data` on the executor's workers: the
-    /// key-assignment pass is sharded over contiguous point ranges, one shard
-    /// per worker with a local splitmix64 linear-probing table, the shard
-    /// tables are merged into the global cell-id assignment in global
-    /// first-appearance order, and the counting-sort scatter runs in parallel
-    /// per cell range. Each parallel pass is one [`Executor::map_dynamic`]
-    /// whose items fill disjoint parts of the output in place: every shard
-    /// its slice of the point→cell map, every cell range its packed span.
-    ///
-    /// The result is **byte-for-byte identical** at every thread count (see
-    /// [`Grid::layout_eq`]):
-    ///
-    /// * walking the shards in point order and each shard's local cells in
-    ///   local first-appearance order visits every distinct key exactly in
-    ///   the order one pass over the points first meets it, so interning the
-    ///   merged keys through the shared intern routine gives the same cell
-    ///   ids, flat key buffer and table bytes for any sharding;
-    /// * a contiguous cell range owns a contiguous span of `packed`, and each
-    ///   scatter task fills its span by one pass over the point→cell map in
-    ///   ascending point order, so every cell lists its points ascending.
-    ///
-    /// A single-threaded executor, or a dataset below a size threshold, runs
-    /// the same passes as one shard with zero spawns.
+    /// Builds the grid for `data` with the given cell side length: one pass
+    /// over the points in id order, then one counting sort (module docs).
     ///
     /// # Panics
     /// Panics if `side` is not strictly positive and finite, or if the data
     /// spans 2^53 cells or more on an axis ([`Grid::keys_fit`]).
-    pub fn build_parallel(data: &Dataset, side: f64, executor: &Executor) -> Self {
+    pub fn build(data: &Dataset, side: f64) -> Self {
         assert!(side.is_finite() && side > 0.0, "cell side must be positive and finite");
         let n = data.len();
-        let single = Executor::single();
-        let executor = if n < MIN_PARALLEL_POINTS { &single } else { executor };
         let dim = data.dim();
         // The origin is the dataset's bounding-box low corner.
         let origin = match data.bounding_rect() {
@@ -269,127 +191,46 @@ impl Grid {
             None => vec![0.0; dim],
         };
 
-        // Pass 1 (parallel, one shard per worker): shard the key assignment
-        // over contiguous point ranges; each shard resolves its points against
-        // its own local table.
-        let num_shards = executor.threads();
-        let mut shards: Vec<Shard> = executor.map_dynamic(num_shards, |s| {
-            let range = s * n / num_shards..(s + 1) * n / num_shards;
-            let mut keys: Vec<i64> = Vec::new();
-            let mut table: Vec<u32> = Vec::new();
-            let mut counts: Vec<usize> = Vec::new();
-            let mut point_local: Vec<u32> = Vec::with_capacity(range.len());
-            let mut first_seen: Vec<usize> = Vec::new();
-            let mut scratch: Vec<i64> = Vec::with_capacity(dim);
-            for p in range {
-                fill_key_into(data.point(p), &origin, side, &mut scratch);
-                let lid = match probe_table(&keys, &table, dim, &scratch) {
-                    Some(lid) => lid,
-                    None => {
-                        let lid = intern_key(&mut keys, &mut table, dim, &scratch);
-                        counts.push(0);
-                        first_seen.push(p);
-                        lid
-                    }
-                };
-                counts[lid] += 1;
-                point_local.push(lid as u32);
-            }
-            Shard { keys, table, counts, point_local, first_seen }
-        });
-
-        // Merge (serial, O(Σ distinct local cells of the later shards), not
-        // O(n)): intern the shard keys into the global table in global
-        // first-appearance order and accumulate the global counts. The first
-        // shard interned its keys into an empty table in exactly that order,
-        // so its keys, table, counts and first points are the global ones so
-        // far, and only the later shards' keys are interned again.
-        // `first_global[gid]` is the index of the first point of cell `gid` —
-        // shards are walked in point order, so the first shard that knows a
-        // key holds its global first appearance; cell ids are assigned in that
-        // same order, making `first_global` strictly increasing.
-        let first = &mut shards[0];
-        let mut keys = std::mem::take(&mut first.keys);
-        let mut table = std::mem::take(&mut first.table);
-        let mut counts = std::mem::take(&mut first.counts);
-        let mut first_global = std::mem::take(&mut first.first_seen);
-        let mut local_to_global: Vec<Vec<u32>> = vec![(0..counts.len() as u32).collect()];
-        for shard in &shards[1..] {
-            let mut map = Vec::with_capacity(shard.counts.len());
-            for (lid, &local_count) in shard.counts.iter().enumerate() {
-                let key = &shard.keys[lid * dim..(lid + 1) * dim];
-                let gid = match probe_table(&keys, &table, dim, key) {
-                    Some(gid) => gid,
-                    None => {
-                        let gid = intern_key(&mut keys, &mut table, dim, key);
-                        counts.push(0);
-                        first_global.push(shard.first_seen[lid]);
-                        gid
-                    }
-                };
-                counts[gid] += local_count;
-                map.push(gid as u32);
-            }
-            local_to_global.push(map);
+        let mut keys: Vec<i64> = Vec::new();
+        let mut table: Vec<u32> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut point_cell: Vec<CellId> = Vec::with_capacity(n);
+        let mut scratch: Vec<i64> = Vec::with_capacity(dim);
+        for p in 0..n {
+            fill_key_into(data.point(p), &origin, side, &mut scratch);
+            let cid = match probe_table(&keys, &table, dim, &scratch) {
+                Some(cid) => cid,
+                None => {
+                    counts.push(0);
+                    intern_key(&mut keys, &mut table, dim, &scratch)
+                }
+            };
+            counts[cid] += 1;
+            point_cell.push(cid);
         }
 
-        // Point→cell map (parallel): translate each shard's local ids through
-        // its merge map into the shard's part of the global array.
-        let mut point_cell = vec![0; n];
-        let parts = locked_parts(&mut point_cell, shards.iter().map(|s| s.point_local.len()));
-        executor.map_dynamic(shards.len(), |s| {
-            let map = &local_to_global[s];
-            let mut part = parts[s].lock().expect("only this item locks its part");
-            for (dst, &lid) in part.iter_mut().zip(&shards[s].point_local) {
-                *dst = map[lid as usize] as CellId;
-            }
-        });
-        drop(parts);
-
-        // Pass 2 (parallel): prefix-sum offsets, then scatter per cell range.
-        // The packed span of a contiguous cell range is itself contiguous, so
-        // every range fills its own part of `packed`; range boundaries are
-        // chosen on cell borders so the spans balance by point count. Each
-        // range scans only the point→cell slice that can contain its cells:
-        // cell ids follow first-appearance order, so every point before
-        // `first_global[lo]` belongs to a cell below `lo`, and the scan stops
-        // as soon as the range's span is full.
-        let num_cells = counts.len();
+        // Counting sort: `next[c]` is where cell `c`'s next point goes, and
+        // the points are placed in id order, so each cell lists them ascending.
         let offsets = prefix_sum(&counts);
-        let ranges = executor.threads().min(num_cells.max(1));
-        let mut bounds = Vec::with_capacity(ranges + 1);
-        bounds.push(0usize);
-        for r in 1..ranges {
-            let cell = offsets.partition_point(|&o| o < r * n / ranges).min(num_cells);
-            bounds.push(cell.max(*bounds.last().unwrap()));
-        }
-        bounds.push(num_cells);
+        let num_cells = counts.len();
+        let mut next = counts;
+        next.copy_from_slice(&offsets[..num_cells]);
         let mut packed = vec![0; n];
-        let spans =
-            locked_parts(&mut packed, bounds.windows(2).map(|w| offsets[w[1]] - offsets[w[0]]));
-        executor.map_dynamic(ranges, |r| {
-            let (lo, hi) = (bounds[r], bounds[r + 1]);
-            let mut span = spans[r].lock().expect("only this item locks its span");
-            let mut remaining = span.len();
-            if remaining == 0 {
-                return;
-            }
-            let base = offsets[lo];
-            let mut cursor: Vec<usize> = offsets[lo..hi].iter().map(|&o| o - base).collect();
-            for (p, &c) in point_cell.iter().enumerate().skip(first_global[lo]) {
-                if c < lo || c >= hi {
-                    continue;
-                }
-                span[cursor[c - lo]] = p;
-                cursor[c - lo] += 1;
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-            }
-        });
-        drop(spans);
+        for (p, &c) in point_cell.iter().enumerate() {
+            packed[next[c]] = p;
+            next[c] += 1;
+        }
         Self { dim, side, origin, keys, offsets, packed, table, point_cell }
+    }
+
+    /// [`Grid::build`] on the calling thread; `executor` is ignored.
+    /// Benchmark-only: `perfbench`'s traced replay calls it, and it goes once
+    /// that replay reads the fits' own timings.
+    ///
+    /// # Panics
+    /// As [`Grid::build`].
+    pub fn build_parallel(data: &Dataset, side: f64, _executor: &Executor) -> Self {
+        Self::build(data, side)
     }
 
     /// Whether a grid of cell side `side` over the box `bounds` keeps every
@@ -514,24 +355,6 @@ impl Grid {
         }
     }
 
-    /// Whether two grids have bit-identical layouts: same geometry (side and
-    /// origin compared by float bit pattern, so even a `-0.0` vs `0.0`
-    /// discrepancy fails), interned key buffer, key table, CSR
-    /// `offsets`/packed point ids, and point→cell map. This is the property
-    /// [`Grid::build_parallel`] guarantees at every thread count, and what
-    /// the grid layout-identity test suite asserts.
-    pub fn layout_eq(&self, other: &Self) -> bool {
-        self.dim == other.dim
-            && self.side.to_bits() == other.side.to_bits()
-            && self.origin.len() == other.origin.len()
-            && std::iter::zip(&self.origin, &other.origin).all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.keys == other.keys
-            && self.table == other.table
-            && self.offsets == other.offsets
-            && self.packed == other.packed
-            && self.point_cell == other.point_cell
-    }
-
     /// Groups the grid's cells into **query buckets** for the batched range
     /// engine (`dpc_index::batchq`): each bucket is a set of spatially
     /// adjacent cells whose points (or centres) form one bucket of query
@@ -551,10 +374,9 @@ impl Grid {
     /// wide) until the bucket reaches the target. Every cell lands in exactly
     /// one bucket.
     ///
-    /// The result depends only on the grid layout — which is byte-identical
-    /// at every thread count — so bucket order, and the within-bucket query
-    /// order derived from the CSR point order, are fixed inputs to the
-    /// deterministic batched traversals.
+    /// The result depends only on the grid layout, so bucket order, and the
+    /// within-bucket query order derived from the CSR point order, are fixed
+    /// inputs to the deterministic batched traversals.
     pub fn query_buckets(&self) -> QueryBuckets {
         let num_cells = self.num_cells();
         let mut assigned = vec![false; num_cells];
@@ -877,9 +699,8 @@ mod tests {
         }
     }
 
-    /// A dataset large enough to clear MIN_PARALLEL_POINTS, with `dim`
-    /// coordinates drawn uniformly from `[0, extent)`.
-    fn parallel_sized_dataset(n: usize, dim: usize, extent: f64, seed: u64) -> Dataset {
+    /// `n` points with `dim` coordinates drawn uniformly from `[0, extent)`.
+    fn uniform_dataset(n: usize, dim: usize, extent: f64, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ds = Dataset::new(dim);
         let mut row = vec![0.0f64; dim];
@@ -893,89 +714,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        use dpc_parallel::Executor;
-        let sets = [
-            // Many cells, forked shards.
-            (parallel_sized_dataset(6_000, 2, 100.0, 3), 4.0),
-            // 3-d, odd size (uneven shard splits at every thread count).
-            (parallel_sized_dataset(5_003, 3, 80.0, 4), 7.5),
-            // Every point in one cell.
-            (parallel_sized_dataset(5_000, 2, 5.0, 5), 1_000.0),
-            // Below the parallel threshold: one shard at every thread count.
-            (parallel_sized_dataset(500, 2, 100.0, 6), 4.0),
-        ];
-        for (i, (ds, side)) in sets.iter().enumerate() {
-            let serial = Grid::build(ds, *side);
-            for threads in [1usize, 2, 3, 4, 8] {
-                let par = Grid::build_parallel(ds, *side, &Executor::new(threads));
-                assert!(par.layout_eq(&serial), "set {i}, threads {threads}");
-                assert!(serial.layout_eq(&par), "set {i}, threads {threads} (symmetric)");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_answers_lookups_identically() {
-        use dpc_parallel::Executor;
-        let ds = parallel_sized_dataset(8_000, 2, 200.0, 9);
-        let grid = Grid::build_parallel(&ds, 6.0, &Executor::new(4));
-        let reference = Grid::build(&ds, 6.0);
-        for id in 0..ds.len() {
-            assert_eq!(grid.cell_of(id), reference.cell_of(id));
-        }
-        for c in grid.cell_ids() {
-            assert_eq!(grid.cell_by_key(grid.key(c)), Some(c));
-            assert_eq!(grid.points(c), reference.points(c));
-            assert_eq!(grid.neighbors_within(c, 1), reference.neighbors_within(c, 1));
-        }
-    }
-
-    #[test]
-    fn layout_eq_detects_differences() {
-        // Mirrors kdtree.rs::layout_eq_detects_differences: a mutated layout
-        // in any array — keys, packed ids, reverse map or geometry — must be
-        // detected.
-        let ds = parallel_sized_dataset(300, 2, 60.0, 11);
-        let grid = Grid::build(&ds, 4.0);
-        assert!(grid.layout_eq(&grid));
-
-        let other = Grid::build(&parallel_sized_dataset(300, 2, 60.0, 12), 4.0);
-        assert!(!grid.layout_eq(&other), "different dataset must differ");
-        let coarser = Grid::build(&ds, 9.0);
-        assert!(!grid.layout_eq(&coarser), "different side must differ");
-
-        let mut mutated = Grid::build(&ds, 4.0);
-        mutated.packed.swap(0, 1);
-        assert!(!grid.layout_eq(&mutated), "swapped packed ids must differ");
-
-        let mut mutated = Grid::build(&ds, 4.0);
-        mutated.keys[0] += 1;
-        assert!(!grid.layout_eq(&mutated), "mutated interned key must differ");
-
-        let mut mutated = Grid::build(&ds, 4.0);
-        let last = mutated.point_cell.len() - 1;
-        mutated.point_cell.swap(0, last);
-        assert!(!grid.layout_eq(&mutated), "permuted reverse map must differ");
-
-        // -0.0 vs 0.0 in the geometry is a bit difference, not an equality
-        // (the lattice dataset's origin is exactly 0.0).
-        let lattice = Grid::build(&square_dataset(), 10.0);
-        let mut mutated = Grid::build(&square_dataset(), 10.0);
-        mutated.origin[0] = -0.0;
-        assert_eq!(mutated.origin[0], lattice.origin[0]);
-        assert!(!lattice.layout_eq(&mutated), "-0.0 origin must differ bitwise");
-    }
-
-    #[test]
     fn query_buckets_partition_every_cell_exactly_once() {
         for (ds, side) in [
-            (parallel_sized_dataset(3_000, 2, 100.0, 21), 4.0),
-            (parallel_sized_dataset(2_000, 3, 60.0, 22), 5.0),
+            (uniform_dataset(3_000, 2, 100.0, 21), 4.0),
+            (uniform_dataset(2_000, 3, 60.0, 22), 5.0),
             // High-d: the consecutive-id merge path.
-            (parallel_sized_dataset(800, 8, 30.0, 23), 8.0),
+            (uniform_dataset(800, 8, 30.0, 23), 8.0),
             // One giant cell.
-            (parallel_sized_dataset(500, 2, 5.0, 24), 1_000.0),
+            (uniform_dataset(500, 2, 5.0, 24), 1_000.0),
         ] {
             let grid = Grid::build(&ds, side);
             let buckets = grid.query_buckets();

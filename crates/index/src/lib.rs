@@ -29,11 +29,10 @@
 //! * [`Grid`] — the uniform grid with cell side `d_cut/√d` (Approx-DPC) or
 //!   `ε·d_cut/√d` (S-Approx-DPC), which holds their cells, not their ρ
 //!   queries. Cells are created online, only for occupied regions, exactly as
-//!   §4.1 describes. Construction shards across worker threads, one
-//!   `map_dynamic` item per shard or cell range ([`Grid::build_parallel`]),
-//!   with a byte-for-byte identical CSR layout at every thread count (the
-//!   [`Grid::layout_eq`] contract). Cell keys are exact only while the data
-//!   spans fewer than 2^53 cells per axis ([`Grid::keys_fit`]).
+//!   §4.1 describes: [`Grid::build`] makes one pass over the points in id
+//!   order, so cell ids follow first appearance, then fills its CSR arrays
+//!   with one counting sort. Cell keys are exact only while the data spans
+//!   fewer than 2^53 cells per axis ([`Grid::keys_fit`]).
 //! * [`selfjoin`] — every point's closed-ball neighbour count, the ρ phase
 //!   of Ex-DPC and Approx-DPC, as one dual-tree self-join over the packed
 //!   tree ([`selfjoin::count_all_within`]): each pair of points within the

@@ -57,11 +57,13 @@
 //! `own(A)` and `pair(A, B)` calls whose nodes span at most
 //! `n / (8 · threads)` points (or are leaves, or contained). The tasks run on
 //! [`Executor::map_dynamic`]. Each counts into local arrays over its nodes'
-//! packed ranges and pushes its pending credits down before it returns; the
-//! caller adds the task rows into one `u32` array in packed order and maps
-//! it to point ids.
+//! packed ranges, pushes its pending credits down, and adds its counts into
+//! one shared `u32` array in packed order, under a lock it takes once as it
+//! ends. So only the running tasks' arrays are alive at a time. The caller
+//! maps the shared array to point ids.
 
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use dpc_geometry::batch;
 use dpc_geometry::distance::{max_dist_sq_rect_rect, min_dist_sq_rect_rect};
@@ -71,7 +73,7 @@ use crate::kdtree::{KdTree, PackedNode};
 
 /// Tasks per worker thread: the walk is cut into tasks whose nodes span at
 /// most `n / (TASKS_PER_THREAD · threads)` points. Between 4 and 64 the
-/// count time hardly moves; 8 keeps the task outputs a few `n` in size.
+/// count time hardly moves.
 const TASKS_PER_THREAD: usize = 8;
 
 /// The closed-ball count of every point of `tree`, itself left out, indexed
@@ -87,17 +89,23 @@ pub fn count_all_within(tree: &KdTree, radius: f64, executor: &Executor) -> Vec<
     let walk = Walk { tree, r_sq: radius * radius };
     let mut tasks = Vec::new();
     walk.plan_own(0, n / (TASKS_PER_THREAD * executor.threads()), &mut tasks);
-    let rows = executor.map_dynamic(tasks.len(), |t| walk.task(tasks[t]));
-    let mut packed = vec![0u32; n];
-    for (&task, row) in tasks.iter().zip(&rows) {
-        let [a, b] = walk.ranges(task);
+    let packed = Mutex::new(vec![0u32; n]);
+    executor.map_dynamic(tasks.len(), |t| {
+        let row = walk.task(tasks[t]);
+        let [a, b] = walk.ranges(tasks[t]);
         let (row_a, row_b) = row.split_at(a.len());
+        // A task that panics while it holds the lock poisons it. The other
+        // tasks recover the lock and go on, so the executor resumes that
+        // panic's payload, not a secondhand one about the poisoned lock; the
+        // totals are then never read.
+        let mut packed = packed.lock().unwrap_or_else(PoisonError::into_inner);
         for (range, row) in [(a, row_a), (b, row_b)] {
             for (total, &count) in packed[range].iter_mut().zip(row) {
                 *total += count;
             }
         }
-    }
+    });
+    let packed = packed.into_inner().expect("map_dynamic resumes a task's panic before it returns");
     for (&id, &count) in tree.ids().iter().zip(&packed) {
         counts[id as usize] = count as usize;
     }

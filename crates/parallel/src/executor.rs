@@ -210,8 +210,6 @@ mod tests {
 
     #[test]
     fn map_dynamic_preserves_index_order() {
-        // Fewer items than workers (1, 2 and 3 at 2 and 8 threads) is the
-        // shape of the grid build's shard and scatter passes.
         let cases = [(1, 257), (3, 257), (8, 257), (2, 1), (2, 2), (2, 3), (8, 1), (8, 2), (8, 3)];
         for (threads, n) in cases {
             let ex = Executor::new(threads);

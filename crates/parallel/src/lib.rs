@@ -8,11 +8,9 @@
 //!   by Ex-DPC's local-density phase (§3): an idle worker repeatedly claims
 //!   the next unprocessed item, so expensive items (dense regions) do not
 //!   serialise behind a static split. Every algorithm's ρ, δ and per-cell
-//!   phases schedule this way, and so do the passes of the grid build in
-//!   `dpc-index`, whose items are one shard or one cell range per worker.
-//!   Dynamic claims balance every phase without a cost model, so the
-//!   cost-based (LPT) partitioning the paper gives Approx-DPC (§4.5) is not
-//!   needed.
+//!   phases schedule this way. Dynamic claims balance every phase without a
+//!   cost model, so the cost-based (LPT) partitioning the paper gives
+//!   Approx-DPC (§4.5) is not needed.
 //! * **Fork-join** ([`Executor::join`]) — two independent closures run as a
 //!   scoped task pair, which gives divide-and-conquer callers (the parallel
 //!   packed kd-tree build in `dpc-index`) depth-limited nested parallelism

@@ -61,15 +61,15 @@ fn extract_equals_monolithic_run_across_a_threshold_grid() {
 }
 
 /// The paper's thread sweeps (fig. 9) are only meaningful end to end if a fit
-/// is deterministic in `--threads`. With the kd-tree (PR 3) and the CSR grid
-/// (this PR) both built by bit-identical parallel construction, the whole
+/// is deterministic in `--threads`. With the kd-tree built by bit-identical
+/// parallel construction and the ρ and δ phases split into tasks, the whole
 /// fitted model — every ρ, every δ, and every dependency chain — must be
 /// identical at 1 and 4 threads for both grid-based algorithms.
 #[test]
 fn approximate_fits_are_identical_across_thread_counts() {
     type FitAtThreads<'a> = Box<dyn Fn(usize) -> DpcModel + 'a>;
-    // Above the parallel grid-build threshold (4,096 points), so the sharded
-    // key assignment and per-cell-range scatter actually run at 4 threads.
+    // Above the kd-tree's fork threshold (1,024 points), so its build forks
+    // at 4 threads.
     let data = random_walk(6_000, 3, 1e4, 29);
     let dcut = 80.0;
     let fits: Vec<(&str, FitAtThreads)> = vec![

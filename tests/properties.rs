@@ -210,7 +210,10 @@ fn parallel_kdtree_build_is_bit_identical_across_thread_counts() {
 
 /// Asserts that `grid` agrees, cell for cell and point for point, with a
 /// plain `HashMap<key, Vec<point>>` reference layout (what the previous
-/// implementation stored directly), including the neighbour enumeration.
+/// implementation stored directly), including the neighbour enumeration, and
+/// that its cell ids follow first appearance: each cell's first point
+/// ascends with its id. Approx-DPC's smallest-cell-id rule and S-Approx-DPC's
+/// picked points (each cell's first point) rest on that order.
 fn assert_grid_matches_hashmap_reference(grid: &Grid, ds: &Dataset, side: f64, ctx: &str) {
     use std::collections::{HashMap, HashSet};
     let dim = ds.dim();
@@ -238,10 +241,17 @@ fn assert_grid_matches_hashmap_reference(grid: &Grid, ds: &Dataset, side: f64, c
         }
         assert_eq!(grid.cell_by_key(&key), Some(cell), "{ctx}");
     }
+    for cell in 1..grid.num_cells() {
+        let (prev, first) = (grid.points(cell - 1)[0], grid.points(cell)[0]);
+        assert!(prev < first, "{ctx}: cell {cell} first appears at {first}, before {prev}");
+    }
 
-    // Neighbour sets match the reference for a couple of radii.
+    // Neighbour sets match the reference for a couple of radii, on every
+    // cell of a grid of up to 512 cells and on an even spread of at most 512
+    // cells of a larger one (the reference scans every key per cell).
+    let step = grid.num_cells().div_ceil(512).max(1);
     for chebyshev in [1i64, 2] {
-        for cell in grid.cell_ids() {
+        for cell in grid.cell_ids().step_by(step) {
             let key = grid.key(cell);
             let got: HashSet<usize> = grid.neighbors_within(cell, chebyshev).into_iter().collect();
             let want: HashSet<usize> = reference
@@ -257,13 +267,11 @@ fn assert_grid_matches_hashmap_reference(grid: &Grid, ds: &Dataset, side: f64, c
     }
 }
 
-/// The CSR grid must match the `HashMap` reference — and since PR 5, the
-/// fork-join parallel build must satisfy the same contract (it is
-/// `layout_eq`-identical to the serial build, so running the suite against it
-/// re-validates the whole reference behaviour on the parallel path).
+/// The CSR grid must match the `HashMap` reference: on small random 2-d
+/// inputs, and on inputs of 4,096 points and more in 2-d and 3-d — uniform,
+/// duplicate-heavy (lattice-snapped), collinear, and all points in one cell.
 #[test]
 fn csr_grid_matches_hashmap_reference_layout() {
-    use fast_dpc::parallel::Executor;
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xC990 + seed);
         // Alternate uniform and duplicate-heavy (lattice-snapped) datasets.
@@ -271,93 +279,39 @@ fn csr_grid_matches_hashmap_reference_layout() {
         let n = rng.gen_range(50..400);
         let ds = random_dataset_nd(&mut rng, n, 2, snap);
         let side = rng.gen_range(0.5..25.0);
-        let serial = Grid::build(&ds, side);
-        assert_grid_matches_hashmap_reference(&serial, &ds, side, &format!("seed {seed} serial"));
-        let parallel = Grid::build_parallel(&ds, side, &Executor::new(4));
-        assert_grid_matches_hashmap_reference(
-            &parallel,
-            &ds,
-            side,
-            &format!("seed {seed} parallel"),
-        );
-        assert!(parallel.layout_eq(&serial), "seed {seed}");
+        let grid = Grid::build(&ds, side);
+        assert_grid_matches_hashmap_reference(&grid, &ds, side, &format!("seed {seed}"));
     }
-    // Datasets above the parallel-build threshold, so the sharded
-    // key-assignment and per-cell-range scatter machinery itself (not the
-    // serial fallback) is held to the reference contract.
-    for seed in 0..2u64 {
-        let mut rng = StdRng::seed_from_u64(0xC9B0 + seed);
-        let n = rng.gen_range(4_500..6_000);
-        let ds = random_dataset_nd(&mut rng, n, 2, seed == 1);
-        let side = rng.gen_range(5.0..25.0);
-        for threads in [2usize, 8] {
-            let grid = Grid::build_parallel(&ds, side, &Executor::new(threads));
-            assert_grid_matches_hashmap_reference(
-                &grid,
-                &ds,
-                side,
-                &format!("seed {seed} threads {threads} (forked)"),
-            );
-        }
-    }
-}
-
-/// The parallel CSR grid build must be bit-identical — same interned keys,
-/// key table, offsets, packed ids, coordinate rows and point→cell map — to
-/// the serial build at every thread count, on every degenerate data shape:
-/// uniform, duplicate-heavy, collinear and all-points-in-one-cell, in 2-d,
-/// 3-d and 8-d. This is the contract that lets the Approx-DPC and
-/// S-Approx-DPC fit paths adopt the parallel build without any behavioural
-/// change.
-#[test]
-fn parallel_grid_build_is_bit_identical_across_thread_counts() {
-    use fast_dpc::parallel::Executor;
-    for &dim in &[2usize, 3, 8] {
-        for seed in 0..3u64 {
-            let mut rng = StdRng::seed_from_u64(0xC9D0 + seed * 97 + dim as u64);
-            // All sizes straddle the parallel threshold (4096 points) from
-            // above so the sharded path actually runs.
-            let n = rng.gen_range(4_200..5_500);
-            let uniform = random_dataset_nd(&mut rng, n, dim, false);
-            let duplicate_heavy = random_dataset_nd(&mut rng, n, dim, true);
-            let collinear = {
-                // x varies over a coarse lattice (repeats included), every
-                // other axis is constant: all keys differ in one lane only.
-                let mut ds = Dataset::new(dim);
-                let mut row = vec![5.0f64; dim];
-                for _ in 0..n {
-                    row[0] = rng.gen_range(0..60) as f64;
-                    ds.push(&row);
-                }
-                ds
-            };
-            let shapes =
-                [("uniform", uniform), ("duplicates", duplicate_heavy), ("collinear", collinear)];
-            for (shape, ds) in &shapes {
-                for side in [2.5f64, 11.0] {
-                    let serial = Grid::build(ds, side);
-                    for threads in [1usize, 2, 4, 8] {
-                        let parallel = Grid::build_parallel(ds, side, &Executor::new(threads));
-                        assert!(
-                            parallel.layout_eq(&serial),
-                            "dim {dim} seed {seed} {shape} side {side}: \
-                             {threads}-thread grid build differs from serial"
-                        );
-                    }
-                }
+    for dim in [2usize, 3] {
+        let mut rng = StdRng::seed_from_u64(0xC9D0 + dim as u64);
+        let n = rng.gen_range(4_096..5_500);
+        let uniform = random_dataset_nd(&mut rng, n, dim, false);
+        let duplicate_heavy = random_dataset_nd(&mut rng, n, dim, true);
+        let collinear = {
+            // x varies over a coarse lattice (repeats included), every other
+            // axis is constant: all keys differ in one lane only.
+            let mut ds = Dataset::new(dim);
+            let mut row = vec![5.0f64; dim];
+            for _ in 0..n {
+                row[0] = rng.gen_range(0..60) as f64;
+                ds.push(&row);
             }
-            // All points in one cell: a side wider than the data extent.
-            let (shape, ds) = &shapes[0];
-            let serial = Grid::build(ds, 10_000.0);
-            assert_eq!(serial.num_cells(), 1);
-            for threads in [1usize, 2, 4, 8] {
-                let parallel = Grid::build_parallel(ds, 10_000.0, &Executor::new(threads));
-                assert!(
-                    parallel.layout_eq(&serial),
-                    "dim {dim} seed {seed} {shape} one-cell: {threads}-thread build differs"
-                );
+            ds
+        };
+        let shapes =
+            [("uniform", uniform), ("duplicates", duplicate_heavy), ("collinear", collinear)];
+        for (shape, ds) in &shapes {
+            for side in [2.5f64, 11.0] {
+                let grid = Grid::build(ds, side);
+                let ctx = format!("{dim}-d {shape}, side {side}");
+                assert_grid_matches_hashmap_reference(&grid, ds, side, &ctx);
             }
         }
+        // All points in one cell: a side wider than the data extent.
+        let (_, ds) = &shapes[0];
+        let grid = Grid::build(ds, 10_000.0);
+        assert_eq!(grid.num_cells(), 1);
+        assert_grid_matches_hashmap_reference(&grid, ds, 10_000.0, &format!("{dim}-d one cell"));
     }
 }
 
