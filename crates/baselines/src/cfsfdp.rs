@@ -206,9 +206,10 @@ mod tests {
         let data = uniform(400, 2, 100.0, 19);
         let params = DpcParams::new(9.0);
         let thresholds = Thresholds::new(2.0, 30.0).unwrap();
-        let a = CfsfdpA::new(params).run(&data, &thresholds).unwrap();
-        let b = ExDpc::new(params).run(&data, &thresholds).unwrap();
-        assert_eq!(a.rho, b.rho);
+        let a = CfsfdpA::new(params).fit(&data).unwrap();
+        let b = ExDpc::new(params).fit(&data).unwrap();
+        assert_eq!(a.rho(), b.rho());
+        let (a, b) = (a.extract(&thresholds), b.extract(&thresholds));
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.assignment, b.assignment);
     }

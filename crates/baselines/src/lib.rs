@@ -13,9 +13,9 @@
 //!   the paper does because CFSFDP-A's own dependent phase is `Ω(n²)`.
 //! * [`Dbscan`] — used for the cluster-quality comparison of Figure 2.
 //!
-//! All DPC baselines implement [`dpc_core::DpcAlgorithm`], produce the same
-//! [`dpc_core::Clustering`] structure, and share the tie-breaking jitter of the
-//! core crate, so their outputs are directly comparable.
+//! All DPC baselines implement [`dpc_core::DpcAlgorithm`], fit the same
+//! [`dpc_core::DpcModel`], and share the tie-breaking jitter of the core
+//! crate, so their outputs are directly comparable.
 
 #![forbid(unsafe_code)]
 

@@ -82,9 +82,10 @@ mod tests {
         let data = uniform(350, 3, 80.0, 44);
         let params = DpcParams::new(8.0);
         let thresholds = Thresholds::new(1.0, 20.0).unwrap();
-        let a = RtreeScan::new(params).run(&data, &thresholds).unwrap();
-        let b = ExDpc::new(params).run(&data, &thresholds).unwrap();
-        assert_eq!(a.rho, b.rho);
+        let a = RtreeScan::new(params).fit(&data).unwrap();
+        let b = ExDpc::new(params).fit(&data).unwrap();
+        assert_eq!(a.rho(), b.rho());
+        let (a, b) = (a.extract(&thresholds), b.extract(&thresholds));
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.assignment, b.assignment);
     }

@@ -115,17 +115,18 @@ mod tests {
         let data = uniform(400, 2, 100.0, 12);
         let params = DpcParams::new(7.0);
         let thresholds = Thresholds::new(2.0, 25.0).unwrap();
-        let scan = Scan::new(params).run(&data, &thresholds).unwrap();
-        let ex = ExDpc::new(params).run(&data, &thresholds).unwrap();
-        assert_eq!(scan.rho, ex.rho);
+        let scan = Scan::new(params).fit(&data).unwrap();
+        let ex = ExDpc::new(params).fit(&data).unwrap();
+        assert_eq!(scan.rho(), ex.rho());
         for i in 0..data.len() {
-            let a = scan.delta[i];
-            let b = ex.delta[i];
+            let a = scan.delta()[i];
+            let b = ex.delta()[i];
             assert!(
                 (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),
                 "δ mismatch at {i}: {a} vs {b}"
             );
         }
+        let (scan, ex) = (scan.extract(&thresholds), ex.extract(&thresholds));
         assert_eq!(scan.centers, ex.centers);
         assert_eq!(scan.assignment, ex.assignment);
     }

@@ -422,12 +422,12 @@ mod tests {
         let data = random_walk(3_000, 5, 1e4, 4);
         let params = DpcParams::new(80.0);
         let thresholds = Thresholds::new(3.0, 300.0).unwrap();
-        let seq = ApproxDpc::new(params.with_threads(1)).run(&data, &thresholds).unwrap();
-        let par = ApproxDpc::new(params.with_threads(4)).run(&data, &thresholds).unwrap();
-        assert_eq!(seq.rho, par.rho);
-        assert_eq!(seq.delta, par.delta);
-        assert_eq!(seq.dependent, par.dependent);
-        assert_eq!(seq.assignment, par.assignment);
+        let seq = ApproxDpc::new(params.with_threads(1)).fit(&data).unwrap();
+        let par = ApproxDpc::new(params.with_threads(4)).fit(&data).unwrap();
+        assert_eq!(seq.rho(), par.rho());
+        assert_eq!(seq.delta(), par.delta());
+        assert_eq!(seq.dependent(), par.dependent());
+        assert_eq!(seq.extract(&thresholds).assignment, par.extract(&thresholds).assignment);
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! pass, so they are supplied per call to [`DpcModel::extract`]. This is
 //! exactly how analysts use DPC interactively — compute the decision graph
 //! once, then sweep thresholds — and it makes each re-thresholding essentially
-//! free:
+//! free. The model owns the per-point `ρ`, `δ` and dependents, and an
+//! extraction copies none of them: its [`Clustering`] holds only what the
+//! thresholds decide, the centres and every point's label, with the timings.
+//! Read `ρ`, `δ` and the decision graph from the model:
 //!
 //! ```
 //! use dpc_core::{DpcAlgorithm, DpcParams, ExDpc, Thresholds};
@@ -26,6 +29,7 @@
 //! let data = Dataset::from_flat(2, vec![0.0, 0.0, 0.1, 0.0, 9.0, 9.0, 9.1, 9.0]);
 //! // fit: the expensive ρ/δ phases, fallible instead of panicking.
 //! let model = ExDpc::new(DpcParams::new(0.5)).fit(&data)?;
+//! assert_eq!(model.decision_graph().len(), 4); // one (ρ, δ) per point
 //! // extract: O(n) relabel — sweep thresholds without refitting.
 //! let loose = model.extract(&Thresholds::new(0.0, 1.0)?);
 //! let strict = model.extract(&Thresholds::new(0.0, 50.0)?);

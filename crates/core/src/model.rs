@@ -41,8 +41,14 @@ impl DpcModel {
     /// Assembles a model from the per-point quantities computed by an
     /// algorithm's fit phase. Sorts the density order once.
     ///
-    /// Returns [`DpcError::DimensionMismatch`] when the arrays disagree in
-    /// length — they could not describe the same dataset.
+    /// A dependent need not be denser than its point (that is what
+    /// [`DpcModel::from_saved_parts`] checks), but it must be a point of the
+    /// model, or [`extract`](DpcModel::extract) could not label through it.
+    ///
+    /// # Errors
+    /// [`DpcError::DimensionMismatch`] when the arrays disagree in length —
+    /// they could not describe the same dataset; [`DpcError::InvalidParams`]
+    /// when a dependent identifier is not below the point count.
     pub fn from_parts(
         algorithm: &'static str,
         dcut: f64,
@@ -65,6 +71,13 @@ impl DpcModel {
                 what: "dependent",
                 expected: n,
                 got: dependent.len(),
+            });
+        }
+        if let Some(&q) = dependent.iter().find(|&&q| q >= n) {
+            return Err(DpcError::InvalidParams {
+                param: "dependent",
+                value: q as f64,
+                requirement: "dependent point identifiers must be below the point count",
             });
         }
         let order = descending_density_order(&rho);
@@ -262,22 +275,15 @@ impl DpcModel {
     /// Selects centres and propagates labels for one threshold choice: a pure
     /// `O(n)` pass over the frozen `ρ`/`δ` arrays — no index is rebuilt, no
     /// density or dependent point is recomputed, and the density order is the
-    /// one precomputed at model construction.
+    /// one precomputed at model construction. The [`Clustering`] holds only
+    /// what the thresholds decide; `ρ`, `δ` and the dependents stay here.
     pub fn extract(&self, thresholds: &Thresholds) -> Clustering {
         let start = Instant::now();
         let (centers, assignment) =
             select_and_assign(thresholds, &self.rho, &self.delta, &self.dependent, &self.order);
         let mut timings = self.fit_timings;
         timings.assign_secs = start.elapsed().as_secs_f64();
-        Clustering {
-            rho: self.rho.clone(),
-            delta: self.delta.clone(),
-            dependent: self.dependent.clone(),
-            centers,
-            assignment,
-            timings,
-            index_bytes: self.index_bytes,
-        }
+        Clustering { centers, assignment, timings }
     }
 }
 
@@ -383,8 +389,7 @@ mod tests {
         let c = m.extract(&t);
         assert_eq!(c.centers, vec![0, 4]);
         assert_eq!(c.assignment, vec![0, 0, 0, crate::NOISE, 1, crate::NOISE]);
-        assert_eq!(c.rho, m.rho());
-        assert_eq!(c.index_bytes, 77);
+        assert_eq!(m.index_bytes(), 77);
         assert!((c.timings.rho_secs - 0.1).abs() < 1e-12);
         assert!(c.timings.assign_secs >= 0.0);
     }
@@ -431,6 +436,31 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DpcError::DimensionMismatch { what: "dependent", .. }), "{err:?}");
+    }
+
+    /// A dependent outside the model is a typed error, not a model whose
+    /// `extract` indexes out of bounds.
+    #[test]
+    fn from_parts_rejects_an_out_of_range_dependent() {
+        let build = |dependent: Vec<usize>| {
+            DpcModel::from_parts(
+                "toy",
+                1.0,
+                vec![1.0, 2.0],
+                vec![1.0, f64::INFINITY],
+                dependent,
+                Timings::default(),
+                0,
+            )
+        };
+        let err = build(vec![5, 1]).unwrap_err();
+        assert!(
+            matches!(err, DpcError::InvalidParams { param: "dependent", value, .. } if value == 5.0),
+            "{err:?}"
+        );
+        assert!(matches!(build(vec![1, 2]), Err(DpcError::InvalidParams { .. })));
+        let m = build(vec![1, 1]).unwrap();
+        assert_eq!(m.extract(&Thresholds::new(0.0, 0.5).unwrap()).len(), 2);
     }
 
     #[test]

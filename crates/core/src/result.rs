@@ -22,28 +22,19 @@ impl Timings {
     }
 }
 
-/// The full output of a DPC run.
+/// What one threshold choice decides: the selected centres and every
+/// point's label. The per-point `ρ`, `δ` and dependents stay with the
+/// [`DpcModel`](crate::DpcModel) they were extracted from, which owns them
+/// once, so an extraction copies none of them.
 #[derive(Clone, Debug)]
 pub struct Clustering {
-    /// Local density `ρ_i` of every point (integer count plus the deterministic
-    /// tie-breaking jitter in `(0, 1)`).
-    pub rho: Vec<f64>,
-    /// Dependent distance `δ_i` of every point. The globally densest point has
-    /// `δ = ∞`; approximation algorithms may report `d_cut` for points whose
-    /// dependent point was approximated (§4.3).
-    pub delta: Vec<f64>,
-    /// Dependent point `q_i` of every point; cluster centres and the globally
-    /// densest point depend on themselves.
-    pub dependent: Vec<usize>,
     /// Identifiers of the selected cluster centres, in ascending order of id.
     pub centers: Vec<usize>,
     /// Per-point cluster label (`0..centers.len()`), or [`NOISE`].
     pub assignment: Vec<i64>,
-    /// Wall-clock phase breakdown.
+    /// Wall-clock phase breakdown: the model's fit timings plus this
+    /// extraction's `assign_secs`.
     pub timings: Timings,
-    /// Approximate heap bytes used by the index structures the algorithm built
-    /// (kd-trees, grids, hash tables). Reported in Table 7.
-    pub index_bytes: usize,
 }
 
 impl Clustering {
@@ -80,11 +71,6 @@ impl Clustering {
             .filter(|(_, &l)| l == cluster as i64)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Builds the decision graph (the `⟨ρ_i, δ_i⟩` scatter of Figure 1).
-    pub fn decision_graph(&self) -> DecisionGraph {
-        DecisionGraph { points: self.rho.iter().copied().zip(self.delta.iter().copied()).collect() }
     }
 }
 
@@ -157,14 +143,24 @@ mod tests {
 
     fn sample_clustering() -> Clustering {
         Clustering {
-            rho: vec![5.2, 3.1, 9.7, 0.4, 4.5],
-            delta: vec![2.0, 1.0, f64::INFINITY, 0.5, 10.0],
-            dependent: vec![2, 0, 2, 1, 4],
             centers: vec![2, 4],
             assignment: vec![0, 0, 0, NOISE, 1],
             timings: Timings { rho_secs: 1.0, delta_secs: 2.0, assign_secs: 0.5 },
-            index_bytes: 1024,
         }
+    }
+
+    /// A model over the five points of [`sample_clustering`].
+    fn sample_model() -> crate::DpcModel {
+        crate::DpcModel::from_parts(
+            "sample",
+            1.0,
+            vec![5.2, 3.1, 9.7, 0.4, 4.5],
+            vec![2.0, 1.0, f64::INFINITY, 0.5, 10.0],
+            vec![2, 0, 2, 1, 4],
+            Timings { rho_secs: 1.0, delta_secs: 2.0, assign_secs: 0.0 },
+            1024,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -182,8 +178,7 @@ mod tests {
 
     #[test]
     fn decision_graph_round_trip() {
-        let c = sample_clustering();
-        let g = c.decision_graph();
+        let g = sample_model().decision_graph();
         assert_eq!(g.len(), 5);
         assert_eq!(g.points[2], (9.7, f64::INFINITY));
     }
@@ -227,8 +222,7 @@ mod tests {
 
     #[test]
     fn by_decreasing_delta_sorted() {
-        let c = sample_clustering();
-        let rows = c.decision_graph().by_decreasing_delta();
+        let rows = sample_model().decision_graph().by_decreasing_delta();
         assert_eq!(rows[0].0, 2); // infinite δ first
         assert_eq!(rows[1].0, 4);
         for w in rows.windows(2) {

@@ -46,16 +46,18 @@
 //! linearly scanned buffer of the later arrivals. Slots are renumbered in
 //! arrival order at each rebuild, so a tree id is a slot, and a freed slot
 //! is never reused while the tree still indexes it: a removed tree point
-//! stays in the tree, keyed `-∞`. Two [`MaxKeys`] key the tree — ρ, and each
-//! point's reach `(δ + d_cut)·(1 + 1e-9)` — and [`MaxKeys::set`] keeps both
-//! exact as ρ and δ move. The engine rebuilds once the buffer plus the
-//! removed tree points pass a sixteenth of the live window, and at every
-//! indexed export ([`StreamingDpc::to_indexed_parts`]) that finds updates
-//! pending. Each rebuild is one [`KdTree::build_parallel`] on `params.threads`
-//! workers. The tree sits behind an `Arc` and is never changed in place:
-//! updates move only the engine's keys, and a rebuild replaces the tree. So
-//! an exported tree can serve a published snapshot while the engine streams
-//! on.
+//! stays in the tree, keyed `-∞`. The engine holds coordinate rows of its
+//! own only for the buffer: a tree slot's row is the tree's packed row,
+//! read through [`KdTree::point`], so each point's coordinates are stored
+//! once. Two [`MaxKeys`] key the tree — ρ, and each point's reach
+//! `(δ + d_cut)·(1 + 1e-9)` — and [`MaxKeys::set`] keeps both exact as ρ and
+//! δ move. The engine rebuilds once the buffer plus the removed tree points
+//! pass a sixteenth of the live window, and at every indexed export
+//! ([`StreamingDpc::to_indexed_parts`]) that finds updates pending. Each
+//! rebuild is one [`KdTree::build_parallel`] on `params.threads` workers.
+//! The tree sits behind an `Arc` and is never changed in place: updates move
+//! only the engine's keys, and a rebuild replaces the tree. So an exported
+//! tree can serve a published snapshot while the engine streams on.
 //!
 //! **Case-3 candidates, by place.**
 //!
@@ -185,8 +187,9 @@ pub struct StreamingDpc {
     params: DpcParams,
     // ---- per-slot state. Slots follow arrival order: an arrival takes the
     // next slot, and a rebuild renumbers the live points `0..live` in order.
-    /// Coordinate rows, one per slot.
-    rows: Dataset,
+    /// Coordinate rows of the insert buffer: row `b` is slot `tree.len() + b`.
+    /// The tree slots' rows are the tree's own packed rows.
+    buffer_rows: Dataset,
     /// Stable external id of each slot, increasing with the slot.
     stable: Vec<u64>,
     /// Integer `d_cut`-ball count (excluding the point itself).
@@ -244,7 +247,7 @@ impl StreamingDpc {
         Ok(Self {
             dim,
             params,
-            rows: Dataset::new(dim),
+            buffer_rows: Dataset::new(dim),
             stable: Vec::new(),
             count: Vec::new(),
             rho: Vec::new(),
@@ -324,9 +327,23 @@ impl StreamingDpc {
         self.alive[slot].then_some(slot as u32)
     }
 
+    /// Slot `slot`'s coordinates: the tree's packed row for a tree slot,
+    /// the buffer's row after them.
     #[inline]
     fn row(&self, slot: usize) -> &[f64] {
-        self.rows.point(slot)
+        match slot.checked_sub(self.tree.len()) {
+            Some(b) => self.buffer_rows.point(b),
+            None => self.tree.point(slot),
+        }
+    }
+
+    /// The rows of `slots`, in order, as a dataset.
+    fn gather_rows(&self, slots: &[usize]) -> Dataset {
+        let mut out = Dataset::with_capacity(self.dim, slots.len());
+        for &s in slots {
+            out.push(self.row(s));
+        }
+        out
     }
 
     /// The insert buffer: the slots after the tree's.
@@ -695,7 +712,7 @@ impl StreamingDpc {
     /// `count`, its ρ jittered and no dependent yet.
     fn push_slot(&mut self, id: u64, point: &[f64], count: usize) -> u32 {
         let slot = self.stable.len() as u32;
-        self.rows.push(point);
+        self.buffer_rows.push(point);
         self.stable.push(id);
         self.count.push(count);
         self.rho.push(jittered_density_keyed(count, id, self.params.jitter_seed));
@@ -724,15 +741,18 @@ impl StreamingDpc {
 
     /// Renumbers the live slots `0..live` in arrival order and builds the
     /// tree (on `params.threads` workers) and its keys over them; the buffer
-    /// and the tombstones empty.
-    fn rebuild(&mut self) {
+    /// and the tombstones empty. Returns the live rows in the new slot order,
+    /// gathered for the build: the engine keeps no copy of them.
+    fn rebuild(&mut self) -> Dataset {
         self.counters.rebuilds += 1;
         let keep: Vec<usize> = (0..self.stable.len()).filter(|&s| self.alive[s]).collect();
         let mut new_slot = vec![u32::MAX; self.stable.len()];
         for (new, &old) in keep.iter().enumerate() {
             new_slot[old] = new as u32;
         }
-        self.rows = self.rows.select(&keep);
+        let rows = self.gather_rows(&keep);
+        let tree = KdTree::build_parallel(&rows, &Executor::new(self.params.threads));
+        self.buffer_rows = Dataset::new(self.dim);
         self.stable = keep.iter().map(|&s| self.stable[s]).collect();
         self.count = keep.iter().map(|&s| self.count[s]).collect();
         self.rho = keep.iter().map(|&s| self.rho[s]).collect();
@@ -748,8 +768,8 @@ impl StreamingDpc {
                 list
             })
             .collect();
-        let executor = Executor::new(self.params.threads);
-        self.install(KdTree::build_parallel(&self.rows, &executor));
+        self.install(tree);
+        rows
     }
 
     /// Makes `tree`, built over every slot (all live), the index, keyed by
@@ -775,8 +795,10 @@ impl StreamingDpc {
     /// The kept points take one [`ExDpc::fit_keyed`] at `params.threads`,
     /// keyed by their stable ids; the engine's counts, ρ, δ and dependents
     /// come from it, the fit's tree becomes the engine's index, and the
-    /// reverse-dependent lists follow from the dependents. An empty `data`
-    /// loads nothing. The counters are not touched.
+    /// reverse-dependent lists follow from the dependents. The fit's input
+    /// is dropped once that tree holds its rows, so the loaded engine keeps
+    /// no coordinates besides the tree's. An empty `data` loads nothing. The
+    /// counters are not touched.
     ///
     /// # Errors
     /// [`DpcError::InvalidParams`] when the engine has taken a point before,
@@ -828,7 +850,6 @@ impl StreamingDpc {
                 self.children[d as usize].push(y as u32);
             }
         }
-        self.rows = kept;
         self.count = counts;
         self.rho = model.rho().to_vec();
         self.live = m;
@@ -851,6 +872,12 @@ impl StreamingDpc {
     ///
     /// Returns [`DpcError::EmptyDataset`] when the window is empty.
     pub fn to_parts(&self) -> Result<(Dataset, Vec<u64>, DpcModel), DpcError> {
+        self.export(None)
+    }
+
+    /// [`StreamingDpc::to_parts`], with `rows` as the exported dataset when
+    /// the caller holds the live rows in arrival order already.
+    fn export(&self, rows: Option<Dataset>) -> Result<(Dataset, Vec<u64>, DpcModel), DpcError> {
         if self.live == 0 {
             return Err(DpcError::EmptyDataset);
         }
@@ -876,18 +903,19 @@ impl StreamingDpc {
             Timings::default(),
             self.live * per_point,
         )?;
-        Ok((self.rows.select(&slots), ids, model))
+        Ok((rows.unwrap_or_else(|| self.gather_rows(&slots)), ids, model))
     }
 
     /// [`StreamingDpc::to_parts`] plus the engine's index over the exported
     /// window, for a caller that serves the window and would otherwise build
     /// a second tree over it. With inserts or removals pending, the index is
     /// first rebuilt over exactly the live window (counted in
-    /// [`StreamingCounters::rebuilds`]); the tree's ids are then the exported
-    /// dataset's positions, and it is [`KdTree::layout_eq`] to
-    /// [`KdTree::build`] of that dataset. A second call with no update in
-    /// between rebuilds nothing and returns the same `Arc`. The engine never
-    /// changes a tree it has exported: its next rebuild replaces it.
+    /// [`StreamingCounters::rebuilds`]), and the rows the rebuild gathered
+    /// are the exported dataset; the tree's ids are then the dataset's
+    /// positions, and it is [`KdTree::layout_eq`] to [`KdTree::build`] of
+    /// that dataset. A second call with no update in between rebuilds
+    /// nothing and returns the same `Arc`. The engine never changes a tree
+    /// it has exported: its next rebuild replaces it.
     ///
     /// Returns [`DpcError::EmptyDataset`] when the window is empty.
     pub fn to_indexed_parts(
@@ -896,10 +924,8 @@ impl StreamingDpc {
         if self.live == 0 {
             return Err(DpcError::EmptyDataset);
         }
-        if self.pending() > 0 {
-            self.rebuild();
-        }
-        let (data, ids, model) = self.to_parts()?;
+        let rows = (self.pending() > 0).then(|| self.rebuild());
+        let (data, ids, model) = self.export(rows)?;
         Ok((data, ids, model, Arc::clone(&self.tree)))
     }
 
@@ -908,7 +934,7 @@ impl StreamingDpc {
         self.tree.mem_usage()
             + self.rho_keys.mem_usage()
             + self.reach_keys.mem_usage()
-            + self.rows.mem_usage()
+            + self.buffer_rows.mem_usage()
             + (self.stable.capacity() + self.count.capacity()) * std::mem::size_of::<u64>()
             + (self.rho.capacity() + self.dsq.capacity()) * std::mem::size_of::<f64>()
             + self.dep.capacity() * std::mem::size_of::<u32>()

@@ -43,15 +43,17 @@
 //! the dataset again, so a tree keeps no reference to the dataset it was
 //! built from and can be stored, sent or decoded on its own.
 //!
-//! * **Parallel construction.** After a median split the two child ranges are
-//!   completely independent, so [`KdTree::build_parallel`] fans the top
-//!   `⌈log₂ threads⌉` levels of the recursion out across workers with
-//!   [`Executor::join`]. The preorder node index and packed range of every
-//!   subtree are pure functions of the subtree's size (a median split puts
-//!   `⌊m/2⌋` points left), so the whole `nodes`/`bounds`/`ids`/`coords`
-//!   storage is allocated up front and each worker writes its disjoint
-//!   pre-reserved slice — the resulting tree is **bit-identical** to the
-//!   serial build at every thread count.
+//! * **Parallel construction.** A median split puts `⌊m/2⌋` points left, so
+//!   the preorder node array — every node's packed range and right child —
+//!   depends on `n` alone. The build computes it first (the canonical layout
+//!   that [`KdTree::from_packed_parts`] also demands), allocates the
+//!   `bounds`/`ids`/`coords` storage up front, and fills each node's box,
+//!   packed ids and leaf rows by one recursion that reads its split point and
+//!   its children's runs of boxes from the layout. After a split the two
+//!   children write disjoint slices, so [`KdTree::build_parallel`] runs the
+//!   top `⌈log₂ threads⌉` levels of the same recursion on both sides of an
+//!   [`Executor::join`] and the levels below inline: the tree is
+//!   **bit-identical** to the serial build at every thread count.
 //!
 //! * **Nearest-denser queries.** Every algorithm's dependent point
 //!   (Definition 2) is the nearest point of strictly higher density:
@@ -159,36 +161,22 @@ impl KdTree {
     /// executor's workers via [`Executor::join`].
     ///
     /// The result is **bit-identical** to [`KdTree::build`] at every thread
-    /// count: every subtree's preorder node index, packed range and storage
-    /// extent are pure functions of the subtree's size, so workers fill
-    /// disjoint pre-reserved slices of the same arrays the serial build
-    /// fills, with the same deterministic median selection. Datasets smaller
-    /// than a fork threshold build inline with zero spawns.
+    /// count: the node array is the canonical layout for `n`, computed before
+    /// any point is read, so every subtree's packed range and run of boxes
+    /// is known up front and workers fill disjoint slices of the same arrays
+    /// the serial build fills, with the same deterministic median selection.
+    /// Datasets smaller than a fork threshold build inline with zero spawns.
     pub fn build_parallel(data: &Dataset, executor: &Executor) -> Self {
         let dim = data.dim();
         let n = data.len();
         let mut ids: Vec<u32> = (0..n as u32).collect();
-        // The preorder layout of every subtree is determined by its size, so
-        // all storage can be reserved exactly and written in place — which is
-        // what lets independent subtrees be built by different workers.
-        let total_nodes = packed_node_count(n);
-        let mut nodes = vec![PackedNode { start: 0, end: 0, right: NONE }; total_nodes];
-        let mut bounds = vec![0.0f64; total_nodes * 2 * dim];
+        let nodes = canonical_node_layout(n);
+        let mut bounds = vec![0.0f64; nodes.len() * 2 * dim];
         let mut coords = vec![0.0f64; n * dim];
         if n > 0 {
-            let written = build_rec(
-                &BuildCtx { data, dim, executor },
-                Subtree {
-                    ids: &mut ids,
-                    coords: &mut coords,
-                    nodes: &mut nodes,
-                    bounds: &mut bounds,
-                    offset: 0,
-                    node_base: 0,
-                },
-                fork_levels(executor.threads(), n),
-            );
-            debug_assert_eq!(written, total_nodes, "preorder node count must be exact");
+            let ctx = BuildCtx { data, dim, nodes: &nodes, executor };
+            let levels = fork_levels(executor.threads(), n);
+            build_rec(&ctx, 0, &mut ids, &mut coords, &mut bounds, levels);
         }
         let pos = position_map(&ids).expect("a build permutes 0..n");
         Self { dim, ids, coords, pos, nodes, bounds }
@@ -773,37 +761,13 @@ impl MinLabels {
     }
 }
 
-/// Number of preorder nodes a packed subtree over `m` points occupies. A
-/// median split puts `⌊m/2⌋` points in the left child, so the recursion shape
-/// — and with it every subtree's storage extent — depends only on `m`. This is
-/// what allows the parallel build to reserve disjoint output slices before
-/// descending.
-fn subtree_nodes(m: usize) -> usize {
-    if m <= LEAF_BUCKET {
-        1
-    } else {
-        let left = m / 2;
-        1 + subtree_nodes(left) + subtree_nodes(m - left)
-    }
-}
-
-/// Number of preorder nodes a build over `n` points creates (zero for an
-/// empty tree).
-pub(crate) fn packed_node_count(n: usize) -> usize {
-    if n == 0 {
-        0
-    } else {
-        subtree_nodes(n)
-    }
-}
-
 /// The exact preorder node array a build over `n` points produces. The median
 /// split always puts `⌊m/2⌋` points in the left child, so every node's packed
 /// range and right-child index is a pure function of `n` alone — no
-/// coordinates involved. [`KdTree::from_packed_parts`] compares a persisted
-/// node array against this layout, which rejects every structurally corrupt
-/// tree in one stroke and is what keeps the fixed traversal stacks in bounds
-/// on decoded input.
+/// coordinates involved. [`KdTree::build_parallel`] fills this array, and
+/// [`KdTree::from_packed_parts`] compares a persisted node array against it,
+/// which rejects every structurally corrupt tree in one stroke and is what
+/// keeps the fixed traversal stacks in bounds on decoded input.
 pub(crate) fn canonical_node_layout(n: usize) -> Vec<PackedNode> {
     fn rec(nodes: &mut Vec<PackedNode>, offset: usize, m: usize) {
         let here = nodes.len();
@@ -819,10 +783,12 @@ pub(crate) fn canonical_node_layout(n: usize) -> Vec<PackedNode> {
             rec(nodes, offset + mid, m - mid);
         }
     }
-    let mut nodes = Vec::with_capacity(packed_node_count(n));
+    let mut nodes = Vec::new();
     if n > 0 {
         rec(&mut nodes, 0, n);
     }
+    // A tree keeps this array, and `KdTree::mem_usage` reads capacities.
+    nodes.shrink_to_fit();
     nodes
 }
 
@@ -843,40 +809,37 @@ fn fork_levels(threads: usize, n: usize) -> usize {
 struct BuildCtx<'a, 'e> {
     data: &'a Dataset,
     dim: usize,
+    /// The canonical layout the build fills.
+    nodes: &'a [PackedNode],
     executor: &'e Executor,
 }
 
-/// One subtree's slice of the build output: its range of the permuted `ids`
-/// (starting at packed position `offset`), the matching rows of `coords`, and
-/// its preorder run of `nodes`/`bounds` (whose first node has global index
-/// `node_base`). Disjoint by construction, so a frame can be handed to a
-/// forked worker.
-struct Subtree<'t> {
-    ids: &'t mut [u32],
-    coords: &'t mut [f64],
-    nodes: &'t mut [PackedNode],
-    bounds: &'t mut [f64],
-    offset: usize,
-    node_base: u32,
-}
-
-/// Recursive packed construction: records the subtree's root node (preorder)
-/// with its bounding box, median-splits on the box's widest axis until the
-/// range fits a leaf bucket, and copies leaf coordinate rows into place.
-/// Returns the number of nodes written.
+/// Fills node `idx` of the layout: its bounding box (the first `2·dim`
+/// values of `bounds`, followed by the boxes of the rest of its subtree),
+/// the packed order of `ids` over its range — a median split on the box's
+/// widest axis, recursively, until the range fits a leaf bucket — and, at a
+/// leaf, the packed coordinate rows.
 ///
-/// While `fork_levels > 0` the two children after the split are built by
-/// [`Executor::join`] into pre-reserved disjoint halves of the output slices,
-/// which keeps the result bit-identical to the inline recursion.
-fn build_rec(ctx: &BuildCtx<'_, '_>, sub: Subtree<'_>, fork_levels: usize) -> usize {
+/// The split point and the children's runs of boxes are read from the
+/// layout, so the two children write disjoint slices. While `fork_levels >
+/// 0` they are built by [`Executor::join`], otherwise one after the other,
+/// with the same result.
+fn build_rec(
+    ctx: &BuildCtx<'_, '_>,
+    idx: usize,
+    ids: &mut [u32],
+    coords: &mut [f64],
+    bounds: &mut [f64],
+    fork_levels: usize,
+) {
     let dim = ctx.dim;
-    let m = sub.ids.len();
-    sub.nodes[0] =
-        PackedNode { start: sub.offset as u32, end: (sub.offset + m) as u32, right: NONE };
-    let (bbox, child_bounds) = sub.bounds.split_at_mut(2 * dim);
+    let node = ctx.nodes[idx];
+    let m = ids.len();
+    debug_assert_eq!(m, (node.end - node.start) as usize, "node {idx} covers its ids");
+    let (bbox, child_bounds) = bounds.split_at_mut(2 * dim);
     bbox[..dim].fill(f64::INFINITY);
     bbox[dim..].fill(f64::NEG_INFINITY);
-    for &id in sub.ids.iter() {
+    for &id in ids.iter() {
         let p = ctx.data.point(id as usize);
         for a in 0..dim {
             if p[a] < bbox[a] {
@@ -887,14 +850,14 @@ fn build_rec(ctx: &BuildCtx<'_, '_>, sub: Subtree<'_>, fork_levels: usize) -> us
             }
         }
     }
-    if m <= LEAF_BUCKET {
+    if node.is_leaf() {
         // The range is final: no split below a leaf re-partitions it, so the
         // packed coordinate rows can be written here (in parallel across
         // forked subtrees) instead of in a serial pass after construction.
-        for (k, &id) in sub.ids.iter().enumerate() {
-            sub.coords[k * dim..(k + 1) * dim].copy_from_slice(ctx.data.point(id as usize));
+        for (k, &id) in ids.iter().enumerate() {
+            coords[k * dim..(k + 1) * dim].copy_from_slice(ctx.data.point(id as usize));
         }
-        return 1;
+        return;
     }
     // Split on the widest axis of the exact bounding box: on clustered data
     // this keeps boxes closer to cubes than depth-cycling, which is what makes
@@ -908,75 +871,27 @@ fn build_rec(ctx: &BuildCtx<'_, '_>, sub: Subtree<'_>, fork_levels: usize) -> us
             axis = a;
         }
     }
-    let mid = m / 2;
-    sub.ids.select_nth_unstable_by(mid, |&x, &y| {
+    let left = ctx.nodes[idx + 1];
+    let mid = (left.end - left.start) as usize;
+    ids.select_nth_unstable_by(mid, |&x, &y| {
         let cx = ctx.data.point(x as usize)[axis];
         let cy = ctx.data.point(y as usize)[axis];
         cx.partial_cmp(&cy).unwrap_or(std::cmp::Ordering::Equal)
     });
-    let (left_ids, right_ids) = sub.ids.split_at_mut(mid);
-    let (left_coords, right_coords) = sub.coords.split_at_mut(mid * dim);
-    let child_nodes = &mut sub.nodes[1..];
+    let right = node.right as usize;
+    let (left_ids, right_ids) = ids.split_at_mut(mid);
+    let (left_coords, right_coords) = coords.split_at_mut(mid * dim);
+    let (left_bounds, right_bounds) = child_bounds.split_at_mut((right - idx - 1) * 2 * dim);
+    let levels = fork_levels.saturating_sub(1);
+    let mut build_left =
+        move || build_rec(ctx, idx + 1, left_ids, left_coords, left_bounds, levels);
+    let mut build_right =
+        move || build_rec(ctx, right, right_ids, right_coords, right_bounds, levels);
     if fork_levels > 0 && m >= MIN_FORK_POINTS {
-        // Both children's node counts are known up front, so their output
-        // slices can be split off before either child runs.
-        let left_nodes = subtree_nodes(mid);
-        let (ln, rn) = child_nodes.split_at_mut(left_nodes);
-        let (lb, rb) = child_bounds.split_at_mut(left_nodes * 2 * dim);
-        let right_base = sub.node_base + 1 + left_nodes as u32;
-        let left = Subtree {
-            ids: left_ids,
-            coords: left_coords,
-            nodes: ln,
-            bounds: lb,
-            offset: sub.offset,
-            node_base: sub.node_base + 1,
-        };
-        let right = Subtree {
-            ids: right_ids,
-            coords: right_coords,
-            nodes: rn,
-            bounds: rb,
-            offset: sub.offset + mid,
-            node_base: right_base,
-        };
-        let (used_l, used_r) = ctx.executor.join(
-            || build_rec(ctx, left, fork_levels - 1),
-            || build_rec(ctx, right, fork_levels - 1),
-        );
-        debug_assert_eq!(used_l, left_nodes, "left subtree must fill its reserved run exactly");
-        sub.nodes[0].right = right_base;
-        1 + used_l + used_r
+        ctx.executor.join(build_left, build_right);
     } else {
-        let used_l = build_rec(
-            ctx,
-            Subtree {
-                ids: left_ids,
-                coords: left_coords,
-                nodes: &mut child_nodes[..],
-                bounds: &mut child_bounds[..],
-                offset: sub.offset,
-                node_base: sub.node_base + 1,
-            },
-            0,
-        );
-        let (_, rn) = child_nodes.split_at_mut(used_l);
-        let (_, rb) = child_bounds.split_at_mut(used_l * 2 * dim);
-        let right_base = sub.node_base + 1 + used_l as u32;
-        let used_r = build_rec(
-            ctx,
-            Subtree {
-                ids: right_ids,
-                coords: right_coords,
-                nodes: rn,
-                bounds: rb,
-                offset: sub.offset + mid,
-                node_base: right_base,
-            },
-            0,
-        );
-        sub.nodes[0].right = right_base;
-        1 + used_l + used_r
+        build_left();
+        build_right();
     }
 }
 
@@ -1159,7 +1074,7 @@ mod tests {
                     let (got, visits) = tree.nearest_denser_counted(&max_keys, q, *key);
                     let want = brute_nearest_denser(&ds, &keys, q, *key);
                     assert_eq!(got, want, "dim {dim}, snapped {snapped}, {q:?} above {key}");
-                    assert!(visits <= packed_node_count(ds.len()), "{visits} visits");
+                    assert!(visits <= tree.nodes().len(), "{visits} visits");
                 }
                 assert_eq!(tree.nearest_denser(&max_keys, ds.point(0), top), None);
             }
@@ -1267,7 +1182,7 @@ mod tests {
         let tree = KdTree::build(&ds);
         let max_keys = MaxKeys::new(&tree, &keys);
         let (found, visits) = tree.nearest_denser_counted(&max_keys, &[0.0, 0.0], -1.0);
-        assert_eq!((found, visits), (Some((0, 5.0)), packed_node_count(n)));
+        assert_eq!((found, visits), (Some((0, 5.0)), tree.nodes().len()));
         let want = (0..n).find(|&i| keys[i] > 500.0);
         let (found, _) = tree.nearest_denser_counted(&max_keys, &[0.0, 0.0], 500.0);
         assert_eq!(found, want.map(|i| (i, 5.0)));
@@ -1484,26 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn subtree_nodes_counts_the_serial_recursion() {
-        // Directly check the closed-form count against a reference recursion.
-        fn reference(m: usize) -> usize {
-            if m <= LEAF_BUCKET {
-                1
-            } else {
-                1 + reference(m / 2) + reference(m - m / 2)
-            }
-        }
-        for m in 1..2_000 {
-            assert_eq!(subtree_nodes(m), reference(m), "m = {m}");
-        }
-        for (n, seed) in [(5usize, 1u64), (100, 2), (4096, 3), (5000, 4)] {
-            let ds = random_dataset(n, 2, seed);
-            let tree = KdTree::build(&ds);
-            assert_eq!(tree.nodes.len(), subtree_nodes(n), "n = {n}");
-        }
-    }
-
-    #[test]
     fn parallel_build_is_bit_identical_to_serial() {
         // Large enough to fork several levels (MIN_FORK_POINTS = 1024), plus
         // degenerate shapes: duplicates and fewer points than the threshold.
@@ -1559,14 +1454,14 @@ mod tests {
     #[test]
     fn canonical_node_layout_matches_real_builds() {
         assert!(canonical_node_layout(0).is_empty());
-        assert_eq!(packed_node_count(0), 0);
+        assert_eq!(KdTree::build(&Dataset::new(2)).nodes().len(), 0);
         for (n, seed) in
             [(1usize, 1u64), (LEAF_BUCKET, 2), (LEAF_BUCKET + 1, 3), (500, 4), (4099, 5)]
         {
             let ds = random_dataset(n, 2, seed);
             let tree = KdTree::build(&ds);
             let canon = canonical_node_layout(n);
-            assert_eq!(canon.len(), packed_node_count(n), "n = {n}");
+            assert_eq!(canon.len(), tree.nodes().len(), "n = {n}");
             assert_eq!(tree.nodes, canon, "n = {n}");
         }
     }

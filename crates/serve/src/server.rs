@@ -314,31 +314,6 @@ impl DpcServer {
         Self::handle_within(snapshot, request, &Deadline::none())
     }
 
-    /// Answers a batch of requests, fanning the work across `executor`'s
-    /// workers (work-stealing over request indexes, so a mix of cheap `Stats`
-    /// and `O(n)` `Relabel`s balances itself). The whole batch is served from
-    /// one pinned snapshot: every response carries the same epoch even if a
-    /// refit lands mid-batch. Each batched request then takes
-    /// [`DpcServer::handle`]'s path — admission, deadline, isolation and the
-    /// same handler — so one poisoned or slow request fails alone, and every
-    /// answer is the one a solo `handle` on that snapshot gives.
-    pub fn handle_batch(
-        &self,
-        requests: &[Request],
-        executor: &Executor,
-    ) -> Vec<Result<Response, ServeError>> {
-        let snapshot = self.store.snapshot();
-        executor.map_dynamic(requests.len(), |i| {
-            let request = &requests[i];
-            if matches!(request, Request::Health) {
-                return Ok(Response::Health(self.health_response()));
-            }
-            let _guard = self.admit()?;
-            let deadline = Deadline::start(self.config.deadline);
-            self.dispatch(&snapshot, request, &deadline)
-        })
-    }
-
     /// The `Health` answer: last-good epoch, store health, counters.
     fn health_response(&self) -> HealthResponse {
         HealthResponse {
@@ -581,52 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_is_served_from_exactly_one_epoch() {
-        let srv = server();
-        let requests: Vec<Request> = (0..20)
-            .map(|i| match i % 3 {
-                0 => Request::Stats,
-                1 => Request::Relabel(Thresholds::new(2.0, 10.0).unwrap()),
-                _ => Request::Assign(vec![0.5 * i as f64, 0.0]),
-            })
-            .collect();
-        let responses = srv.handle_batch(&requests, &Executor::new(4));
-        assert_eq!(responses.len(), 20);
-        for r in &responses {
-            assert_eq!(r.as_ref().unwrap().epoch(), 1);
-        }
-    }
-
-    #[test]
-    fn batched_assigns_match_solo_assigns_bitwise() {
-        // Every batched request takes the solo path against the batch's one
-        // pinned snapshot, so responses are identical to solo `handle`
-        // calls — including clustered duplicates, in-dataset points (the
-        // exact-hit short-circuit), far-away noise, and a mix with
-        // non-Assign requests, at every thread count.
-        let srv = server();
-        let snap = srv.snapshot();
-        let mut requests: Vec<Request> = (0..30)
-            .map(|i| Request::Assign(vec![(i % 9) as f64 * 7.5 - 5.0, (i % 7) as f64 * 11.0 - 5.0]))
-            .collect();
-        requests.push(Request::Assign(snap.data().point(17).to_vec()));
-        requests.push(Request::Assign(vec![-300.0, 500.0]));
-        requests.push(Request::Assign(vec![0.2, -0.3]));
-        requests.push(Request::Assign(vec![0.2, -0.3])); // exact duplicate
-        requests.push(Request::Stats);
-        requests.push(Request::Assign(vec![1.0])); // wrong dim: fails alone
-        for threads in [1, 4] {
-            let responses = srv.handle_batch(&requests, &Executor::new(threads));
-            for (request, response) in requests.iter().zip(&responses) {
-                match srv.handle(request) {
-                    Ok(solo) => assert_eq!(response.as_ref().unwrap(), &solo),
-                    Err(e) => assert_eq!(response.as_ref().unwrap_err(), &e),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn assign_inherits_the_dependents_label() {
         let srv = server();
         let r = match srv.handle(&Request::Assign(vec![0.2, -0.3])) {
@@ -818,21 +747,5 @@ mod tests {
             assert_eq!(r.n, n0 + i + 1, "the faulted ingest left no partial point behind");
         }
         assert_eq!(srv.epoch(), 2, "publishing works after lock-poison recovery");
-    }
-
-    #[test]
-    fn batch_items_fail_alone() {
-        let srv = server();
-        let requests = vec![
-            Request::Stats,
-            Request::Assign(vec![1.0]), // wrong dim
-            Request::Relabel(Thresholds { rho_min: f64::NAN, delta_min: 1.0 }), // corrupted
-            Request::Assign(vec![0.2, -0.3]),
-        ];
-        let responses = srv.handle_batch(&requests, &Executor::new(4));
-        assert!(responses[0].is_ok());
-        assert!(matches!(responses[1], Err(ServeError::Dpc(DpcError::DimensionMismatch { .. }))));
-        assert!(matches!(responses[2], Err(ServeError::Dpc(DpcError::InvalidThresholds { .. }))));
-        assert!(responses[3].is_ok());
     }
 }

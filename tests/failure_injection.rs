@@ -51,10 +51,11 @@ fn single_point_is_its_own_cluster() {
     let thresholds = Thresholds::for_dcut(5.0);
     let data = Dataset::from_flat(3, vec![1.0, 2.0, 3.0]);
     for algo in algorithms(params) {
-        let c = algo.run(&data, &thresholds).unwrap();
+        let model = algo.fit(&data).unwrap();
+        let c = model.extract(&thresholds);
         assert_eq!(c.len(), 1, "{}", algo.name());
         assert_eq!(c.num_clusters(), 1, "{}", algo.name());
-        assert!(c.delta[0].is_infinite(), "{}", algo.name());
+        assert!(model.delta()[0].is_infinite(), "{}", algo.name());
         assert_eq!(c.assignment[0], 0, "{}", algo.name());
     }
 }
@@ -110,11 +111,11 @@ fn tiny_dcut_degenerates_gracefully() {
     let data = gaussian_blobs(&[(0.0, 0.0), (50.0, 50.0)], 50, 1.0, 7);
     let params = DpcParams::new(1e-6);
     let thresholds = Thresholds::new(0.0, 2e-6).unwrap();
-    let exact = ExDpc::new(params).run(&data, &thresholds).unwrap();
-    let approx = ApproxDpc::new(params).run(&data, &thresholds).unwrap();
-    assert_eq!(exact.rho, approx.rho);
-    assert!(exact.rho.iter().all(|&r| r < 1.0), "all counts must be zero");
-    assert_eq!(exact.centers, approx.centers);
+    let exact = ExDpc::new(params).fit(&data).unwrap();
+    let approx = ApproxDpc::new(params).fit(&data).unwrap();
+    assert_eq!(exact.rho(), approx.rho());
+    assert!(exact.rho().iter().all(|&r| r < 1.0), "all counts must be zero");
+    assert_eq!(exact.extract(&thresholds).centers, approx.extract(&thresholds).centers);
 }
 
 #[test]
@@ -124,10 +125,10 @@ fn huge_dcut_puts_everything_in_one_ball() {
     let params = DpcParams::new(1e6);
     let thresholds = Thresholds::new(0.0, 2e6).unwrap();
     for algo in algorithms(params) {
-        let c = algo.run(&data, &thresholds).unwrap();
-        assert_eq!(c.num_clusters(), 1, "{}", algo.name());
+        let model = algo.fit(&data).unwrap();
+        assert_eq!(model.extract(&thresholds).num_clusters(), 1, "{}", algo.name());
         assert!(
-            c.rho.iter().all(|&r| (r - (data.len() as f64 - 1.0)).abs() < 1.0),
+            model.rho().iter().all(|&r| (r - (data.len() as f64 - 1.0)).abs() < 1.0),
             "{}: densities should all be n-1",
             algo.name()
         );

@@ -172,12 +172,19 @@ fn explicit_removals_compose_with_window_expiry() {
 
 /// Asserts two engines hold the same window: ids, rows, the expiry log and
 /// `layout_eq` models (ρ and δ bits, dependents, order and index bytes). The
-/// bulk-loaded engine exports through `to_indexed_parts`, which also rebuilds
-/// its index, so from the first checkpoint on the two engines rebuild on
-/// different schedules; the exported tree must be a fresh build's layout,
-/// and a second export with no update in between must hand out the same tree
-/// without rebuilding.
-fn assert_same_window(bulk: &mut StreamingDpc, inserted: &mut StreamingDpc, label: &str) {
+/// exported rows must be bit for bit the rows fed under those ids
+/// (`fed[id]`); the insert-loaded engine reads them from its tree and from
+/// its insert buffer. The bulk-loaded engine exports through
+/// `to_indexed_parts`, which also rebuilds its index, so from the first
+/// checkpoint on the two engines rebuild on different schedules; the
+/// exported tree must be a fresh build's layout, and a second export with no
+/// update in between must hand out the same tree without rebuilding.
+fn assert_same_window(
+    bulk: &mut StreamingDpc,
+    inserted: &mut StreamingDpc,
+    fed: &[Vec<f64>],
+    label: &str,
+) {
     assert_eq!(bulk.drain_expired(), inserted.drain_expired(), "{label}: expired ids");
     assert_eq!(bulk.len(), inserted.len(), "{label}: len");
     if bulk.is_empty() {
@@ -193,6 +200,8 @@ fn assert_same_window(bulk: &mut StreamingDpc, inserted: &mut StreamingDpc, labe
     assert_eq!(ids_a, ids_b, "{label}: ids");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(data_a.flat()), bits(data_b.flat()), "{label}: rows");
+    let recorded: Vec<f64> = ids_b.iter().flat_map(|&id| fed[id as usize].clone()).collect();
+    assert_eq!(bits(data_b.flat()), bits(&recorded), "{label}: rows as fed");
     assert_eq!(bits(model_a.rho()), bits(model_b.rho()), "{label}: ρ");
     assert_eq!(bits(model_a.delta()), bits(model_b.delta()), "{label}: δ");
     assert_eq!(model_a.dependent(), model_b.dependent(), "{label}: dependents");
@@ -240,9 +249,11 @@ fn bulk_load_matches_insert_load(
             None => e,
         }
     };
+    // Every point fed to the engines, indexed by its stable id.
+    let mut fed: Vec<Vec<f64>> = (0..n0).map(|_| next_point(&mut rng)).collect();
     let mut initial = Dataset::new(dim);
-    for _ in 0..n0 {
-        initial.push(&next_point(&mut rng));
+    for p in &fed {
+        initial.push(p);
     }
     let mut bulk = engine();
     bulk.bulk_load(&initial).unwrap();
@@ -250,7 +261,7 @@ fn bulk_load_matches_insert_load(
     for (_, p) in initial.iter() {
         inserted.insert(p).unwrap();
     }
-    assert_same_window(&mut bulk, &mut inserted, &format!("{label}, loaded"));
+    assert_same_window(&mut bulk, &mut inserted, &fed, &format!("{label}, loaded"));
     if n0 > 0 {
         assert!(
             matches!(bulk.bulk_load(&initial), Err(DpcError::InvalidParams { .. })),
@@ -264,6 +275,7 @@ fn bulk_load_matches_insert_load(
             let p = next_point(&mut rng);
             let id = bulk.insert(&p).unwrap();
             assert_eq!(inserted.insert(&p).unwrap(), id, "{label}: ids diverge at step {step}");
+            fed.push(p);
             live.push(id);
         } else {
             let id = live.swap_remove(rng.gen_range(0..live.len()));
@@ -271,10 +283,10 @@ fn bulk_load_matches_insert_load(
         }
         live.retain(|&id| inserted.contains(id));
         if step % 60 == 59 {
-            assert_same_window(&mut bulk, &mut inserted, &format!("{label}, {step}"));
+            assert_same_window(&mut bulk, &mut inserted, &fed, &format!("{label}, {step}"));
         }
     }
-    assert_same_window(&mut bulk, &mut inserted, &format!("{label}, final"));
+    assert_same_window(&mut bulk, &mut inserted, &fed, &format!("{label}, final"));
     assert_matches_fresh_fit(&bulk, params, &format!("{label}, bulk-loaded"));
 }
 
