@@ -1,18 +1,20 @@
 //! Benchmark of the dependent-point (δ) kernels on a seeded shuffle of the
 //! Syn random walk: one `KdTree::nearest_denser` query per point in point-id
 //! order (the path the fits took before they ran their queries in the tree's
-//! packed order, kept as the reference), the same loop in packed order (the
-//! fits' path), `ExDpc::dependent_points` at 1 and `--threads` workers, and
-//! the Scan baseline.
+//! packed order, kept as the reference), the same root query in packed
+//! order, one `KdTree::nearest_denser_at` query per point in packed order,
+//! each starting at the point's own leaf (the fits' path),
+//! `ExDpc::dependent_points` at 1 and `--threads` workers, and the Scan
+//! baseline.
 //!
 //! The walk is shuffled because id order then says nothing about where a
 //! point lies, as in a random sample of a population: in generation order
 //! consecutive ids follow the walk, and both loops would already query
 //! neighbouring points one after the other.
 //!
-//! The two loops run single-threaded and round-robin against one prebuilt
+//! The three loops run single-threaded and round-robin against one prebuilt
 //! tree and its max-ρ array, so they time the queries alone and a slow spell
-//! of the host lands on both. `ExDpc::dependent_points` builds its own tree
+//! of the host lands on all of them. `ExDpc::dependent_points` builds its own tree
 //! and max-ρ array on every call, so its kernels include the tree build. The
 //! quadratic Scan baseline is only timed up to n = 20,000. Every kernel's
 //! answers are checked against the id-order loop before it is timed.
@@ -75,7 +77,7 @@ fn main() {
     let params = default_params(&dataset, 1);
     println!("dependent_point (shuffled {} n = {n}, threads = {threads})", dataset.name());
 
-    // Densities, tree and max-ρ array are shared input of the two loops.
+    // Densities, tree and max-ρ array are shared input of the three loops.
     let tree = KdTree::build(&data);
     let exdpc = ExDpc::new(params);
     let rho = exdpc.local_densities(&data, &tree);
@@ -90,6 +92,13 @@ fn main() {
         }
         found
     };
+    let leaf_start = || -> Vec<Found> {
+        let mut found = vec![None; n];
+        for (row, &p) in tree.ids().iter().enumerate() {
+            found[p as usize] = tree.nearest_denser_at(&max_keys, row, rho[p as usize]);
+        }
+        found
+    };
     let exdpc_parallel = ExDpc::new(default_params(&dataset, threads));
 
     // Every kernel must give the reference's answers, ties included; the Scan
@@ -100,6 +109,7 @@ fn main() {
         pairs.map(|(p, (q, dist))| (q != p).then_some((q, dist))).collect()
     };
     assert_eq!(packed_order(), reference, "packed-order loop disagrees with the id-order loop");
+    assert_eq!(leaf_start(), reference, "leaf-start loop disagrees with the id-order loop");
     assert_eq!(as_pairs(exdpc.dependent_points(&data, &rho)), reference, "ExDpc, 1 thread");
     assert_eq!(
         as_pairs(exdpc_parallel.dependent_points(&data, &rho)),
@@ -108,9 +118,10 @@ fn main() {
     );
 
     let mut records: Vec<BenchRecord> = Vec::new();
-    let mut loops: [(String, Loop); 2] = [
+    let mut loops: [(String, Loop); 3] = [
         ("nearest_denser_id_order".to_string(), Box::new(id_order)),
         ("nearest_denser_packed_order".to_string(), Box::new(packed_order)),
+        ("nearest_denser_at_packed_order".to_string(), Box::new(leaf_start)),
     ];
     records.extend(bench_records_round_robin(&mut loops, n, d, 5));
     records.push(bench_record("exdpc_dependent_points_serial", n, d, 5, || {
@@ -139,6 +150,10 @@ fn main() {
     println!(
         "packed-order δ speedup vs id order (serial, mean): {:.2}x",
         mean_of("nearest_denser_id_order") / mean_of("nearest_denser_packed_order")
+    );
+    println!(
+        "leaf-start δ speedup vs root queries in packed order (serial, mean): {:.2}x",
+        mean_of("nearest_denser_packed_order") / mean_of("nearest_denser_at_packed_order")
     );
     println!(
         "dependent_points speedup ({threads} threads vs 1, mean): {:.2}x",

@@ -287,6 +287,7 @@ pub mod required {
     pub const DEPENDENT_POINT: &[&str] = &[
         "nearest_denser_id_order",
         "nearest_denser_packed_order",
+        "nearest_denser_at_packed_order",
         "exdpc_dependent_points_serial",
         "exdpc_dependent_points_parallel",
     ];

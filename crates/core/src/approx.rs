@@ -27,10 +27,11 @@
 //!   dependent point — which is what preserves the cluster centres of Ex-DPC
 //!   (Theorem 4). The paper partitions `P` into `s` density-ordered subsets
 //!   with one kd-tree each; here every point of `P'` asks the ρ-phase kd-tree
-//!   the same nearest-denser query Ex-DPC uses, so no further index is built.
+//!   the same nearest-denser query Ex-DPC uses, from the point's own leaf
+//!   ([`KdTree::nearest_denser_at`]), so no further index is built.
 //!
-//! The per-cell queries from each `p*(c)` and the `P'` queries run in the
-//! kd-tree's packed order, each on its packed row, so consecutive queries
+//! The per-cell queries from each `p*(c)`, each on its packed row, and the
+//! `P'` queries run in the kd-tree's packed order, so consecutive queries
 //! search neighbouring subtrees. The workers claim them, and the
 //! self-join's tasks, dynamically, so no phase needs the cost-based
 //! partitioning of §4.5. Each δ answer is a minimum over a fixed set (the
@@ -45,7 +46,7 @@ use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    cell_side, jittered_density, packed_queries, resolve_dependents, validate_dataset,
+    cell_side, jittered_density, packed_queries, packed_row, resolve_dependents, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -139,9 +140,8 @@ impl ApproxDpc {
             tree.smallest_denser_label(&max_keys, &labels, row, dcut, rho[star as usize])
         };
         let is_star = |p: usize| p_star[cell_of[p]] == p;
-        let found = packed_queries(tree, is_star, executor, |rows, ids| {
-            let rows = rows.chunks_exact(tree.dim());
-            rows.zip(ids).map(|(row, &star)| first_denser(row, star)).collect()
+        let found = packed_queries(tree, is_star, executor, |rows| {
+            rows.iter().map(|&k| first_denser(packed_row(tree, k), tree.ids()[k])).collect()
         });
         let mut denser_cell: Vec<Option<usize>> = vec![None; grid.num_cells()];
         for (star, c2) in found {

@@ -13,12 +13,15 @@
 //!   nearest-neighbour query made just before `p_i` is inserted sees exactly
 //!   the denser points (Lemma 2); that phase is sequential. Here the ρ-phase
 //!   tree is kept instead, and a max-ρ array over its nodes lets one
-//!   nearest-denser query per point ([`KdTree::nearest_denser`]) return the
-//!   same exact dependent point, with equal distances going to the smallest
-//!   id. The `n` queries are independent, so the phase runs on every worker
-//!   thread. Like the ρ queries, they run in the tree's packed order, each on
-//!   its packed row, so consecutive queries search neighbouring subtrees; an
-//!   answer is a canonical minimum, so the order cannot change it.
+//!   nearest-denser query per point return the same exact dependent point,
+//!   with equal distances going to the smallest id. Each query starts at its
+//!   point's own leaf and climbs toward the root only until no point outside
+//!   the node it has reached can be nearer ([`KdTree::nearest_denser_at`]):
+//!   most dependents lie in or next to the point's own leaf. The `n` queries
+//!   are independent, so the phase runs on every worker thread. They run in
+//!   the tree's packed order, so consecutive queries search neighbouring
+//!   subtrees; an answer is a canonical minimum, so the order cannot change
+//!   it.
 
 use std::time::Instant;
 
@@ -148,8 +151,9 @@ impl ExDpc {
     /// `δ` phase on its own). Returns `(dependent, delta)`.
     ///
     /// Builds the packed kd-tree over `data`, then answers one nearest-denser
-    /// query per point, in the tree's packed order; `fit` runs the same
-    /// queries on its ρ-phase tree and reads no `data` for them.
+    /// query per point from its own leaf, in the tree's packed order; `fit`
+    /// runs the same queries on its ρ-phase tree and reads no `data` for
+    /// them.
     pub fn dependent_points(&self, data: &Dataset, rho: &[f64]) -> (Vec<usize>, Vec<f64>) {
         let executor = Executor::new(self.params.threads);
         dependents(&KdTree::build_parallel(data, &executor), rho, &executor)

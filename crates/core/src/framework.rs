@@ -97,15 +97,40 @@ fn jitter01(x: u64) -> f64 {
     ((z >> 11) as f64 + 1.0) / (9_007_199_254_740_994.0)
 }
 
-/// Point identifiers sorted by decreasing local density (ties impossible after
-/// jittering). Uses [`f64::total_cmp`] so the order stays total and
-/// deterministic even when a caller smuggles in NaN densities — `partial_cmp`
-/// with an `Equal` fallback would make NaN compare equal to *everything*,
-/// yielding an order that depends on the sort's partition choices.
+/// Point identifiers sorted by decreasing local density, equal densities in
+/// ascending id order (jittered densities never tie, but S-Approx-DPC's
+/// points that are not picked share `⌊ρ⌋` within a cell).
+///
+/// One sort of `(density key, id)` pairs: the key is [`f64::total_cmp`]'s
+/// order as an integer, inverted for descent, so the order stays total and
+/// deterministic even when a caller smuggles in NaN densities —
+/// `partial_cmp` with an `Equal` fallback would make NaN compare equal to
+/// *everything*, yielding an order that depends on the sort's partition
+/// choices. The pairs are distinct, so the unstable sort is deterministic.
 pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..rho.len()).collect();
-    order.sort_unstable_by(|&a, &b| rho[b].total_cmp(&rho[a]));
+    let mut keyed: Vec<(i64, usize)> = rho
+        .iter()
+        .enumerate()
+        .map(|(id, r)| {
+            // `total_cmp`'s key: flip the magnitude bits of negative values.
+            let bits = r.to_bits() as i64;
+            (!(bits ^ (((bits >> 63) as u64) >> 1) as i64), id)
+        })
+        .collect();
+    keyed.sort_unstable();
+    // The ids are written over the sorted pairs in place, so no second
+    // buffer is live beside the pairs; the shrink then hands back the half
+    // the order does not use (a model keeps its order for life).
+    let mut order: Vec<usize> = keyed.into_iter().map(|(_, id)| id).collect();
+    order.shrink_to_fit();
     order
+}
+
+/// The packed coordinate row `row` of `tree`.
+#[inline]
+pub(crate) fn packed_row(tree: &KdTree, row: usize) -> &[f64] {
+    let dim = tree.dim();
+    &tree.coords()[row * dim..(row + 1) * dim]
 }
 
 /// Answers one query per point `p` with `is_query(p)` and yields the
@@ -116,29 +141,21 @@ pub fn descending_density_order(rho: &[f64]) -> Vec<usize> {
 /// their nodes warm in the cache. They are cut into tasks of [`BUCKET`]
 /// consecutive ones, which the workers claim dynamically: a query's cost
 /// varies with where it lies, so equal shares are far from equal work.
-/// `answer(rows, ids)` gets one task's packed coordinate rows (bit copies of
-/// the dataset's rows, `ids.len()·dim` values) and point ids, and returns one
-/// answer per point, in order. Every answer must depend on its point alone;
-/// then the pairs are the same under every schedule and at every thread
-/// count.
+/// `answer(rows)` gets one task's packed row numbers, ascending (the point
+/// at row `k` is `tree.ids()[k]`, its coordinates [`packed_row`]), and
+/// returns one answer per row, in order. Every answer must depend on its
+/// point alone; then the pairs are the same under every schedule and at
+/// every thread count.
 pub(crate) fn packed_queries<'t, R: Send + 't>(
     tree: &'t KdTree,
     is_query: impl Fn(usize) -> bool,
     executor: &Executor,
-    answer: impl Fn(&[f64], &[u32]) -> Vec<R> + Sync,
+    answer: impl Fn(&[usize]) -> Vec<R> + Sync,
 ) -> impl Iterator<Item = (usize, R)> + 't {
-    let (dim, ids, coords) = (tree.dim(), tree.ids(), tree.coords());
+    let ids = tree.ids();
     let queries: Vec<usize> = (0..ids.len()).filter(|&row| is_query(ids[row] as usize)).collect();
     let tasks: Vec<&[usize]> = queries.chunks(BUCKET).collect();
-    let per_task: Vec<Vec<R>> = executor.map_dynamic(tasks.len(), |t| {
-        let mut rows = Vec::with_capacity(tasks[t].len() * dim);
-        let mut task_ids = Vec::with_capacity(tasks[t].len());
-        for &row in tasks[t] {
-            rows.extend_from_slice(&coords[row * dim..(row + 1) * dim]);
-            task_ids.push(ids[row]);
-        }
-        answer(&rows, &task_ids)
-    });
+    let per_task: Vec<Vec<R>> = executor.map_dynamic(tasks.len(), |t| answer(tasks[t]));
     let query_ids = queries.into_iter().map(|row| ids[row] as usize);
     query_ids.zip(per_task.into_iter().flatten())
 }
@@ -158,9 +175,12 @@ pub(crate) fn neighbour_counts(
     is_query: impl Fn(usize) -> bool,
     executor: &Executor,
 ) -> Vec<usize> {
-    let found = packed_queries(tree, is_query, executor, |rows, ids| {
+    let found = packed_queries(tree, is_query, executor, |rows| {
+        let mut queries = Vec::with_capacity(rows.len() * tree.dim());
+        rows.iter().for_each(|&k| queries.extend_from_slice(packed_row(tree, k)));
+        let ids: Vec<u32> = rows.iter().map(|&k| tree.ids()[k]).collect();
         let mut counts = Vec::new();
-        BatchRangeCount::new().run(tree, rows, dcut, ids, &mut counts);
+        BatchRangeCount::new().run(tree, &queries, dcut, &ids, &mut counts);
         counts
     });
     let mut counts = vec![0usize; tree.len()];
@@ -174,7 +194,8 @@ pub(crate) fn neighbour_counts(
 /// exact dependent point (Definition 2): the nearest point of `tree` whose
 /// key (`keys[id]`: ρ, or `-∞` to hide a point) is strictly greater than
 /// `p`'s, ties to the smallest id. A query no key exceeds keeps its entries.
-/// The queries run through [`packed_queries`], each on its packed row. Every
+/// The queries run through [`packed_queries`], each from its packed row's
+/// own leaf ([`KdTree::nearest_denser_at`]), and copy no coordinates. Every
 /// answer is a canonical minimum, so neither the query order nor the thread
 /// count changes the result.
 pub(crate) fn resolve_dependents(
@@ -186,11 +207,9 @@ pub(crate) fn resolve_dependents(
     delta: &mut [f64],
 ) {
     let max_keys = MaxKeys::new(tree, keys);
-    let found = packed_queries(tree, is_query, executor, |rows, ids| {
-        let rows = rows.chunks_exact(tree.dim());
-        rows.zip(ids)
-            .map(|(row, &p)| tree.nearest_denser(&max_keys, row, keys[p as usize]))
-            .collect()
+    let found = packed_queries(tree, is_query, executor, |rows| {
+        let key_of = |k: usize| keys[tree.ids()[k] as usize];
+        rows.iter().map(|&k| tree.nearest_denser_at(&max_keys, k, key_of(k))).collect()
     });
     for (p, found) in found {
         if let Some((q, d)) = found {
@@ -323,6 +342,25 @@ mod tests {
         let mut top: Vec<usize> = desc[..2].to_vec();
         top.sort_unstable();
         assert_eq!(top, vec![1, 3], "NaNs sort above every finite density");
+    }
+
+    #[test]
+    fn density_order_is_the_comparator_order_with_ascending_id_ties() {
+        // Few distinct values, both zeros, infinities and NaNs of both signs:
+        // many ties, which go to the smaller id.
+        let values = [3.0, 1.5, 0.0, -0.0, -2.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let rho: Vec<f64> = (0..5_000usize)
+            .map(|i| match (i * 7919) % 17 {
+                16 => -f64::NAN,
+                k => values[k % values.len()],
+            })
+            .collect();
+        let mut want: Vec<usize> = (0..rho.len()).collect();
+        want.sort_by(|&a, &b| rho[b].total_cmp(&rho[a]).then(a.cmp(&b)));
+        let order = descending_density_order(&rho);
+        assert_eq!(order, want);
+        // A model keeps its order for life: no spare capacity.
+        assert_eq!(order.capacity(), order.len());
     }
 
     /// A small hand-built scenario: two centres, a chain of followers, one

@@ -25,9 +25,10 @@
 //!    triangle inequality.
 //!
 //! Both phases start from one nearest-denser query per picked point on the
-//! ρ-phase kd-tree (the query Ex-DPC uses), with every non-picked point keyed
-//! `−∞` so that only picked points can answer. Its answer `q` is the nearest
-//! denser picked point, equal distances to the smallest id:
+//! ρ-phase kd-tree (the query Ex-DPC uses, from the picked point's own leaf:
+//! [`KdTree::nearest_denser_at`]), with every non-picked point keyed `−∞` so
+//! that only picked points can answer. Its answer `q` is the nearest denser
+//! picked point, equal distances to the smallest id:
 //!
 //! - If `dist(p, q) ≤ d_cut` (closed ball), `q` is the phase-1 answer. `q` is
 //!   a point of its own cell within `d_cut`, so that cell is in `N(c)`, and no
@@ -40,9 +41,14 @@
 //!
 //! Distances are compared squared, as the query compares them. The picked
 //! points' queries, and the `d_cut` searches of the local peaks among them,
-//! run in the tree's packed order, each on its packed row, as their counts
-//! do; every answer is a canonical minimum, so the order cannot change it.
-//! A point that is not picked takes its cell's picked point without a query.
+//! run in the tree's packed order, as their counts do; the searches and the
+//! counts read each picked point's packed row. Every answer is a canonical
+//! minimum, so the order cannot change it. A point that is not picked takes
+//! its cell's picked point without a query.
+//!
+//! The points that are not picked share `⌊ρ⌋` within a cell, and often
+//! across cells, so their densities tie; the model's density order lists
+//! equal densities in ascending id.
 
 use std::time::Instant;
 
@@ -52,7 +58,7 @@ use dpc_parallel::Executor;
 
 use crate::error::DpcError;
 use crate::framework::{
-    cell_side, jittered_density, neighbour_counts, packed_queries, validate_dataset,
+    cell_side, jittered_density, neighbour_counts, packed_queries, packed_row, validate_dataset,
 };
 use crate::model::DpcModel;
 use crate::params::DpcParams;
@@ -162,8 +168,9 @@ impl DpcAlgorithm for SApproxDpc {
             (0..n).map(|p| if is_picked[p] { f64::INFINITY } else { away(p) }).collect();
         let max_keys = MaxKeys::new(&tree, &keys);
         let dcut_sq = dcut * dcut;
-        let dependent_of = |point: &[f64], key: f64, ball: &mut Vec<usize>| {
-            let nearest = tree.nearest_denser(&max_keys, point, key);
+        let dependent_of = |row: usize, ball: &mut Vec<usize>| {
+            let (point, key) = (packed_row(&tree, row), keys[tree.ids()[row] as usize]);
+            let nearest = tree.nearest_denser_at(&max_keys, row, key);
             if let Some((q, _)) = nearest {
                 if dist_sq(point, data.point(q)) <= dcut_sq {
                     return nearest;
@@ -187,10 +194,9 @@ impl DpcAlgorithm for SApproxDpc {
         // A task of picked points reuses one scratch ball for the `d_cut`
         // searches of its local peaks.
         let picked = |p: usize| is_picked[p];
-        let found = packed_queries(&tree, picked, &executor, |rows, ids| {
+        let found = packed_queries(&tree, picked, &executor, |rows| {
             let mut ball = Vec::new();
-            let rows = rows.chunks_exact(tree.dim());
-            rows.zip(ids).map(|(row, &p)| dependent_of(row, keys[p as usize], &mut ball)).collect()
+            rows.iter().map(|&k| dependent_of(k, &mut ball)).collect()
         });
         for (p, found) in found {
             if let Some((q, d)) = found {
@@ -424,6 +430,22 @@ mod tests {
                 matches!(err, DpcError::InvalidParams { param: "epsilon", .. }),
                 "{bad}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn density_order_lists_equal_densities_in_ascending_id() {
+        // The points that are not picked carry integer densities, ⌊ρ⌋ of
+        // their cell's picked point, so many of them tie.
+        let data = uniform(2_000, 2, 100.0, 17);
+        let m = SApproxDpc::new(DpcParams::new(6.0)).with_epsilon(1.0).fit(&data).unwrap();
+        let rho = m.rho();
+        let pairs = m.density_order().windows(2);
+        let ties = pairs.clone().filter(|w| rho[w[0]] == rho[w[1]]).count();
+        assert!(ties > 100, "only {ties} equal-density neighbours in the order");
+        for w in pairs {
+            let (a, b) = (w[0], w[1]);
+            assert!(rho[a] > rho[b] || (rho[a] == rho[b] && a < b), "{a} before {b}");
         }
     }
 

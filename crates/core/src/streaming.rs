@@ -337,13 +337,23 @@ impl StreamingDpc {
         }
     }
 
-    /// The rows of `slots`, in order, as a dataset.
-    fn gather_rows(&self, slots: &[usize]) -> Dataset {
-        let mut out = Dataset::with_capacity(self.dim, slots.len());
-        for &s in slots {
-            out.push(self.row(s));
+    /// The live slots' rows, as a dataset: `position[s]` is live slot `s`'s
+    /// row in it, `u32::MAX` marks a removed slot, and every live slot has a
+    /// distinct position below the live count. The tree's rows are read in
+    /// packed order, one sequential pass, and the buffer's rows after them.
+    fn gather_rows(&self, position: &[u32]) -> Dataset {
+        let dim = self.dim;
+        let mut flat = vec![0.0; self.live * dim];
+        let tree_rows =
+            self.tree.ids().iter().map(|&s| s as usize).zip(self.tree.coords().chunks_exact(dim));
+        let buffer_rows = self.buffer().zip(self.buffer_rows.flat().chunks_exact(dim));
+        for (slot, row) in tree_rows.chain(buffer_rows) {
+            if position[slot] != u32::MAX {
+                let p = position[slot] as usize;
+                flat[p * dim..(p + 1) * dim].copy_from_slice(row);
+            }
         }
-        out
+        Dataset::from_flat(dim, flat)
     }
 
     /// The insert buffer: the slots after the tree's.
@@ -750,7 +760,7 @@ impl StreamingDpc {
         for (new, &old) in keep.iter().enumerate() {
             new_slot[old] = new as u32;
         }
-        let rows = self.gather_rows(&keep);
+        let rows = self.gather_rows(&new_slot);
         let tree = KdTree::build_parallel(&rows, &Executor::new(self.params.threads));
         self.buffer_rows = Dataset::new(self.dim);
         self.stable = keep.iter().map(|&s| self.stable[s]).collect();
@@ -903,7 +913,7 @@ impl StreamingDpc {
             Timings::default(),
             self.live * per_point,
         )?;
-        Ok((rows.unwrap_or_else(|| self.gather_rows(&slots)), ids, model))
+        Ok((rows.unwrap_or_else(|| self.gather_rows(&pos_of_slot)), ids, model))
     }
 
     /// [`StreamingDpc::to_parts`] plus the engine's index over the exported

@@ -14,25 +14,34 @@
 //!   the kd-tree self-join (`dpc_index::selfjoin`): every pair of rows, one
 //!   from each block or `i < j` within one, whose distance is within the
 //!   closed ball credits **both** rows. Each pair's distance is computed
-//!   once.
+//!   once;
+//! * [`nearest_denser_in`] — the leaf kernel of the kd-tree's nearest-denser
+//!   queries (Definition 2): among the rows whose key is strictly above the
+//!   query's, the one with the smallest `(dist², id)`, folded into a running
+//!   best.
 //!
 //! # Vectorisation
 //!
-//! [`count_within`] and [`count_pairs_block`] run a fixed-dimension loop for
-//! `d ∈ {2, 3, 4, 8}` (the paper's Syn, Airline, Household/PAMAP2 and
-//! Sensor): a const-generic copy of the scalar loop whose row length the
-//! compiler knows, so an optimised build vectorises it across rows on
-//! baseline SSE2, in safe code. Every other `dim` runs the scalar loop, and
-//! [`search_within_into`] is a scalar loop.
+//! [`count_within`], [`count_pairs_block`] and [`nearest_denser_in`] run a
+//! fixed-dimension loop for `d ∈ {2, 3, 4, 8}` (the paper's Syn, Airline,
+//! Household/PAMAP2 and Sensor): a const-generic copy of the scalar loop
+//! whose row length the compiler knows, so an optimised build unrolls it and
+//! vectorises the counts across rows on baseline SSE2, in safe code. The
+//! nearest-denser loop carries its best from row to row, so it is not
+//! vectorised; its fixed loop decides each row without a branch instead.
+//! Every other `dim` runs the scalar loop, and [`search_within_into`] is a
+//! scalar loop.
 //!
 //! The fixed loops are **bit-identical** to the scalar reference by
 //! construction. Each row performs exactly the per-axis operations of
 //! [`dist_sq`] in the same order: `(q[a] − row[a])²` summed from `0.0` in
 //! ascending axis order. IEEE 754 arithmetic is deterministic per operation,
-//! and no FMA contraction is introduced. The `<=` predicate is false for NaN,
-//! as in the scalar loop. Only the integer counts are summed in another
-//! order, which cannot change them. The property tests in
-//! `tests/batch_identity.rs` assert bitwise equality across the paths.
+//! and no FMA contraction is introduced. The `<=`, `<` and `==` predicates
+//! are false for NaN, as in the scalar loop. Only the integer counts are
+//! summed in another order, which cannot change them, and the nearest-denser
+//! loop keeps the lexicographic minimum of a fixed set, which no order
+//! changes. The property tests in `tests/batch_identity.rs` assert bitwise
+//! equality across the paths.
 //!
 //! # Symmetry
 //!
@@ -46,7 +55,8 @@
 //! # Slice-length contract
 //!
 //! All kernels require `query.len() == dim`, `dim > 0` and
-//! `rows.len() % dim == 0`, and the pair kernels one count per row; these are
+//! `rows.len() % dim == 0`, the pair kernels one count per row, and the
+//! nearest-denser kernel one key and one id per row; these are
 //! `debug_assert!`ed here (one place, not per caller), and the debug
 //! assertions **are** the contract. See the crate docs for the release-mode
 //! behaviour of a violating call: memory-safe but unspecified — depending on
@@ -213,6 +223,96 @@ fn count_pairs_block_fixed<const D: usize>(
     }
 }
 
+/// Folds the rows whose key is **strictly greater** than `key` into `best`,
+/// a running nearest-denser answer `(squared distance, id)`: returns the
+/// lexicographically smallest of `best` and every such row's
+/// `(dist_sq(query, row), id)`, so equal distances go to the smaller id.
+/// `keys[k]` and `ids[k]` belong to row `k`.
+///
+/// A row whose key is not above `key` is never chosen, NaN keys and a NaN
+/// `key` included, and neither is a row at a NaN distance; with no row to
+/// choose, `best` comes back unchanged, even `(∞, u32::MAX)`. Runs the
+/// fixed-dimension loop for `dim ∈ {2, 3, 4, 8}` and
+/// [`nearest_denser_in_scalar`] otherwise; both return the scalar
+/// reference's bits (see the module docs).
+#[inline]
+pub fn nearest_denser_in(
+    query: &[f64],
+    rows: &[f64],
+    dim: usize,
+    keys: &[f64],
+    ids: &[u32],
+    key: f64,
+    best: (f64, u32),
+) -> (f64, u32) {
+    debug_denser_contract(query, rows, dim, keys, ids);
+    match dim {
+        2 => nearest_denser_in_fixed::<2>(query, rows, keys, ids, key, best),
+        3 => nearest_denser_in_fixed::<3>(query, rows, keys, ids, key, best),
+        4 => nearest_denser_in_fixed::<4>(query, rows, keys, ids, key, best),
+        8 => nearest_denser_in_fixed::<8>(query, rows, keys, ids, key, best),
+        _ => nearest_denser_in_scalar(query, rows, dim, keys, ids, key, best),
+    }
+}
+
+/// Scalar reference implementation of [`nearest_denser_in`], and its path
+/// for any `dim` outside the fixed-dimension set. Public so property tests
+/// and benchmarks can pin the fixed-dimension loop against it.
+#[inline]
+pub fn nearest_denser_in_scalar(
+    query: &[f64],
+    rows: &[f64],
+    dim: usize,
+    keys: &[f64],
+    ids: &[u32],
+    key: f64,
+    best: (f64, u32),
+) -> (f64, u32) {
+    debug_denser_contract(query, rows, dim, keys, ids);
+    let (mut best_d, mut best_id) = best;
+    for ((row, &k), &id) in rows.chunks_exact(dim).zip(keys).zip(ids) {
+        if k > key {
+            let d = dist_sq(query, row);
+            if d < best_d || (d == best_d && id < best_id) {
+                (best_d, best_id) = (d, id);
+            }
+        }
+    }
+    (best_d, best_id)
+}
+
+/// [`nearest_denser_in_scalar`] with the row length known to the compiler:
+/// each row's distance takes the operands and order of [`dist_sq`], and the
+/// key mask and the `(distance, id)` comparison form one predicate that
+/// selects the new best without a branch. The mask sits in the predicate, so
+/// a masked row is never chosen, not even against a best at `(∞, u32::MAX)`.
+///
+/// # Panics
+/// Panics if `query` is shorter than `D`.
+#[inline]
+fn nearest_denser_in_fixed<const D: usize>(
+    query: &[f64],
+    rows: &[f64],
+    keys: &[f64],
+    ids: &[u32],
+    key: f64,
+    best: (f64, u32),
+) -> (f64, u32) {
+    let q: [f64; D] = std::array::from_fn(|a| query[a]);
+    let (mut best_d, mut best_id) = best;
+    for ((row, &k), &id) in rows.chunks_exact(D).zip(keys).zip(ids) {
+        let mut d = 0.0;
+        for a in 0..D {
+            let diff = q[a] - row[a];
+            d += diff * diff;
+        }
+        let better = (k > key) & ((d < best_d) | ((d == best_d) & (id < best_id)));
+        best_d = if better { d } else { best_d };
+        best_id = if better { id } else { best_id };
+    }
+    (best_d, best_id)
+}
+
 /// The shared `debug_assert!` half of the slice-length contract (see the
 /// module docs for the release-mode half).
 #[inline]
@@ -220,6 +320,15 @@ fn debug_batch_contract(query: &[f64], rows: &[f64], dim: usize) {
     debug_assert!(dim > 0, "dimensionality must be positive");
     debug_assert_eq!(query.len(), dim, "query dimensionality mismatch");
     debug_assert_eq!(rows.len() % dim, 0, "rows buffer is not a whole number of rows");
+}
+
+/// The nearest-denser kernel's half of the slice-length contract: one key
+/// and one id per row.
+#[inline]
+fn debug_denser_contract(query: &[f64], rows: &[f64], dim: usize, keys: &[f64], ids: &[u32]) {
+    debug_batch_contract(query, rows, dim);
+    debug_assert_eq!(rows.len(), keys.len() * dim, "one key per row");
+    debug_assert_eq!(keys.len(), ids.len(), "one id per row");
 }
 
 /// The pair kernels' half of the slice-length contract: one count per row.

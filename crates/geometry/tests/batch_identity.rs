@@ -14,6 +14,10 @@
 //! `±0.0`, subnormals and `1e±150` magnitudes, and radii placed *exactly* on
 //! row distances so the closed-ball boundary is exercised bit-for-bit.
 //!
+//! The nearest-denser kernel must return the bits of its scalar reference on
+//! every path, for d ∈ {2, 3, 4, 5, 8}, with masked rows, all-masked blocks,
+//! NaN keys, equal distances and a running best that is already set.
+//!
 //! The compiler vectorises the fixed-dimension loops only in optimised builds,
 //! so the suite runs on both the dev and the release profile (CI runs both).
 
@@ -239,5 +243,94 @@ fn a_nan_r_sq_credits_nothing() {
         batch::count_pairs_block(&rows, &rows, dim, f64::NAN, &mut ca, &mut cb);
         batch::count_pairs_triangle(&rows, dim, f64::NAN, &mut ca);
         assert!(ca.iter().chain(&cb).all(|&c| c == 0), "d={dim}");
+    }
+}
+
+/// Asserts the nearest-denser kernel against its scalar reference, bit for
+/// bit, and returns the answer.
+fn check_denser(
+    query: &[f64],
+    rows: &[f64],
+    dim: usize,
+    keys: &[f64],
+    ids: &[u32],
+    key: f64,
+    best: (f64, u32),
+) -> (f64, u32) {
+    let want = batch::nearest_denser_in_scalar(query, rows, dim, keys, ids, key, best);
+    let got = batch::nearest_denser_in(query, rows, dim, keys, ids, key, best);
+    assert_eq!(
+        (got.0.to_bits(), got.1),
+        (want.0.to_bits(), want.1),
+        "d={dim} key={key} best={best:?}"
+    );
+    got
+}
+
+#[test]
+fn nearest_denser_kernel_matches_the_scalar_loop() {
+    let mut rng = StdRng::seed_from_u64(0xDE45E);
+    for dim in [2usize, 3, 4, 5, 8] {
+        for n in [0usize, 1, 2, 3, 5, 8, 15, 16, 17, 33] {
+            for _ in 0..8 {
+                let rows = build_rows(&mut rng, n, dim);
+                let query: Vec<f64> = (0..dim).map(|_| special_value(&mut rng)).collect();
+                // Few distinct keys, so many rows tie the threshold; some are
+                // −∞ (hidden) and some NaN (never chosen).
+                let keys: Vec<f64> = (0..n)
+                    .map(|_| match rng.gen_range(0.0..1.0) {
+                        x if x < 0.15 => f64::NEG_INFINITY,
+                        x if x < 0.25 => f64::NAN,
+                        _ => rng.gen_range(0.0..4.0).floor(),
+                    })
+                    .collect();
+                let mut ids: Vec<u32> = (0..n as u32).map(|i| 3 * i + 7).collect();
+                rng.shuffle(&mut ids);
+                // Running bests: none yet, one at a row's exact distance with
+                // a middling id (ties both ways), and one nothing beats.
+                let mut bests = vec![(f64::INFINITY, u32::MAX), (0.0, 0), (f64::INFINITY, 5)];
+                for row in rows.chunks_exact(dim).take(3) {
+                    bests.push((dist_sq(&query, row), 3 * (n as u32) / 2 + 7));
+                }
+                for key in [f64::NEG_INFINITY, 0.0, 1.0, 2.5, 3.0, f64::NAN] {
+                    for &best in &bests {
+                        check_denser(&query, &rows, dim, &keys, &ids, key, best);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn nearest_denser_kernel_never_picks_a_masked_row() {
+    for dim in [2usize, 3, 4, 5, 8] {
+        // A block of coincident rows at the query: every distance is 0.
+        let n = 17;
+        let rows = vec![1.0f64; n * dim];
+        let query = vec![1.0f64; dim];
+        let ids: Vec<u32> = (0..n as u32).rev().collect();
+        let none = (f64::INFINITY, u32::MAX);
+        // All masked (keys at or below the threshold, −∞ or NaN): the best
+        // stays untouched, even when it is "nothing found yet".
+        for masked in [2.0, f64::NEG_INFINITY, f64::NAN] {
+            let keys = vec![masked; n];
+            for best in [none, (4.0, 9), (0.0, 3)] {
+                let got = check_denser(&query, &rows, dim, &keys, &ids, 2.0, best);
+                assert_eq!((got.0.to_bits(), got.1), (best.0.to_bits(), best.1), "d={dim}");
+            }
+        }
+        // Equal distances go to the smallest unmasked id: ids descend with
+        // the row, rows 13.. are masked (NaN or −∞), so row 12 (id 4) wins.
+        let mut keys = vec![5.0; n];
+        keys[13..].copy_from_slice(&[f64::NAN, f64::NEG_INFINITY, f64::NAN, 2.0]);
+        assert_eq!(check_denser(&query, &rows, dim, &keys, &ids, 2.0, none), (0.0, 4), "d={dim}");
+        // A tie with the running best keeps the smaller id.
+        assert_eq!(check_denser(&query, &rows, dim, &keys, &ids, 2.0, (0.0, 1)), (0.0, 1));
+        // A NaN key on the only near row: the far row answers.
+        let mut rows = vec![100.0f64; 2 * dim];
+        rows[..dim].copy_from_slice(&query);
+        let got = check_denser(&query, &rows, dim, &[f64::NAN, 3.0], &[0, 1], 2.0, none);
+        assert_eq!(got, ((99.0f64 * 99.0) * dim as f64, 1), "d={dim}");
     }
 }

@@ -55,17 +55,46 @@
 //!   [`Executor::join`] and the levels below inline: the tree is
 //!   **bit-identical** to the serial build at every thread count.
 //!
-//! * **Nearest-denser queries.** Every algorithm's dependent point
-//!   (Definition 2) is the nearest point of strictly higher density:
-//!   [`KdTree::nearest_denser`] prunes on the per-node maximum density held
-//!   by [`MaxKeys`] — the priority-search kd-tree of Huang, Yu & Shun
-//!   (*Faster Parallel Exact Density Peaks Clustering*, ACDA 2023). Equal
-//!   distances go to the smallest id, so the answer is unique. It is the
-//!   tree's only nearest-point query: a plain nearest neighbour is the case
-//!   that keys every candidate above the query. Its sibling
-//!   [`KdTree::smallest_denser_label`] prunes the same way inside a closed
-//!   ball, plus on the per-node smallest label of [`MinLabels`]: Approx-DPC's
-//!   first denser neighbour cell of a cell's densest point.
+//! * **Nearest-denser queries: one search, two starts.** Every algorithm's
+//!   dependent point (Definition 2) is the nearest point of strictly higher
+//!   density. One private search answers it within a subtree: depth-first,
+//!   nearer child first, pruned on box distance and on the per-node maximum
+//!   density held by [`MaxKeys`] — the priority-search kd-tree of Huang, Yu
+//!   & Shun (*Faster Parallel Exact Density Peaks Clustering*, ACDA 2023) —
+//!   with every leaf scanned by one branch-free kernel,
+//!   `dpc_geometry::batch::nearest_denser_in`. Equal distances go to the
+//!   smallest id, so the answer is unique and no scan order changes it.
+//!   [`KdTree::nearest_denser`] runs the search from the root, for any query
+//!   point. [`KdTree::nearest_denser_at`] answers for an indexed point, which
+//!   is what every fit asks, bottom-up as in Friedman, Bentley & Finkel (*An
+//!   Algorithm for Finding Best Matches in Logarithmic Expected Time*, ACM
+//!   TOMS 1977): it scans the point's own leaf, then climbs, and at each
+//!   node `C` on the way it either stops or searches `C`'s sibling subtree.
+//!   Most dependents lie in or near the query's own leaf, so the climb stops
+//!   after a few nodes, where a descent from the root visits about two nodes
+//!   per level.
+//!
+//!   **The stop test.** Let `[lo, hi]` be `C`'s box, `q` the query and `g`
+//!   the minimum, over the axes, of `fl(q[a] − lo[a])` and `fl(hi[a] −
+//!   q[a])` (both `≥ 0`, as `q` lies in `C`). The climb stops iff `fl(g·g) >
+//!   best`, strictly, where `best` is the best squared distance so far. Its
+//!   **precondition**: at every inner node some axis has `left.hi ≤
+//!   right.lo` — the median split, with ties on the face. Then a point `p`
+//!   outside `C` lies in the sibling of `C` or of one of its ancestors `A`,
+//!   and on or beyond `A`'s face on that split axis `a`. The boxes are exact,
+//!   so `C`'s lies inside `A`'s, and `p` lies on or beyond `C`'s face too:
+//!   `p[a] ≥ hi[a]` or `p[a] ≤ lo[a]`. Rounding is monotone, so `|fl(q[a] −
+//!   p[a])| ≥ g` and its rounded square is `≥ fl(g·g)`; and `dist_sq` sums
+//!   non-negative squares from `0.0`, so `fl(dist_sq(q, p)) ≥ fl(g·g) >
+//!   best`. No better answer and no tie lies outside `C`, so the
+//!   smallest-id rule holds. Every build meets the precondition, and
+//!   [`KdTree::from_packed_parts`] checks it on decoded storage.
+//!
+//!   Its sibling [`KdTree::smallest_denser_label`] prunes the same way inside
+//!   a closed ball, plus on the per-node smallest label of [`MinLabels`]:
+//!   Approx-DPC's first denser neighbour cell of a cell's densest point.
+//!   These are the tree's only nearest-point queries: a plain nearest
+//!   neighbour is the case that keys every candidate above the query.
 //!
 //! * **Changing keys and the reverse query.** The points and the layout
 //!   never change after a build; the keys may. [`MaxKeys::set`] changes one
@@ -264,10 +293,15 @@ impl KdTree {
     /// exactly (the build's shape is a pure function of `n`, so every genuine
     /// artifact matches it — and a canonical shape is what keeps the fixed
     /// traversal stacks in bounds on decoded input); `ids` must be a
-    /// permutation of `0..n`, whose inverse becomes the position map; and
-    /// every node's bounding box must be the box the build computes over the
-    /// node's packed range. A tree that passes is [`KdTree::layout_eq`] to a
-    /// fresh build over the points whose rows `coords` holds.
+    /// permutation of `0..n`, whose inverse becomes the position map; every
+    /// node's bounding box must be the box the build computes over the
+    /// node's packed range; and every inner node must have an axis on which
+    /// its left child's box ends where its right child's begins or before
+    /// (`left.hi ≤ right.lo`), as a median split leaves them — the
+    /// precondition of [`KdTree::nearest_denser_at`]'s stop test. So every
+    /// query on a tree that passes is exact. The check cannot tell whether
+    /// a build would have split the same points: a tree that passes need not
+    /// be [`KdTree::layout_eq`] to a fresh build over its rows.
     ///
     /// # Errors
     /// A static description of the first violated invariant, for the caller
@@ -305,7 +339,8 @@ impl KdTree {
         // before it (children follow their parent in preorder, so a reverse
         // sweep reaches them first). By induction the union equals the box
         // over the node's rows, so the accepted inputs are those of a
-        // per-node row scan, at O(n·d) instead of O(n·d·depth).
+        // per-node row scan, at O(n·d) instead of O(n·d·depth). The same
+        // checked children's boxes show the split.
         let bound_eq = |a: f64, b: f64| a.to_bits() == b.to_bits() || a == b;
         let mut lo = vec![0.0f64; dim];
         let mut hi = vec![0.0f64; dim];
@@ -328,10 +363,14 @@ impl KdTree {
                     fold(&mut lo, &mut hi, row, row);
                 }
             } else {
-                for child in [idx + 1, node.right as usize] {
-                    let (c_lo, c_hi) = bounds[child * 2 * dim..(child + 1) * 2 * dim].split_at(dim);
-                    fold(&mut lo, &mut hi, c_lo, c_hi);
+                let box_of = |c: usize| bounds[c * 2 * dim..(c + 1) * 2 * dim].split_at(dim);
+                let ((left_lo, left_hi), (right_lo, right_hi)) =
+                    (box_of(idx + 1), box_of(node.right as usize));
+                if !std::iter::zip(left_hi, right_lo).any(|(l, r)| l <= r) {
+                    return Err("an inner node's children overlap on every axis");
                 }
+                fold(&mut lo, &mut hi, left_lo, left_hi);
+                fold(&mut lo, &mut hi, right_lo, right_hi);
             }
             let b = &bounds[idx * 2 * dim..(idx + 1) * 2 * dim];
             let lo_ok = std::iter::zip(&lo, &b[..dim]).all(|(&w, &g)| bound_eq(w, g));
@@ -465,12 +504,28 @@ impl KdTree {
     /// distances go to the smallest id, so the answer is unique. Returns
     /// `(point id, distance)`, or `None` when no indexed key exceeds `key`.
     ///
-    /// Depth-first, nearer child first; a subtree is skipped when its box is
-    /// farther than the best candidate so far or its largest key is not above
-    /// `key`. A box at exactly the best distance is still searched, as it may
-    /// hold a tie with a smaller id. Each node is visited at most once.
+    /// Searches the whole tree from the root, nearer child first (see the
+    /// module docs); each node is visited at most once. For an indexed query
+    /// point, [`KdTree::nearest_denser_at`] gives the same answer from the
+    /// point's own leaf.
     pub fn nearest_denser(&self, keys: &MaxKeys, query: &[f64], key: f64) -> Option<(usize, f64)> {
         self.nearest_denser_counted(keys, query, key).0
+    }
+
+    /// [`KdTree::nearest_denser`] for the indexed point at packed row `row`,
+    /// whose coordinates are the row's: the same answer, bit for bit.
+    ///
+    /// The search starts at the row's own leaf and climbs toward the root.
+    /// At each node on the way it stops once no point outside the node can
+    /// be nearer than the best answer, or tie it; otherwise it searches the
+    /// node's sibling subtree as [`KdTree::nearest_denser`] searches the tree
+    /// (see the module docs for why the stop is exact). Each node is visited
+    /// at most once.
+    ///
+    /// # Panics
+    /// Panics if `row` is not below [`KdTree::len`].
+    pub fn nearest_denser_at(&self, keys: &MaxKeys, row: usize, key: f64) -> Option<(usize, f64)> {
+        self.nearest_denser_at_counted(keys, row, key).0
     }
 
     /// [`KdTree::nearest_denser`] plus the number of nodes it visited.
@@ -484,42 +539,131 @@ impl KdTree {
         if self.nodes.is_empty() {
             return (None, 0);
         }
-        let dim = self.dim;
-        let (mut best_id, mut best_d, mut visits) = (NONE, f64::INFINITY, 0usize);
+        let mut best = (f64::INFINITY, NONE);
         let mut stack = [(0u32, 0.0f64); STACK_CAP];
-        let mut top = 1usize;
+        let visits = self.search_denser(keys, query, key, 0, &mut stack, &mut best);
+        (denser_answer(best), visits)
+    }
+
+    /// [`KdTree::nearest_denser_at`] plus the number of nodes it visited:
+    /// the own leaf (scanned unless its largest key is not above `key`),
+    /// every node the sibling searches pop, and each ancestor the climb
+    /// reaches.
+    fn nearest_denser_at_counted(
+        &self,
+        keys: &MaxKeys,
+        row: usize,
+        key: f64,
+    ) -> (Option<(usize, f64)>, usize) {
+        debug_assert_eq!(keys.node_max.len(), self.nodes.len(), "keys built from another tree");
+        let query = &self.coords[row * self.dim..(row + 1) * self.dim];
+        // The root-to-leaf path of the row, found on the packed ranges.
+        let (mut path, mut depth) = ([0u32; STACK_CAP], 0usize);
+        loop {
+            let node = &self.nodes[path[depth] as usize];
+            if node.is_leaf() {
+                break;
+            }
+            let left = path[depth] + 1;
+            depth += 1;
+            path[depth] =
+                if row < self.nodes[left as usize].end as usize { left } else { node.right };
+        }
+        let mut best = (f64::INFINITY, NONE);
+        if keys.node_max[path[depth] as usize] > key {
+            best = self.scan_denser(keys, query, key, path[depth], best);
+        }
+        let (mut stack, mut visits) = ([(0u32, 0.0f64); STACK_CAP], 1usize);
+        while depth > 0 && !self.ball_inside(path[depth] as usize, query, best.0) {
+            let (node, parent) = (path[depth], path[depth - 1]);
+            let sibling =
+                if node == parent + 1 { self.nodes[parent as usize].right } else { parent + 1 };
+            visits += 1 + self.search_denser(keys, query, key, sibling, &mut stack, &mut best);
+            depth -= 1;
+        }
+        (denser_answer(best), visits)
+    }
+
+    /// Searches the subtree under node `root` for points whose key is
+    /// strictly greater than `key`, folding each into `best`, the smallest
+    /// `(squared distance, id)` so far, on the caller's traversal `stack`
+    /// (one per query, however many subtrees it searches). Returns the
+    /// number of nodes visited.
+    ///
+    /// Depth-first, nearer child first; a subtree is skipped when its box is
+    /// farther than the best candidate so far or its largest key is not
+    /// above `key`. A box at exactly the best distance is still searched, as
+    /// it may hold a tie with a smaller id. Leaves are scanned by
+    /// [`batch::nearest_denser_in`].
+    fn search_denser(
+        &self,
+        keys: &MaxKeys,
+        query: &[f64],
+        key: f64,
+        root: u32,
+        stack: &mut [(u32, f64); STACK_CAP],
+        best: &mut (f64, u32),
+    ) -> usize {
+        let entry = |c: u32| {
+            let (lo, hi) = self.node_bounds(c as usize);
+            (c, min_dist_sq_to_rect(query, lo, hi))
+        };
+        stack[0] = entry(root);
+        let (mut top, mut visits) = (1usize, 0usize);
         while top > 0 {
             top -= 1;
             visits += 1;
             let (node_idx, min_d) = stack[top];
-            if min_d > best_d || keys.node_max[node_idx as usize] <= key {
+            if min_d > best.0 || keys.node_max[node_idx as usize] <= key {
                 continue;
             }
             let node = &self.nodes[node_idx as usize];
             if node.is_leaf() {
-                for k in node.start as usize..node.end as usize {
-                    if keys.keys[k] > key {
-                        let d = dist_sq(query, &self.coords[k * dim..(k + 1) * dim]);
-                        if d < best_d || (d == best_d && self.ids[k] < best_id) {
-                            (best_d, best_id) = (d, self.ids[k]);
-                        }
-                    }
-                }
+                *best = self.scan_denser(keys, query, key, node_idx, *best);
             } else {
-                let child = |c: u32| {
-                    let (lo, hi) = self.node_bounds(c as usize);
-                    (c, min_dist_sq_to_rect(query, lo, hi))
-                };
-                let (left, right) = (child(node_idx + 1), child(node.right));
+                let (left, right) = (entry(node_idx + 1), entry(node.right));
                 // Push the farther child first so the nearer one is explored
-                // first, tightening `best_d` before the far box is reconsidered.
+                // first, tightening the best before the far box is reconsidered.
                 let (near, far) = if left.1 <= right.1 { (left, right) } else { (right, left) };
                 stack[top] = far;
                 stack[top + 1] = near;
                 top += 2;
             }
         }
-        ((best_id != NONE).then(|| (best_id as usize, best_d.sqrt())), visits)
+        visits
+    }
+
+    /// Leaf `leaf`'s rows folded into `best` by [`batch::nearest_denser_in`].
+    #[inline]
+    fn scan_denser(
+        &self,
+        keys: &MaxKeys,
+        query: &[f64],
+        key: f64,
+        leaf: u32,
+        best: (f64, u32),
+    ) -> (f64, u32) {
+        let node = &self.nodes[leaf as usize];
+        let (start, end, dim) = (node.start as usize, node.end as usize, self.dim);
+        let rows = &self.coords[start * dim..end * dim];
+        let (row_keys, ids) = (&keys.keys[start..end], &self.ids[start..end]);
+        batch::nearest_denser_in(query, rows, dim, row_keys, ids, key, best)
+    }
+
+    /// The stop test of [`KdTree::nearest_denser_at`]'s climb: whether every
+    /// point outside node `idx` lies farther from `query`, a point inside the
+    /// node's box, than the squared distance `best_d`. True iff `fl(g·g) >
+    /// best_d`, where `g` is the smallest distance from `query` to a face of
+    /// the box (see the module docs for why it is exact).
+    fn ball_inside(&self, idx: usize, query: &[f64], best_d: f64) -> bool {
+        let (lo, hi) = self.node_bounds(idx);
+        let mut gap = f64::INFINITY;
+        for a in 0..self.dim {
+            let (below, above) = (query[a] - lo[a], hi[a] - query[a]);
+            gap = if below < gap { below } else { gap };
+            gap = if above < gap { above } else { gap };
+        }
+        gap * gap > best_d
     }
 
     /// The smallest label among the indexed points within `radius` of
@@ -651,6 +795,12 @@ fn position_map(ids: &[u32]) -> Result<Vec<u32>, &'static str> {
         *slot = k as u32;
     }
     Ok(pos)
+}
+
+/// A nearest-denser search's answer, `(point id, distance)`, from its best
+/// `(squared distance, id)`.
+fn denser_answer((best_d, best_id): (f64, u32)) -> Option<(usize, f64)> {
+    (best_id != NONE).then(|| (best_id as usize, best_d.sqrt()))
 }
 
 /// Folds per-point values in packed order into one value per node of
@@ -1035,18 +1185,39 @@ mod tests {
             .map(|(d, id)| (id, d.sqrt()))
     }
 
+    /// Checks [`KdTree::nearest_denser_at`] on every indexed point against
+    /// the brute force, with the point's own key and with `other_key(id)`.
+    fn check_nearest_denser_at(
+        tree: &KdTree,
+        max_keys: &MaxKeys,
+        ds: &Dataset,
+        keys: &[f64],
+        mut other_key: impl FnMut(usize) -> f64,
+    ) {
+        for (row, &id) in tree.ids().iter().enumerate() {
+            let id = id as usize;
+            for key in [keys[id], other_key(id)] {
+                let (got, visits) = tree.nearest_denser_at_counted(max_keys, row, key);
+                let want = brute_nearest_denser(ds, keys, ds.point(id), key);
+                assert_eq!(got, want, "dim {}, point {id} above {key}", ds.dim());
+                assert!(visits <= tree.nodes().len(), "{visits} visits");
+            }
+        }
+    }
+
     #[test]
     fn nearest_denser_matches_brute_force_with_smallest_id_ties() {
-        for dim in [2usize, 3, 8] {
+        for dim in [2usize, 3, 4, 5, 8] {
             for snapped in [false, true] {
                 let mut rng = StdRng::seed_from_u64(500 + dim as u64 + snapped as u64);
-                let mut ds = random_dataset(300, dim, 60 + dim as u64);
                 // Lattice-snapped coordinates and integer keys: many duplicate
-                // points, equal distances and equal keys.
-                if snapped {
-                    let coords = ds.flat().iter().map(|c| (c / 10.0).floor() * 10.0).collect();
-                    ds = Dataset::from_flat(dim, coords);
-                }
+                // points, equal distances and equal keys. The random points
+                // span [0, 1), so distances to a box face lie below 1, where
+                // squaring one makes it smaller.
+                let scale = if snapped { 1.0 } else { 0.01 };
+                let ds = random_dataset(300, dim, 60 + dim as u64);
+                let snap = |c: f64| if snapped { (c / 10.0).floor() * 10.0 } else { c * scale };
+                let ds = Dataset::from_flat(dim, ds.flat().iter().map(|&c| snap(c)).collect());
                 let key = |rng: &mut StdRng| {
                     if snapped {
                         rng.gen_range(0..20) as f64
@@ -1066,7 +1237,7 @@ mod tests {
                 let mut queries: Vec<(Vec<f64>, f64)> =
                     (0..ds.len()).map(|i| (ds.point(i).to_vec(), keys[i])).collect();
                 for _ in 0..100 {
-                    let q = (0..dim).map(|_| 120.0 * rng.gen_f64() - 10.0).collect();
+                    let q = (0..dim).map(|_| (120.0 * rng.gen_f64() - 10.0) * scale).collect();
                     queries.push((q, key(&mut rng)));
                 }
                 queries.push((ds.point(0).to_vec(), top));
@@ -1077,6 +1248,11 @@ mod tests {
                     assert!(visits <= tree.nodes().len(), "{visits} visits");
                 }
                 assert_eq!(tree.nearest_denser(&max_keys, ds.point(0), top), None);
+                // Every indexed point from its own leaf, against its own key
+                // and against a random one (below its own, the point itself
+                // and its duplicates can answer, at distance 0).
+                check_nearest_denser_at(&tree, &max_keys, &ds, &keys, |_| key(&mut rng));
+                assert_eq!(tree.nearest_denser_at(&max_keys, 0, top), None);
             }
         }
         let empty = Dataset::new(2);
@@ -1186,6 +1362,16 @@ mod tests {
         let want = (0..n).find(|&i| keys[i] > 500.0);
         let (found, _) = tree.nearest_denser_counted(&max_keys, &[0.0, 0.0], 500.0);
         assert_eq!(found, want.map(|i| (i, 5.0)));
+        // From every point's own leaf: the stop test never fires (every face
+        // lies at distance 0, as does the best), so the climb reaches the
+        // root, and still visits each node once.
+        for row in 0..n {
+            let (found, visits) = tree.nearest_denser_at_counted(&max_keys, row, -1.0);
+            assert_eq!((found, visits), (Some((0, 0.0)), tree.nodes().len()), "row {row}");
+            let (found, visits) = tree.nearest_denser_at_counted(&max_keys, row, 500.0);
+            assert_eq!(found, want.map(|i| (i, 0.0)), "row {row}");
+            assert!(visits <= tree.nodes().len(), "row {row}: {visits} visits");
+        }
     }
 
     /// Random or lattice-snapped points, in `dim` dimensions.
@@ -1199,7 +1385,7 @@ mod tests {
 
     #[test]
     fn set_keys_keep_nearest_denser_exact() {
-        for dim in [2usize, 3, 8] {
+        for dim in [2usize, 3, 4, 5, 8] {
             for snapped in [false, true] {
                 let mut rng = StdRng::seed_from_u64(900 + dim as u64 + snapped as u64);
                 let ds = maybe_snapped(300, dim, 90 + dim as u64, snapped);
@@ -1242,13 +1428,18 @@ mod tests {
                         let want = brute_nearest_denser(&ds, &keys, q, *key);
                         assert_eq!(got, want, "dim {dim}, snapped {snapped}, round {round}");
                     }
+                    check_nearest_denser_at(&tree, &max_keys, &ds, &keys, |_| key(&mut rng));
                 }
                 assert!(raised > 100 && lowered > 100, "{raised} raised, {lowered} lowered");
-                // Hiding every point answers nothing, whatever maxima remain.
+                // Hiding every point answers nothing, whatever maxima remain:
+                // every leaf the queries scan is all masked.
                 for id in 0..ds.len() {
                     max_keys.set(&tree, id, f64::NEG_INFINITY);
                 }
                 assert_eq!(tree.nearest_denser(&max_keys, ds.point(0), -1e300), None);
+                for row in 0..ds.len() {
+                    assert_eq!(tree.nearest_denser_at(&max_keys, row, -1e300), None);
+                }
             }
         }
     }
@@ -1559,6 +1750,41 @@ mod tests {
             let (_, i, c, n, b) = parts.clone();
             assert!(KdTree::from_packed_parts(dim, i, c, n, b).is_err(), "dim {dim}");
         }
+    }
+
+    #[test]
+    fn from_packed_parts_rejects_children_that_overlap_on_every_axis() {
+        let ds = random_dataset(300, 2, 8);
+        let tree = KdTree::build(&ds);
+        let (d, ids, mut coords, nodes, mut bounds) = parts_of(&tree);
+        // Move the left child's first point to the right child's top corner,
+        // across the root's split, and recompute every box to fit: the boxes
+        // and ids pass their checks, but the root's children now overlap on
+        // both axes.
+        let right = nodes[0].right as usize;
+        let corner = bounds[right * 2 * d + d..(right + 1) * 2 * d].to_vec();
+        coords[..d].copy_from_slice(&corner);
+        for (idx, node) in nodes.iter().enumerate().rev() {
+            let (mut lo, mut hi) = (vec![f64::INFINITY; d], vec![f64::NEG_INFINITY; d]);
+            let rows: Vec<&[f64]> = if node.is_leaf() {
+                coords[node.start as usize * d..node.end as usize * d].chunks_exact(d).collect()
+            } else {
+                [idx + 1, node.right as usize]
+                    .iter()
+                    .flat_map(|&c| bounds[c * 2 * d..(c + 1) * 2 * d].chunks_exact(d))
+                    .collect()
+            };
+            for row in rows {
+                for a in 0..d {
+                    (lo[a], hi[a]) = (lo[a].min(row[a]), hi[a].max(row[a]));
+                }
+            }
+            bounds[idx * 2 * d..(idx + 1) * 2 * d].copy_from_slice(&[lo, hi].concat());
+        }
+        assert_eq!(
+            KdTree::from_packed_parts(d, ids, coords, nodes, bounds).err(),
+            Some("an inner node's children overlap on every axis")
+        );
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //!   result at every thread count. With a [`MaxKeys`] array it also answers
 //!   the one dependent-point query every algorithm uses, and its only
 //!   nearest-point query: the nearest point whose key (local density) is
-//!   strictly greater than the query's, ties to the smallest id
-//!   ([`KdTree::nearest_denser`]). With a [`MinLabels`] array too, it answers
+//!   strictly greater than the query's, ties to the smallest id. One search
+//!   serves two starts: from the root for any query point
+//!   ([`KdTree::nearest_denser`]), and from an indexed point's own leaf,
+//!   climbing toward the root ([`KdTree::nearest_denser_at`], every fit's
+//!   δ query). With a [`MinLabels`] array too, it answers
 //!   Approx-DPC's cell rule: the smallest label (cell id) among the points
 //!   within a radius whose key is greater than the query's
 //!   ([`KdTree::smallest_denser_label`]). Keys change in place
